@@ -14,7 +14,12 @@ class UnstableSystemError(DomainError):
 
 
 class QuadratureError(StaffingError):
-    """Adaptive quadrature failed to converge; carries diagnostics."""
+    """The continuous delay-curve kernel got an unusable intermediate value.
+
+    Raised when the incomplete gamma function Q(n, lambda) behind
+    ``erlang_c_continuous`` comes back non-positive or non-finite;
+    ``diagnostics`` holds the offending value and its arguments.
+    """
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

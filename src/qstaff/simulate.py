@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .errors import DomainError, UnstableSystemError
 from .scenarios import JointScenarioSet, ScenarioSet
@@ -165,7 +165,7 @@ def _estimate(values):
     reps = len(values)
     mean = math.fsum(values) / reps
     var = math.fsum((v - mean) ** 2 for v in values) / (reps - 1)
-    t_crit = float(stats.t.ppf(0.995, reps - 1))
+    t_crit = float(stdtrit(reps - 1, 0.995))
     half = t_crit * math.sqrt(var / reps)
     return SimEstimate(
         wait_prob_mean=float(mean),

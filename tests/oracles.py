@@ -57,11 +57,31 @@ def gamma_identity_alpha_bar(n, lam):
         1/alpha_bar = e^lam lam^(-n) Gamma(n+1) [Q(n+1,lam) - (lam/n) Q(n,lam)]
 
     Loses a couple of digits to cancellation for lam beyond ~1e5; use
-    mp_alpha_bar where that matters.
+    mp_alpha_bar where that matters. The package's kernel now evaluates
+    the same scipy gammaincc (in a rearranged, cancellation-free form), so
+    this route checks the algebra rather than the special function; the
+    mpmath routes below are the independent oracles.
     """
     q = gammaincc(n + 1.0, lam) - (lam / n) * gammaincc(n, lam)
     log_inv = lam - n * math.log(lam) + float(gammaln(n + 1.0)) + math.log(q)
     return math.exp(-log_inv)
+
+
+def mp_gamma_alpha_bar(n, lam):
+    """Continuous Erlang-C extension from the incomplete-gamma identity of
+    gamma_identity_alpha_bar, evaluated entirely in mpmath at 40 digits.
+
+    At that precision the cancellation in Q(n+1,lam) - (lam/n) Q(n,lam) is
+    harmless, and mpmath's gammainc shares no code with scipy, so this is
+    an independent reference that, unlike mp_alpha_bar, stays fast for lam
+    up to 1e6.
+    """
+    n = mp.mpf(n)
+    lam = mp.mpf(lam)
+    q_n = mp.gammainc(n, a=lam, b=mp.inf, regularized=True)
+    q_n1 = mp.gammainc(n + 1, a=lam, b=mp.inf, regularized=True)
+    inv = mp.e**lam * lam ** (-n) * mp.gamma(n + 1) * (q_n1 - (lam / n) * q_n)
+    return 1 / inv
 
 
 def mp_halfin_whitt(beta):

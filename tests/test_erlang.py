@@ -1,10 +1,13 @@
 """Tests for the Erlang-C core: exact, continuous, limit, and bounds."""
 import math
+import random
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qstaff.erlang import (
+    _stirlerr,
     erlang_c_exact,
     erlang_c_continuous,
     erlang_c_sqrt,
@@ -22,6 +25,7 @@ from .oracles import (
     hand_summation_erlang_c,
     mp_alpha_bar,
     mp_erlang_c,
+    mp_gamma_alpha_bar,
     mp_halfin_whitt,
     mp_hw_a,
 )
@@ -119,6 +123,47 @@ class TestContinuous:
         for n, lam in ((3.7, 2.0), (45.1, 40.0), (512.0, 480.5)):
             assert erlang_c_continuous(n, lam) == pytest.approx(
                 float(mp_alpha_bar(n, lam)), rel=1e-10)
+
+    def test_mpmath_gamma_oracle_matches_quadrature_oracle(self):
+        # the two mpmath routes agree, so either can anchor the kernel
+        for n, lam in ((1.3, 0.02), (3.7, 2.0), (16.4, 15.9)):
+            assert mp.almosteq(mp_gamma_alpha_bar(n, lam), mp_alpha_bar(n, lam),
+                               rel_eps=1e-25)
+
+    def test_accuracy_against_mpmath_gamma_route(self):
+        # seeded sweep over the regimes the closed-form kernel treats apart
+        rng = random.Random(1974)
+        points = []
+        for _ in range(60):  # square-root staffing, lambda 1e-3 .. 1e6
+            lam = 10.0 ** rng.uniform(-3.0, 6.0)
+            n = max(lam + rng.uniform(0.01, 4.0) * math.sqrt(lam), 1.0 + rng.random())
+            points.append((n, lam))
+        for _ in range(40):  # n within 1/3 of lambda, where Q(n, lambda) < 1/2
+            lam = 10.0 ** rng.uniform(0.0, 6.0)
+            points.append((lam + rng.uniform(0.01, 1.0) / 3.0, lam))
+        for _ in range(30):  # 1 <= n < 2 with small lambda/n, down to 1e-9
+            n = rng.uniform(1.0, 2.0)
+            points.append((n, n * 10.0 ** rng.uniform(-9.0, -0.3)))
+        for _ in range(40):  # both sides of the stirlerr switch at n = 15
+            n = rng.uniform(8.0, 25.0)
+            points.append((n, n * rng.uniform(0.3, 0.99)))
+        for _ in range(30):  # both sides of the ln(rho) switch at rho = 1/2
+            n = 10.0 ** rng.uniform(0.0, 3.3)
+            points.append((n, n * rng.uniform(0.4, 0.6)))
+        points += [(15.0 - 1e-9, 12.0), (15.0, 12.0), (15.0 + 1e-9, 12.0),
+                   (100.0, 50.0 - 1e-9), (100.0, 50.0), (100.0, 50.0 + 1e-9)]
+        for n, lam in points:
+            want = float(mp_gamma_alpha_bar(n, lam))
+            # abs=0: pytest's default 1e-12 floor would hide errors in small values
+            assert erlang_c_continuous(n, lam) == pytest.approx(
+                want, rel=1e-10, abs=0.0), (n, lam)
+
+    def test_stirling_remainder_across_series_switch(self):
+        # the kernel's stirlerr(n) switches to an asymptotic series at n = 15
+        for n in (1.0, 1.5, 7.3, 15.0 - 1e-9, 15.0, 15.0 + 1e-9, 40.0, 1e3, 1e6):
+            nm = mp.mpf(n)
+            want = mp.loggamma(nm + 1) - (nm * mp.log(nm) - nm + mp.log(2 * mp.pi * nm) / 2)
+            assert _stirlerr(n) == pytest.approx(float(want), rel=1e-12, abs=1e-15), n
 
     def test_decreasing_along_sqrt_staffing(self):
         lam = 100.0
