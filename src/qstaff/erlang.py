@@ -23,7 +23,9 @@ normalized to 1):
 
 All functions are pure and safe for concurrent use. Results are cached on
 the (n, lambda) pair because the solvers upstream re-evaluate the same
-points heavily.
+points heavily; the caches are bounded (2^13 continuous and 2^12 exact
+entries, a few hundred bytes each), which keeps long batch runs small in
+memory while a compare solve still finds most of its repeated points.
 """
 from __future__ import annotations
 
@@ -109,16 +111,38 @@ def erlang_c_exact(n, lam):
     return _erlang_c_exact_cached(n, lam)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 12)
 def _erlang_c_exact_cached(n, lam):
+    # needs lam < n. Past double range ib stays inf and alpha flushes to
+    # 0.0: the delay probability underflows double precision
     ib = 1.0  # ib after step k equals 1/B(k, lam), the inverse blocking probability
     for k in range(1, n + 1):
         ib = 1.0 + (k / lam) * ib
-        if math.isinf(ib):
-            # the delay probability underflows double precision
-            return 0.0
     rho = lam / n
     return 1.0 / (rho + (1.0 - rho) * ib)
+
+
+def _exact_no_wait_column(lam, lower, upper):
+    """No-wait probabilities 1 - alpha(k, lam) for k = lower..upper, 1 <= lower.
+
+    One pass of the inverse Erlang-B recursion yields alpha at every k on
+    the way to upper. Each entry goes through exactly the floating-point
+    operations of _erlang_c_exact_cached(k, lam), so it equals
+    1.0 - wait_probability(k, lam) bit for bit: 0.0 where lam >= k, and
+    1.0 where the recursion has overflowed.
+    """
+    ib = 1.0
+    for k in range(1, lower):
+        ib = 1.0 + (k / lam) * ib
+    out = []
+    for k in range(lower, upper + 1):
+        ib = 1.0 + (k / lam) * ib
+        if lam >= k:
+            out.append(0.0)
+        else:
+            rho = lam / k
+            out.append(1.0 - 1.0 / (rho + (1.0 - rho) * ib))
+    return out
 
 
 def erlang_c_continuous(n, lam):
@@ -168,7 +192,7 @@ def _stirlerr(n):
         1.0 / 1680.0 - r / 1188.0)))) / n
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 13)
 def _alpha_bar_cached(n, lam):
     x = (n - lam) / n  # 1 - rho without cancellation
     if x < 0.5:

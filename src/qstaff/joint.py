@@ -32,12 +32,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .erlang import wait_probability
+import numpy as np
+
+from .erlang import _exact_no_wait_column, wait_probability
 from .errors import (
     BracketError,
     DomainError,
     EnumerationCapError,
     InfeasibleError,
+    KeyScenarioTieError,
 )
 from .frontier import integer_staffing
 from .search import bisect_decreasing, grid_then_golden
@@ -60,6 +63,12 @@ __all__ = [
 ]
 
 FEASIBILITY_TOL = 1e-9
+# the lattice search forms its joint no-wait matrix in row blocks of at
+# most this many cells (8 bytes each), whatever the width of the box
+LATTICE_BLOCK_CELLS = 1 << 16
+# doublings of the 3*sqrt(rate) margin tried for a feasible box corner
+# when the key-scenario rule ties
+CORNER_DOUBLINGS = 8
 
 
 def _check_costs(costs, stations):
@@ -452,11 +461,30 @@ def _stability_threshold(marginal, eps):
     return marginal.rates[-1]
 
 
+def _tie_corner(scenarios, target):
+    # box top when the key-scenario rule ties: every station at its top
+    # rate plus 3*sqrt(rate), the margins doubled until the corner is
+    # feasible
+    tops = [m.rates[-1] for m in scenarios.marginals]
+    for doubling in range(CORNER_DOUBLINGS + 1):
+        scale = 3.0 * 2.0 ** doubling
+        upper = [r + scale * math.sqrt(r) for r in tops]
+        corner = _joint_no_wait(scenarios, upper)
+        if corner >= target:
+            return upper
+    raise InfeasibleError(
+        f"joint target {target:.6g} unreachable: no-wait probability with "
+        f"{scale:g} sqrt(rate) above every top rate is only {corner:.6g}")
+
+
 def _search_bounds(scenarios, eps, costs):
     target = 1.0 - eps
     lower = [_stability_threshold(scenarios.marginal(i), eps)
              for i in range(scenarios.stations)]
-    dec = solve_decoupled(scenarios, eps, costs)
+    try:
+        dec = solve_decoupled(scenarios, eps, costs)
+    except KeyScenarioTieError:
+        return lower, _tie_corner(scenarios, target)
     upper = [n + 3.0 * math.sqrt(n) for n in dec.decision.n_continuous]
     corner = _joint_no_wait(scenarios, upper)
     if corner < target:
@@ -568,14 +596,21 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None,
 def solve_joint_exact_integer(scenarios, epsilon, costs):
     """Certified integer optimum of the joint model by lattice search.
 
-    The joint constraint is nondecreasing in each n_i, so for fixed
-    values of the first L-1 stations the smallest feasible level of the
-    last follows by binary search. The search box is provable: below the
-    per-station stability threshold the stable mass alone cannot reach
-    the target, and the decoupled solution plus a three-sigma margin is
-    feasible. Every candidate in the box is covered, so the returned
-    vector is the exact integer optimum; ties go to the lexicographically
-    smallest vector.
+    The search box is provable: below the per-station stability threshold
+    the stable mass alone cannot reach the target, and the decoupled
+    solution plus a three-sigma margin is feasible (when the key-scenario
+    rule ties, the top rates plus doubling margins give the feasible
+    corner instead). Every candidate in the box is covered, so the
+    returned vector is the exact integer optimum; ties go to the
+    lexicographically smallest vector.
+
+    Each station's no-wait probabilities over its box come from one
+    inverse Erlang-B pass per marginal rate. The first L-2 stations are
+    enumerated in lexicographic order with cost pruning; for each such
+    outer point one matrix product gives the joint no-wait probability
+    over the box of the last two stations, and the cheapest feasible
+    level of the last station is the first column of each row to reach
+    the target.
     """
     eps = _check_epsilon(epsilon)
     L = scenarios.stations
@@ -585,31 +620,68 @@ def solve_joint_exact_integer(scenarios, epsilon, costs):
     lower = [int(math.floor(x)) + 1 for x in lower_c]
     upper = [int(math.ceil(x)) for x in upper_c]
     dep = L - 1
+    row = L - 2             # station indexing the rows; -1 when L == 1
+    outer_stations = max(row, 0)
+    probs = np.array(scenarios.probs)
 
-    def feasible_dep(outer, n_dep):
-        return _joint_no_wait(scenarios, list(outer) + [float(n_dep)]) >= target
+    # tables[i][j, k - lower_i]: no-wait at level k against station i's
+    # j-th marginal rate; index[i][w]: that rate's position in scenario w
+    tables = []
+    index = []
+    for i, marginal in enumerate(scenarios.marginals):
+        tables.append(np.array([_exact_no_wait_column(r, lower[i], upper[i])
+                                for r in marginal.rates]))
+        position = {r: j for j, r in enumerate(marginal.rates)}
+        index.append(np.array([position[v[i]] for v in scenarios.rate_vectors]))
+    # outer station factors gathered per scenario, one row per level
+    outer_factors = [np.ascontiguousarray(tables[i][index[i]].T)
+                     for i in range(outer_stations)]
+    dep_table = tables[dep]
+    dep_rates = dep_table.shape[0]
+    if row >= 0:
+        row_table = np.ascontiguousarray(tables[row].T)
+        cell = index[row] * dep_rates + index[dep]
+        row_lo, row_hi, row_cost = lower[row], upper[row], costs[row]
+    else:
+        # one station: a single virtual row level with no cost and no-wait 1
+        row_table = np.ones((1, 1))
+        cell = index[dep]
+        row_lo, row_hi, row_cost = 0, 0, 0.0
+    row_rates = row_table.shape[1]
+    block = max(1, LATTICE_BLOCK_CELLS // max(dep_table.shape[1], 1))
+    dep_lo, dep_cost = lower[dep], costs[dep]
 
     best_cost = math.inf
     best_n = None
-
     for outer in itertools.product(*(range(lo, hi + 1)
-                                     for lo, hi in zip(lower[:dep], upper[:dep]))):
-        fixed = sum(c * n for c, n in zip(costs[:dep], outer))
-        if fixed + costs[dep] * lower[dep] >= best_cost:
+                                     for lo, hi in zip(lower[:outer_stations],
+                                                       upper[:outer_stations]))):
+        prefix = sum(c * n for c, n in zip(costs[:outer_stations], outer))
+        if prefix + row_cost * row_lo + dep_cost * dep_lo >= best_cost:
             continue
-        if not feasible_dep(outer, upper[dep]):
-            continue
-        lo, hi = lower[dep], upper[dep]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if feasible_dep(outer, mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        cost = fixed + costs[dep] * lo
-        if cost < best_cost:
-            best_cost = cost
-            best_n = tuple(outer) + (lo,)
+        weights = probs
+        for factors, lo, n in zip(outer_factors, lower, outer):
+            weights = weights * factors[n - lo]
+        mass = np.bincount(cell, weights, minlength=row_rates * dep_rates)
+        partial = mass.reshape(row_rates, dep_rates) @ dep_table
+        for start in range(row_lo, row_hi + 1, block):
+            if prefix + row_cost * start + dep_cost * dep_lo >= best_cost:
+                break
+            stop = min(start + block, row_hi + 1)
+            feasible = row_table[start - row_lo:stop - row_lo] @ partial >= target
+            found = feasible.any(axis=1).tolist()
+            first = feasible.argmax(axis=1).tolist()
+            for n, ok, k in zip(range(start, stop), found, first):
+                fixed = prefix + row_cost * n
+                if fixed + dep_cost * dep_lo >= best_cost:
+                    # every later row costs at least as much
+                    break
+                if not ok:
+                    continue
+                cost = fixed + dep_cost * (dep_lo + k)
+                if cost < best_cost:
+                    best_cost = cost
+                    best_n = (outer + (n,))[:dep] + (dep_lo + k,)
     if best_n is None:
         raise InfeasibleError("no integer staffing in the search box is feasible")
     return SolutionSummary(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qstaff.erlang import (
+    _exact_no_wait_column,
     _stirlerr,
     erlang_c_exact,
     erlang_c_continuous,
@@ -356,6 +357,36 @@ class TestWaitProbability:
         assert 0.0 < hw < 1.0
         with pytest.raises(DomainError):
             wait_probability(n, lam, bound="nope")
+
+
+class TestExactNoWaitColumn:
+    # (lambda, lower, upper): above 1, every box reaches below lambda,
+    # where the no-wait probability is 0.0
+    @pytest.mark.parametrize("lam,lower,upper", [
+        (0.3, 1, 40),
+        (7.5, 1, 60),
+        (480.2, 400, 620),
+        (6150.7, 6080, 6420),
+    ])
+    def test_bit_identical_to_scalar_kernel(self, lam, lower, upper):
+        column = _exact_no_wait_column(lam, lower, upper)
+        assert len(column) == upper - lower + 1
+        for k, value in zip(range(lower, upper + 1), column):
+            assert value == 1.0 - wait_probability(k, lam), k
+        assert (column[0] == 0.0) == (lower <= lam)
+
+    def test_overflow_gives_certain_no_wait(self):
+        # far above lambda the inverse blocking recursion overflows and
+        # the scalar kernel reports alpha = 0.0
+        lam, lower, upper = 0.3, 1, 400
+        column = _exact_no_wait_column(lam, lower, upper)
+        assert wait_probability(upper, lam) == 0.0
+        overflowed = [k for k in range(lower, upper + 1)
+                      if wait_probability(k, lam) == 0.0]
+        assert overflowed and overflowed[-1] == upper
+        for k, value in zip(range(lower, upper + 1), column):
+            assert value == 1.0 - wait_probability(k, lam), k
+        assert column[-1] == 1.0
 
 
 class TestExpansionDiagnostic:

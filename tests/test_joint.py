@@ -1,11 +1,18 @@
 """Tests for the multi-station joint solvers and the comparison table."""
+import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from qstaff import joint
 from qstaff.erlang import wait_probability
-from qstaff.errors import DomainError, EnumerationCapError, InfeasibleError
+from qstaff.errors import (
+    DomainError,
+    EnumerationCapError,
+    InfeasibleError,
+    KeyScenarioTieError,
+)
 from qstaff.frontier import CostFunction, solve_constrained, solve_weighted
 from qstaff.joint import (
     compare_solutions,
@@ -17,7 +24,7 @@ from qstaff.joint import (
     solve_reduced_joint,
     solve_weighted_stoch,
 )
-from qstaff.scenarios import JointScenarioSet
+from qstaff.scenarios import JointScenarioSet, ScenarioSet
 from qstaff.stochastic import solve_reduced
 
 from .oracles import mp_erlang_c
@@ -45,6 +52,58 @@ LATTICE_QOS = 0.950113179928
 def instance(scale=1.0):
     rates = tuple((r1 * scale, r2 * scale) for r1, r2 in JOINT_RATES)
     return JointScenarioSet(rates, JOINT_PROBS)
+
+
+def product_instance(*marginals):
+    return JointScenarioSet.from_product(
+        [ScenarioSet(rates, probs) for rates, probs in marginals])
+
+
+# the three- and four-station stress instances S3 and S4
+S3 = product_instance(((300.0, 400.0, 500.0), (0.5, 0.3, 0.2)),
+                      ((100.0, 200.0), (0.7, 0.3)),
+                      ((50.0, 80.0, 120.0), (0.6, 0.3, 0.1)))
+S4 = product_instance(((300.0, 400.0), (0.7, 0.3)),
+                      ((100.0, 200.0), (0.7, 0.3)),
+                      ((50.0, 80.0), (0.8, 0.2)),
+                      ((150.0, 180.0), (0.6, 0.4)))
+
+
+def brute_force_lattice(scenarios, epsilon, costs):
+    """Cheapest feasible vector over the whole search box, scanned point by
+    point with joint_constraint_value; the lexicographically smallest wins
+    ties. None when nothing in the box is feasible."""
+    lower_c, upper_c = joint._search_bounds(scenarios, epsilon, costs)
+    box = [range(int(math.floor(lo)) + 1, int(math.ceil(hi)) + 1)
+           for lo, hi in zip(lower_c, upper_c)]
+    best = None
+    for n in itertools.product(*box):
+        cost = sum(c * x for c, x in zip(costs, n))
+        if best is not None and cost >= best[0]:
+            continue
+        if joint_constraint_value(scenarios, n) >= 1.0 - epsilon:
+            best = (cost, n)
+    return best
+
+
+@st.composite
+def small_joint_problems(draw):
+    stations = draw(st.integers(1, 3))
+    rate = st.floats(0.5, 6.0 if stations < 3 else 3.0)
+    grids = [draw(st.lists(rate, min_size=1, max_size=3, unique=True))
+             for _ in range(stations)]
+    vectors = draw(st.lists(st.tuples(*(st.sampled_from(g) for g in grids)),
+                            min_size=1, max_size=5, unique=True))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(vectors),
+                            max_size=len(vectors)))
+    total = math.fsum(weights)
+    scenarios = JointScenarioSet(tuple(vectors), tuple(w / total for w in weights))
+    epsilon = draw(st.floats(0.02, 0.3))
+    if draw(st.booleans()):
+        costs = (draw(st.floats(0.5, 4.0)),) * stations
+    else:
+        costs = tuple(draw(st.floats(0.5, 4.0)) for _ in range(stations))
+    return scenarios, epsilon, costs
 
 
 def mp_joint_qos(scenarios, n):
@@ -350,6 +409,57 @@ class TestSolveJointExactInteger:
             solve_joint_exact_integer(instance(), 0.0, PRICES)
         with pytest.raises(DomainError):
             solve_joint_exact_integer(instance(), EPSILON, (5.0, 3.0, 1.0))
+
+    def test_three_station_certified_optimum(self):
+        rep = solve_joint_exact_integer(S3, EPSILON, (1.0, 1.0, 1.0))
+        assert rep.n == (529, 226, 136)
+        assert rep.cost == 891.0
+        assert joint_constraint_value(S3, rep.n) >= 1.0 - EPSILON
+        assert rep.achieved_qos == joint_constraint_value(S3, rep.n)
+
+    def test_four_station_certified_optimum(self):
+        rep = solve_joint_exact_integer(S4, EPSILON, (1.0, 1.0, 1.0, 1.0))
+        assert rep.n == (432, 226, 98, 209)
+        assert rep.cost == 965.0
+        assert joint_constraint_value(S4, rep.n) >= 1.0 - EPSILON
+
+    def test_key_scenario_tie_still_certifies(self):
+        # the tail above rate 100 carries exactly epsilon, so the
+        # decoupled box top is undefined; the doubling corner replaces it
+        one = JointScenarioSet(((100.0,), (200.0,)), (0.95, 0.05))
+        with pytest.raises(KeyScenarioTieError):
+            solve_decoupled(one, 0.05, (1.0,))
+        rep = solve_joint_exact_integer(one, 0.05, (1.0,))
+        # staffing below 200 writes off the top scenario and still meets
+        # the target once the lower one almost never waits
+        assert rep.n == (195,)
+        assert rep.achieved_qos >= 0.95
+        assert joint_constraint_value(one, (194,)) < 0.95
+
+    def test_key_scenario_tie_corner_cap(self, monkeypatch):
+        # the mass at the top rate is too thin for a three-sigma corner;
+        # one doubling of the margin is needed
+        one = JointScenarioSet(((100.0,), (100.0001,)), (0.999, 0.001))
+        rep = solve_joint_exact_integer(one, 0.001, (1.0,))
+        assert rep.achieved_qos >= 0.999
+        monkeypatch.setattr(joint, "CORNER_DOUBLINGS", 0)
+        with pytest.raises(InfeasibleError):
+            solve_joint_exact_integer(one, 0.001, (1.0,))
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_joint_problems())
+    def test_matches_brute_force_scan(self, problem):
+        scenarios, epsilon, costs = problem
+        try:
+            expected = brute_force_lattice(scenarios, epsilon, costs)
+        except InfeasibleError:
+            expected = None
+        if expected is None:
+            with pytest.raises(InfeasibleError):
+                solve_joint_exact_integer(scenarios, epsilon, costs)
+            return
+        rep = solve_joint_exact_integer(scenarios, epsilon, costs)
+        assert (rep.cost, rep.n) == expected
 
 
 class TestSolveWeightedStoch:
