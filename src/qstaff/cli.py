@@ -29,6 +29,7 @@ from pathlib import Path
 from time import perf_counter
 
 from ._version import __version__
+from .erlang import BOUND_CHOICES
 from .errors import (
     DomainError,
     EnumerationCapError,
@@ -45,7 +46,6 @@ from .files import (
     write_run_record,
 )
 from .frontier import (
-    BOUND_CHOICES,
     CostFunction,
     frontier_csv_rows,
     integer_staffing,

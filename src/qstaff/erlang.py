@@ -51,9 +51,11 @@ __all__ = [
     "hw_quantities",
     "jvlz_bounds",
     "jvlz_bounds_at",
+    "wait_curve",
     "wait_probability",
-    "qed_expansion_a",
 ]
+
+BOUND_CHOICES = ("exact", "upper", "lower", "hw")
 
 
 @dataclass(frozen=True)
@@ -352,11 +354,20 @@ def wait_probability(n, lam, bound="exact"):
     raise DomainError(f"unknown bound selector {bound!r}")
 
 
-def qed_expansion_a(beta, lam):
-    """Two-term expansion a ~ beta - beta^2/(6 sqrt(lambda)).
+def wait_curve(lam, bound="exact"):
+    """Wait probability as a function of the safety factor beta.
 
-    Diagnostic only: exposes how fast the bound argument a approaches the
-    safety factor beta in the QED regime. Not used by any solver.
+    Returns beta -> wait_probability(max(lam + beta*sqrt(lam), 1), lam, bound):
+    staffing below one server is clamped to one, and for lam >= 1 the
+    curve falls strictly from 1 at beta = 0. Every solver that searches
+    over beta builds its curve here.
     """
     lam = _check_lambda(lam)
-    return beta - beta * beta / (6.0 * math.sqrt(lam))
+    if bound not in BOUND_CHOICES:
+        raise DomainError(f"bound must be one of {BOUND_CHOICES}, got {bound!r}")
+    root = math.sqrt(lam)
+
+    def curve(beta):
+        return wait_probability(max(lam + beta * root, 1.0), lam, bound)
+
+    return curve

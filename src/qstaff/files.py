@@ -26,7 +26,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .errors import ValidationError
-from .frontier import BOUND_CHOICES
+from .erlang import BOUND_CHOICES
 from .joint import joint_constraint_value
 from .scenarios import JointScenarioSet
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .erlang import erlang_c_sqrt, halfin_whitt, jvlz_bounds, wait_probability
+from .erlang import BOUND_CHOICES, wait_curve  # noqa: F401 - BOUND_CHOICES re-exported
 from .errors import DomainError
 from .search import bisect_decreasing, grid_then_golden
 
@@ -31,7 +31,23 @@ __all__ = [
     "frontier_csv_rows",
 ]
 
-BOUND_CHOICES = ("exact", "upper", "lower", "hw")
+
+def check_epsilon(epsilon):
+    """epsilon as a float strictly inside (0, 1); DomainError otherwise."""
+    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
+        raise DomainError(f"epsilon must be a real number, got {epsilon!r}")
+    eps = float(epsilon)
+    if not math.isfinite(eps) or not 0.0 < eps < 1.0:
+        raise DomainError(f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
+    return eps
+
+
+def check_delta(delta):
+    """QoS weight delta as a positive finite float; DomainError otherwise."""
+    if not isinstance(delta, (int, float)) or isinstance(delta, bool) \
+            or not math.isfinite(delta) or delta <= 0.0:
+        raise DomainError(f"delta must be a positive real, got {delta!r}")
+    return float(delta)
 
 
 def integer_staffing(n_continuous):
@@ -128,25 +144,6 @@ class FrontierSweep:
         return self.points[i]
 
 
-def _wait_curve(lam, bound):
-    if bound == "exact":
-        return lambda b: erlang_c_sqrt(b, lam)
-    if bound == "upper":
-        return lambda b: jvlz_bounds(b, lam).upper
-    if bound == "lower":
-        return lambda b: jvlz_bounds(b, lam).lower
-    if bound == "hw":
-        return lambda b: halfin_whitt(b)
-    raise DomainError(f"bound must be one of {BOUND_CHOICES}, got {bound!r}")
-
-
-def _check_epsilon(epsilon):
-    if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon < 1.0):
-        raise DomainError(
-            f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
-    return float(epsilon)
-
-
 def solve_constrained(lam, epsilon, cost=None, bound="exact"):
     """Smallest safety factor whose wait probability is at most epsilon.
 
@@ -156,10 +153,9 @@ def solve_constrained(lam, epsilon, cost=None, bound="exact"):
     returned beta is conservative: the exact wait probability at the
     solution is guaranteed below epsilon.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     cost = cost or CostFunction()
-    curve = _wait_curve(lam, bound)
-    res = bisect_decreasing(curve, epsilon)
+    res = bisect_decreasing(wait_curve(lam, bound), epsilon)
     return SolveReport(
         beta=res.root,
         objective=cost.beta_cost(res.root, lam),
@@ -177,25 +173,16 @@ def solve_weighted(lam, delta, cost=None, bound="exact", beta_hi=8.0, beta_cap=6
     doubles while the minimizer keeps landing on its upper edge. The
     objective at beta = 0 uses the saturated value wait = 1.
     """
-    if not (isinstance(delta, (int, float)) and delta > 0.0):
-        raise DomainError(f"delta must be positive, got {delta!r}")
+    delta = check_delta(delta)
     if bound not in ("exact", "upper"):
         raise DomainError(f"weighted solve supports bound exact or upper, got {bound!r}")
     cost = cost or CostFunction()
-    evals = 0
+    curve = wait_curve(lam, bound)
 
     def objective(b):
-        nonlocal evals
-        evals += 1
-        n = lam + b * math.sqrt(lam)
-        return cost.beta_cost(b, lam) + delta * wait_probability(max(n, 1.0), lam, bound)
+        return cost.beta_cost(b, lam) + delta * curve(b)
 
-    hi = beta_hi
-    while True:
-        x, fx, e = grid_then_golden(objective, 0.0, hi, xtol=1e-10)
-        if x < hi * (1.0 - 1e-6) or hi >= beta_cap:
-            break
-        hi = min(hi * 2.0, beta_cap)
+    x, fx, evals = grid_then_golden(objective, 0.0, beta_hi, beta_cap)
     return SolveReport(
         beta=x,
         objective=fx,
@@ -213,7 +200,7 @@ def sweep_frontier(lam, epsilons, cost=None, bound="exact"):
     epsilon (e.g. bracket exhaustion) is recorded and the sweep moves on.
     """
     cost = cost or CostFunction()
-    eps = [_check_epsilon(e) for e in epsilons]
+    eps = [check_epsilon(e) for e in epsilons]
     if not eps:
         raise DomainError("epsilon grid is empty")
     if any(b <= a for a, b in zip(eps, eps[1:])):
@@ -227,7 +214,7 @@ def sweep_frontier(lam, epsilons, cost=None, bound="exact"):
                 epsilon=e,
                 beta=rep.beta,
                 cost=rep.objective,
-                wait_prob=erlang_c_sqrt(rep.beta, lam) if rep.beta > 0 else 1.0,
+                wait_prob=wait_curve(lam)(rep.beta),
             ))
         except Exception as exc:  # noqa: BLE001 - per-point failures are data here
             failures.append((e, f"{type(exc).__name__}: {exc}"))
@@ -236,7 +223,7 @@ def sweep_frontier(lam, epsilons, cost=None, bound="exact"):
 
 def frontier_csv_rows(lam, sweep, bound="exact"):
     """Flatten a sweep into CSV-ready dict rows."""
-    curve = _wait_curve(lam, bound)
+    curve = wait_curve(lam, bound)
     rows = []
     for p in sweep.points:
         n_cont = lam + p.beta * math.sqrt(lam)
@@ -247,6 +234,6 @@ def frontier_csv_rows(lam, sweep, bound="exact"):
             "n_integer": integer_staffing(n_cont),
             "cost": p.cost,
             "wait_prob_exact": p.wait_prob,
-            "wait_prob_bound": curve(p.beta) if p.beta > 0 else 1.0,
+            "wait_prob_bound": curve(p.beta),
         })
     return rows

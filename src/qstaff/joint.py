@@ -25,6 +25,9 @@ Solver lineup:
 * solve_weighted_stoch: the dualized form trading server cost against
   delta times the joint wait probability, solved per key by coordinate
   descent.
+
+Every descent over safety factors in the package, these solvers and
+multistation.solve_multi alike, runs through coordinate_descent.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .erlang import _exact_no_wait_column, wait_probability
+from .erlang import _exact_no_wait_column, wait_curve, wait_probability
 from .errors import (
     BracketError,
     DomainError,
@@ -42,9 +45,9 @@ from .errors import (
     InfeasibleError,
     KeyScenarioTieError,
 )
-from .frontier import integer_staffing
+from .frontier import check_delta, check_epsilon, integer_staffing
 from .search import bisect_decreasing, grid_then_golden
-from .stochastic import _check_epsilon, solve_reduced, wait_curve
+from .stochastic import solve_reduced
 
 __all__ = [
     "JointDecision",
@@ -207,8 +210,47 @@ def _reduced_report(scenarios, decision, costs, eps, method, over_conservative=F
     )
 
 
+def coordinate_descent(slice_at, objective, betas, coords, hi, cap,
+                       max_cycles, cycle_tol):
+    """Cyclic coordinate descent over the safety factors betas[i], i in coords.
+
+    A cycle minimizes slice_at(i, betas), the objective as a function of
+    beta_i alone, for each i in coords in turn by grid_then_golden on
+    [0, hi] (doubling up to cap), then scores the cycle with
+    objective(betas), which may complete betas in place. Descent stops
+    when a cycle gains less than cycle_tol * (1 + |value|), when the
+    value is infinite, or after max_cycles cycles; with no coords, one
+    cycle. Returns (betas, value, cycles, converged), value being the
+    objective at the returned betas.
+    """
+    betas = list(betas)
+    value = math.inf
+    for cycle in range(1, max_cycles + 1):
+        for i in coords:
+            betas[i] = grid_then_golden(slice_at(i, betas), 0.0, hi, cap)[0]
+        previous, value = value, objective(betas)
+        if not math.isfinite(value):
+            return betas, value, cycle, False
+        if not coords or previous - value < cycle_tol * (1.0 + abs(value)):
+            return betas, value, cycle, True
+    return betas, value, max_cycles, False
+
+
 # ---------------------------------------------------------------------------
 # decoupled heuristic
+
+def _decoupled_decision(scenarios, eps, costs):
+    per_station_eps = 1.0 - (1.0 - eps) ** (1.0 / scenarios.stations)
+    betas = []
+    keys = []
+    rates = []
+    for i, cost in enumerate(costs):
+        rep = solve_reduced(scenarios.marginal(i), per_station_eps, cost=cost)
+        betas.append(rep.decision.beta)
+        keys.append(rep.decision.key_index)
+        rates.append(rep.decision.key_rate)
+    return _decision_from_betas(betas, keys, rates)
+
 
 def solve_decoupled(scenarios, epsilon, costs):
     """Per-station solves with no-wait target (1 - epsilon)^(1/L).
@@ -219,20 +261,10 @@ def solve_decoupled(scenarios, epsilon, costs):
     joint model because the split ignores how slack at one station could
     cover risk at another.
     """
-    eps = _check_epsilon(epsilon)
-    L = scenarios.stations
-    costs = _check_costs(costs, L)
-    per_station_eps = 1.0 - (1.0 - eps) ** (1.0 / L)
-    betas = []
-    keys = []
-    rates = []
-    for i in range(L):
-        rep = solve_reduced(scenarios.marginal(i), per_station_eps, cost=costs[i])
-        betas.append(rep.decision.beta)
-        keys.append(rep.decision.key_index)
-        rates.append(rep.decision.key_rate)
-    decision = _decision_from_betas(betas, keys, rates)
-    return _reduced_report(scenarios, decision, costs, eps, "decoupled")
+    eps = check_epsilon(epsilon)
+    costs = _check_costs(costs, scenarios.stations)
+    return _reduced_report(scenarios, _decoupled_decision(scenarios, eps, costs),
+                           costs, eps, "decoupled")
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +344,7 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices,
     whose constant terms alone reach the target needs no safety staffing
     at all; it is returned with zero betas and flagged over_conservative.
     """
-    eps = _check_epsilon(epsilon)
+    eps = check_epsilon(epsilon)
     L = scenarios.stations
     costs = _check_costs(costs, L)
     keys, key_rates = _key_rates(scenarios, key_indices)
@@ -331,11 +363,11 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices,
 
     curves = [wait_curve(r) for r in key_rates]
     dep = L - 1
-    free = list(range(dep))
 
-    def dep_beta(u):
+    def dep_beta(betas):
         """Smallest beta for the dependent station, or None if the free
         coordinates leave the target out of reach."""
+        u = [1.0 - curve(b) for curve, b in zip(curves, betas[:dep])]
         const, slope = _split_linear(coeffs, u, dep)
         if const >= target:
             return 0.0
@@ -352,65 +384,47 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices,
         except BracketError:
             return None
 
-    betas = [1.0] * L
-    u = [0.0] * L
+    return _solve_keyed(scenarios, eps, costs, keys, key_rates, [1.0] * L,
+                        dep_beta, "reduced-joint",
+                        beta_hi, beta_cap, max_cycles, cycle_tol)
 
-    def refresh_u():
-        for j in free:
-            u[j] = 1.0 - curves[j](betas[j])
 
-    def full_objective():
-        refresh_u()
-        b_dep = dep_beta(u)
+def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method,
+                 beta_hi, beta_cap, max_cycles, cycle_tol):
+    # minimize sum c_i beta_i by descent over every station but the last,
+    # whose beta dep_beta(betas) sets to restore the constraint (None when
+    # no beta up to the bracket cap does)
+    dep = len(betas) - 1
+
+    def completed(bs):
+        b_dep = dep_beta(bs)
         if b_dep is None:
             return math.inf
-        betas[dep] = b_dep
-        return sum(c * b for c, b in zip(costs, betas))
+        bs[dep] = b_dep
+        return sum(c * b for c, b in zip(costs, bs))
 
-    if not free:
-        value = full_objective()
-        if not math.isfinite(value):
-            raise InfeasibleError(
-                f"key scenario {keys} needs a safety factor beyond the "
-                f"bracket cap {beta_cap}")
-        return _reduced_report(
-            scenarios, _decision_from_betas(betas, keys, key_rates),
-            costs, eps, "reduced-joint")
+    def slice_at(i, bs):
+        fixed = sum(costs[j] * bs[j] for j in range(dep) if j != i)
 
-    refresh_u()
-    current = math.inf
-    for _ in range(max_cycles):
-        for i in free:
-            fixed = sum(costs[j] * betas[j] for j in free if j != i)
+        def coord(b):
+            bs[i] = b
+            b_dep = dep_beta(bs)
+            if b_dep is None:
+                return math.inf
+            return fixed + costs[i] * b + costs[dep] * b_dep
 
-            def coord(b, i=i, fixed=fixed):
-                u[i] = 1.0 - curves[i](b)
-                b_dep = dep_beta(u)
-                if b_dep is None:
-                    return math.inf
-                return fixed + costs[i] * b + costs[dep] * b_dep
+        return coord
 
-            hi = beta_hi
-            while True:
-                best_b, best_v, _ = grid_then_golden(coord, 0.0, hi)
-                if best_b < hi - 1e-6 or hi >= beta_cap:
-                    break
-                hi = min(2.0 * hi, beta_cap)
-            betas[i] = best_b
-            u[i] = 1.0 - curves[i](best_b)
-        value = full_objective()
-        if not math.isfinite(value):
-            raise InfeasibleError(
-                f"key scenario {keys} needs a safety factor beyond the "
-                f"bracket cap {beta_cap}")
-        if current - value < cycle_tol * (1.0 + abs(value)):
-            current = min(current, value)
-            break
-        current = value
-
+    betas, value, _, _ = coordinate_descent(
+        slice_at, completed, betas, range(dep), beta_hi, beta_cap,
+        max_cycles, cycle_tol)
+    if not math.isfinite(value):
+        raise InfeasibleError(
+            f"key scenario {keys} needs a safety factor beyond the "
+            f"bracket cap {beta_cap}")
     return _reduced_report(
         scenarios, _decision_from_betas(betas, keys, key_rates),
-        costs, eps, "reduced-joint")
+        costs, eps, method)
 
 
 def enumerate_key_scenarios(scenarios, epsilon, costs, cap=10000):
@@ -421,7 +435,7 @@ def enumerate_key_scenarios(scenarios, epsilon, costs, cap=10000):
     keys are skipped, and candidates are ranked by continuous server cost
     with near-ties broken toward the lexicographically smallest key.
     """
-    eps = _check_epsilon(epsilon)
+    eps = check_epsilon(epsilon)
     costs = _check_costs(costs, scenarios.stations)
     sizes = [len(m) for m in scenarios.marginals]
     total = math.prod(sizes)
@@ -482,10 +496,10 @@ def _search_bounds(scenarios, eps, costs):
     lower = [_stability_threshold(scenarios.marginal(i), eps)
              for i in range(scenarios.stations)]
     try:
-        dec = solve_decoupled(scenarios, eps, costs)
+        decision = _decoupled_decision(scenarios, eps, costs)
     except KeyScenarioTieError:
         return lower, _tie_corner(scenarios, target)
-    upper = [n + 3.0 * math.sqrt(n) for n in dec.decision.n_continuous]
+    upper = [n + 3.0 * math.sqrt(n) for n in decision.n_continuous]
     corner = _joint_no_wait(scenarios, upper)
     if corner < target:
         raise InfeasibleError(
@@ -510,7 +524,7 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None,
     the first place; the full solve then refines the reduced betas, which
     move only marginally at realistic scales.
     """
-    eps = _check_epsilon(epsilon)
+    eps = check_epsilon(epsilon)
     L = scenarios.stations
     costs = _check_costs(costs, L)
     if key_indices is None:
@@ -525,72 +539,22 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None,
             raise DomainError("warm_betas must be a non-negative vector, one per station")
     roots = [math.sqrt(r) for r in key_rates]
     dep = L - 1
-    free = list(range(dep))
 
-    def joint_wait(bs):
-        levels = [max(r + b * rt, 1.0)
-                  for r, rt, b in zip(key_rates, roots, bs)]
-        return 1.0 - _joint_no_wait(scenarios, levels)
-
-    def dep_beta():
+    def dep_beta(betas):
         # smallest dependent beta restoring the constraint, holding the
         # free coordinates fixed; the joint wait is decreasing in it
-        def curve(b):
-            trial = list(betas)
-            trial[dep] = b
-            return joint_wait(trial)
+        def joint_wait(b):
+            levels = [max(r + x * rt, 1.0)
+                      for r, rt, x in zip(key_rates, roots, betas[:dep] + [b])]
+            return 1.0 - _joint_no_wait(scenarios, levels)
 
         try:
-            return bisect_decreasing(curve, eps, hi=beta_hi, hi_cap=beta_cap).root
+            return bisect_decreasing(joint_wait, eps, hi=beta_hi, hi_cap=beta_cap).root
         except BracketError:
             return None
 
-    def full_objective():
-        b_dep = dep_beta()
-        if b_dep is None:
-            return math.inf
-        betas[dep] = b_dep
-        return sum(c * b for c, b in zip(costs, betas))
-
-    if free:
-        current = math.inf
-        for _ in range(max_cycles):
-            for i in free:
-                fixed = sum(costs[j] * betas[j] for j in free if j != i)
-
-                def coord(b, i=i, fixed=fixed):
-                    betas[i] = b
-                    b_dep = dep_beta()
-                    if b_dep is None:
-                        return math.inf
-                    return fixed + costs[i] * b + costs[dep] * b_dep
-
-                hi = beta_hi
-                while True:
-                    best_b, _, _ = grid_then_golden(coord, 0.0, hi)
-                    if best_b < hi - 1e-6 or hi >= beta_cap:
-                        break
-                    hi = min(2.0 * hi, beta_cap)
-                betas[i] = best_b
-            value = full_objective()
-            if not math.isfinite(value):
-                raise InfeasibleError(
-                    f"key scenario {keys} needs a safety factor beyond the "
-                    f"bracket cap {beta_cap}")
-            if current - value < cycle_tol * (1.0 + abs(value)):
-                current = min(current, value)
-                break
-            current = value
-    else:
-        value = full_objective()
-        if not math.isfinite(value):
-            raise InfeasibleError(
-                f"key scenario {keys} needs a safety factor beyond the "
-                f"bracket cap {beta_cap}")
-
-    return _reduced_report(
-        scenarios, _decision_from_betas(betas, keys, key_rates),
-        costs, eps, "joint")
+    return _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta,
+                        "joint", beta_hi, beta_cap, max_cycles, cycle_tol)
 
 
 def solve_joint_exact_integer(scenarios, epsilon, costs):
@@ -612,7 +576,7 @@ def solve_joint_exact_integer(scenarios, epsilon, costs):
     level of the last station is the first column of each row to reach
     the target.
     """
-    eps = _check_epsilon(epsilon)
+    eps = check_epsilon(epsilon)
     L = scenarios.stations
     costs = _check_costs(costs, L)
     target = 1.0 - eps
@@ -709,50 +673,35 @@ def solve_weighted_stoch(scenarios, delta, costs, bound="exact",
     exact curve or its upper bound. The best key wins; ties keep the
     lexicographically smallest.
     """
-    if not isinstance(delta, (int, float)) or isinstance(delta, bool) \
-            or not math.isfinite(delta) or delta <= 0.0:
-        raise DomainError(f"delta must be a positive real, got {delta!r}")
-    delta = float(delta)
+    delta = check_delta(delta)
     L = scenarios.stations
     costs = _check_costs(costs, L)
     if bound not in ("exact", "upper"):
         raise DomainError(f"bound must be exact or upper, got {bound!r}")
     sizes = [len(m) for m in scenarios.marginals]
 
-    def score(key_rates, betas, with_bound):
-        levels = [max(r + b * math.sqrt(r), 1.0)
-                  for r, b in zip(key_rates, betas)]
-        no_wait = _joint_no_wait(scenarios, levels, with_bound)
-        cost = sum(c * n for c, n in zip(costs, levels))
-        return cost + delta * (1.0 - no_wait)
-
     best = None
     for key in itertools.product(*(range(s) for s in sizes)):
         key_rates = tuple(scenarios.marginal(i).rates[k]
                           for i, k in enumerate(key))
-        betas = [1.0] * L
-        previous = math.inf
-        converged = False
-        cycles = 0
-        for cycles in range(1, max_cycles + 1):
-            for i in range(L):
-                def coord(b, i=i):
-                    trial = list(betas)
-                    trial[i] = b
-                    return score(key_rates, trial, bound)
 
-                hi = beta_hi
-                while True:
-                    best_b, _, _ = grid_then_golden(coord, 0.0, hi)
-                    if best_b < hi - 1e-6 or hi >= beta_cap:
-                        break
-                    hi = min(2.0 * hi, beta_cap)
-                betas[i] = best_b
-            value = score(key_rates, betas, bound)
-            if previous - value < cycle_tol * (1.0 + abs(value)):
-                converged = True
-                break
-            previous = value
+        def objective(betas):
+            levels = [max(r + b * math.sqrt(r), 1.0)
+                      for r, b in zip(key_rates, betas)]
+            no_wait = _joint_no_wait(scenarios, levels, bound)
+            return sum(c * n for c, n in zip(costs, levels)) + delta * (1.0 - no_wait)
+
+        def slice_at(i, betas):
+            def coord(b):
+                trial = list(betas)
+                trial[i] = b
+                return objective(trial)
+
+            return coord
+
+        betas, value, cycles, converged = coordinate_descent(
+            slice_at, objective, [1.0] * L, range(L), beta_hi, beta_cap,
+            max_cycles, cycle_tol)
         if best is None or value < best[0]:
             best = (value, key, key_rates, tuple(betas), cycles, converged)
 

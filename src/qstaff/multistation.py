@@ -5,10 +5,12 @@ The objective is
     sum_i cost_i(beta_i) + delta * (1 - prod_i (1 - wait_i(beta_i)))
 
 where the second term is the probability that a customer waits somewhere,
-by independence of the stations. Minimized by cyclic coordinate descent;
-each coordinate slice is a single-station weighted problem (increasing
-cost against a decreasing wait curve scaled by the other stations'
-no-wait product), handled by the same grid-plus-golden 1-D search.
+by independence of the stations. Minimized by the package's one cyclic
+coordinate-descent driver, joint.coordinate_descent; each coordinate
+slice is a single-station weighted problem (increasing cost against a
+decreasing wait curve scaled by the other stations' no-wait product),
+searched by grid-plus-golden on [0, 8] with the bracket doubling up to
+64 while the minimizer sits on its edge, as in frontier.solve_weighted.
 
 Coordinate descent certifies coordinate-wise optimality only. At desk
 scale the test suite backs it with a dense 2-D grid cross-check; no
@@ -19,10 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .erlang import wait_probability
+from .erlang import wait_curve
 from .errors import DomainError
-from .frontier import CostFunction, solve_weighted
-from .search import grid_then_golden
+from .frontier import CostFunction, check_delta, solve_weighted
+from .joint import coordinate_descent
 
 __all__ = ["MultiStationInstance", "MultiSolveReport", "solve_multi",
            "exact_objective", "objective_gap"]
@@ -44,8 +46,7 @@ class MultiStationInstance:
         costs = tuple(costs)
         if len(costs) != len(lams):
             raise DomainError("need one cost function per station")
-        if not (isinstance(self.delta, (int, float)) and self.delta > 0):
-            raise DomainError("delta must be positive")
+        check_delta(self.delta)
         object.__setattr__(self, "lambdas", lams)
         object.__setattr__(self, "costs", costs)
 
@@ -66,27 +67,25 @@ class MultiSolveReport:
     cycles: int
 
 
-def _station_wait(beta, lam, bound):
-    n = max(lam + beta * math.sqrt(lam), 1.0)
-    return wait_probability(n, lam, bound)
-
-
 def solve_multi(instance, bound="exact", max_cycles=200, cycle_tol=1e-9):
     """Cyclic coordinate descent from a decoupled warm start.
 
     Initialization solves each station's weighted problem alone with QoS
     weight delta/L; the coordinate loop then repeatedly re-optimizes one
     beta holding the rest fixed, in station order, until a full cycle
-    improves the objective by less than cycle_tol.
+    improves the objective by less than cycle_tol * (1 + |objective|).
+    The reported objective is the solved objective at the returned betas.
     """
     if bound not in ("exact", "upper"):
         raise DomainError(f"bound must be exact or upper, got {bound!r}")
     L = instance.station_count
+    lams, costs = instance.lambdas, instance.costs
     delta = float(instance.delta)
+    curves = [wait_curve(lam, bound) for lam in lams]
     evals = 0
 
     betas = []
-    for lam, cost in zip(instance.lambdas, instance.costs):
+    for lam, cost in zip(lams, costs):
         rep = solve_weighted(lam, delta / L, cost, bound=bound)
         evals += rep.evaluations
         betas.append(rep.beta)
@@ -95,50 +94,36 @@ def solve_multi(instance, bound="exact", max_cycles=200, cycle_tol=1e-9):
         nonlocal evals
         evals += 1
         no_wait = 1.0
-        for b, lam in zip(bs, instance.lambdas):
-            no_wait *= 1.0 - _station_wait(b, lam, bound)
-        cost_total = sum(c.beta_cost(b, lam)
-                         for b, lam, c in zip(bs, instance.lambdas, instance.costs))
+        for b, curve in zip(bs, curves):
+            no_wait *= 1.0 - curve(b)
+        cost_total = sum(c.beta_cost(b, lam) for b, lam, c in zip(bs, lams, costs))
         return cost_total + delta * (1.0 - no_wait)
 
-    current = objective_at(betas)
-    converged = False
-    cycles = 0
-    for cycles in range(1, max_cycles + 1):
-        for i in range(L):
-            lam_i = instance.lambdas[i]
-            cost_i = instance.costs[i]
-            # no-wait product over the fixed coordinates
-            others = 1.0
-            for j in range(L):
-                if j != i:
-                    others *= 1.0 - _station_wait(betas[j], instance.lambdas[j], bound)
-            fixed_cost = sum(instance.costs[j].beta_cost(betas[j], instance.lambdas[j])
-                             for j in range(L) if j != i)
+    def slice_at(i, bs):
+        # no-wait product and cost over the fixed coordinates
+        others = 1.0
+        for j in range(L):
+            if j != i:
+                others *= 1.0 - curves[j](bs[j])
+        fixed_cost = sum(costs[j].beta_cost(bs[j], lams[j]) for j in range(L) if j != i)
 
-            def coord(b):
-                nonlocal evals
-                evals += 1
-                w = _station_wait(b, lam_i, bound)
-                return (fixed_cost + cost_i.beta_cost(b, lam_i)
-                        + delta * (1.0 - others * (1.0 - w)))
+        def coord(b):
+            nonlocal evals
+            evals += 1
+            return (fixed_cost + costs[i].beta_cost(b, lams[i])
+                    + delta * (1.0 - others * (1.0 - curves[i](b))))
 
-            betas[i] = grid_then_golden(coord, 0.0, 8.0, xtol=1e-10)[0]
-        new = objective_at(betas)
-        if current - new < cycle_tol:
-            converged = True
-            current = min(current, new)
-            break
-        current = new
+        return coord
 
-    waits = tuple(_station_wait(b, lam, "exact")
-                  for b, lam in zip(betas, instance.lambdas))
+    betas, value, cycles, converged = coordinate_descent(
+        slice_at, objective_at, betas, range(L), 8.0, 64.0, max_cycles, cycle_tol)
+    waits = tuple(wait_curve(lam)(b) for b, lam in zip(betas, lams))
     no_wait = 1.0
     for w in waits:
         no_wait *= 1.0 - w
     return MultiSolveReport(
         betas=tuple(betas),
-        objective=current,
+        objective=value,
         per_station_wait=waits,
         joint_wait=1.0 - no_wait,
         bound_used=bound,
@@ -159,7 +144,7 @@ def exact_objective(instance, betas):
         raise DomainError("betas must be a non-negative vector, one per station")
     no_wait = 1.0
     for b, lam in zip(betas, instance.lambdas):
-        no_wait *= 1.0 - _station_wait(b, lam, "exact")
+        no_wait *= 1.0 - wait_curve(lam)(b)
     cost_total = sum(c.beta_cost(b, lam)
                      for b, lam, c in zip(betas, instance.lambdas, instance.costs))
     return cost_total + float(instance.delta) * (1.0 - no_wait)
@@ -178,6 +163,6 @@ def objective_gap(instance, betas):
     exact = 1.0
     upper = 1.0
     for b, lam in zip(betas, instance.lambdas):
-        exact *= 1.0 - _station_wait(b, lam, "exact")
-        upper *= 1.0 - _station_wait(b, lam, "upper")
+        exact *= 1.0 - wait_curve(lam)(b)
+        upper *= 1.0 - wait_curve(lam, "upper")(b)
     return float(instance.delta) * (exact - upper)

@@ -4,6 +4,12 @@ Both are deliberately simple. Every constraint curve in this package is
 strictly monotone in beta and every 1-D objective slice is continuous, so
 bisection and golden-section (seeded by a coarse grid) are all that is
 needed, and they are easy to reason about when a solver misbehaves.
+
+Both brackets grow the same way: bisect_decreasing doubles its upper end
+until the curve falls below the target, and grid_then_golden doubles its
+upper end, up to a cap, while the minimizer sits on that edge. Every
+weighted solve and every coordinate-descent slice in the package runs
+through grid_then_golden, so the doubling rule lives only here.
 """
 from __future__ import annotations
 
@@ -89,11 +95,25 @@ def golden_section_min(fn, lo, hi, xtol=1e-10, max_iter=400):
     return d, fd, evals
 
 
-def grid_then_golden(fn, lo, hi, n_grid=33, xtol=1e-10):
+def grid_then_golden(fn, lo, hi, cap, n_grid=33, xtol=1e-10):
     """Coarse grid scan followed by golden-section between the bracketing
     neighbors of the best grid point. Robust when unimodality is only
     approximate; the grid pins the basin, golden refines it.
+
+    While the minimizer lies within 1e-6 of hi, hi doubles (up to cap)
+    and the search reruns on the wider interval; cap = hi never widens.
+    Returns (x, fn(x), evaluations summed over every interval).
     """
+    evals = 0
+    while True:
+        x, fx, e = _grid_then_golden_once(fn, lo, hi, n_grid, xtol)
+        evals += e
+        if x < hi - 1e-6 or hi >= cap:
+            return x, fx, evals
+        hi = min(2.0 * hi, cap)
+
+
+def _grid_then_golden_once(fn, lo, hi, n_grid, xtol):
     if hi <= lo:
         return lo, fn(lo), 1
     step = (hi - lo) / (n_grid - 1)

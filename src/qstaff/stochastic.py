@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .erlang import wait_probability
+from .erlang import wait_curve, wait_probability
 from .errors import BracketError, DomainError, InfeasibleError, KeyScenarioTieError
-from .frontier import integer_staffing
+from .frontier import check_epsilon, integer_staffing
 from .search import bisect_decreasing
 
 __all__ = [
@@ -37,32 +37,6 @@ __all__ = [
 
 TAIL_TIE_TOL = 1e-12
 FEASIBILITY_TOL = 1e-9
-
-
-def _check_epsilon(epsilon):
-    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
-        raise DomainError(f"epsilon must be a real number, got {epsilon!r}")
-    eps = float(epsilon)
-    if not math.isfinite(eps) or not 0.0 < eps < 1.0:
-        raise DomainError(f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
-    return eps
-
-
-def wait_curve(lam, bound="exact"):
-    """Wait probability as a function of the safety factor beta.
-
-    Returns beta -> wait at n = lam + beta*sqrt(lam), strictly decreasing
-    from 1 at beta = 0. Staffing below one server is clamped to one.
-    """
-    lam = float(lam)
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise DomainError(f"lam must be a positive real, got {lam!r}")
-    root = math.sqrt(lam)
-
-    def curve(beta):
-        return wait_probability(max(lam + beta * root, 1.0), lam, bound=bound)
-
-    return curve
 
 
 def constraint_value(scenarios, n, bound="exact"):
@@ -92,7 +66,7 @@ def select_key_scenario(scenarios, epsilon):
     the reduced model ill-posed (the asymptotic analysis needs strict
     inequalities on both sides) and raises KeyScenarioTieError.
     """
-    eps = _check_epsilon(epsilon)
+    eps = check_epsilon(epsilon)
     tails = scenarios.tail_sums()
     for i in range(1, len(scenarios) + 1):
         if abs(tails[i] - eps) <= TAIL_TIE_TOL:
@@ -178,7 +152,7 @@ def solve_reduced(scenarios, epsilon, cost=1.0, bound="exact"):
     may miss feasibility by a small margin, which shows up as a negative
     slack rather than an error.
     """
-    eps = _check_epsilon(epsilon)
+    eps = check_epsilon(epsilon)
     c = _check_cost(cost)
     if bound not in ("exact", "upper"):
         raise DomainError(f"bound must be exact or upper, got {bound!r}")
@@ -204,7 +178,7 @@ def solve_exact_enumeration(scenarios, epsilon, cost=1.0, key_index=None):
     bracket cap are reported infeasible; key_index pins the search to one
     candidate.
     """
-    eps = _check_epsilon(epsilon)
+    eps = check_epsilon(epsilon)
     c = _check_cost(cost)
     if key_index is None:
         candidates = range(len(scenarios))

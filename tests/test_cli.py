@@ -160,6 +160,12 @@ class TestFrontier:
         assert code == 2
         assert "--lam" in err
 
+    def test_sub_unit_lam_solves(self, capsys):
+        code, out, _ = run(capsys, "frontier", "--lam", "0.5")
+        assert code == 0
+        _, rows = frontier_rows(out)
+        assert len(rows) == 19
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         out_path = tmp_path / "frontier.csv"
         code, out, _ = run(capsys, "frontier", "--lam", "50",

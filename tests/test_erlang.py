@@ -16,7 +16,6 @@ from qstaff.erlang import (
     hw_quantities,
     jvlz_bounds,
     jvlz_bounds_at,
-    qed_expansion_a,
     wait_probability,
 )
 from qstaff.errors import DomainError, UnstableSystemError
@@ -387,15 +386,3 @@ class TestExactNoWaitColumn:
         for k, value in zip(range(lower, upper + 1), column):
             assert value == 1.0 - wait_probability(k, lam), k
         assert column[-1] == 1.0
-
-
-class TestExpansionDiagnostic:
-    def test_tracks_a_in_qed_regime(self):
-        # two-term expansion error shrinks like 1/lambda
-        beta = 1.5
-        errs = []
-        for lam in (1e2, 1e4):
-            n = lam + beta * math.sqrt(lam)
-            errs.append(abs(hw_quantities(n, lam).a - qed_expansion_a(beta, lam)))
-        assert errs[1] < errs[0]
-        assert errs[1] < 1e-3

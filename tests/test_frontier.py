@@ -13,6 +13,9 @@ from qstaff.frontier import (
     solve_weighted,
     sweep_frontier,
 )
+from qstaff.joint import solve_weighted_stoch
+from qstaff.multistation import MultiStationInstance
+from qstaff.scenarios import JointScenarioSet
 
 # Frozen from a dense grid scan (step 1e-4) of beta + 1e6*wait(beta) at lam=100.
 WEIGHTED_GRID_ORACLE_BETA = 5.49820
@@ -167,6 +170,11 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep_frontier(100.0, [0.5, 0.3])
 
+    def test_sub_unit_load_clamps_to_one_server(self):
+        sweep = sweep_frontier(0.5, [0.05, 0.5])
+        assert sweep.failures == ()
+        assert [p.epsilon for p in sweep] == [0.05, 0.5]
+
     def test_per_point_failure_recorded(self):
         sweep = sweep_frontier(10.0, [1e-200, 0.5])
         assert len(sweep) == 1
@@ -190,3 +198,15 @@ def test_integer_staffing_rounds_to_nearest():
     assert integer_staffing(306.05) == 306
     assert integer_staffing(235.49) == 235
     assert integer_staffing(235.51) == 236
+
+
+@pytest.mark.parametrize("delta", [True, math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("entry", ["solve_weighted", "multistation", "solve_weighted_stoch"])
+def test_delta_checked_alike(entry, delta):
+    with pytest.raises(DomainError):
+        if entry == "solve_weighted":
+            solve_weighted(100.0, delta)
+        elif entry == "multistation":
+            MultiStationInstance((100.0,), CostFunction(), delta)
+        else:
+            solve_weighted_stoch(JointScenarioSet(((100.0, 50.0),), (1.0,)), delta, (1.0, 1.0))

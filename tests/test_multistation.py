@@ -7,7 +7,13 @@ import pytest
 from qstaff.erlang import erlang_c_sqrt, wait_probability
 from qstaff.errors import DomainError
 from qstaff.frontier import CostFunction
-from qstaff.multistation import MultiStationInstance, MultiSolveReport, objective_gap, solve_multi
+from qstaff.multistation import (
+    MultiStationInstance,
+    MultiSolveReport,
+    exact_objective,
+    objective_gap,
+    solve_multi,
+)
 from qstaff.frontier import solve_weighted
 
 
@@ -110,6 +116,16 @@ class TestSolveMulti:
                 bs = list(rep.betas)
                 bs[i] = max(bs[i] + d, 0.0)
                 assert objective(bs) >= base - 1e-6
+
+
+    @pytest.mark.parametrize("lam, delta", [(1.0, 1e8), (4.0, 1e9)])
+    def test_optimum_beyond_initial_bracket(self, lam, delta):
+        # the optimum lies past beta = 8, where the slice bracket must double
+        inst = MultiStationInstance((lam,), CostFunction(), delta)
+        rep = solve_multi(inst)
+        assert rep.betas[0] == pytest.approx(solve_weighted(lam, delta).beta, abs=1e-3)
+        assert rep.betas[0] > 8.0
+        assert rep.objective == pytest.approx(exact_objective(inst, rep.betas), rel=1e-12)
 
 
 class TestObjectiveGap:
