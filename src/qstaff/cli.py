@@ -40,6 +40,7 @@ from .errors import (
 )
 from .files import (
     SOLVER_MODES,
+    checked,
     load_scenario_file,
     make_run_record,
     resolve_scenario_path,
@@ -47,6 +48,8 @@ from .files import (
 )
 from .frontier import (
     CostFunction,
+    check_delta,
+    check_epsilon,
     frontier_csv_rows,
     integer_staffing,
     solve_constrained,
@@ -139,25 +142,6 @@ def _resolve_mode(args, scenario_file):
     return mode
 
 
-def _cli_epsilon(value):
-    if not isinstance(value, float) or not math.isfinite(value) \
-            or not 0.0 < value < 1.0:
-        raise ValidationError(
-            f"epsilon must lie strictly inside (0, 1), got {value!r}",
-            pointer="--epsilon",
-        )
-    return value
-
-
-def _cli_delta(value):
-    if not isinstance(value, float) or not math.isfinite(value) or value <= 0:
-        raise ValidationError(
-            f"delta must be a positive real, got {value!r}",
-            pointer="--delta",
-        )
-    return value
-
-
 def _resolve_budget(args, scenario_file):
     """Flags override the file; exactly one budget survives."""
     if args.epsilon is not None and args.delta is not None:
@@ -166,9 +150,9 @@ def _resolve_budget(args, scenario_file):
     eps = scenario_file.problem.epsilon
     delta = scenario_file.problem.delta
     if args.epsilon is not None:
-        eps, delta = _cli_epsilon(args.epsilon), None
+        eps, delta = checked(check_epsilon, args.epsilon, "--epsilon"), None
     elif args.delta is not None:
-        eps, delta = None, _cli_delta(args.delta)
+        eps, delta = None, checked(check_delta, args.delta, "--delta")
     return eps, delta
 
 
@@ -422,7 +406,7 @@ def cmd_compare(args):
     _, scenario_file = _load(args)
     eps = scenario_file.problem.epsilon
     if args.epsilon is not None:
-        eps = _cli_epsilon(args.epsilon)
+        eps = checked(check_epsilon, args.epsilon, "--epsilon")
     if eps is None:
         raise ValidationError(
             "compare needs an epsilon budget", pointer="problem.epsilon")

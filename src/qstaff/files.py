@@ -25,8 +25,9 @@ from importlib import resources
 from pathlib import Path
 
 from ._version import __version__
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .erlang import BOUND_CHOICES
+from .frontier import check_delta, check_epsilon
 from .joint import joint_constraint_value
 from .scenarios import JointScenarioSet
 
@@ -42,6 +43,7 @@ __all__ = [
     "resolve_scenario_path",
     "make_run_record",
     "write_run_record",
+    "checked",
 ]
 
 SOLVER_MODES = (
@@ -72,6 +74,14 @@ def _require(data, key, kind, pointer):
     if not isinstance(value, kind):
         _fail(f"expected {kind.__name__}, got {value!r}", pointer)
     return value
+
+
+def checked(check, value, pointer):
+    """check(value), e.g. check_epsilon, raising ValidationError at pointer."""
+    try:
+        return check(value)
+    except DomainError as exc:
+        raise ValidationError(str(exc), pointer=pointer) from None
 
 
 def _positive_real(value, pointer):
@@ -208,12 +218,9 @@ def _parse_problem(data, station_count):
         _fail("exactly one of epsilon and delta is required", "problem")
     epsilon = delta = None
     if has_eps:
-        epsilon = _require(problem, "epsilon", float, "problem.epsilon")
-        if not math.isfinite(epsilon) or not 0.0 < epsilon < 1.0:
-            _fail(f"epsilon must lie strictly between 0 and 1, got {epsilon!r}",
-                  "problem.epsilon")
+        epsilon = checked(check_epsilon, problem["epsilon"], "problem.epsilon")
     else:
-        delta = _positive_real(problem["delta"], "problem.delta")
+        delta = checked(check_delta, problem["delta"], "problem.delta")
     costs = (1.0,) * station_count
     if "costs" in problem:
         raw = problem["costs"]

@@ -50,6 +50,13 @@ def check_delta(delta):
     return float(delta)
 
 
+def check_bound(bound):
+    """bound if a solve may optimize on it (exact or upper); DomainError otherwise."""
+    if bound not in ("exact", "upper"):
+        raise DomainError(f"bound must be exact or upper, got {bound!r}")
+    return bound
+
+
 def integer_staffing(n_continuous):
     """Integer server count for a continuous staffing level.
 
@@ -166,29 +173,29 @@ def solve_constrained(lam, epsilon, cost=None, bound="exact"):
     )
 
 
-def solve_weighted(lam, delta, cost=None, bound="exact", beta_hi=8.0, beta_cap=64.0):
+def solve_weighted(lam, delta, cost=None, bound="exact"):
     """Minimize cost(beta) + delta * wait(beta) over beta >= 0.
 
     Golden-section search seeded by a coarse grid; the search interval
-    doubles while the minimizer keeps landing on its upper edge. The
+    doubles while the minimizer keeps landing on its upper edge, and one
+    still there at BETA_CAP is reported with converged=False. The
     objective at beta = 0 uses the saturated value wait = 1.
     """
     delta = check_delta(delta)
-    if bound not in ("exact", "upper"):
-        raise DomainError(f"weighted solve supports bound exact or upper, got {bound!r}")
+    bound = check_bound(bound)
     cost = cost or CostFunction()
     curve = wait_curve(lam, bound)
 
     def objective(b):
         return cost.beta_cost(b, lam) + delta * curve(b)
 
-    x, fx, evals = grid_then_golden(objective, 0.0, beta_hi, beta_cap)
+    x, fx, evals, at_cap = grid_then_golden(objective)
     return SolveReport(
         beta=x,
         objective=fx,
         bound_used=bound,
         evaluations=evals,
-        converged=True,
+        converged=not at_cap,
         residual=0.0,
     )
 

@@ -27,7 +27,8 @@ Solver lineup:
   descent.
 
 Every descent over safety factors in the package, these solvers and
-multistation.solve_multi alike, runs through coordinate_descent.
+multistation.solve_multi alike, runs through coordinate_descent and its
+one stopping rule, MAX_CYCLES and CYCLE_TOL.
 """
 from __future__ import annotations
 
@@ -45,9 +46,9 @@ from .errors import (
     InfeasibleError,
     KeyScenarioTieError,
 )
-from .frontier import check_delta, check_epsilon, integer_staffing
-from .search import bisect_decreasing, grid_then_golden
-from .stochastic import solve_reduced
+from .frontier import check_bound, check_delta, check_epsilon, integer_staffing
+from .search import BETA_CAP, bisect_decreasing, grid_then_golden
+from .stochastic import FEASIBILITY_TOL, solve_reduced
 
 __all__ = [
     "JointDecision",
@@ -65,7 +66,8 @@ __all__ = [
     "compare_solutions",
 ]
 
-FEASIBILITY_TOL = 1e-9
+MAX_CYCLES = 200
+CYCLE_TOL = 1e-9
 # the lattice search forms its joint no-wait matrix in row blocks of at
 # most this many cells (8 bytes each), whatever the width of the box
 LATTICE_BLOCK_CELLS = 1 << 16
@@ -210,30 +212,46 @@ def _reduced_report(scenarios, decision, costs, eps, method, over_conservative=F
     )
 
 
-def coordinate_descent(slice_at, objective, betas, coords, hi, cap,
-                       max_cycles, cycle_tol):
+def coordinate_descent(slice_at, objective, betas, coords):
     """Cyclic coordinate descent over the safety factors betas[i], i in coords.
 
     A cycle minimizes slice_at(i, betas), the objective as a function of
-    beta_i alone, for each i in coords in turn by grid_then_golden on
-    [0, hi] (doubling up to cap), then scores the cycle with
-    objective(betas), which may complete betas in place. Descent stops
-    when a cycle gains less than cycle_tol * (1 + |value|), when the
-    value is infinite, or after max_cycles cycles; with no coords, one
-    cycle. Returns (betas, value, cycles, converged), value being the
-    objective at the returned betas.
+    beta_i alone, for each i in coords in turn by grid_then_golden, then
+    scores the cycle with objective(betas), which may complete betas in
+    place. Descent stops when a cycle gains less than
+    CYCLE_TOL * (1 + |value|), when the value is infinite, or after
+    MAX_CYCLES cycles; with no coords, one cycle. Returns (betas, value,
+    cycles, converged), value being the objective at the returned betas;
+    a beta the last cycle left on the edge of the search box is not
+    converged.
     """
     betas = list(betas)
     value = math.inf
-    for cycle in range(1, max_cycles + 1):
+    for cycle in range(1, MAX_CYCLES + 1):
+        at_cap = False
         for i in coords:
-            betas[i] = grid_then_golden(slice_at(i, betas), 0.0, hi, cap)[0]
+            betas[i], _, _, edge = grid_then_golden(slice_at(i, betas))
+            at_cap = at_cap or edge
         previous, value = value, objective(betas)
         if not math.isfinite(value):
             return betas, value, cycle, False
-        if not coords or previous - value < cycle_tol * (1.0 + abs(value)):
-            return betas, value, cycle, True
-    return betas, value, max_cycles, False
+        if not coords or previous - value < CYCLE_TOL * (1.0 + abs(value)):
+            return betas, value, cycle, not at_cap
+    return betas, value, MAX_CYCLES, False
+
+
+def vector_slices(objective):
+    """slice_at for coordinate_descent when objective takes the whole beta
+    vector: slice i is the objective with only betas[i] varying."""
+    def slice_at(i, betas):
+        def coord(b):
+            trial = list(betas)
+            trial[i] = b
+            return objective(trial)
+
+        return coord
+
+    return slice_at
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +346,7 @@ def _split_linear(coeffs, u, station):
     return const, slope
 
 
-def solve_reduced_joint(scenarios, epsilon, costs, key_indices,
-                        beta_hi=8.0, beta_cap=64.0,
-                        max_cycles=200, cycle_tol=1e-9):
+def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
     """Reduced joint model for a fixed per-station key-scenario choice.
 
     Minimizes sum c_i beta_i subject to the multilinear constraint built
@@ -365,42 +381,36 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices,
     dep = L - 1
 
     def dep_beta(betas):
-        """Smallest beta for the dependent station, or None if the free
+        """Smallest beta for the dependent station, or inf if the free
         coordinates leave the target out of reach."""
         u = [1.0 - curve(b) for curve, b in zip(curves, betas[:dep])]
         const, slope = _split_linear(coeffs, u, dep)
         if const >= target:
             return 0.0
         if slope <= 0.0:
-            return None
+            return math.inf
         u_req = (target - const) / slope
         if u_req >= 1.0:
-            return None
+            return math.inf
         if u_req <= 0.0:
             return 0.0
         try:
-            return bisect_decreasing(curves[dep], 1.0 - u_req,
-                                     hi=beta_hi, hi_cap=beta_cap).root
+            return bisect_decreasing(curves[dep], 1.0 - u_req).root
         except BracketError:
-            return None
+            return math.inf
 
     return _solve_keyed(scenarios, eps, costs, keys, key_rates, [1.0] * L,
-                        dep_beta, "reduced-joint",
-                        beta_hi, beta_cap, max_cycles, cycle_tol)
+                        dep_beta, "reduced-joint")
 
 
-def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method,
-                 beta_hi, beta_cap, max_cycles, cycle_tol):
+def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method):
     # minimize sum c_i beta_i by descent over every station but the last,
-    # whose beta dep_beta(betas) sets to restore the constraint (None when
-    # no beta up to the bracket cap does)
+    # whose beta dep_beta(betas) sets to restore the constraint (inf when
+    # no beta up to the bracket cap does, making the cost inf too)
     dep = len(betas) - 1
 
     def completed(bs):
-        b_dep = dep_beta(bs)
-        if b_dep is None:
-            return math.inf
-        bs[dep] = b_dep
+        bs[dep] = dep_beta(bs)
         return sum(c * b for c, b in zip(costs, bs))
 
     def slice_at(i, bs):
@@ -408,20 +418,15 @@ def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method
 
         def coord(b):
             bs[i] = b
-            b_dep = dep_beta(bs)
-            if b_dep is None:
-                return math.inf
-            return fixed + costs[i] * b + costs[dep] * b_dep
+            return fixed + costs[i] * b + costs[dep] * dep_beta(bs)
 
         return coord
 
-    betas, value, _, _ = coordinate_descent(
-        slice_at, completed, betas, range(dep), beta_hi, beta_cap,
-        max_cycles, cycle_tol)
+    betas, value, _, _ = coordinate_descent(slice_at, completed, betas, range(dep))
     if not math.isfinite(value):
         raise InfeasibleError(
             f"key scenario {keys} needs a safety factor beyond the "
-            f"bracket cap {beta_cap}")
+            f"bracket cap {BETA_CAP}")
     return _reduced_report(
         scenarios, _decision_from_betas(betas, keys, key_rates),
         costs, eps, method)
@@ -509,8 +514,7 @@ def _search_bounds(scenarios, eps, costs):
     return lower, upper
 
 
-def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None,
-                beta_hi=8.0, beta_cap=64.0, max_cycles=200, cycle_tol=1e-9):
+def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
     """Joint model on the full constraint in the key parameterization.
 
     Minimizes sum c_i beta_i subject to the exact joint chance constraint
@@ -549,12 +553,12 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None,
             return 1.0 - _joint_no_wait(scenarios, levels)
 
         try:
-            return bisect_decreasing(joint_wait, eps, hi=beta_hi, hi_cap=beta_cap).root
+            return bisect_decreasing(joint_wait, eps).root
         except BracketError:
-            return None
+            return math.inf
 
     return _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta,
-                        "joint", beta_hi, beta_cap, max_cycles, cycle_tol)
+                        "joint")
 
 
 def solve_joint_exact_integer(scenarios, epsilon, costs):
@@ -659,9 +663,7 @@ def solve_joint_exact_integer(scenarios, epsilon, costs):
 # ---------------------------------------------------------------------------
 # weighted form
 
-def solve_weighted_stoch(scenarios, delta, costs, bound="exact",
-                         beta_hi=8.0, beta_cap=64.0,
-                         max_cycles=100, cycle_tol=1e-9):
+def solve_weighted_stoch(scenarios, delta, costs, bound="exact"):
     """Dualized joint model: server cost plus delta times the joint wait.
 
     For every candidate key vector the betas are optimized by cyclic
@@ -676,8 +678,7 @@ def solve_weighted_stoch(scenarios, delta, costs, bound="exact",
     delta = check_delta(delta)
     L = scenarios.stations
     costs = _check_costs(costs, L)
-    if bound not in ("exact", "upper"):
-        raise DomainError(f"bound must be exact or upper, got {bound!r}")
+    bound = check_bound(bound)
     sizes = [len(m) for m in scenarios.marginals]
 
     best = None
@@ -691,17 +692,8 @@ def solve_weighted_stoch(scenarios, delta, costs, bound="exact",
             no_wait = _joint_no_wait(scenarios, levels, bound)
             return sum(c * n for c, n in zip(costs, levels)) + delta * (1.0 - no_wait)
 
-        def slice_at(i, betas):
-            def coord(b):
-                trial = list(betas)
-                trial[i] = b
-                return objective(trial)
-
-            return coord
-
         betas, value, cycles, converged = coordinate_descent(
-            slice_at, objective, [1.0] * L, range(L), beta_hi, beta_cap,
-            max_cycles, cycle_tol)
+            vector_slices(objective), objective, [1.0] * L, range(L))
         if best is None or value < best[0]:
             best = (value, key, key_rates, tuple(betas), cycles, converged)
 
@@ -724,7 +716,7 @@ def solve_weighted_stoch(scenarios, delta, costs, bound="exact",
 # ---------------------------------------------------------------------------
 # side-by-side comparison
 
-def compare_solutions(scenarios, epsilon, costs, cap=10000):
+def compare_solutions(scenarios, epsilon, costs):
     """Joint, reduced-enumeration, and decoupled solutions side by side.
 
     The reduced column enumerates key scenarios on the asymptotic model;
@@ -732,7 +724,7 @@ def compare_solutions(scenarios, epsilon, costs, cap=10000):
     constraint; the decoupled column splits the target per station. The
     cost ratio quantifies what the decoupled shortcut gives up.
     """
-    reduced = enumerate_key_scenarios(scenarios, epsilon, costs, cap=cap)
+    reduced = enumerate_key_scenarios(scenarios, epsilon, costs)
     joint = solve_joint(scenarios, epsilon, costs,
                         key_indices=reduced.decision.key_indices,
                         warm_betas=reduced.decision.betas)

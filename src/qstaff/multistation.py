@@ -9,8 +9,9 @@ by independence of the stations. Minimized by the package's one cyclic
 coordinate-descent driver, joint.coordinate_descent; each coordinate
 slice is a single-station weighted problem (increasing cost against a
 decreasing wait curve scaled by the other stations' no-wait product),
-searched by grid-plus-golden on [0, 8] with the bracket doubling up to
-64 while the minimizer sits on its edge, as in frontier.solve_weighted.
+searched by grid-plus-golden on [0, search.BETA_HI] with the bracket
+doubling up to search.BETA_CAP while the minimizer sits on its edge, as
+in frontier.solve_weighted.
 
 Coordinate descent certifies coordinate-wise optimality only. At desk
 scale the test suite backs it with a dense 2-D grid cross-check; no
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 from .erlang import wait_curve
 from .errors import DomainError
-from .frontier import CostFunction, check_delta, solve_weighted
-from .joint import coordinate_descent
+from .frontier import CostFunction, check_bound, check_delta, solve_weighted
+from .joint import coordinate_descent, vector_slices
 
 __all__ = ["MultiStationInstance", "MultiSolveReport", "solve_multi",
            "exact_objective", "objective_gap"]
@@ -67,17 +68,27 @@ class MultiSolveReport:
     cycles: int
 
 
-def solve_multi(instance, bound="exact", max_cycles=200, cycle_tol=1e-9):
+def _joint_wait(waits):
+    """1 - prod_i (1 - w_i) as sum_i w_i prod_{j<i} (1 - w_j): no term
+    cancels, so waits far below machine epsilon still count."""
+    total = 0.0
+    no_wait = 1.0
+    for w in waits:
+        total += no_wait * w
+        no_wait *= 1.0 - w
+    return total
+
+
+def solve_multi(instance, bound="exact"):
     """Cyclic coordinate descent from a decoupled warm start.
 
     Initialization solves each station's weighted problem alone with QoS
     weight delta/L; the coordinate loop then repeatedly re-optimizes one
     beta holding the rest fixed, in station order, until a full cycle
-    improves the objective by less than cycle_tol * (1 + |objective|).
+    improves the objective by less than joint.CYCLE_TOL relative.
     The reported objective is the solved objective at the returned betas.
     """
-    if bound not in ("exact", "upper"):
-        raise DomainError(f"bound must be exact or upper, got {bound!r}")
+    bound = check_bound(bound)
     L = instance.station_count
     lams, costs = instance.lambdas, instance.costs
     delta = float(instance.delta)
@@ -93,39 +104,17 @@ def solve_multi(instance, bound="exact", max_cycles=200, cycle_tol=1e-9):
     def objective_at(bs):
         nonlocal evals
         evals += 1
-        no_wait = 1.0
-        for b, curve in zip(bs, curves):
-            no_wait *= 1.0 - curve(b)
         cost_total = sum(c.beta_cost(b, lam) for b, lam, c in zip(bs, lams, costs))
-        return cost_total + delta * (1.0 - no_wait)
-
-    def slice_at(i, bs):
-        # no-wait product and cost over the fixed coordinates
-        others = 1.0
-        for j in range(L):
-            if j != i:
-                others *= 1.0 - curves[j](bs[j])
-        fixed_cost = sum(costs[j].beta_cost(bs[j], lams[j]) for j in range(L) if j != i)
-
-        def coord(b):
-            nonlocal evals
-            evals += 1
-            return (fixed_cost + costs[i].beta_cost(b, lams[i])
-                    + delta * (1.0 - others * (1.0 - curves[i](b))))
-
-        return coord
+        return cost_total + delta * _joint_wait([curve(b) for b, curve in zip(bs, curves)])
 
     betas, value, cycles, converged = coordinate_descent(
-        slice_at, objective_at, betas, range(L), 8.0, 64.0, max_cycles, cycle_tol)
+        vector_slices(objective_at), objective_at, betas, range(L))
     waits = tuple(wait_curve(lam)(b) for b, lam in zip(betas, lams))
-    no_wait = 1.0
-    for w in waits:
-        no_wait *= 1.0 - w
     return MultiSolveReport(
         betas=tuple(betas),
         objective=value,
         per_station_wait=waits,
-        joint_wait=1.0 - no_wait,
+        joint_wait=_joint_wait(waits),
         bound_used=bound,
         evaluations=evals,
         converged=converged,
@@ -142,12 +131,10 @@ def exact_objective(instance, betas):
     betas = tuple(float(b) for b in betas)
     if len(betas) != instance.station_count or any(b < 0 for b in betas):
         raise DomainError("betas must be a non-negative vector, one per station")
-    no_wait = 1.0
-    for b, lam in zip(betas, instance.lambdas):
-        no_wait *= 1.0 - wait_curve(lam)(b)
+    waits = [wait_curve(lam)(b) for b, lam in zip(betas, instance.lambdas)]
     cost_total = sum(c.beta_cost(b, lam)
                      for b, lam, c in zip(betas, instance.lambdas, instance.costs))
-    return cost_total + float(instance.delta) * (1.0 - no_wait)
+    return cost_total + float(instance.delta) * _joint_wait(waits)
 
 
 def objective_gap(instance, betas):

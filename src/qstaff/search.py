@@ -5,11 +5,11 @@ strictly monotone in beta and every 1-D objective slice is continuous, so
 bisection and golden-section (seeded by a coarse grid) are all that is
 needed, and they are easy to reason about when a solver misbehaves.
 
-Both brackets grow the same way: bisect_decreasing doubles its upper end
-until the curve falls below the target, and grid_then_golden doubles its
-upper end, up to a cap, while the minimizer sits on that edge. Every
-weighted solve and every coordinate-descent slice in the package runs
-through grid_then_golden, so the doubling rule lives only here.
+Every solver searches beta in one box, defined only here: [0, BETA_HI],
+the upper end doubling up to BETA_CAP, in bisect_decreasing until the
+curve falls below the target and in grid_then_golden (which runs every
+weighted solve and every coordinate-descent slice) while the minimizer
+sits on that edge.
 """
 from __future__ import annotations
 
@@ -19,6 +19,15 @@ from dataclasses import dataclass
 from .errors import BracketError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+BETA_HI = 8.0
+BETA_CAP = 64.0
+
+_LO = 1e-8        # bisection's lower end; beta = 0 saturates some curves
+_XTOL = 1e-10
+_RTOL = 1e-9      # bisection residual counted as converged
+_MAX_ITER = 200
+_N_GRID = 33
+_EDGE = 1e-6      # a minimizer this close to the upper end sits on the edge
 
 
 @dataclass(frozen=True)
@@ -29,13 +38,12 @@ class RootResult:
     converged: bool
 
 
-def bisect_decreasing(fn, target, lo=1e-8, hi=8.0, hi_cap=64.0,
-                      xtol=1e-10, rtol=1e-9, max_iter=200):
-    """Solve fn(x) = target for a strictly decreasing fn on [lo, hi_cap].
+def bisect_decreasing(fn, target):
+    """Solve fn(x) = target for a strictly decreasing fn on [_LO, BETA_CAP].
 
-    The upper bracket doubles until fn drops below the target. If fn(lo)
-    is already at or below target the root is effectively at the lower
-    edge and lo is returned.
+    The upper bracket starts at BETA_HI and doubles until fn drops below
+    the target. If fn(_LO) is already at or below target the root is
+    effectively at the lower edge and _LO is returned.
     """
     evals = 0
 
@@ -44,18 +52,19 @@ def bisect_decreasing(fn, target, lo=1e-8, hi=8.0, hi_cap=64.0,
         evals += 1
         return fn(x)
 
+    lo, hi = _LO, BETA_HI
     flo = f(lo)
     if flo <= target:
         return RootResult(lo, flo - target, evals, True)
     fhi = f(hi)
     while fhi > target:
         hi *= 2.0
-        if hi > hi_cap:
+        if hi > BETA_CAP:
             raise BracketError(
-                f"no root below x={hi_cap:g}: fn({hi_cap:g}) still above target {target:g}")
+                f"no root below x={BETA_CAP:g}: fn({BETA_CAP:g}) still above target {target:g}")
         fhi = f(hi)
-    for _ in range(max_iter):
-        if hi - lo <= xtol:
+    for _ in range(_MAX_ITER):
+        if hi - lo <= _XTOL:
             break
         mid = 0.5 * (lo + hi)
         if f(mid) > target:
@@ -64,10 +73,10 @@ def bisect_decreasing(fn, target, lo=1e-8, hi=8.0, hi_cap=64.0,
             hi = mid
     root = 0.5 * (lo + hi)
     residual = f(root) - target
-    return RootResult(root, residual, evals, abs(residual) <= rtol)
+    return RootResult(root, residual, evals, abs(residual) <= _RTOL)
 
 
-def golden_section_min(fn, lo, hi, xtol=1e-10, max_iter=400):
+def golden_section_min(fn, lo, hi):
     """Minimize fn on [lo, hi] by golden-section search.
 
     Returns (x, fn(x), evaluations). Assumes fn is unimodal on the
@@ -78,8 +87,8 @@ def golden_section_min(fn, lo, hi, xtol=1e-10, max_iter=400):
     d = a + GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
     evals = 2
-    for _ in range(max_iter):
-        if b - a <= xtol:
+    for _ in range(_MAX_ITER):
+        if b - a <= _XTOL:
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -95,39 +104,40 @@ def golden_section_min(fn, lo, hi, xtol=1e-10, max_iter=400):
     return d, fd, evals
 
 
-def grid_then_golden(fn, lo, hi, cap, n_grid=33, xtol=1e-10):
+def grid_then_golden(fn):
     """Coarse grid scan followed by golden-section between the bracketing
     neighbors of the best grid point. Robust when unimodality is only
     approximate; the grid pins the basin, golden refines it.
 
-    While the minimizer lies within 1e-6 of hi, hi doubles (up to cap)
-    and the search reruns on the wider interval; cap = hi never widens.
-    Returns (x, fn(x), evaluations summed over every interval).
+    The search starts on [0, BETA_HI]; while the minimizer lies within
+    _EDGE of the upper end, that end doubles (up to BETA_CAP) and the
+    search reruns on the wider interval. Returns (x, fn(x), evaluations
+    summed over every interval, at_cap), at_cap being true when the
+    minimizer still sits on the edge of [0, BETA_CAP].
     """
-    evals = 0
+    hi, evals = BETA_HI, 0
     while True:
-        x, fx, e = _grid_then_golden_once(fn, lo, hi, n_grid, xtol)
+        x, fx, e = _grid_then_golden_once(fn, hi)
         evals += e
-        if x < hi - 1e-6 or hi >= cap:
-            return x, fx, evals
-        hi = min(2.0 * hi, cap)
+        at_edge = x >= hi - _EDGE
+        if not at_edge or hi >= BETA_CAP:
+            return x, fx, evals, at_edge
+        hi = min(2.0 * hi, BETA_CAP)
 
 
-def _grid_then_golden_once(fn, lo, hi, n_grid, xtol):
-    if hi <= lo:
-        return lo, fn(lo), 1
-    step = (hi - lo) / (n_grid - 1)
-    best_x, best_f, best_i = lo, math.inf, 0
+def _grid_then_golden_once(fn, hi):
+    step = hi / (_N_GRID - 1)
+    best_x, best_f, best_i = 0.0, math.inf, 0
     evals = 0
-    for i in range(n_grid):
-        x = lo + i * step
+    for i in range(_N_GRID):
+        x = i * step
         fx = fn(x)
         evals += 1
         if fx < best_f:
             best_x, best_f, best_i = x, fx, i
-    a = lo + max(best_i - 1, 0) * step
-    b = lo + min(best_i + 1, n_grid - 1) * step
-    x, fx, e = golden_section_min(fn, a, b, xtol=xtol)
+    a = max(best_i - 1, 0) * step
+    b = min(best_i + 1, _N_GRID - 1) * step
+    x, fx, e = golden_section_min(fn, a, b)
     evals += e
     if fx <= best_f:
         return x, fx, evals

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .erlang import wait_curve, wait_probability
 from .errors import BracketError, DomainError, InfeasibleError, KeyScenarioTieError
-from .frontier import check_epsilon, integer_staffing
+from .frontier import check_bound, check_epsilon, integer_staffing
 from .search import bisect_decreasing
 
 __all__ = [
@@ -154,8 +154,7 @@ def solve_reduced(scenarios, epsilon, cost=1.0, bound="exact"):
     """
     eps = check_epsilon(epsilon)
     c = _check_cost(cost)
-    if bound not in ("exact", "upper"):
-        raise DomainError(f"bound must be exact or upper, got {bound!r}")
+    bound = check_bound(bound)
     key = select_key_scenario(scenarios, eps)
     tails = scenarios.tail_sums()
     rhs = eps - tails[key + 1]

@@ -439,3 +439,41 @@ class TestParser:
             main(["--version"])
         assert info.value.code == 0
         assert "qstaff" in capsys.readouterr().out
+
+
+class TestBudgetChecks:
+    # out-of-range budgets exit 2 with a ValidationError at the flag or
+    # field that carried them
+
+    @pytest.mark.parametrize("flag, value", [
+        *(("--epsilon", v) for v in ("0", "1", "1.5", "nan")),
+        *(("--delta", v) for v in ("0", "-1", "nan", "inf")),
+    ])
+    def test_solve_flag_out_of_range(self, capsys, flag, value):
+        code, out, err = run(capsys, "solve", "example1", f"{flag}={value}",
+                             "--format", "json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["pointer"] == flag
+        rule = ("lie strictly inside (0, 1)" if flag == "--epsilon"
+                else "be a positive real")
+        assert error["message"] == (
+            f"{flag}: {flag[2:]} must {rule}, got {float(value)!r}")
+
+    def test_compare_epsilon_out_of_range(self, capsys):
+        code, out, _ = run(capsys, "compare", "example1", "--epsilon", "1.5",
+                           "--format", "json")
+        assert code == 2
+        assert json.loads(out)["error"]["pointer"] == "--epsilon"
+
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", 1.0), ("epsilon", True), ("delta", -1.0), ("delta", "50"),
+    ])
+    def test_file_budget_out_of_range(self, capsys, tmp_path, field, value):
+        path = write_document(tmp_path, det_document(**{field: value}))
+        code, out, _ = run(capsys, "validate", path, "--format", "json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["pointer"] == f"problem.{field}"

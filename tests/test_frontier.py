@@ -210,3 +210,47 @@ def test_delta_checked_alike(entry, delta):
             MultiStationInstance((100.0,), CostFunction(), delta)
         else:
             solve_weighted_stoch(JointScenarioSet(((100.0, 50.0),), (1.0,)), delta, (1.0, 1.0))
+
+
+def test_grid_then_golden_reports_a_minimizer_at_the_cap():
+    from qstaff.search import BETA_CAP, BETA_HI, grid_then_golden
+
+    x, _, _, at_cap = grid_then_golden(lambda b: -b)
+    assert x == pytest.approx(BETA_CAP, abs=1e-6)
+    assert at_cap
+    # past BETA_HI but inside the cap: the box widens and the search settles
+    x, _, _, at_cap = grid_then_golden(lambda b: (b - 1.25 * BETA_HI) ** 2)
+    assert x == pytest.approx(1.25 * BETA_HI, abs=1e-6)
+    assert not at_cap
+
+
+def test_weighted_solve_stopped_by_the_cap_is_not_converged():
+    from qstaff.search import BETA_CAP
+
+    # at lam=1 the wait term keeps falling faster than the cost rises all
+    # the way to the cap, so the search box stops beta, not the objective
+    rep = solve_weighted(1.0, 1e200)
+    assert rep.beta == pytest.approx(BETA_CAP, abs=1e-6)
+    assert not rep.converged
+    assert solve_weighted(1.0, 1e8).converged     # optimum past BETA_HI
+    assert solve_weighted(100.0, 50.0).converged
+
+
+@pytest.mark.parametrize("bound", ["lower", "hw", "nope"])
+@pytest.mark.parametrize("entry", ["solve_weighted", "solve_reduced", "multistation",
+                                   "solve_weighted_stoch"])
+def test_bound_checked_alike(entry, bound):
+    from qstaff.multistation import solve_multi
+    from qstaff.scenarios import ScenarioSet
+    from qstaff.stochastic import solve_reduced
+
+    with pytest.raises(DomainError, match="bound must be exact or upper"):
+        if entry == "solve_weighted":
+            solve_weighted(100.0, 5.0, bound=bound)
+        elif entry == "solve_reduced":
+            solve_reduced(ScenarioSet((100.0, 200.0), (0.6, 0.4)), 0.5, bound=bound)
+        elif entry == "multistation":
+            solve_multi(MultiStationInstance((100.0,), CostFunction(), 5.0), bound=bound)
+        else:
+            solve_weighted_stoch(JointScenarioSet(((100.0, 50.0),), (1.0,)), 5.0,
+                                 (1.0, 1.0), bound=bound)

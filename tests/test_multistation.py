@@ -178,3 +178,27 @@ class TestObjectiveGap:
             objective_gap(inst, (0.5, 0.5))
         with pytest.raises(DomainError):
             objective_gap(inst, (-1.0,))
+
+
+class TestTinyWaits:
+    # 1 - prod(1 - w_i) rounds to zero once every w_i is below about 1e-16,
+    # which hid the wait term from the objective at large delta
+
+    def test_single_station_follows_weighted_solve_to_the_cap(self):
+        inst = MultiStationInstance((1.0,), CostFunction(), 1e200)
+        rep = solve_multi(inst)
+        single = solve_weighted(1.0, 1e200)
+        assert rep.betas[0] == pytest.approx(single.beta, abs=1e-6)
+        assert rep.objective == pytest.approx(single.objective, rel=1e-9)
+        assert rep.joint_wait == rep.per_station_wait[0] > 0.0
+        assert not rep.converged        # beta stopped by the search box
+        assert rep.objective == pytest.approx(exact_objective(inst, rep.betas), rel=1e-12)
+
+    def test_exact_objective_keeps_sub_epsilon_waits(self):
+        lams, betas, delta = (20.0, 30.0), (12.0, 14.0), 1e100
+        inst = MultiStationInstance(lams, beta_linear(), delta)
+        waits = [wait_probability(lam + b * math.sqrt(lam), lam)
+                 for lam, b in zip(lams, betas)]
+        assert 0.0 < max(waits) < 1e-17     # 1 - w rounds to 1
+        wait_term = exact_objective(inst, betas) - sum(betas)
+        assert wait_term == pytest.approx(delta * sum(waits), rel=1e-12)
