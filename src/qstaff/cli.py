@@ -47,16 +47,15 @@ from .files import (
     write_run_record,
 )
 from .frontier import (
-    CostFunction,
     check_delta,
     check_epsilon,
     frontier_csv_rows,
     integer_staffing,
     solve_constrained,
-    solve_weighted,
     sweep_frontier,
 )
 from .joint import (
+    _expected_joint_wait,
     compare_solutions,
     enumerate_key_scenarios,
     joint_constraint_value,
@@ -64,8 +63,6 @@ from .joint import (
     solve_joint,
     solve_weighted_stoch,
 )
-from .multistation import MultiStationInstance, solve_multi
-from .scenarios import ScenarioSet
 from .simulate import SimConfig, simulate_scenario_qos
 from .stochastic import solve_reduced
 
@@ -176,24 +173,8 @@ def _server_cost(costs, staffing):
 
 
 def _weighted_objective(scenarios, staffing, costs, delta):
-    wait = 1.0 - joint_constraint_value(scenarios, staffing)
+    wait = _expected_joint_wait(scenarios, staffing)
     return _server_cost(costs, staffing) + delta * wait
-
-
-def _round_levels(rates, betas):
-    return tuple(
-        max(integer_staffing(lam + beta * math.sqrt(lam)), 1)
-        for lam, beta in zip(rates, betas)
-    )
-
-
-def _single_station_set(joint):
-    # collapse duplicate rates; the marginal type wants them ascending
-    mass = {}
-    for rates, p in joint.pairs():
-        mass[rates[0]] = mass.get(rates[0], 0.0) + p
-    rates = tuple(sorted(mass))
-    return ScenarioSet(rates, tuple(mass[r] for r in rates))
 
 
 def _solve_mode(scenario_file, mode, eps, delta, bound):
@@ -206,121 +187,80 @@ def _solve_mode(scenario_file, mode, eps, delta, bound):
     joint = scenario_file.joint_set()
     costs = scenario_file.problem.costs
     stations = scenario_file.station_count
+    if mode == "det" and len(scenario_file.scenarios) != 1:
+        raise ValidationError(
+            "det mode needs exactly one scenario", pointer="scenarios")
+    if mode == "stoch-single" and stations != 1:
+        raise ValidationError(
+            "stoch-single mode needs exactly one station", pointer="stations")
 
-    if mode == "det":
-        if len(scenario_file.scenarios) != 1:
+    if delta is not None:
+        if mode not in ("det", "stoch-single", "stoch-multi-joint"):
             raise ValidationError(
-                "det mode needs exactly one scenario", pointer="scenarios")
-        rates = joint.pairs()[0][0]
-        if eps is not None:
-            if stations == 1:
-                lam = rates[0]
-                price = CostFunction("linear-servers", costs[0])
-                report = solve_constrained(lam, eps, price, bound=bound)
-                staffing = _round_levels(rates, (report.beta,))
-                detail = {
-                    "beta": report.beta,
-                    "n_continuous": lam + report.beta * math.sqrt(lam),
-                }
-            else:
-                _require_exact("multistation det with epsilon", bound)
-                report = solve_joint(joint, eps, costs,
-                                     key_indices=(0,) * stations)
-                staffing = report.decision.n_integer
-                detail = {
-                    "betas": report.decision.betas,
-                    "n_continuous": report.decision.n_continuous,
-                    "feasible": report.feasible,
-                }
-            return staffing, _server_cost(costs, staffing), detail
-        if stations == 1:
-            lam = rates[0]
-            price = CostFunction("linear-servers", costs[0])
-            report = solve_weighted(lam, delta, price, bound=bound)
-            staffing = _round_levels(rates, (report.beta,))
-            detail = {
-                "beta": report.beta,
-                "continuous_objective": report.objective,
-            }
-        else:
-            instance = MultiStationInstance(
-                rates,
-                tuple(CostFunction("linear-servers", c) for c in costs),
-                delta,
-            )
-            report = solve_multi(instance, bound=bound)
-            staffing = _round_levels(rates, report.betas)
-            detail = {
-                "betas": report.betas,
-                "continuous_objective": report.objective,
-            }
-        return staffing, _weighted_objective(joint, staffing, costs, delta), detail
-
-    if mode == "stoch-single":
-        if stations != 1:
-            raise ValidationError(
-                "stoch-single mode needs exactly one station",
-                pointer="stations",
-            )
-        if eps is not None:
-            marginal = _single_station_set(joint)
-            report = solve_reduced(marginal, eps, cost=costs[0], bound=bound)
-            staffing = (max(report.decision.n_integer, 1),)
-            detail = {
-                "beta": report.decision.beta,
-                "key_rate": report.decision.key_rate,
-                "expected_wait": report.expected_wait,
-                "feasible": report.feasible,
-            }
-            return staffing, _server_cost(costs, staffing), detail
+                f"{mode} mode needs an epsilon budget", pointer="problem.delta")
+        # det and stoch-single are the one-scenario and one-station cases
         report = solve_weighted_stoch(joint, delta, costs, bound=bound)
         staffing = report.decision.n_integer
-        detail = {
-            "beta": report.decision.betas[0],
-            "key_rate": report.decision.key_rates[0],
-            "continuous_objective": report.objective,
-        }
+        betas, key_rates = report.decision.betas, report.decision.key_rates
+        if mode == "stoch-multi-joint":
+            detail = {"betas": betas, "key_rates": key_rates}
+        elif stations > 1:      # det, whose key rates are its only rates
+            detail = {"betas": betas}
+        else:
+            detail = {"beta": betas[0]}
+            if mode == "stoch-single":
+                detail["key_rate"] = key_rates[0]
+        detail["continuous_objective"] = report.objective
         return staffing, _weighted_objective(joint, staffing, costs, delta), detail
 
-    if mode == "stoch-multi-joint":
-        if eps is not None:
-            _require_exact(mode, bound)
+    if mode == "det" and stations == 1:
+        lam = joint.rate_vectors[0][0]
+        beta = solve_constrained(lam, eps, bound=bound).beta
+        n_continuous = lam + beta * math.sqrt(lam)
+        staffing = (max(integer_staffing(n_continuous), 1),)
+        detail = {"beta": beta, "n_continuous": n_continuous}
+    elif mode == "det":
+        _require_exact("multistation det with epsilon", bound)
+        report = solve_joint(joint, eps, costs, key_indices=(0,) * stations)
+        staffing = report.decision.n_integer
+        detail = {
+            "betas": report.decision.betas,
+            "n_continuous": report.decision.n_continuous,
+            "feasible": report.feasible,
+        }
+    elif mode == "stoch-single":
+        report = solve_reduced(joint.marginal(0), eps, cost=costs[0], bound=bound)
+        staffing = (max(report.decision.n_integer, 1),)
+        detail = {
+            "beta": report.decision.beta,
+            "key_rate": report.decision.key_rate,
+            "expected_wait": report.expected_wait,
+            "feasible": report.feasible,
+        }
+    else:
+        _require_exact(mode, bound)
+        if mode == "stoch-multi-joint":
             report = solve_joint(joint, eps, costs)
-            staffing = report.decision.n_integer
             detail = {
                 "betas": report.decision.betas,
                 "key_rates": report.decision.key_rates,
                 "feasible": report.feasible,
             }
-            return staffing, _server_cost(costs, staffing), detail
-        report = solve_weighted_stoch(joint, delta, costs, bound=bound)
+        elif mode == "stoch-multi-decoupled":
+            report = solve_decoupled(joint, eps, costs)
+            detail = {
+                "betas": report.decision.betas,
+                "feasible": report.feasible,
+            }
+        else:  # stoch-multi-reduced, the only mode left
+            report = enumerate_key_scenarios(joint, eps, costs)
+            detail = {
+                "betas": report.decision.betas,
+                "key_rates": report.decision.key_rates,
+                "key_indices": report.decision.key_indices,
+                "feasible": report.feasible,
+            }
         staffing = report.decision.n_integer
-        detail = {
-            "betas": report.decision.betas,
-            "key_rates": report.decision.key_rates,
-            "continuous_objective": report.objective,
-        }
-        return staffing, _weighted_objective(joint, staffing, costs, delta), detail
-
-    if eps is None:
-        raise ValidationError(
-            f"{mode} mode needs an epsilon budget", pointer="problem.delta")
-    _require_exact(mode, bound)
-    if mode == "stoch-multi-decoupled":
-        report = solve_decoupled(joint, eps, costs)
-        detail = {
-            "betas": report.decision.betas,
-            "feasible": report.feasible,
-        }
-    else:  # stoch-multi-reduced, the only mode left
-        report = enumerate_key_scenarios(joint, eps, costs)
-        detail = {
-            "betas": report.decision.betas,
-            "key_rates": report.decision.key_rates,
-            "key_indices": report.decision.key_indices,
-            "feasible": report.feasible,
-        }
-    staffing = report.decision.n_integer
     return staffing, _server_cost(costs, staffing), detail
 
 
@@ -416,9 +356,9 @@ def cmd_compare(args):
     columns = (report.joint, report.reduced, report.decoupled)
     stations = scenario_file.station_count
     header = ["solver"] + [f"n_{i + 1}" for i in range(stations)]
-    header += ["cost", "achieved_qos"]
+    header += ["cost", "achieved_qos", "feasible"]
     rows = [
-        [s.label, *s.n, s.cost, s.achieved_qos]
+        [s.label, *s.n, s.cost, s.achieved_qos, s.feasible]
         for s in columns
     ]
     payload = {
@@ -426,6 +366,7 @@ def cmd_compare(args):
             "n": list(s.n),
             "cost": s.cost,
             "achieved_qos": s.achieved_qos,
+            "feasible": s.feasible,
             "betas": list(s.betas),
         }
         for s in columns
@@ -438,7 +379,7 @@ def cmd_compare(args):
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        ratio_row = ["cost_ratio"] + [""] * stations + [report.cost_ratio, ""]
+        ratio_row = ["cost_ratio"] + [""] * stations + [report.cost_ratio, "", ""]
         sys.stdout.write(_csv_text(header, rows + [ratio_row]))
     else:
         _print_table(header, rows)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .erlang import BOUND_CHOICES, wait_curve  # noqa: F401 - BOUND_CHOICES re-exported
+from .erlang import wait_curve
 from .errors import DomainError
 from .search import bisect_decreasing, grid_then_golden
 

@@ -24,11 +24,12 @@ Solver lineup:
   key lattice for the cheapest feasible risk allocation.
 * solve_weighted_stoch: the dualized form trading server cost against
   delta times the joint wait probability, solved per key by coordinate
-  descent.
+  descent from beta = 1. It is the package's only weighted multi-station
+  solver: with a single scenario it is the deterministic model of
+  multistation.solve_multi, a thin wrapper around it.
 
-Every descent over safety factors in the package, these solvers and
-multistation.solve_multi alike, runs through coordinate_descent and its
-one stopping rule, MAX_CYCLES and CYCLE_TOL.
+Every descent over safety factors in the package runs through
+coordinate_descent and its one stopping rule, MAX_CYCLES and CYCLE_TOL.
 """
 from __future__ import annotations
 
@@ -46,7 +47,13 @@ from .errors import (
     InfeasibleError,
     KeyScenarioTieError,
 )
-from .frontier import check_bound, check_delta, check_epsilon, integer_staffing
+from .frontier import (
+    CostFunction,
+    check_bound,
+    check_delta,
+    check_epsilon,
+    integer_staffing,
+)
 from .search import BETA_CAP, bisect_decreasing, grid_then_golden
 from .stochastic import FEASIBILITY_TOL, solve_reduced
 
@@ -86,31 +93,56 @@ def _check_costs(costs, stations):
     return out
 
 
-def _no_wait_tables(scenarios, levels, bound="exact"):
-    # per-station lookup rate -> no-wait probability at that staffing level
-    tables = []
-    for i, n in enumerate(levels):
-        table = {}
-        for rate in scenarios.marginal(i).rates:
-            if rate >= n:
-                table[rate] = 0.0
-            else:
-                table[rate] = 1.0 - wait_probability(max(n, 1.0), rate, bound=bound)
-        tables.append(table)
-    return tables
+def _cost_functions(costs, stations):
+    # one CostFunction per station; a bare per-server price c stands for
+    # CostFunction("linear-servers", c)
+    costs = tuple(costs)
+    prices = _check_costs(
+        [1.0 if isinstance(c, CostFunction) else c for c in costs], stations)
+    return tuple(c if isinstance(c, CostFunction)
+                 else CostFunction("linear-servers", p)
+                 for c, p in zip(costs, prices))
+
+
+def _wait_tables(scenarios, levels, bound="exact"):
+    # per-station lookup rate -> wait probability at that staffing level,
+    # certain waiting where the rate reaches the level
+    return [{rate: 1.0 if rate >= n
+             else wait_probability(max(n, 1.0), rate, bound=bound)
+             for rate in marginal.rates}
+            for marginal, n in zip(scenarios.marginals, levels)]
 
 
 def _joint_no_wait(scenarios, levels, bound="exact"):
-    tables = _no_wait_tables(scenarios, levels, bound)
+    tables = _wait_tables(scenarios, levels, bound)
     total = 0.0
     for rates, p in scenarios.pairs():
         prod = p
         for table, rate in zip(tables, rates):
-            prod *= table[rate]
+            prod *= 1.0 - table[rate]
             if prod == 0.0:
                 break
         total += prod
     return total
+
+
+def _joint_wait(waits):
+    """1 - prod_i (1 - w_i) as sum_i w_i prod_{j<i} (1 - w_j): no term
+    cancels, so waits far below machine epsilon still count."""
+    total = 0.0
+    no_wait = 1.0
+    for w in waits:
+        total += no_wait * w
+        no_wait *= 1.0 - w
+    return total
+
+
+def _expected_joint_wait(scenarios, levels, bound="exact"):
+    # sum_w p^w * P{some station waits | w}, summed per scenario by
+    # _joint_wait rather than formed as 1 - _joint_no_wait
+    tables = _wait_tables(scenarios, levels, bound)
+    return sum(p * _joint_wait([table[rate] for table, rate in zip(tables, rates)])
+               for rates, p in scenarios.pairs())
 
 
 def joint_constraint_value(scenarios, n):
@@ -173,6 +205,7 @@ class SolutionSummary:
     n: tuple
     cost: float
     achieved_qos: float
+    feasible: bool           # achieved_qos + FEASIBILITY_TOL >= 1 - epsilon
     n_continuous: tuple = None
     betas: tuple = None
     key_rates: tuple = None
@@ -238,20 +271,6 @@ def coordinate_descent(slice_at, objective, betas, coords):
         if not coords or previous - value < CYCLE_TOL * (1.0 + abs(value)):
             return betas, value, cycle, not at_cap
     return betas, value, MAX_CYCLES, False
-
-
-def vector_slices(objective):
-    """slice_at for coordinate_descent when objective takes the whole beta
-    vector: slice i is the objective with only betas[i] varying."""
-    def slice_at(i, betas):
-        def coord(b):
-            trial = list(betas)
-            trial[i] = b
-            return objective(trial)
-
-        return coord
-
-    return slice_at
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +676,7 @@ def solve_joint_exact_integer(scenarios, epsilon, costs):
         n=best_n,
         cost=best_cost,
         achieved_qos=joint_constraint_value(scenarios, best_n),
+        feasible=True,      # the search only keeps points meeting the target
     )
 
 
@@ -666,20 +686,27 @@ def solve_joint_exact_integer(scenarios, epsilon, costs):
 def solve_weighted_stoch(scenarios, delta, costs, bound="exact"):
     """Dualized joint model: server cost plus delta times the joint wait.
 
-    For every candidate key vector the betas are optimized by cyclic
-    coordinate descent on
+    costs holds one CostFunction per station; a bare float c stands for
+    CostFunction("linear-servers", c). For every candidate key vector the
+    betas are optimized by cyclic coordinate descent from beta = 1 on
 
-        sum_i c_i n_i(beta_i) + delta * (1 - joint no-wait),
+        sum_i cost_i(beta_i) + delta * sum_w p^w P{some station waits | w},
 
-    where the no-wait term faces the realized scenario rates through the
-    exact curve or its upper bound. The best key wins; ties keep the
-    lexicographically smallest.
+    where the wait faces the realized scenario rates through the exact
+    curve or its upper bound and is summed per scenario without forming
+    1 - no-wait, so waits far below machine epsilon still count. The best
+    key wins; ties keep the lexicographically smallest.
     """
     delta = check_delta(delta)
     L = scenarios.stations
-    costs = _check_costs(costs, L)
+    prices = _cost_functions(costs, L)
     bound = check_bound(bound)
     sizes = [len(m) for m in scenarios.marginals]
+
+    def score(betas, key_rates, bound):
+        levels = [max(r + b * math.sqrt(r), 1.0) for r, b in zip(key_rates, betas)]
+        cost = sum(c.beta_cost(b, r) for c, b, r in zip(prices, betas, key_rates))
+        return cost + delta * _expected_joint_wait(scenarios, levels, bound)
 
     best = None
     for key in itertools.product(*(range(s) for s in sizes)):
@@ -687,26 +714,24 @@ def solve_weighted_stoch(scenarios, delta, costs, bound="exact"):
                           for i, k in enumerate(key))
 
         def objective(betas):
-            levels = [max(r + b * math.sqrt(r), 1.0)
-                      for r, b in zip(key_rates, betas)]
-            no_wait = _joint_no_wait(scenarios, levels, bound)
-            return sum(c * n for c, n in zip(costs, levels)) + delta * (1.0 - no_wait)
+            return score(betas, key_rates, bound)
+
+        def slice_at(i, betas):
+            return lambda b: objective(betas[:i] + [b] + betas[i + 1:])
 
         betas, value, cycles, converged = coordinate_descent(
-            vector_slices(objective), objective, [1.0] * L, range(L))
+            slice_at, objective, [1.0] * L, range(L))
         if best is None or value < best[0]:
             best = (value, key, key_rates, tuple(betas), cycles, converged)
 
     value, key, key_rates, betas, cycles, converged = best
     decision = _decision_from_betas(betas, key, key_rates)
     exact_levels = [max(n, 1.0) for n in decision.n_continuous]
-    no_wait = _joint_no_wait(scenarios, exact_levels)
-    exact_cost = sum(c * n for c, n in zip(costs, exact_levels))
     return WeightedSolveReport(
         decision=decision,
         objective=value,
-        exact_objective=exact_cost + delta * (1.0 - no_wait),
-        no_wait=no_wait,
+        exact_objective=score(betas, key_rates, "exact"),
+        no_wait=_joint_no_wait(scenarios, exact_levels),
         bound_used=bound,
         cycles=cycles,
         converged=converged,
@@ -736,6 +761,7 @@ def compare_solutions(scenarios, epsilon, costs):
             n=report.decision.n_integer,
             cost=report.integer_cost,
             achieved_qos=report.achieved_qos,
+            feasible=report.feasible,
             n_continuous=report.decision.n_continuous,
             betas=report.decision.betas,
             key_rates=report.decision.key_rates,

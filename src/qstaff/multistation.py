@@ -5,15 +5,12 @@ The objective is
     sum_i cost_i(beta_i) + delta * (1 - prod_i (1 - wait_i(beta_i)))
 
 where the second term is the probability that a customer waits somewhere,
-by independence of the stations. Minimized by the package's one cyclic
-coordinate-descent driver, joint.coordinate_descent; each coordinate
-slice is a single-station weighted problem (increasing cost against a
-decreasing wait curve scaled by the other stations' no-wait product),
-searched by grid-plus-golden on [0, search.BETA_HI] with the bracket
-doubling up to search.BETA_CAP while the minimizer sits on its edge, as
-in frontier.solve_weighted.
+by independence of the stations. This is the one-scenario case of the
+dualized joint model, so solve_multi hands the rate vector to
+joint.solve_weighted_stoch as a single scenario of probability one and
+reports its answer per station.
 
-Coordinate descent certifies coordinate-wise optimality only. At desk
+The descent there certifies coordinate-wise optimality only. At desk
 scale the test suite backs it with a dense 2-D grid cross-check; no
 convexity claim is made for the objective.
 """
@@ -24,8 +21,9 @@ from dataclasses import dataclass
 
 from .erlang import wait_curve
 from .errors import DomainError
-from .frontier import CostFunction, check_bound, check_delta, solve_weighted
-from .joint import coordinate_descent, vector_slices
+from .frontier import CostFunction, check_delta
+from .joint import _joint_wait, solve_weighted_stoch
+from .scenarios import JointScenarioSet
 
 __all__ = ["MultiStationInstance", "MultiSolveReport", "solve_multi",
            "exact_objective", "objective_gap"]
@@ -63,62 +61,28 @@ class MultiSolveReport:
     per_station_wait: tuple   # exact wait probabilities at the solution
     joint_wait: float         # 1 - prod(1 - per_station_wait)
     bound_used: str
-    evaluations: int
     converged: bool
     cycles: int
 
 
-def _joint_wait(waits):
-    """1 - prod_i (1 - w_i) as sum_i w_i prod_{j<i} (1 - w_j): no term
-    cancels, so waits far below machine epsilon still count."""
-    total = 0.0
-    no_wait = 1.0
-    for w in waits:
-        total += no_wait * w
-        no_wait *= 1.0 - w
-    return total
-
-
 def solve_multi(instance, bound="exact"):
-    """Cyclic coordinate descent from a decoupled warm start.
+    """joint.solve_weighted_stoch on the single scenario instance.lambdas.
 
-    Initialization solves each station's weighted problem alone with QoS
-    weight delta/L; the coordinate loop then repeatedly re-optimizes one
-    beta holding the rest fixed, in station order, until a full cycle
-    improves the objective by less than joint.CYCLE_TOL relative.
-    The reported objective is the solved objective at the returned betas.
+    The reported objective is the solved objective at the returned betas,
+    under the bound the solve ran with; the waits are exact.
     """
-    bound = check_bound(bound)
-    L = instance.station_count
-    lams, costs = instance.lambdas, instance.costs
-    delta = float(instance.delta)
-    curves = [wait_curve(lam, bound) for lam in lams]
-    evals = 0
-
-    betas = []
-    for lam, cost in zip(lams, costs):
-        rep = solve_weighted(lam, delta / L, cost, bound=bound)
-        evals += rep.evaluations
-        betas.append(rep.beta)
-
-    def objective_at(bs):
-        nonlocal evals
-        evals += 1
-        cost_total = sum(c.beta_cost(b, lam) for b, lam, c in zip(bs, lams, costs))
-        return cost_total + delta * _joint_wait([curve(b) for b, curve in zip(bs, curves)])
-
-    betas, value, cycles, converged = coordinate_descent(
-        vector_slices(objective_at), objective_at, betas, range(L))
-    waits = tuple(wait_curve(lam)(b) for b, lam in zip(betas, lams))
+    report = solve_weighted_stoch(JointScenarioSet((instance.lambdas,), (1.0,)),
+                                  instance.delta, instance.costs, bound)
+    betas = report.decision.betas
+    waits = tuple(wait_curve(lam)(b) for b, lam in zip(betas, instance.lambdas))
     return MultiSolveReport(
-        betas=tuple(betas),
-        objective=value,
+        betas=betas,
+        objective=report.objective,
         per_station_wait=waits,
         joint_wait=_joint_wait(waits),
-        bound_used=bound,
-        evaluations=evals,
-        converged=converged,
-        cycles=cycles,
+        bound_used=report.bound_used,
+        converged=report.converged,
+        cycles=report.cycles,
     )
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "StochSolveReport",
     "select_key_scenario",
     "constraint_value",
-    "wait_curve",
     "solve_reduced",
     "solve_exact_enumeration",
 ]

@@ -5,6 +5,8 @@ or the files it writes, so the exit-code contract and the output formats
 are exercised without spawning subprocesses.
 """
 
+import csv
+import io
 import json
 
 import pytest
@@ -14,7 +16,8 @@ from qstaff.erlang import wait_probability
 from qstaff.errors import BracketError, InfeasibleError
 from qstaff.files import load_scenario_file, resolve_scenario_path
 from qstaff.frontier import CostFunction, solve_constrained
-from qstaff.joint import joint_constraint_value
+from qstaff.joint import joint_constraint_value, solve_weighted_stoch
+from qstaff.stochastic import FEASIBILITY_TOL
 
 EXAMPLE_SOLUTION = [496, 235]
 EXAMPLE_COST = 3185.0
@@ -43,6 +46,24 @@ def det_document(lam=100.0, cost=2.0, **problem):
         "scenarios": [{"rates": [lam], "probability": 1.0}],
         "problem": {"costs": [cost], "solver": "det", **problem},
     }
+
+
+def two_station_document(scenarios, **problem):
+    return {
+        "version": 1,
+        "stations": [{"id": "front"}, {"id": "back"}],
+        "scenarios": [{"rates": list(rates), "probability": p}
+                      for rates, p in scenarios],
+        "problem": {"epsilon": 0.05, "costs": [5.0, 3.0], **problem},
+    }
+
+
+# the ROADMAP's 64-scenario stress instance S64: rates 300..475 by 25 and
+# 100..240 by 20, uniform and independent
+S64_DOCUMENT = two_station_document(
+    [((300.0 + 25.0 * i, 100.0 + 20.0 * j), 1.0 / 64)
+     for i in range(8) for j in range(8)],
+    solver="stoch-multi-joint")
 
 
 def two_point_document():
@@ -249,6 +270,31 @@ class TestSolve:
         assert n == best
         assert record["objective"] == pytest.approx(objective(best), rel=1e-12)
 
+    def test_huge_delta_objective_keeps_the_tiny_wait(self, capsys, tmp_path):
+        # 65 servers against rate 1 wait with probability 4.5e-92, which
+        # 1 - no-wait rounds to zero
+        path = write_document(tmp_path, det_document(lam=1.0, cost=1.0, delta=1e200))
+        code, out, _ = run(capsys, "solve", path, "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        assert record["solution"] == [65]
+        assert record["objective"] == pytest.approx(
+            65.0 + 1e200 * wait_probability(65, 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("document", [
+        None,
+        two_station_document([((120.0, 40.0), 1.0)], solver="det"),
+    ], ids=["example1-stoch-multi-joint", "two-station-det"])
+    def test_delta_modes_match_library(self, capsys, tmp_path, document):
+        path = write_document(tmp_path, document) if document else "example1"
+        code, out, _ = run(capsys, "solve", path, "--delta", "20000",
+                           "--format", "json")
+        assert code == 0
+        scenario_file = load_scenario_file(resolve_scenario_path(path))
+        expected = solve_weighted_stoch(
+            scenario_file.joint_set(), 20000.0, scenario_file.problem.costs)
+        assert json.loads(out)["solution"] == list(expected.decision.n_integer)
+
     def test_epsilon_flag_overrides_file(self, capsys, tmp_path):
         path = write_document(tmp_path, det_document())
         code, out, _ = run(capsys, "solve", path, "--epsilon", "0.05",
@@ -366,6 +412,28 @@ class TestCompare:
         for joint_n, reduced_n in zip(payload["joint"]["n"],
                                       payload["reduced"]["n"]):
             assert abs(joint_n - reduced_n) <= 1
+
+    @pytest.mark.parametrize("document", [None, S64_DOCUMENT],
+                             ids=["example1", "S64"])
+    def test_feasible_flag_follows_achieved_qos(self, capsys, tmp_path, document):
+        path = write_document(tmp_path, document) if document else "example1"
+        code, out, _ = run(capsys, "compare", path, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        target = 1.0 - payload["epsilon"]
+        flags = []
+        for label in ("joint", "reduced", "decoupled"):
+            column = payload[label]
+            assert column["feasible"] == (
+                column["achieved_qos"] + FEASIBILITY_TOL >= target)
+            flags.append("true" if column["feasible"] else "false")
+        code, out, _ = run(capsys, "compare", path, "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["feasible"] for row in rows[:3]] == flags
+        code, out, _ = run(capsys, "compare", path)
+        assert code == 0
+        assert out.split("\n")[0].split()[-1] == "feasible"
 
     def test_single_station_columns_identical(self, capsys, tmp_path):
         path = write_document(tmp_path, two_point_document())

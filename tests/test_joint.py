@@ -25,6 +25,7 @@ from qstaff.joint import (
     solve_weighted_stoch,
 )
 from qstaff.scenarios import JointScenarioSet, ScenarioSet
+from qstaff.search import BETA_CAP
 from qstaff.stochastic import solve_reduced
 
 from .oracles import mp_erlang_c
@@ -463,12 +464,29 @@ class TestSolveJointExactInteger:
 
 
 class TestSolveWeightedStoch:
-    def test_single_station_single_scenario_reduces_to_scalar(self):
+    @pytest.mark.parametrize("cost, price", [
+        (2.0, CostFunction("linear-servers", 2.0)),
+        (CostFunction("linear-beta", 2.0),) * 2,
+        (CostFunction("linear-servers", 2.0),) * 2,
+        (CostFunction("table", table=((0.0, 1.0), (1.0, 4.0), (3.0, 20.0))),) * 2,
+    ], ids=["float", "linear-beta", "linear-servers", "table"])
+    def test_single_station_single_scenario_reduces_to_scalar(self, cost, price):
         one = JointScenarioSet(((150.0,),), (1.0,))
-        rep = solve_weighted_stoch(one, 40.0, (2.0,))
-        scalar = solve_weighted(150.0, 40.0, CostFunction("linear-servers", 2.0))
+        rep = solve_weighted_stoch(one, 40.0, (cost,))
+        scalar = solve_weighted(150.0, 40.0, price)
         assert rep.decision.betas[0] == pytest.approx(scalar.beta, abs=1e-6)
         assert rep.objective == pytest.approx(scalar.objective, rel=1e-9)
+
+    def test_sub_epsilon_waits_reach_the_cap(self):
+        # 1 - no-wait rounds to zero once the wait falls below about 1e-16,
+        # which used to stop the descent at beta = 17
+        one = JointScenarioSet(((1.0,),), (1.0,))
+        rep = solve_weighted_stoch(one, 1e200, (1.0,))
+        scalar = solve_weighted(1.0, 1e200, CostFunction("linear-servers", 1.0))
+        assert rep.decision.betas == (BETA_CAP,)
+        assert not rep.converged
+        assert rep.objective == pytest.approx(scalar.objective, rel=1e-9)
+        assert rep.exact_objective == rep.objective
 
     def test_exact_bound_scores_are_consistent(self):
         rep = solve_weighted_stoch(instance(), 20000.0, PRICES)
