@@ -1,0 +1,208 @@
+"""Dump a fixed set of solver outputs, or diff two such dumps.
+
+A change that should not move answers is checked by writing the dump at
+both commits and diffing the two files:
+
+    PYTHONPATH=src python3 scripts/same_answers.py before.json   # old tree
+    PYTHONPATH=src python3 scripts/same_answers.py after.json    # new tree
+    python3 scripts/same_answers.py --diff before.json after.json
+
+The output set: compare_solutions on the bundled example1, the S64, S3
+and S4 stress instances (an InfeasibleError is recorded by its text) and
+the first 50 compare-2st benchmark instances of seeds 1 and 2; the full
+solve_joint report on example1 and S64; solve_joint_exact_integer on S3
+and S4; solve_weighted_stoch on example1 at delta 50, 1e3 and 1e5 on the
+exact curve and the upper bound.
+
+Each output is stored as its repr and as a flat field -> value map.
+The diff reports, per output kind and field, whether every value is
+identical, or the largest absolute difference and how many outputs it
+touches. The benchmark instances come from perfbench/gen.py, imported
+by path.
+"""
+
+import argparse
+import dataclasses
+import importlib.util
+import json
+import math
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+COMPARE_SEEDS = (1, 2)
+COMPARE_INSTANCES = 50
+WEIGHTED_DELTAS = (50.0, 1e3, 1e5)
+WEIGHTED_BOUNDS = ("exact", "upper")
+
+
+def _gen():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", ROOT / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def stress_instances():
+    """name -> (scenarios, epsilon, costs) for the ROADMAP stress set."""
+    from qstaff import JointScenarioSet, ScenarioSet
+
+    def product(*marginals):
+        return JointScenarioSet.from_product(
+            [ScenarioSet(rates, probs) for rates, probs in marginals])
+
+    return {
+        "S64": (product((tuple(300.0 + 25.0 * k for k in range(8)), (0.125,) * 8),
+                        (tuple(100.0 + 20.0 * k for k in range(8)), (0.125,) * 8)),
+                0.05, (5.0, 3.0)),
+        "S3": (product(((300.0, 400.0, 500.0), (0.5, 0.3, 0.2)),
+                       ((100.0, 200.0), (0.7, 0.3)),
+                       ((50.0, 80.0, 120.0), (0.6, 0.3, 0.1))),
+               0.05, (1.0, 1.0, 1.0)),
+        "S4": (product(((300.0, 400.0), (0.7, 0.3)),
+                       ((100.0, 200.0), (0.7, 0.3)),
+                       ((50.0, 80.0), (0.8, 0.2)),
+                       ((150.0, 180.0), (0.6, 0.4))),
+               0.05, (1.0, 1.0, 1.0, 1.0)),
+    }
+
+
+def flatten(value, prefix=""):
+    """Dataclass fields, recursively, as {dotted path: JSON value}."""
+    if dataclasses.is_dataclass(value):
+        out = {}
+        for field in dataclasses.fields(value):
+            name = f"{prefix}.{field.name}" if prefix else field.name
+            out.update(flatten(getattr(value, field.name), name))
+        return out
+    if isinstance(value, tuple):
+        value = list(value)
+    return {prefix or "value": value}
+
+
+def record(solve):
+    try:
+        result = solve()
+    except Exception as exc:    # the error text is part of the answer
+        return {"repr": f"{type(exc).__name__}: {exc}",
+                "fields": {"error": f"{type(exc).__name__}: {exc}"}}
+    return {"repr": repr(result), "fields": flatten(result)}
+
+
+def outputs():
+    from qstaff import (
+        JointScenarioSet,
+        compare_solutions,
+        load_scenario_file,
+        resolve_scenario_path,
+        solve_joint,
+        solve_joint_exact_integer,
+        solve_weighted_stoch,
+    )
+
+    spec = load_scenario_file(resolve_scenario_path("example1"))
+    example1 = (spec.joint_set(), spec.problem.epsilon, spec.problem.costs)
+    stress = stress_instances()
+    out = {"compare/example1": record(lambda: compare_solutions(*example1))}
+    for name, args in stress.items():
+        out[f"compare/{name}"] = record(lambda: compare_solutions(*args))
+    gen = _gen()
+    for seed in COMPARE_SEEDS:
+        for index in range(COMPARE_INSTANCES):
+            inst = gen.instance(seed, "compare-2st", index)
+            scenarios = JointScenarioSet(inst["rate_vectors"], inst["probs"])
+            out[f"compare/{inst['id']}"] = record(
+                lambda: compare_solutions(scenarios, inst["epsilon"], inst["costs"]))
+    out["joint/example1"] = record(lambda: solve_joint(*example1))
+    out["joint/S64"] = record(lambda: solve_joint(*stress["S64"]))
+    for name in ("S3", "S4"):
+        out[f"lattice/{name}"] = record(
+            lambda: solve_joint_exact_integer(*stress[name]))
+    for delta in WEIGHTED_DELTAS:
+        for bound in WEIGHTED_BOUNDS:
+            out[f"weighted/example1/{delta:g}/{bound}"] = record(
+                lambda: solve_weighted_stoch(example1[0], delta, example1[2],
+                                             bound=bound))
+    return out
+
+
+def _abs_difference(a, b):
+    """Largest absolute difference of two numbers or equal-length number
+    lists; None when the values are not comparable that way."""
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        diffs = [_abs_difference(x, y) for x, y in zip(a, b)]
+        return None if None in diffs else max(diffs, default=0.0)
+    numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                  for x in (a, b))
+    if not numbers:
+        return None
+    if math.isinf(a) or math.isinf(b):
+        return 0.0 if a == b else math.inf
+    return abs(a - b)
+
+
+def diff(before, after):
+    """Lines of a per-(kind, field) comparison of two dumps."""
+    lines = []
+    for name in sorted(set(before) ^ set(after)):
+        side = "before" if name in before else "after"
+        lines.append(f"output {name}: only {side}")
+    stats = {}
+    for name in sorted(set(before) & set(after)):
+        kind = name.split("/", 1)[0]
+        a, b = before[name]["fields"], after[name]["fields"]
+        for field in sorted(set(a) | set(b)):
+            entry = stats.setdefault((kind, field), {
+                "outputs": 0, "differ": 0, "largest": 0.0, "only": None,
+                "example": None})
+            entry["outputs"] += 1
+            if field not in a or field not in b:
+                entry["only"] = "before" if field in a else "after"
+                continue
+            if a[field] == b[field]:
+                continue
+            entry["differ"] += 1
+            gap = _abs_difference(a[field], b[field])
+            if gap is None:
+                entry["largest"] = None
+                entry["example"] = entry["example"] or (name, a[field], b[field])
+            elif entry["largest"] is not None:
+                entry["largest"] = max(entry["largest"], gap)
+    for (kind, field), entry in sorted(stats.items()):
+        head = f"{kind}.{field} ({entry['outputs']} outputs):"
+        if entry["only"]:
+            lines.append(f"{head} only {entry['only']}")
+        elif not entry["differ"]:
+            lines.append(f"{head} identical")
+        elif entry["largest"] is None:
+            name, old, new = entry["example"]
+            lines.append(f"{head} differs in {entry['differ']}, "
+                         f"e.g. {name}: {old!r} -> {new!r}")
+        else:
+            lines.append(f"{head} largest |difference| {entry['largest']:.3g} "
+                         f"in {entry['differ']}")
+    return lines
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("out", nargs="?", help="write the dump to this JSON file")
+    parser.add_argument("--diff", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two dumps field by field")
+    args = parser.parse_args()
+    if args.diff:
+        before, after = (json.loads(pathlib.Path(p).read_text()) for p in args.diff)
+        print("\n".join(diff(before, after)))
+        return 0
+    if not args.out:
+        parser.error("give an output file, or --diff BEFORE AFTER")
+    pathlib.Path(args.out).write_text(json.dumps(outputs(), indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -229,20 +229,19 @@ def _parse_problem(data, station_count):
                   "problem.costs")
         costs = tuple(_positive_real(c, f"problem.costs[{j}]")
                       for j, c in enumerate(raw))
-    solver = None
-    if "solver" in problem:
-        solver = _require(problem, "solver", str, "problem.solver")
-        if solver not in SOLVER_MODES:
-            _fail(f"unknown solver {solver!r}; choose from {', '.join(SOLVER_MODES)}",
-                  "problem.solver")
-    bound = "exact"
-    if "bound" in problem:
-        bound = _require(problem, "bound", str, "problem.bound")
-        if bound not in BOUND_CHOICES:
-            _fail(f"unknown bound {bound!r}; choose from {', '.join(BOUND_CHOICES)}",
-                  "problem.bound")
     return ProblemSpec(epsilon=epsilon, delta=delta, costs=costs,
-                       solver=solver, bound=bound)
+                       solver=_choice(problem, "solver", SOLVER_MODES, None),
+                       bound=_choice(problem, "bound", BOUND_CHOICES, "exact"))
+
+
+def _choice(problem, key, choices, default):
+    if key not in problem:
+        return default
+    value = _require(problem, key, str, f"problem.{key}")
+    if value not in choices:
+        _fail(f"unknown {key} {value!r}; choose from {', '.join(choices)}",
+              f"problem.{key}")
+    return value
 
 
 def parse_scenario_data(data):
@@ -304,15 +303,7 @@ class RunRecord:
     tool_version: str
 
     def to_data(self):
-        return {
-            "input_digest": self.input_digest,
-            "solver": self.solver,
-            "solution": list(self.solution),
-            "objective": self.objective,
-            "achieved_qos": self.achieved_qos,
-            "wall_time_s": self.wall_time_s,
-            "tool_version": self.tool_version,
-        }
+        return {**asdict(self), "solution": list(self.solution)}
 
 
 def make_run_record(scenario_file, solver, solution, objective, wall_time_s):

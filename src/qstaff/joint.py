@@ -6,7 +6,11 @@ stations, the probability that no customer waits anywhere is
     sum_w p^w * prod_i (1 - alpha(n_i, Lam_i^w)) >= 1 - epsilon,
 
 where a station whose realized rate reaches its staffing level is
-unstable and contributes zero no-wait probability.
+unstable and contributes zero no-wait probability. The sum is evaluated
+by folding every station but one into weights over that station's
+marginal rates, then one dot product with its no-wait vector; solve_joint
+folds the free stations once per dependent-beta solve, so each bisection
+step costs R_dep kernel calls, one per rate of the dependent station.
 
 Solver lineup:
 
@@ -22,11 +26,10 @@ Solver lineup:
   model keyed to a per-station key scenario, with scenarios above a key
   written off and scenarios below it written in; enumeration searches the
   key lattice for the cheapest feasible risk allocation.
-* solve_weighted_stoch: the dualized form trading server cost against
-  delta times the joint wait probability, solved per key by coordinate
-  descent from beta = 1. It is the package's only weighted multi-station
-  solver: with a single scenario it is the deterministic model of
-  multistation.solve_multi, a thin wrapper around it.
+* solve_weighted_stoch: the only weighted multi-station solver, trading
+  server cost against delta times the joint wait probability by descent
+  from beta = 1 at every key; multistation.solve_multi is its
+  one-scenario case.
 
 Every descent over safety factors in the package runs through
 coordinate_descent and its one stopping rule, MAX_CYCLES and CYCLE_TOL.
@@ -81,6 +84,9 @@ LATTICE_BLOCK_CELLS = 1 << 16
 # doublings of the 3*sqrt(rate) margin tried for a feasible box corner
 # when the key-scenario rule ties
 CORNER_DOUBLINGS = 8
+# a key must beat the incumbent by this relative margin, so near-ties in
+# a key ranking go to the lexicographically smallest key
+KEY_TIE_RTOL = 1e-9
 
 
 def _check_costs(costs, stations):
@@ -104,26 +110,36 @@ def _cost_functions(costs, stations):
                  for c, p in zip(costs, prices))
 
 
-def _wait_tables(scenarios, levels, bound="exact"):
-    # per-station lookup rate -> wait probability at that staffing level,
-    # certain waiting where the rate reaches the level
-    return [{rate: 1.0 if rate >= n
-             else wait_probability(max(n, 1.0), rate, bound=bound)
-             for rate in marginal.rates}
-            for marginal, n in zip(scenarios.marginals, levels)]
+def _wait_vector(marginal, n, bound="exact"):
+    # wait probability at staffing level n against each of the station's
+    # marginal rates, certain waiting where the rate reaches the level
+    return [1.0 if rate >= n else wait_probability(max(n, 1.0), rate, bound=bound)
+            for rate in marginal.rates]
 
 
-def _joint_no_wait(scenarios, levels, bound="exact"):
-    tables = _wait_tables(scenarios, levels, bound)
-    total = 0.0
-    for rates, p in scenarios.pairs():
-        prod = p
-        for table, rate in zip(tables, rates):
-            prod *= 1.0 - table[rate]
-            if prod == 0.0:
-                break
-        total += prod
-    return total
+def _fold(scenarios, levels):
+    # weights over the last station's rates, station i < L-1 at levels[i]:
+    # weights[j] sums p^w prod_i u_i[idx_i(w)] over the scenarios w at the
+    # last station's j-th rate, u_i being station i's no-wait vector; the
+    # joint no-wait is their dot product with the last station's vector
+    index = scenarios.rate_index
+    terms = scenarios.probs
+    for marginal, n, idx in zip(scenarios.marginals, levels, index[:-1]):
+        no_wait = [1.0 - w for w in _wait_vector(marginal, n)]
+        terms = [t * no_wait[k] for t, k in zip(terms, idx)]
+    weights = [0.0] * len(scenarios.marginals[-1])
+    for t, j in zip(terms, index[-1]):
+        weights[j] += t
+    return weights
+
+
+def _no_wait_dot(weights, waits):
+    return sum(x * (1.0 - w) for x, w in zip(weights, waits))
+
+
+def _joint_no_wait(scenarios, levels):
+    return _no_wait_dot(_fold(scenarios, levels[:-1]),
+                        _wait_vector(scenarios.marginals[-1], levels[-1]))
 
 
 def _joint_wait(waits):
@@ -140,9 +156,11 @@ def _joint_wait(waits):
 def _expected_joint_wait(scenarios, levels, bound="exact"):
     # sum_w p^w * P{some station waits | w}, summed per scenario by
     # _joint_wait rather than formed as 1 - _joint_no_wait
-    tables = _wait_tables(scenarios, levels, bound)
-    return sum(p * _joint_wait([table[rate] for table, rate in zip(tables, rates)])
-               for rates, p in scenarios.pairs())
+    columns = [[waits[k] for k in idx] for waits, idx in zip(
+        (_wait_vector(m, n, bound) for m, n in zip(scenarios.marginals, levels)),
+        scenarios.rate_index)]
+    return sum(p * _joint_wait(waits)
+               for waits, p in zip(zip(*columns), scenarios.probs))
 
 
 def joint_constraint_value(scenarios, n):
@@ -184,6 +202,8 @@ class JointSolveReport:
     feasible: bool
     over_conservative: bool  # constants alone met the target; all betas zero
     method: str
+    cycles: int              # descent cycles run; 0 when nothing was descended
+    converged: bool          # descent met its stopping rule within MAX_CYCLES
 
 
 @dataclass(frozen=True)
@@ -230,7 +250,8 @@ def _decision_from_betas(betas, key_indices, key_rates):
     )
 
 
-def _reduced_report(scenarios, decision, costs, eps, method, over_conservative=False):
+def _reduced_report(scenarios, decision, costs, eps, method, over_conservative=False,
+                    cycles=0, converged=True):
     achieved = joint_constraint_value(scenarios, decision.n_integer)
     return JointSolveReport(
         decision=decision,
@@ -242,6 +263,8 @@ def _reduced_report(scenarios, decision, costs, eps, method, over_conservative=F
         feasible=achieved + FEASIBILITY_TOL >= 1.0 - eps,
         over_conservative=over_conservative,
         method=method,
+        cycles=cycles,
+        converged=converged,
     )
 
 
@@ -313,13 +336,10 @@ def _key_rates(scenarios, key_indices):
         raise DomainError(
             f"need one key index per station, got {len(keys)} for "
             f"{scenarios.stations} stations")
-    rates = []
-    for i, k in enumerate(keys):
-        marginal = scenarios.marginal(i)
+    for i, (k, marginal) in enumerate(zip(keys, scenarios.marginals)):
         if not 0 <= k < len(marginal):
             raise DomainError(f"station {i} key index out of range: {k!r}")
-        rates.append(marginal.rates[k])
-    return keys, tuple(rates)
+    return keys, tuple(m.rates[k] for m, k in zip(scenarios.marginals, keys))
 
 
 def _reduced_terms(scenarios, key_rates):
@@ -333,35 +353,28 @@ def _reduced_terms(scenarios, key_rates):
     coeffs = {}
     for rates, p in scenarios.pairs():
         mask = 0
-        dead = False
-        for i, r in enumerate(rates):
-            if r > key_rates[i]:
-                dead = True
+        for i, (r, key) in enumerate(zip(rates, key_rates)):
+            if r > key:
                 break
-            if r == key_rates[i]:
+            if r == key:
                 mask |= 1 << i
-        if not dead:
+        else:
             coeffs[mask] = coeffs.get(mask, 0.0) + p
     return coeffs
 
 
-def _split_linear(coeffs, u, station):
-    # constraint = A + B * u_station with every other u fixed
-    const = 0.0
-    slope = 0.0
+def _split_linear(coeffs, u):
+    # constraint = const + slope * u_last with the free stations' u fixed
+    const = slope = 0.0
+    last = 1 << len(u)
     for mask, c in coeffs.items():
-        prod = c
-        rest = mask & ~(1 << station)
-        i = 0
-        while rest:
-            if rest & 1:
-                prod *= u[i]
-            rest >>= 1
-            i += 1
-        if mask >> station & 1:
-            slope += prod
+        for i, x in enumerate(u):
+            if mask >> i & 1:
+                c *= x
+        if mask & last:
+            slope += c
         else:
-            const += prod
+            const += c
     return const, slope
 
 
@@ -403,7 +416,7 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
         """Smallest beta for the dependent station, or inf if the free
         coordinates leave the target out of reach."""
         u = [1.0 - curve(b) for curve, b in zip(curves, betas[:dep])]
-        const, slope = _split_linear(coeffs, u, dep)
+        const, slope = _split_linear(coeffs, u)
         if const >= target:
             return 0.0
         if slope <= 0.0:
@@ -441,14 +454,15 @@ def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method
 
         return coord
 
-    betas, value, _, _ = coordinate_descent(slice_at, completed, betas, range(dep))
+    betas, value, cycles, converged = coordinate_descent(
+        slice_at, completed, betas, range(dep))
     if not math.isfinite(value):
         raise InfeasibleError(
             f"key scenario {keys} needs a safety factor beyond the "
             f"bracket cap {BETA_CAP}")
     return _reduced_report(
         scenarios, _decision_from_betas(betas, keys, key_rates),
-        costs, eps, method)
+        costs, eps, method, cycles=cycles, converged=converged)
 
 
 def enumerate_key_scenarios(scenarios, epsilon, costs, cap=10000):
@@ -474,7 +488,7 @@ def enumerate_key_scenarios(scenarios, epsilon, costs, cap=10000):
         except InfeasibleError as exc:
             reasons.append(str(exc))
             continue
-        if best is None or report.server_cost < best.server_cost * (1.0 - 1e-9):
+        if best is None or report.server_cost < best.server_cost * (1.0 - KEY_TIE_RTOL):
             best = report
     if best is None:
         raise InfeasibleError(
@@ -499,38 +513,30 @@ def _stability_threshold(marginal, eps):
     return marginal.rates[-1]
 
 
-def _tie_corner(scenarios, target):
-    # box top when the key-scenario rule ties: every station at its top
-    # rate plus 3*sqrt(rate), the margins doubled until the corner is
-    # feasible
-    tops = [m.rates[-1] for m in scenarios.marginals]
-    for doubling in range(CORNER_DOUBLINGS + 1):
-        scale = 3.0 * 2.0 ** doubling
-        upper = [r + scale * math.sqrt(r) for r in tops]
-        corner = _joint_no_wait(scenarios, upper)
-        if corner >= target:
-            return upper
-    raise InfeasibleError(
-        f"joint target {target:.6g} unreachable: no-wait probability with "
-        f"{scale:g} sqrt(rate) above every top rate is only {corner:.6g}")
-
-
 def _search_bounds(scenarios, eps, costs):
+    # box top: the decoupled levels plus 3*sqrt(level); when the
+    # key-scenario rule ties, every top rate plus 3*sqrt(rate) with the
+    # margin doubled up to CORNER_DOUBLINGS times until the corner is
+    # feasible
     target = 1.0 - eps
     lower = [_stability_threshold(scenarios.marginal(i), eps)
              for i in range(scenarios.stations)]
     try:
-        decision = _decoupled_decision(scenarios, eps, costs)
+        base = _decoupled_decision(scenarios, eps, costs).n_continuous
+        doublings = 0
     except KeyScenarioTieError:
-        return lower, _tie_corner(scenarios, target)
-    upper = [n + 3.0 * math.sqrt(n) for n in decision.n_continuous]
-    corner = _joint_no_wait(scenarios, upper)
-    if corner < target:
-        raise InfeasibleError(
-            f"joint target {target:.6g} unreachable inside the search box: "
-            f"no-wait probability at staffing {tuple(round(x, 3) for x in upper)} "
-            f"is only {corner:.6g}")
-    return lower, upper
+        base = [m.rates[-1] for m in scenarios.marginals]
+        doublings = CORNER_DOUBLINGS
+    for doubling in range(doublings + 1):
+        scale = 3.0 * 2.0 ** doubling
+        upper = [r + scale * math.sqrt(r) for r in base]
+        corner = _joint_no_wait(scenarios, upper)
+        if corner >= target:
+            return lower, upper
+    raise InfeasibleError(
+        f"joint target {target:.6g} unreachable inside the search box: "
+        f"no-wait probability at staffing {tuple(round(x, 3) for x in upper)} "
+        f"is only {corner:.6g}")
 
 
 def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
@@ -552,8 +558,7 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
     costs = _check_costs(costs, L)
     if key_indices is None:
         seed = enumerate_key_scenarios(scenarios, eps, costs)
-        keys = seed.decision.key_indices
-        key_rates = seed.decision.key_rates
+        keys, key_rates = seed.decision.key_indices, seed.decision.key_rates
         betas = list(seed.decision.betas)
     else:
         keys, key_rates = _key_rates(scenarios, key_indices)
@@ -562,14 +567,22 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
             raise DomainError("warm_betas must be a non-negative vector, one per station")
     roots = [math.sqrt(r) for r in key_rates]
     dep = L - 1
+    dep_waits = {}  # dependent wait vectors by level; bisection midpoints recur
 
     def dep_beta(betas):
-        # smallest dependent beta restoring the constraint, holding the
-        # free coordinates fixed; the joint wait is decreasing in it
+        # smallest dependent beta restoring the constraint with the free
+        # coordinates fixed (the joint wait falls in it); the free stations
+        # fold once into weights over the dependent rates, so a bisection
+        # step makes at most one kernel call per dependent rate
+        free = [max(r + x * rt, 1.0) for r, rt, x in zip(key_rates, roots, betas[:dep])]
+        weights = _fold(scenarios, free)
+
         def joint_wait(b):
-            levels = [max(r + x * rt, 1.0)
-                      for r, rt, x in zip(key_rates, roots, betas[:dep] + [b])]
-            return 1.0 - _joint_no_wait(scenarios, levels)
+            level = max(key_rates[dep] + b * roots[dep], 1.0)
+            waits = dep_waits.get(level)
+            if waits is None:
+                waits = dep_waits[level] = _wait_vector(scenarios.marginals[dep], level)
+            return 1.0 - _no_wait_dot(weights, waits)
 
         try:
             return bisect_decreasing(joint_wait, eps).root
@@ -613,13 +626,9 @@ def solve_joint_exact_integer(scenarios, epsilon, costs):
 
     # tables[i][j, k - lower_i]: no-wait at level k against station i's
     # j-th marginal rate; index[i][w]: that rate's position in scenario w
-    tables = []
-    index = []
-    for i, marginal in enumerate(scenarios.marginals):
-        tables.append(np.array([_exact_no_wait_column(r, lower[i], upper[i])
-                                for r in marginal.rates]))
-        position = {r: j for j, r in enumerate(marginal.rates)}
-        index.append(np.array([position[v[i]] for v in scenarios.rate_vectors]))
+    tables = [np.array([_exact_no_wait_column(r, lo, hi) for r in marginal.rates])
+              for marginal, lo, hi in zip(scenarios.marginals, lower, upper)]
+    index = [np.array(idx) for idx in scenarios.rate_index]
     # outer station factors gathered per scenario, one row per level
     outer_factors = [np.ascontiguousarray(tables[i][index[i]].T)
                      for i in range(outer_stations)]
@@ -695,7 +704,8 @@ def solve_weighted_stoch(scenarios, delta, costs, bound="exact"):
     where the wait faces the realized scenario rates through the exact
     curve or its upper bound and is summed per scenario without forming
     1 - no-wait, so waits far below machine epsilon still count. The best
-    key wins; ties keep the lexicographically smallest.
+    key wins; near-ties within KEY_TIE_RTOL keep the lexicographically
+    smallest.
     """
     delta = check_delta(delta)
     L = scenarios.stations
@@ -710,8 +720,7 @@ def solve_weighted_stoch(scenarios, delta, costs, bound="exact"):
 
     best = None
     for key in itertools.product(*(range(s) for s in sizes)):
-        key_rates = tuple(scenarios.marginal(i).rates[k]
-                          for i, k in enumerate(key))
+        key_rates = tuple(m.rates[k] for m, k in zip(scenarios.marginals, key))
 
         def objective(betas):
             return score(betas, key_rates, bound)
@@ -721,7 +730,7 @@ def solve_weighted_stoch(scenarios, delta, costs, bound="exact"):
 
         betas, value, cycles, converged = coordinate_descent(
             slice_at, objective, [1.0] * L, range(L))
-        if best is None or value < best[0]:
+        if best is None or value < best[0] * (1.0 - KEY_TIE_RTOL):
             best = (value, key, key_rates, tuple(betas), cycles, converged)
 
     value, key, key_rates, betas, cycles, converged = best

@@ -111,9 +111,7 @@ def objective_gap(instance, betas):
     betas = tuple(float(b) for b in betas)
     if len(betas) != instance.station_count or any(b < 0 for b in betas):
         raise DomainError("betas must be a non-negative vector, one per station")
-    exact = 1.0
-    upper = 1.0
-    for b, lam in zip(betas, instance.lambdas):
-        exact *= 1.0 - wait_curve(lam)(b)
-        upper *= 1.0 - wait_curve(lam, "upper")(b)
+    exact = math.prod(1.0 - wait_curve(lam)(b) for b, lam in zip(betas, instance.lambdas))
+    upper = math.prod(1.0 - wait_curve(lam, "upper")(b)
+                      for b, lam in zip(betas, instance.lambdas))
     return float(instance.delta) * (exact - upper)

@@ -137,11 +137,16 @@ class JointScenarioSet:
     @cached_property
     def marginals(self):
         """Per-station marginal distributions, as a tuple of ScenarioSet."""
-        out = []
-        for i in range(self.stations):
-            out.append(ScenarioSet(
-                tuple(v[i] for v in self.rate_vectors), self.probs))
-        return tuple(out)
+        return tuple(ScenarioSet(column, self.probs)
+                     for column in zip(*self.rate_vectors))
+
+    @cached_property
+    def rate_index(self):
+        """rate_index[i][w]: position of scenario w's station-i rate in
+        marginal(i).rates, one tuple of ints per station."""
+        positions = [{r: j for j, r in enumerate(m.rates)} for m in self.marginals]
+        return tuple(tuple(position[r] for r in column)
+                     for position, column in zip(positions, zip(*self.rate_vectors)))
 
     def marginal(self, station):
         if not 0 <= station < self.stations:
@@ -162,9 +167,6 @@ class JointScenarioSet:
         sets = tuple(station_sets)
         if not sets:
             raise DomainError("need at least one station")
-        vectors = []
-        probs = []
-        for combo in itertools.product(*(s.pairs() for s in sets)):
-            vectors.append(tuple(r for r, _ in combo))
-            probs.append(math.prod(p for _, p in combo))
-        return cls(tuple(vectors), tuple(probs))
+        combos = list(itertools.product(*(s.pairs() for s in sets)))
+        return cls(tuple(tuple(r for r, _ in combo) for combo in combos),
+                   tuple(math.prod(p for _, p in combo) for combo in combos))

@@ -68,6 +68,10 @@ S4 = product_instance(((300.0, 400.0), (0.7, 0.3)),
                       ((100.0, 200.0), (0.7, 0.3)),
                       ((50.0, 80.0), (0.8, 0.2)),
                       ((150.0, 180.0), (0.6, 0.4)))
+# the 64-scenario stress instance S64, uniform over 8 rates per station
+S64 = product_instance((tuple(300.0 + 25.0 * k for k in range(8)), (0.125,) * 8),
+                       (tuple(100.0 + 20.0 * k for k in range(8)), (0.125,) * 8))
+S64_KEY = (7, 7)
 
 
 def brute_force_lattice(scenarios, epsilon, costs):
@@ -118,7 +122,42 @@ def mp_joint_qos(scenarios, n):
     return total
 
 
+def reference_no_wait(scenarios, levels):
+    # the joint no-wait summed scenario by scenario
+    total = 0.0
+    for rates, p in scenarios.pairs():
+        prod = p
+        for level, rate in zip(levels, rates):
+            prod *= 0.0 if rate >= level else 1.0 - wait_probability(level, rate)
+        total += prod
+    return total
+
+
+@st.composite
+def joint_sets_and_levels(draw):
+    # joint sets that are in general not products, with real levels that
+    # may fall below some scenario rates
+    stations = draw(st.integers(1, 4))
+    grids = [draw(st.lists(st.floats(0.5, 8.0), min_size=1, max_size=3, unique=True))
+             for _ in range(stations)]
+    vectors = draw(st.lists(st.tuples(*(st.sampled_from(g) for g in grids)),
+                            min_size=1, max_size=8, unique=True))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(vectors),
+                            max_size=len(vectors)))
+    total = math.fsum(weights)
+    scenarios = JointScenarioSet(tuple(vectors), tuple(w / total for w in weights))
+    levels = tuple(draw(st.floats(1.0, 12.0)) for _ in range(stations))
+    return scenarios, levels
+
+
 class TestJointConstraintValue:
+    @settings(max_examples=200, deadline=None)
+    @given(joint_sets_and_levels())
+    def test_fold_matches_per_scenario_loop(self, problem):
+        scenarios, levels = problem
+        assert joint._joint_no_wait(scenarios, levels) == pytest.approx(
+            reference_no_wait(scenarios, levels), rel=0.0, abs=1e-14)
+
     def test_matches_mp_oracle_at_joint_staffing(self):
         value = joint_constraint_value(instance(), JOINT_STAFFING)
         assert value == pytest.approx(mp_joint_qos(instance(), JOINT_STAFFING), rel=1e-10)
@@ -340,6 +379,51 @@ class TestSolveJoint:
         for bf, br in zip(full.decision.betas, reduced.decision.betas):
             assert bf == pytest.approx(br, abs=1e-4)
 
+    def test_reports_converged_descent(self):
+        rep = solve_joint(S64, EPSILON, PRICES, key_indices=S64_KEY)
+        assert rep.converged
+        assert 1 <= rep.cycles < joint.MAX_CYCLES
+
+    def test_cycle_cap_reports_unconverged_descent(self, monkeypatch):
+        free = solve_joint(instance(), EPSILON, PRICES, key_indices=(1, 1))
+        assert free.converged and free.cycles > 1
+        monkeypatch.setattr(joint, "MAX_CYCLES", 1)
+        capped = solve_joint(instance(), EPSILON, PRICES, key_indices=(1, 1))
+        assert (capped.cycles, capped.converged) == (1, False)
+
+    def test_descent_free_reports_have_no_cycles(self):
+        decoupled = solve_decoupled(instance(), EPSILON, PRICES)
+        sure = JointScenarioSet(((10.0,), (100.0,)), (0.96, 0.04))
+        conservative = solve_reduced_joint(sure, 0.05, (1.0,), key_indices=(1,))
+        for rep in (decoupled, conservative):
+            assert (rep.cycles, rep.converged) == (0, True)
+
+    def test_bisection_step_costs_one_call_per_dependent_rate(self, monkeypatch):
+        # the free station is folded once per dependent-beta solve, so each
+        # evaluation inside the bisection calls the kernel at most once per
+        # rate of the dependent station
+        calls = [0]
+        per_step = []
+        wait, bisect = joint.wait_probability, joint.bisect_decreasing
+
+        def counted_wait(*args, **kwargs):
+            calls[0] += 1
+            return wait(*args, **kwargs)
+
+        def watched_bisect(fn, target):
+            def step(x):
+                before = calls[0]
+                value = fn(x)
+                per_step.append(calls[0] - before)
+                return value
+            return bisect(step, target)
+
+        monkeypatch.setattr(joint, "wait_probability", counted_wait)
+        monkeypatch.setattr(joint, "bisect_decreasing", watched_bisect)
+        solve_joint(S64, EPSILON, PRICES, key_indices=S64_KEY)
+        assert len(per_step) > 100
+        assert max(per_step) <= len(S64.marginal(1)) == 8
+
     def test_written_off_key_still_solvable(self):
         # the full constraint never writes mass off, so a key the reduced
         # model rejects only needs larger safety factors
@@ -487,6 +571,27 @@ class TestSolveWeightedStoch:
         assert not rep.converged
         assert rep.objective == pytest.approx(scalar.objective, rel=1e-9)
         assert rep.exact_objective == rep.objective
+
+    @pytest.mark.parametrize("bound", ["exact", "upper"])
+    def test_near_tied_keys_keep_the_smallest(self, monkeypatch, bound):
+        # at delta = 20000 several keys reach the same levels and
+        # objectives that differ only in their last bits
+        values = []
+        descend = joint.coordinate_descent
+
+        def recorded(*args):
+            out = descend(*args)
+            values.append(out[1])
+            return out
+
+        monkeypatch.setattr(joint, "coordinate_descent", recorded)
+        rep = solve_weighted_stoch(instance(), 20000.0, PRICES, bound=bound)
+        keys = list(itertools.product(range(2), range(3)))
+        best = min(values)
+        near = [k for k, v in zip(keys, values)
+                if v <= best * (1.0 + joint.KEY_TIE_RTOL)]
+        assert len(near) > 1
+        assert rep.decision.key_indices == min(near)
 
     def test_exact_bound_scores_are_consistent(self):
         rep = solve_weighted_stoch(instance(), 20000.0, PRICES)
