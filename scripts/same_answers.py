@@ -12,13 +12,16 @@ and S4 stress instances (an InfeasibleError is recorded by its text) and
 the first 50 compare-2st benchmark instances of seeds 1 and 2; the full
 solve_joint report on example1 and S64; solve_joint_exact_integer on S3
 and S4; solve_weighted_stoch on example1 at delta 50, 1e3 and 1e5 on the
-exact curve and the upper bound.
+exact curve and the upper bound. Single station: solve_constrained on a
+lambda x epsilon grid for every bound, one sweep_frontier per bound, and
+solve_reduced (both bounds) and solve_exact_enumeration on each of
+example1's marginals at three epsilons.
 
 Each output is stored as its repr and as a flat field -> value map.
 The diff reports, per output kind and field, whether every value is
 identical, or the largest absolute difference and how many outputs it
-touches. The benchmark instances come from perfbench/gen.py, imported
-by path.
+touches; it exits 1 when any field differs or exists on one side only.
+The benchmark instances come from perfbench/gen.py, imported by path.
 """
 
 import argparse
@@ -34,6 +37,12 @@ COMPARE_SEEDS = (1, 2)
 COMPARE_INSTANCES = 50
 WEIGHTED_DELTAS = (50.0, 1e3, 1e5)
 WEIGHTED_BOUNDS = ("exact", "upper")
+SINGLE_RATES = (0.5, 3.0, 40.0, 500.0, 7000.0, 1e5)
+SINGLE_EPSILONS = (1e-9, 1e-4, 0.02, 0.2, 0.7)
+SINGLE_BOUNDS = ("exact", "upper", "lower", "hw")
+FRONTIER_RATE = 120.0
+FRONTIER_EPSILONS = (0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4)
+MARGINAL_EPSILONS = (0.01, 0.05, 0.2)
 
 
 def _gen():
@@ -69,7 +78,8 @@ def stress_instances():
 
 
 def flatten(value, prefix=""):
-    """Dataclass fields, recursively, as {dotted path: JSON value}."""
+    """Dataclass fields, recursively (a tuple of dataclasses by index), as
+    {dotted path: JSON value}."""
     if dataclasses.is_dataclass(value):
         out = {}
         for field in dataclasses.fields(value):
@@ -77,6 +87,11 @@ def flatten(value, prefix=""):
             out.update(flatten(getattr(value, field.name), name))
         return out
     if isinstance(value, tuple):
+        if any(dataclasses.is_dataclass(item) for item in value):
+            out = {}
+            for i, item in enumerate(value):
+                out.update(flatten(item, f"{prefix}.{i}"))
+            return out
         value = list(value)
     return {prefix or "value": value}
 
@@ -96,9 +111,13 @@ def outputs():
         compare_solutions,
         load_scenario_file,
         resolve_scenario_path,
+        solve_constrained,
+        solve_exact_enumeration,
         solve_joint,
         solve_joint_exact_integer,
+        solve_reduced,
         solve_weighted_stoch,
+        sweep_frontier,
     )
 
     spec = load_scenario_file(resolve_scenario_path("example1"))
@@ -124,6 +143,22 @@ def outputs():
             out[f"weighted/example1/{delta:g}/{bound}"] = record(
                 lambda: solve_weighted_stoch(example1[0], delta, example1[2],
                                              bound=bound))
+    for bound in SINGLE_BOUNDS:
+        for lam in SINGLE_RATES:
+            for eps in SINGLE_EPSILONS:
+                out[f"constrained/{lam:g}/{eps:g}/{bound}"] = record(
+                    lambda: solve_constrained(lam, eps, bound=bound))
+        out[f"frontier/{FRONTIER_RATE:g}/{bound}"] = record(
+            lambda: sweep_frontier(FRONTIER_RATE, FRONTIER_EPSILONS, bound=bound))
+    for station in range(example1[0].stations):
+        marginal = example1[0].marginal(station)
+        cost = example1[2][station]
+        for eps in MARGINAL_EPSILONS:
+            for bound in WEIGHTED_BOUNDS:
+                out[f"reduced/example1-{station}/{eps:g}/{bound}"] = record(
+                    lambda: solve_reduced(marginal, eps, cost, bound=bound))
+            out[f"enumeration/example1-{station}/{eps:g}"] = record(
+                lambda: solve_exact_enumeration(marginal, eps, cost))
     return out
 
 
@@ -145,7 +180,8 @@ def _abs_difference(a, b):
 
 
 def diff(before, after):
-    """Lines of a per-(kind, field) comparison of two dumps."""
+    """Lines of a per-(kind, field) comparison of two dumps, and whether
+    every output and field is on both sides with identical values."""
     lines = []
     for name in sorted(set(before) ^ set(after)):
         side = "before" if name in before else "after"
@@ -184,20 +220,23 @@ def diff(before, after):
         else:
             lines.append(f"{head} largest |difference| {entry['largest']:.3g} "
                          f"in {entry['differ']}")
-    return lines
+    same = not set(before) ^ set(after) and not any(
+        entry["only"] or entry["differ"] for entry in stats.values())
+    return lines, same
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("out", nargs="?", help="write the dump to this JSON file")
     parser.add_argument("--diff", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="compare two dumps field by field")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.diff:
         before, after = (json.loads(pathlib.Path(p).read_text()) for p in args.diff)
-        print("\n".join(diff(before, after)))
-        return 0
+        lines, same = diff(before, after)
+        print("\n".join(lines))
+        return 0 if same else 1
     if not args.out:
         parser.error("give an output file, or --diff BEFORE AFTER")
     pathlib.Path(args.out).write_text(json.dumps(outputs(), indent=1))

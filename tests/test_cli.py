@@ -256,6 +256,22 @@ class TestSolve:
         assert record["solution"] == [115]
         assert record["objective"] == 230.0
 
+    @pytest.mark.parametrize("mode", ["det", "stoch-single"])
+    @pytest.mark.parametrize("epsilon, solution, feasible", [
+        (0.05, 118, False),   # n = 118.15 rounds down and misses epsilon
+        (0.1, 115, True),     # n = 114.76 rounds up
+    ])
+    def test_single_station_epsilon_reports_feasible(
+            self, capsys, tmp_path, mode, epsilon, solution, feasible):
+        path = write_document(tmp_path, det_document(epsilon=epsilon, solver=mode))
+        code, out, _ = run(capsys, "solve", path)
+        assert code == 0
+        fields = dict(line.split(None, 1) for line in out.splitlines())
+        assert fields["solution"] == f"({solution})"
+        assert fields["feasible"] == ("true" if feasible else "false")
+        assert (wait_probability(solution, 100.0) <= epsilon + FEASIBILITY_TOL) \
+            == feasible
+
     def test_det_delta_minimizes_weighted_cost(self, capsys, tmp_path):
         path = write_document(tmp_path, det_document(delta=50.0))
         code, out, _ = run(capsys, "solve", path, "--format", "json")
