@@ -7,15 +7,17 @@ both commits and diffing the two files:
     PYTHONPATH=src python3 scripts/same_answers.py after.json    # new tree
     python3 scripts/same_answers.py --diff before.json after.json
 
-The output set: compare_solutions on the bundled example1, the S64, S3
-and S4 stress instances (an InfeasibleError is recorded by its text) and
-the first 50 compare-2st benchmark instances of seeds 1 and 2; the full
-solve_joint report on example1 and S64; solve_joint_exact_integer on S3
-and S4; solve_weighted_stoch on example1 at delta 50, 1e3 and 1e5 on the
-exact curve and the upper bound. Single station: solve_constrained on a
-lambda x epsilon grid for every bound, one sweep_frontier per bound, and
-solve_reduced (both bounds) and solve_exact_enumeration on each of
-example1's marginals at three epsilons.
+The output set: compare_solutions on the bundled example1, the S64, S3,
+S4 and S5 stress instances (an InfeasibleError is recorded by its text)
+and the first 50 compare-2st benchmark instances of seeds 1 and 2; the
+full solve_joint report on example1 and S64; solve_joint_exact_integer
+on S3, S4 and S5 and on the first 40 lattice benchmark instances of seed
+1 (two to four stations); solve_weighted_stoch on example1 at delta 50,
+1e3 and 1e5 on the exact curve and the upper bound. Single station:
+solve_constrained on a lambda x epsilon grid for every bound, one
+sweep_frontier per bound, and solve_reduced (both bounds) and
+solve_exact_enumeration on each of example1's marginals at three
+epsilons.
 
 Each output is stored as its repr and as a flat field -> value map.
 The diff reports, per output kind and field, whether every value is
@@ -35,6 +37,8 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 COMPARE_SEEDS = (1, 2)
 COMPARE_INSTANCES = 50
+LATTICE_SEED = 1
+LATTICE_INSTANCES = 40
 WEIGHTED_DELTAS = (50.0, 1e3, 1e5)
 WEIGHTED_BOUNDS = ("exact", "upper")
 SINGLE_RATES = (0.5, 3.0, 40.0, 500.0, 7000.0, 1e5)
@@ -61,6 +65,10 @@ def stress_instances():
         return JointScenarioSet.from_product(
             [ScenarioSet(rates, probs) for rates, probs in marginals])
 
+    s4 = (((300.0, 400.0), (0.7, 0.3)),
+          ((100.0, 200.0), (0.7, 0.3)),
+          ((50.0, 80.0), (0.8, 0.2)),
+          ((150.0, 180.0), (0.6, 0.4)))
     return {
         "S64": (product((tuple(300.0 + 25.0 * k for k in range(8)), (0.125,) * 8),
                         (tuple(100.0 + 20.0 * k for k in range(8)), (0.125,) * 8)),
@@ -69,11 +77,8 @@ def stress_instances():
                        ((100.0, 200.0), (0.7, 0.3)),
                        ((50.0, 80.0, 120.0), (0.6, 0.3, 0.1))),
                0.05, (1.0, 1.0, 1.0)),
-        "S4": (product(((300.0, 400.0), (0.7, 0.3)),
-                       ((100.0, 200.0), (0.7, 0.3)),
-                       ((50.0, 80.0), (0.8, 0.2)),
-                       ((150.0, 180.0), (0.6, 0.4))),
-               0.05, (1.0, 1.0, 1.0, 1.0)),
+        "S4": (product(*s4), 0.05, (1.0, 1.0, 1.0, 1.0)),
+        "S5": (product(*s4, ((60.0, 90.0), (0.5, 0.5))), 0.05, (1.0,) * 5),
     }
 
 
@@ -135,9 +140,14 @@ def outputs():
                 lambda: compare_solutions(scenarios, inst["epsilon"], inst["costs"]))
     out["joint/example1"] = record(lambda: solve_joint(*example1))
     out["joint/S64"] = record(lambda: solve_joint(*stress["S64"]))
-    for name in ("S3", "S4"):
+    for name in ("S3", "S4", "S5"):
         out[f"lattice/{name}"] = record(
             lambda: solve_joint_exact_integer(*stress[name]))
+    for index in range(LATTICE_INSTANCES):
+        inst = gen.instance(LATTICE_SEED, "lattice", index)
+        scenarios = JointScenarioSet(inst["rate_vectors"], inst["probs"])
+        out[f"lattice/{inst['id']}"] = record(
+            lambda: solve_joint_exact_integer(scenarios, inst["epsilon"], inst["costs"]))
     for delta in WEIGHTED_DELTAS:
         for bound in WEIGHTED_BOUNDS:
             out[f"weighted/example1/{delta:g}/{bound}"] = record(

@@ -117,15 +117,18 @@ def _wait_vector(marginal, n, bound="exact"):
             for rate in marginal.rates]
 
 
-def _fold(scenarios, levels):
-    # weights over the last station's rates, station i < L-1 at levels[i]:
-    # weights[j] sums p^w prod_i u_i[idx_i(w)] over the scenarios w at the
-    # last station's j-th rate, u_i being station i's no-wait vector; the
-    # joint no-wait is their dot product with the last station's vector
+def _no_wait_vector(marginal, n):
+    return [1.0 - w for w in _wait_vector(marginal, n)]
+
+
+def _fold(scenarios, no_waits):
+    # weights over the last station's rates, given the no-wait vectors u_i
+    # of stations i < L-1: weights[j] sums p^w prod_i u_i[idx_i(w)] over the
+    # scenarios w at the last station's j-th rate; the joint no-wait is
+    # their dot product with the last station's vector
     index = scenarios.rate_index
     terms = scenarios.probs
-    for marginal, n, idx in zip(scenarios.marginals, levels, index[:-1]):
-        no_wait = [1.0 - w for w in _wait_vector(marginal, n)]
+    for no_wait, idx in zip(no_waits, index[:-1]):
         terms = [t * no_wait[k] for t, k in zip(terms, idx)]
     weights = [0.0] * len(scenarios.marginals[-1])
     for t, j in zip(terms, index[-1]):
@@ -133,13 +136,18 @@ def _fold(scenarios, levels):
     return weights
 
 
-def _no_wait_dot(weights, waits):
-    return sum(x * (1.0 - w) for x, w in zip(weights, waits))
+def _dot(weights, no_wait):
+    return sum(x * u for x, u in zip(weights, no_wait))
+
+
+def _folded_no_wait(scenarios, no_waits):
+    # joint no-wait from every station's no-wait vector
+    return _dot(_fold(scenarios, no_waits[:-1]), no_waits[-1])
 
 
 def _joint_no_wait(scenarios, levels):
-    return _no_wait_dot(_fold(scenarios, levels[:-1]),
-                        _wait_vector(scenarios.marginals[-1], levels[-1]))
+    return _folded_no_wait(scenarios, [_no_wait_vector(m, n) for m, n in
+                                       zip(scenarios.marginals, levels)])
 
 
 def _joint_wait(waits):
@@ -280,13 +288,27 @@ def coordinate_descent(slice_at, objective, betas, coords):
     cycles, converged), value being the objective at the returned betas;
     a beta the last cycle left on the edge of the search box is not
     converged.
+
+    The slice for coordinate i must depend on betas only through the
+    other coordinates in coords, and neither another slice nor objective
+    may write betas[i]. A coordinate whose others have not moved since
+    its last search would then repeat that search bit for bit, so it
+    keeps its beta and edge flag instead; with one coordinate, the
+    confirming second cycle searches nothing.
     """
     betas = list(betas)
     value = math.inf
+    last = {}   # coordinate -> (the others' betas, edge) at its last search
     for cycle in range(1, MAX_CYCLES + 1):
         at_cap = False
         for i in coords:
-            betas[i], _, _, edge = grid_then_golden(slice_at(i, betas))
+            others = tuple(betas[j] for j in coords if j != i)
+            seen = last.get(i)
+            if seen is not None and seen[0] == others:
+                edge = seen[1]
+            else:
+                betas[i], _, _, edge = grid_then_golden(slice_at(i, betas))
+                last[i] = (others, edge)
             at_cap = at_cap or edge
         previous, value = value, objective(betas)
         if not math.isfinite(value):
@@ -567,7 +589,7 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
             raise DomainError("warm_betas must be a non-negative vector, one per station")
     roots = [math.sqrt(r) for r in key_rates]
     dep = L - 1
-    dep_waits = {}  # dependent wait vectors by level; bisection midpoints recur
+    dep_no_waits = {}  # dependent no-wait vectors by level; bisection midpoints recur
 
     def dep_beta(betas):
         # smallest dependent beta restoring the constraint with the free
@@ -575,14 +597,16 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
         # fold once into weights over the dependent rates, so a bisection
         # step makes at most one kernel call per dependent rate
         free = [max(r + x * rt, 1.0) for r, rt, x in zip(key_rates, roots, betas[:dep])]
-        weights = _fold(scenarios, free)
+        weights = _fold(scenarios, [_no_wait_vector(m, n) for m, n in
+                                    zip(scenarios.marginals, free)])
 
         def joint_wait(b):
             level = max(key_rates[dep] + b * roots[dep], 1.0)
-            waits = dep_waits.get(level)
-            if waits is None:
-                waits = dep_waits[level] = _wait_vector(scenarios.marginals[dep], level)
-            return 1.0 - _no_wait_dot(weights, waits)
+            no_wait = dep_no_waits.get(level)
+            if no_wait is None:
+                no_wait = dep_no_waits[level] = _no_wait_vector(
+                    scenarios.marginals[dep], level)
+            return 1.0 - _dot(weights, no_wait)
 
         try:
             return bisect_decreasing(joint_wait, eps).root
@@ -605,12 +629,19 @@ def solve_joint_exact_integer(scenarios, epsilon, costs):
     lexicographically smallest vector.
 
     Each station's no-wait probabilities over its box come from one
-    inverse Erlang-B pass per marginal rate. The first L-2 stations are
-    enumerated in lexicographic order with cost pruning; for each such
-    outer point one matrix product gives the joint no-wait probability
-    over the box of the last two stations, and the cheapest feasible
-    level of the last station is the first column of each row to reach
-    the target.
+    inverse Erlang-B pass per marginal rate. Every no-wait factor is at
+    most one, so the joint no-wait never exceeds a station's own
+    expected no-wait over its marginal, and each station's box starts at
+    the first level where that reaches the target (Luedtke & Ahmed 2008,
+    the marginal relaxation of a joint chance constraint). The first L-2
+    stations are enumerated in lexicographic order, each station's range
+    ending once even the cheapest completion costs as much as the
+    incumbent; for each such outer point one matrix product gives the
+    joint no-wait probability over the box of the last two stations, and
+    the cheapest feasible level of the last station is the first column
+    of each row to reach the target. The reported QoS is folded from the
+    same tables, equal to joint_constraint_value at the optimum bit for
+    bit.
     """
     eps = check_epsilon(epsilon)
     L = scenarios.stations
@@ -628,6 +659,17 @@ def solve_joint_exact_integer(scenarios, epsilon, costs):
     # j-th marginal rate; index[i][w]: that rate's position in scenario w
     tables = [np.array([_exact_no_wait_column(r, lo, hi) for r in marginal.rates])
               for marginal, lo, hi in zip(scenarios.marginals, lower, upper)]
+    # every u_i <= 1, so the joint no-wait never exceeds station j's own
+    # marginal no-wait E[u_j]: levels where that falls short are infeasible
+    # and the box starts at each station's first level reaching the target.
+    # The 1e-12 slack, far above the rounding of either sum, keeps any
+    # level the joint check below could accept.
+    for j, marginal in enumerate(scenarios.marginals):
+        reach = np.flatnonzero(np.array(marginal.probs) @ tables[j] >= target - 1e-12)
+        if not reach.size:
+            raise InfeasibleError("no integer staffing in the search box is feasible")
+        lower[j] += int(reach[0])
+        tables[j] = tables[j][:, reach[0]:]
     index = [np.array(idx) for idx in scenarios.rate_index]
     # outer station factors gathered per scenario, one row per level
     outer_factors = [np.ascontiguousarray(tables[i][index[i]].T)
@@ -649,15 +691,27 @@ def solve_joint_exact_integer(scenarios, epsilon, costs):
 
     best_cost = math.inf
     best_n = None
-    for outer in itertools.product(*(range(lo, hi + 1)
-                                     for lo, hi in zip(lower[:outer_stations],
-                                                       upper[:outer_stations]))):
-        prefix = sum(c * n for c, n in zip(costs[:outer_stations], outer))
-        if prefix + row_cost * row_lo + dep_cost * dep_lo >= best_cost:
-            continue
-        weights = probs
-        for factors, lo, n in zip(outer_factors, lower, outer):
-            weights = weights * factors[n - lo]
+
+    def outer_points(i, head, prefix, weights):
+        # outer points from station i on, in lexicographic order, with
+        # their cost prefix and scenario weights; a level whose cheapest
+        # completion (every later station at its lower level) cannot beat
+        # the incumbent ends station i's range, as every later level
+        # costs at least as much
+        if i == outer_stations:
+            yield head, prefix, weights
+            return
+        for n in range(lower[i], upper[i] + 1):
+            fixed = prefix + costs[i] * n
+            cheapest = fixed
+            for c, lo in zip(costs[i + 1:outer_stations], lower[i + 1:]):
+                cheapest = cheapest + c * lo
+            if cheapest + row_cost * row_lo + dep_cost * dep_lo >= best_cost:
+                return
+            yield from outer_points(i + 1, head + (n,), fixed,
+                                    weights * outer_factors[i][n - lower[i]])
+
+    for outer, prefix, weights in outer_points(0, (), 0, probs):
         mass = np.bincount(cell, weights, minlength=row_rates * dep_rates)
         partial = mass.reshape(row_rates, dep_rates) @ dep_table
         for start in range(row_lo, row_hi + 1, block):
@@ -680,11 +734,14 @@ def solve_joint_exact_integer(scenarios, epsilon, costs):
                     best_n = (outer + (n,))[:dep] + (dep_lo + k,)
     if best_n is None:
         raise InfeasibleError("no integer staffing in the search box is feasible")
+    # table entries equal 1 - wait_probability bit for bit, so this is
+    # joint_constraint_value(scenarios, best_n) without a kernel call
+    columns = [table[:, n - lo].tolist() for table, n, lo in zip(tables, best_n, lower)]
     return SolutionSummary(
         label="joint-integer",
         n=best_n,
         cost=best_cost,
-        achieved_qos=joint_constraint_value(scenarios, best_n),
+        achieved_qos=_folded_no_wait(scenarios, columns),
         feasible=True,      # the search only keeps points meeting the target
     )
 

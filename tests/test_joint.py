@@ -64,10 +64,13 @@ def product_instance(*marginals):
 S3 = product_instance(((300.0, 400.0, 500.0), (0.5, 0.3, 0.2)),
                       ((100.0, 200.0), (0.7, 0.3)),
                       ((50.0, 80.0, 120.0), (0.6, 0.3, 0.1)))
-S4 = product_instance(((300.0, 400.0), (0.7, 0.3)),
-                      ((100.0, 200.0), (0.7, 0.3)),
-                      ((50.0, 80.0), (0.8, 0.2)),
-                      ((150.0, 180.0), (0.6, 0.4)))
+S4_MARGINALS = (((300.0, 400.0), (0.7, 0.3)),
+                ((100.0, 200.0), (0.7, 0.3)),
+                ((50.0, 80.0), (0.8, 0.2)),
+                ((150.0, 180.0), (0.6, 0.4)))
+S4 = product_instance(*S4_MARGINALS)
+# S5: S4's four marginals plus a fifth station
+S5 = product_instance(*S4_MARGINALS, ((60.0, 90.0), (0.5, 0.5)))
 # the 64-scenario stress instance S64, uniform over 8 rates per station
 S64 = product_instance((tuple(300.0 + 25.0 * k for k in range(8)), (0.125,) * 8),
                        (tuple(100.0 + 20.0 * k for k in range(8)), (0.125,) * 8))
@@ -93,8 +96,8 @@ def brute_force_lattice(scenarios, epsilon, costs):
 
 @st.composite
 def small_joint_problems(draw):
-    stations = draw(st.integers(1, 3))
-    rate = st.floats(0.5, 6.0 if stations < 3 else 3.0)
+    stations = draw(st.integers(1, 4))
+    rate = st.floats(0.5, (6.0, 6.0, 3.0, 1.5)[stations - 1])
     grids = [draw(st.lists(rate, min_size=1, max_size=3, unique=True))
              for _ in range(stations)]
     vectors = draw(st.lists(st.tuples(*(st.sampled_from(g) for g in grids)),
@@ -391,6 +394,22 @@ class TestSolveJoint:
         capped = solve_joint(instance(), EPSILON, PRICES, key_indices=(1, 1))
         assert (capped.cycles, capped.converged) == (1, False)
 
+    def test_one_free_coordinate_is_searched_once(self, monkeypatch):
+        # the confirming second cycle would repeat the first search bit
+        # for bit, so it is skipped and still counted
+        searches = []
+        search = joint.grid_then_golden
+
+        def counted(fn):
+            searches.append(fn)
+            return search(fn)
+
+        monkeypatch.setattr(joint, "grid_then_golden", counted)
+        rep = solve_joint(instance(), EPSILON, PRICES, key_indices=(1, 1))
+        assert len(searches) == 1
+        assert (rep.cycles, rep.converged) == (2, True)
+        assert rep.decision.betas == (2.150449246375281, 2.478332831703411)
+
     def test_descent_free_reports_have_no_cycles(self):
         decoupled = solve_decoupled(instance(), EPSILON, PRICES)
         sure = JointScenarioSet(((10.0,), (100.0,)), (0.96, 0.04))
@@ -508,6 +527,12 @@ class TestSolveJointExactInteger:
         assert rep.cost == 965.0
         assert joint_constraint_value(S4, rep.n) >= 1.0 - EPSILON
 
+    def test_five_station_certified_optimum(self):
+        rep = solve_joint_exact_integer(S5, EPSILON, (1.0,) * 5)
+        assert rep.n == (433, 228, 98, 209, 113)
+        assert rep.cost == 1081.0
+        assert rep.achieved_qos == joint_constraint_value(S5, rep.n)
+
     def test_key_scenario_tie_still_certifies(self):
         # the tail above rate 100 carries exactly epsilon, so the
         # decoupled box top is undefined; the doubling corner replaces it
@@ -545,6 +570,7 @@ class TestSolveJointExactInteger:
             return
         rep = solve_joint_exact_integer(scenarios, epsilon, costs)
         assert (rep.cost, rep.n) == expected
+        assert rep.achieved_qos == joint_constraint_value(scenarios, rep.n)
 
 
 class TestSolveWeightedStoch:
@@ -592,6 +618,16 @@ class TestSolveWeightedStoch:
                 if v <= best * (1.0 + joint.KEY_TIE_RTOL)]
         assert len(near) > 1
         assert rep.decision.key_indices == min(near)
+
+    def test_three_station_descent_unchanged(self):
+        # frozen from the descent that searched every coordinate in every
+        # cycle: a coordinate is searched again whenever another one moved
+        one = JointScenarioSet(((10.0, 20.0, 5.0),), (1.0,))
+        rep = solve_weighted_stoch(one, 100.0, (1.0, 2.0, 1.5))
+        assert rep.decision.betas == (
+            2.5400594066411775, 1.9508402338275064, 2.5999265377811556)
+        assert rep.objective == 99.41405982984378
+        assert (rep.cycles, rep.converged) == (4, True)
 
     def test_exact_bound_scores_are_consistent(self):
         rep = solve_weighted_stoch(instance(), 20000.0, PRICES)
