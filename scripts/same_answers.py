@@ -1,10 +1,11 @@
 """Dump a fixed set of solver outputs, or diff two such dumps.
 
-A change that should not move answers is checked by writing the dump at
-both commits and diffing the two files:
+A change that should not move answers is checked by writing the dump
+with this script against the source of both commits and diffing the two
+files, so both dumps hold the same output kinds:
 
-    PYTHONPATH=src python3 scripts/same_answers.py before.json   # old tree
-    PYTHONPATH=src python3 scripts/same_answers.py after.json    # new tree
+    PYTHONPATH=OLD/src python3 scripts/same_answers.py before.json   # old tree
+    PYTHONPATH=src python3 scripts/same_answers.py after.json        # new tree
     python3 scripts/same_answers.py --diff before.json after.json
 
 The output set: compare_solutions on the bundled example1, the S64, S3,
@@ -17,7 +18,9 @@ on S3, S4 and S5 and on the first 40 lattice benchmark instances of seed
 solve_constrained on a lambda x epsilon grid for every bound, one
 sweep_frontier per bound, and solve_reduced (both bounds) and
 solve_exact_enumeration on each of example1's marginals at three
-epsilons.
+epsilons. Delay curve: erlang_c_exact at n = ceil(lambda) +
+j*ceil(sqrt(lambda)), j = 0..6, for four rates up to 2e5, and
+_exact_no_wait_column over two boxes that saturate at 1.0.
 
 Each output is stored as its repr and as a flat field -> value map.
 The diff reports, per output kind and field, whether every value is
@@ -47,6 +50,9 @@ SINGLE_BOUNDS = ("exact", "upper", "lower", "hw")
 FRONTIER_RATE = 120.0
 FRONTIER_EPSILONS = (0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4)
 MARGINAL_EPSILONS = (0.01, 0.05, 0.2)
+EXACT_RATES = (150.5, 3700.3, 49999.7, 2e5)
+EXACT_STEPS = 7
+COLUMN_BOXES = ((3.7, 1, 200), (150.5, 100, 600))   # (lambda, lower, upper)
 
 
 def _gen():
@@ -111,6 +117,7 @@ def record(solve):
 
 
 def outputs():
+    from qstaff import erlang
     from qstaff import (
         JointScenarioSet,
         compare_solutions,
@@ -169,6 +176,14 @@ def outputs():
                     lambda: solve_reduced(marginal, eps, cost, bound=bound))
             out[f"enumeration/example1-{station}/{eps:g}"] = record(
                 lambda: solve_exact_enumeration(marginal, eps, cost))
+    for lam in EXACT_RATES:
+        for j in range(EXACT_STEPS):
+            n = math.ceil(lam) + j * math.ceil(math.sqrt(lam))
+            out[f"erlang/exact/{lam:g}/{n}"] = record(
+                lambda: erlang.erlang_c_exact(n, lam))
+    for lam, lower, upper in COLUMN_BOXES:
+        out[f"erlang/column/{lam:g}/{lower}-{upper}"] = record(
+            lambda: erlang._exact_no_wait_column(lam, lower, upper))
     return out
 
 

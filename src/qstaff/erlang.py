@@ -21,11 +21,11 @@ normalized to 1):
   Van Leeuwaarden, and Zwart, which sandwich the exact value and converge
   to it uniformly in beta as lambda grows.
 
-All functions are pure and safe for concurrent use. Results are cached on
-the (n, lambda) pair because the solvers upstream re-evaluate the same
-points heavily; the caches are bounded (2^13 continuous and 2^12 exact
-entries, a few hundred bytes each), which keeps long batch runs small in
-memory while a compare solve still finds most of its repeated points.
+All functions are pure and safe for concurrent use. Scalar results are
+cached on the (n, lambda) pair in bounded caches (2^13 continuous and
+2^12 exact entries, a few hundred bytes each). The solvers evaluate one
+level against a station's whole rate vector through _wait_vector: one
+ufunc call per level, no cache, and the scalar bits rate by rate.
 """
 from __future__ import annotations
 
@@ -93,10 +93,13 @@ def erlang_c_exact(n, lam):
     """Erlang-C waiting probability P{all n servers busy} for integer n.
 
     Evaluated through the inverse Erlang-B recursion
-    b_k = 1 + (k/lambda) * b_(k-1), b_0 = 1, after which
+    b_k = 1 + (k/lambda) * b_(k-1), after which
     alpha = 1 / (rho + (1-rho) * b_n) with rho = lambda/n. The recursion
     involves only positive terms, so it is stable and keeps full double
-    precision where a factorial form would overflow near n = 170.
+    precision where a factorial form would overflow near n = 170. It
+    starts at b_k0 = 1, k0 = max(floor(lambda - 12 sqrt(lambda)), 0): the
+    terms this drops weigh about e^(-72) of b_n, so the value is bit for
+    bit the one from b_0 = 1, in O(sqrt(lambda) + n - lambda) steps.
 
     Values below the double-precision underflow threshold (roughly
     1e-308, reached only for enormous safety margins) are returned as 0.0.
@@ -113,13 +116,19 @@ def erlang_c_exact(n, lam):
     return _erlang_c_exact_cached(n, lam)
 
 
+def _recursion_start(lam):
+    # k0 of erlang_c_exact; a start at lam - 9 sqrt(lam) already changes bits
+    return max(math.floor(lam - 12.0 * math.sqrt(lam)), 0)
+
+
 @lru_cache(maxsize=1 << 12)
 def _erlang_c_exact_cached(n, lam):
     # needs lam < n. Past double range ib stays inf and alpha flushes to
-    # 0.0: the delay probability underflows double precision
-    ib = 1.0  # ib after step k equals 1/B(k, lam), the inverse blocking probability
-    for k in range(1, n + 1):
-        ib = 1.0 + (k / lam) * ib
+    # 0.0, so the recursion ends with the first 512-step block ending at inf
+    ib, k = 1.0, _recursion_start(lam)  # ib after step k equals 1/B(k, lam)
+    while k < n and ib < math.inf:
+        for k in range(k + 1, min(k + 512, n) + 1):
+            ib = 1.0 + (k / lam) * ib
     rho = lam / n
     return 1.0 / (rho + (1.0 - rho) * ib)
 
@@ -127,23 +136,32 @@ def _erlang_c_exact_cached(n, lam):
 def _exact_no_wait_column(lam, lower, upper):
     """No-wait probabilities 1 - alpha(k, lam) for k = lower..upper, 1 <= lower.
 
-    One pass of the inverse Erlang-B recursion yields alpha at every k on
-    the way to upper. Each entry goes through exactly the floating-point
-    operations of _erlang_c_exact_cached(k, lam), so it equals
+    One pass of the inverse Erlang-B recursion, from the same start as
+    erlang_c_exact, yields alpha at every k on the way to upper. Each
+    entry goes through exactly the floating-point operations of
+    _erlang_c_exact_cached(k, lam), so it equals
     1.0 - wait_probability(k, lam) bit for bit: 0.0 where lam >= k, and
-    1.0 where the recursion has overflowed.
+    1.0 where the recursion has overflowed. Once (1 - rho) * ib reaches
+    2^60 the entry rounds to 1.0, and so does every later one, since
+    both factors only grow with k above lam; the pass stops there.
     """
+    start = _recursion_start(lam)
+    first = max(lower, start + 1)
+    out = [0.0] * (min(first, upper + 1) - lower)  # levels at or below start
     ib = 1.0
-    for k in range(1, lower):
+    for k in range(start + 1, first):
         ib = 1.0 + (k / lam) * ib
-    out = []
-    for k in range(lower, upper + 1):
+    for k in range(first, upper + 1):
         ib = 1.0 + (k / lam) * ib
         if lam >= k:
             out.append(0.0)
-        else:
-            rho = lam / k
-            out.append(1.0 - 1.0 / (rho + (1.0 - rho) * ib))
+            continue
+        rho = lam / k
+        tail = (1.0 - rho) * ib
+        out.append(1.0 - 1.0 / (rho + tail))
+        if tail >= 2.0 ** 60:
+            out.extend([1.0] * (upper - k))
+            break
     return out
 
 
@@ -196,18 +214,24 @@ def _stirlerr(n):
 
 @lru_cache(maxsize=1 << 13)
 def _alpha_bar_cached(n, lam):
+    return _alpha_bar_from(n, lam, float(gammaincc(n, lam)),
+                           0.5 * math.log(2.0 * math.pi * n), _stirlerr(n))
+
+
+def _alpha_bar_from(n, lam, q, half_log, stirl):
+    # erlang_c_continuous from q = Q(n, lam), half_log = ln sqrt(2 pi n)
+    # and stirl = stirlerr(n), the last two shared by every lam at level n
     x = (n - lam) / n  # 1 - rho without cancellation
     if x < 0.5:
         half_a2 = -n * _one_minus_rho_log_term(x)
     else:
         # rho is small: 1 - x would lose the digits of rho that ln rho needs
         half_a2 = -n * (x + math.log(lam / n))
-    q = float(gammaincc(n, lam))
     if not (math.isfinite(q) and q > 0.0):
         raise QuadratureError(
             f"incomplete gamma Q(n, lambda) = {q!r} for n={n:g}, lambda={lam:g}",
             diagnostics={"q": q, "n": n, "lambda": lam})
-    log_r = half_a2 + 0.5 * math.log(2.0 * math.pi * n) + _stirlerr(n) + math.log(q)
+    log_r = half_a2 + half_log + stirl + math.log(q)
     return _inv_one_plus_exp(math.log(x) + log_r)
 
 
@@ -352,6 +376,21 @@ def wait_probability(n, lam, bound="exact"):
     if bound == "hw":
         return halfin_whitt((n - lam) / math.sqrt(lam))
     raise DomainError(f"unknown bound selector {bound!r}")
+
+
+def _wait_vector(n, rates, bound="exact"):
+    """[1.0 if r >= n else wait_probability(max(n, 1), r, bound) for r in rates],
+    bit for bit, for positive finite float rates (left unchecked). One ufunc
+    call gives Q(n, r) for every rate below a non-integer level."""
+    level = float(max(n, 1.0))
+    if bound != "exact" or not math.isfinite(level):
+        return [1.0 if r >= n else wait_probability(level, r, bound) for r in rates]
+    if level.is_integer():
+        return [1.0 if r >= n else _erlang_c_exact_cached(int(level), r) for r in rates]
+    half_log, stirl = 0.5 * math.log(2.0 * math.pi * level), _stirlerr(level)
+    qs = iter(gammaincc(level, [r for r in rates if r < n]).tolist())
+    return [1.0 if r >= n else _alpha_bar_from(level, r, next(qs), half_log, stirl)
+            for r in rates]
 
 
 def wait_curve(lam, bound="exact"):

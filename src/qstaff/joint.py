@@ -10,7 +10,7 @@ unstable and contributes zero no-wait probability. The sum is evaluated
 by folding every station but one into weights over that station's
 marginal rates, then one dot product with its no-wait vector; solve_joint
 folds the free stations once per dependent-beta solve, so each bisection
-step costs R_dep kernel calls, one per rate of the dependent station.
+step costs one vector kernel call over the dependent station's rates.
 
 Solver lineup:
 
@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .erlang import _exact_no_wait_column, wait_curve, wait_probability
+from .erlang import _exact_no_wait_column, _wait_vector, wait_curve
+from .erlang import wait_probability  # noqa: F401 (perfbench/tracing.py wraps it here)
 from .errors import (
     BracketError,
     DomainError,
@@ -58,7 +59,8 @@ from .frontier import (
     integer_staffing,
 )
 from .search import BETA_CAP, bisect_decreasing, grid_then_golden
-from .stochastic import FEASIBILITY_TOL, solve_reduced
+from .stochastic import FEASIBILITY_TOL, _reduced_decision
+from .stochastic import solve_reduced  # noqa: F401 (perfbench/tracing.py wraps it here)
 
 __all__ = [
     "JointDecision",
@@ -110,15 +112,8 @@ def _cost_functions(costs, stations):
                  for c, p in zip(costs, prices))
 
 
-def _wait_vector(marginal, n, bound="exact"):
-    # wait probability at staffing level n against each of the station's
-    # marginal rates, certain waiting where the rate reaches the level
-    return [1.0 if rate >= n else wait_probability(max(n, 1.0), rate, bound=bound)
-            for rate in marginal.rates]
-
-
 def _no_wait_vector(marginal, n):
-    return [1.0 - w for w in _wait_vector(marginal, n)]
+    return [1.0 - w for w in _wait_vector(n, marginal.rates)]
 
 
 def _fold(scenarios, no_waits):
@@ -165,7 +160,7 @@ def _expected_joint_wait(scenarios, levels, bound="exact"):
     # sum_w p^w * P{some station waits | w}, summed per scenario by
     # _joint_wait rather than formed as 1 - _joint_no_wait
     columns = [[waits[k] for k in idx] for waits, idx in zip(
-        (_wait_vector(m, n, bound) for m, n in zip(scenarios.marginals, levels)),
+        (_wait_vector(n, m.rates, bound) for m, n in zip(scenarios.marginals, levels)),
         scenarios.rate_index)]
     return sum(p * _joint_wait(waits)
                for waits, p in zip(zip(*columns), scenarios.probs))
@@ -321,17 +316,12 @@ def coordinate_descent(slice_at, objective, betas, coords):
 # ---------------------------------------------------------------------------
 # decoupled heuristic
 
-def _decoupled_decision(scenarios, eps, costs):
+def _decoupled_decision(scenarios, eps):
     per_station_eps = 1.0 - (1.0 - eps) ** (1.0 / scenarios.stations)
-    betas = []
-    keys = []
-    rates = []
-    for i, cost in enumerate(costs):
-        rep = solve_reduced(scenarios.marginal(i), per_station_eps, cost=cost)
-        betas.append(rep.decision.beta)
-        keys.append(rep.decision.key_index)
-        rates.append(rep.decision.key_rate)
-    return _decision_from_betas(betas, keys, rates)
+    decisions = [_reduced_decision(m, per_station_eps)[0] for m in scenarios.marginals]
+    return _decision_from_betas([d.beta for d in decisions],
+                                [d.key_index for d in decisions],
+                                [d.key_rate for d in decisions])
 
 
 def solve_decoupled(scenarios, epsilon, costs):
@@ -345,7 +335,7 @@ def solve_decoupled(scenarios, epsilon, costs):
     """
     eps = check_epsilon(epsilon)
     costs = _check_costs(costs, scenarios.stations)
-    return _reduced_report(scenarios, _decoupled_decision(scenarios, eps, costs),
+    return _reduced_report(scenarios, _decoupled_decision(scenarios, eps),
                            costs, eps, "decoupled")
 
 
@@ -535,7 +525,7 @@ def _stability_threshold(marginal, eps):
     return marginal.rates[-1]
 
 
-def _search_bounds(scenarios, eps, costs):
+def _search_bounds(scenarios, eps):
     # box top: the decoupled levels plus 3*sqrt(level); when the
     # key-scenario rule ties, every top rate plus 3*sqrt(rate) with the
     # margin doubled up to CORNER_DOUBLINGS times until the corner is
@@ -544,7 +534,7 @@ def _search_bounds(scenarios, eps, costs):
     lower = [_stability_threshold(scenarios.marginal(i), eps)
              for i in range(scenarios.stations)]
     try:
-        base = _decoupled_decision(scenarios, eps, costs).n_continuous
+        base = _decoupled_decision(scenarios, eps).n_continuous
         doublings = 0
     except KeyScenarioTieError:
         base = [m.rates[-1] for m in scenarios.marginals]
@@ -595,7 +585,7 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
         # smallest dependent beta restoring the constraint with the free
         # coordinates fixed (the joint wait falls in it); the free stations
         # fold once into weights over the dependent rates, so a bisection
-        # step makes at most one kernel call per dependent rate
+        # step makes at most one vector kernel call
         free = [max(r + x * rt, 1.0) for r, rt, x in zip(key_rates, roots, betas[:dep])]
         weights = _fold(scenarios, [_no_wait_vector(m, n) for m, n in
                                     zip(scenarios.marginals, free)])
@@ -647,7 +637,7 @@ def solve_joint_exact_integer(scenarios, epsilon, costs):
     L = scenarios.stations
     costs = _check_costs(costs, L)
     target = 1.0 - eps
-    lower_c, upper_c = _search_bounds(scenarios, eps, costs)
+    lower_c, upper_c = _search_bounds(scenarios, eps)
     lower = [int(math.floor(x)) + 1 for x in lower_c]
     upper = [int(math.ceil(x)) for x in upper_c]
     dep = L - 1

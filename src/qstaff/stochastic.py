@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .erlang import wait_curve, wait_probability
+from .erlang import _wait_vector, wait_curve
+from .erlang import wait_probability  # noqa: F401 (perfbench/tracing.py wraps it here)
 from .errors import BracketError, DomainError, InfeasibleError, KeyScenarioTieError
 from .frontier import check_bound, check_epsilon, integer_staffing
 from .search import bisect_decreasing
@@ -47,11 +48,8 @@ def constraint_value(scenarios, n, bound="exact"):
     if not math.isfinite(n) or n <= 0.0:
         raise DomainError(f"staffing level must be a positive real, got {n!r}")
     total = 0.0
-    for rate, p in scenarios.pairs():
-        if rate >= n:
-            total += p
-        else:
-            total += p * wait_probability(max(n, 1.0), rate, bound=bound)
+    for p, w in zip(scenarios.probs, _wait_vector(n, scenarios.rates, bound)):
+        total += p * w
     return total
 
 
@@ -137,6 +135,14 @@ def _check_cost(cost):
     return c
 
 
+def _reduced_decision(scenarios, eps, bound="exact"):
+    # solve_reduced's decision and bisection result, without the report
+    key = select_key_scenario(scenarios, eps)
+    target = (eps - scenarios.tail_sums()[key + 1]) / scenarios.probs[key]
+    result = bisect_decreasing(wait_curve(scenarios.rates[key], bound), target)
+    return _decide(scenarios, key, result.root), result
+
+
 def solve_reduced(scenarios, epsilon, cost=1.0, bound="exact"):
     """Reduced-model solve keyed to the tail-sum scenario.
 
@@ -154,12 +160,7 @@ def solve_reduced(scenarios, epsilon, cost=1.0, bound="exact"):
     eps = check_epsilon(epsilon)
     c = _check_cost(cost)
     bound = check_bound(bound)
-    key = select_key_scenario(scenarios, eps)
-    tails = scenarios.tail_sums()
-    rhs = eps - tails[key + 1]
-    target = rhs / scenarios.probs[key]
-    result = bisect_decreasing(wait_curve(scenarios.rates[key], bound), target)
-    decision = _decide(scenarios, key, result.root)
+    decision, result = _reduced_decision(scenarios, eps, bound)
     method = "reduced-exact" if bound == "exact" else "reduced-ub"
     return _report(scenarios, decision, c, method, eps,
                    result.evaluations, result.converged)

@@ -4,10 +4,12 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qstaff.erlang import (
+    BOUND_CHOICES,
     _exact_no_wait_column,
+    _wait_vector,
     _stirlerr,
     erlang_c_exact,
     erlang_c_continuous,
@@ -385,4 +387,94 @@ class TestExactNoWaitColumn:
         assert overflowed and overflowed[-1] == upper
         for k, value in zip(range(lower, upper + 1), column):
             assert value == 1.0 - wait_probability(k, lam), k
+        assert column[-1] == 1.0
+
+
+class TestWaitVector:
+    @st.composite
+    def levels_and_rates(draw):
+        # an integer or real level, n < 1 included, against rates below,
+        # at and above it
+        n = draw(st.one_of(st.integers(1, 5000).map(float),
+                           st.floats(0.05, 5000.0, allow_nan=False)))
+        scales = st.one_of(st.floats(0.02, 1.6), st.just(1.0))
+        rates = draw(st.lists(scales, min_size=1, max_size=9))
+        return n, [n * x for x in rates]
+
+    @given(case=levels_and_rates(), bound=st.sampled_from(BOUND_CHOICES))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_scalar_list(self, case, bound):
+        n, rates = case
+        scalar = [1.0 if r >= n else wait_probability(max(n, 1.0), r, bound)
+                  for r in rates]
+        assert _wait_vector(n, rates, bound) == scalar
+
+    def test_unbounded_level_rejected_like_scalar(self):
+        for n in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                _wait_vector(n, [3.0, 7.0])
+        assert _wait_vector(-math.inf, [3.0]) == [1.0]
+
+
+def reference_inverse_blocking(lam, upper):
+    """ib[k] = 1/B(k, lam) for k = 0..upper by the recursion from b_0 = 1."""
+    ib = [1.0]
+    for k in range(1, upper + 1):
+        ib.append(1.0 + (k / lam) * ib[-1])
+    return ib
+
+
+def reference_no_wait(lam, k, ib):
+    if lam >= k:
+        return 0.0
+    rho = lam / k
+    return 1.0 - 1.0 / (rho + (1.0 - rho) * ib[k])
+
+
+class TestWarmStartedRecursion:
+    # the recursion starts at lam - 12 sqrt(lam); every value must equal
+    # the one from b_0 = 1 bit for bit
+    @given(lam=st.floats(math.log(0.5), math.log(2e4)).map(math.exp))
+    @example(lam=1e5)
+    @example(lam=2e5)
+    @settings(max_examples=40, deadline=None)
+    def test_exact_matches_recursion_from_one(self, lam):
+        first, top = math.floor(lam) + 1, math.floor(lam + 15.0 * math.sqrt(lam))
+        ib = reference_inverse_blocking(lam, top)
+        column = _exact_no_wait_column(lam, 1, top)
+        assert column == [reference_no_wait(lam, k, ib) for k in range(1, top + 1)]
+        # erlang_c_exact at every level, past 2e4 at every level of the
+        # first sqrt(lam) above lam, where the dropped terms weigh most,
+        # and then every ceil(sqrt(lam))-th one
+        stride = 1 if lam <= 2e4 else math.ceil(math.sqrt(lam))
+        levels = sorted(set(range(first, top + 1, stride))
+                        | set(range(first, min(first + stride, top + 1))))
+        for k in levels:
+            rho = lam / k
+            assert erlang_c_exact(k, lam) == 1.0 / (rho + (1.0 - rho) * ib[k]), k
+
+    @pytest.mark.parametrize("lam,stride", [(0.5, 1), (7.3, 1), (480.2, 1), (3e4, 97)])
+    def test_exact_through_overflow(self, lam, stride):
+        # far above lam ib overflows and alpha is 0.0; the recursion ends
+        # with the first of its 512-step blocks that ends at inf
+        top = math.floor(lam + 45.0 * math.sqrt(lam)) + 200
+        ib = reference_inverse_blocking(lam, top)
+        assert ib[-1] == math.inf
+        for k in range(math.floor(lam) + 1, top + 1, stride):
+            rho = lam / k
+            assert erlang_c_exact(k, lam) == 1.0 / (rho + (1.0 - rho) * ib[k]), k
+
+    @given(lam=st.floats(math.log(0.5), math.log(300.0)).map(math.exp),
+           offset=st.integers(0, 400))
+    @example(lam=0.3, offset=0)
+    @example(lam=150.5, offset=250)
+    @settings(max_examples=60, deadline=None)
+    def test_column_far_above_small_rates(self, lam, offset):
+        # boxes far above lam saturate at 1.0, where the pass stops early
+        lower = math.floor(lam) + 1 + offset
+        upper = lower + 600
+        ib = reference_inverse_blocking(lam, upper)
+        column = _exact_no_wait_column(lam, lower, upper)
+        assert column == [reference_no_wait(lam, k, ib)
+                          for k in range(lower, upper + 1)]
         assert column[-1] == 1.0

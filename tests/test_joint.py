@@ -81,7 +81,7 @@ def brute_force_lattice(scenarios, epsilon, costs):
     """Cheapest feasible vector over the whole search box, scanned point by
     point with joint_constraint_value; the lexicographically smallest wins
     ties. None when nothing in the box is feasible."""
-    lower_c, upper_c = joint._search_bounds(scenarios, epsilon, costs)
+    lower_c, upper_c = joint._search_bounds(scenarios, epsilon)
     box = [range(int(math.floor(lo)) + 1, int(math.ceil(hi)) + 1)
            for lo, hi in zip(lower_c, upper_c)]
     best = None
@@ -419,29 +419,30 @@ class TestSolveJoint:
 
     def test_bisection_step_costs_one_call_per_dependent_rate(self, monkeypatch):
         # the free station is folded once per dependent-beta solve, so each
-        # evaluation inside the bisection calls the kernel at most once per
-        # rate of the dependent station
-        calls = [0]
+        # evaluation inside the bisection makes at most one vector kernel
+        # call, over the dependent station's rates
+        calls = []
         per_step = []
-        wait, bisect = joint.wait_probability, joint.bisect_decreasing
+        vector, bisect = joint._wait_vector, joint.bisect_decreasing
 
-        def counted_wait(*args, **kwargs):
-            calls[0] += 1
-            return wait(*args, **kwargs)
+        def counted_vector(n, rates, bound="exact"):
+            calls.append(len(rates))
+            return vector(n, rates, bound)
 
         def watched_bisect(fn, target):
             def step(x):
-                before = calls[0]
+                before = len(calls)
                 value = fn(x)
-                per_step.append(calls[0] - before)
+                per_step.append(calls[before:])
                 return value
             return bisect(step, target)
 
-        monkeypatch.setattr(joint, "wait_probability", counted_wait)
+        monkeypatch.setattr(joint, "_wait_vector", counted_vector)
         monkeypatch.setattr(joint, "bisect_decreasing", watched_bisect)
         solve_joint(S64, EPSILON, PRICES, key_indices=S64_KEY)
         assert len(per_step) > 100
-        assert max(per_step) <= len(S64.marginal(1)) == 8
+        assert max(len(step) for step in per_step) == 1
+        assert all(size <= len(S64.marginal(1)) == 8 for step in per_step for size in step)
 
     def test_written_off_key_still_solvable(self):
         # the full constraint never writes mass off, so a key the reduced
