@@ -12,15 +12,20 @@ The output set: compare_solutions on the bundled example1, the S64, S3,
 S4 and S5 stress instances (an InfeasibleError is recorded by its text)
 and the first 50 compare-2st benchmark instances of seeds 1 and 2; the
 full solve_joint report on example1 and S64; solve_joint_exact_integer
-on S3, S4 and S5 and on the first 40 lattice benchmark instances of seed
-1 (two to four stations); solve_weighted_stoch on example1 at delta 50,
-1e3 and 1e5 on the exact curve and the upper bound. Single station:
+on S3, S4 and S5, on the thin-top instance (two stations: rates
+(300, 500) with p (.98, .02) and (100, 110) with p (.5, .5), costs
+(1, 100), whose optimum sits far above the decoupled solution) and on
+the first 40 lattice benchmark instances of seed 1 (two to four
+stations); solve_weighted_stoch on example1 at delta 50, 1e3 and 1e5 on
+the exact curve and the upper bound. Single station:
 solve_constrained on a lambda x epsilon grid for every bound, one
 sweep_frontier per bound, and solve_reduced (both bounds) and
 solve_exact_enumeration on each of example1's marginals at three
 epsilons. Delay curve: erlang_c_exact at n = ceil(lambda) +
 j*ceil(sqrt(lambda)), j = 0..6, for four rates up to 2e5, and
-_exact_no_wait_column over two boxes that saturate at 1.0.
+_exact_no_wait_column over two boxes that saturate at 1.0, padded with
+1.0 to the box (a tree whose column still takes the box top is called
+with it).
 
 Each output is stored as its repr and as a flat field -> value map.
 The diff reports, per output kind and field, whether every value is
@@ -88,6 +93,29 @@ def stress_instances():
     }
 
 
+def thin_top_instance():
+    """(scenarios, epsilon, costs) whose lattice optimum (539, 126) lies
+    above the decoupled solution plus three sigma at the cheap station."""
+    from qstaff import JointScenarioSet, ScenarioSet
+
+    return (JointScenarioSet.from_product(
+        [ScenarioSet((300.0, 500.0), (0.98, 0.02)),
+         ScenarioSet((100.0, 110.0), (0.5, 0.5))]), 0.05, (1.0, 100.0))
+
+
+def no_wait_box(lam, lower, upper):
+    """_exact_no_wait_column(lam, lower) padded with 1.0, or cut, to the
+    levels lower..upper."""
+    from qstaff import erlang
+
+    size = upper - lower + 1
+    try:
+        column = erlang._exact_no_wait_column(lam, lower)
+    except TypeError:       # older trees take the box top as well
+        column = erlang._exact_no_wait_column(lam, lower, upper)
+    return (column + [1.0] * size)[:size]
+
+
 def flatten(value, prefix=""):
     """Dataclass fields, recursively (a tuple of dataclasses by index), as
     {dotted path: JSON value}."""
@@ -150,6 +178,8 @@ def outputs():
     for name in ("S3", "S4", "S5"):
         out[f"lattice/{name}"] = record(
             lambda: solve_joint_exact_integer(*stress[name]))
+    out["lattice/thin-top"] = record(
+        lambda: solve_joint_exact_integer(*thin_top_instance()))
     for index in range(LATTICE_INSTANCES):
         inst = gen.instance(LATTICE_SEED, "lattice", index)
         scenarios = JointScenarioSet(inst["rate_vectors"], inst["probs"])
@@ -183,7 +213,7 @@ def outputs():
                 lambda: erlang.erlang_c_exact(n, lam))
     for lam, lower, upper in COLUMN_BOXES:
         out[f"erlang/column/{lam:g}/{lower}-{upper}"] = record(
-            lambda: erlang._exact_no_wait_column(lam, lower, upper))
+            lambda: no_wait_box(lam, lower, upper))
     return out
 
 

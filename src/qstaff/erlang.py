@@ -29,6 +29,7 @@ ufunc call per level, no cache, and the scalar bits rate by rate.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -133,25 +134,26 @@ def _erlang_c_exact_cached(n, lam):
     return 1.0 / (rho + (1.0 - rho) * ib)
 
 
-def _exact_no_wait_column(lam, lower, upper):
-    """No-wait probabilities 1 - alpha(k, lam) for k = lower..upper, 1 <= lower.
+def _exact_no_wait_column(lam, lower):
+    """No-wait probabilities 1 - alpha(k, lam) for k = lower, lower + 1, ...
+    up to the first level where the entry rounds to 1.0 for good; 1 <= lower.
 
     One pass of the inverse Erlang-B recursion, from the same start as
-    erlang_c_exact, yields alpha at every k on the way to upper. Each
-    entry goes through exactly the floating-point operations of
+    erlang_c_exact, yields alpha at every k on the way. Each entry goes
+    through exactly the floating-point operations of
     _erlang_c_exact_cached(k, lam), so it equals
-    1.0 - wait_probability(k, lam) bit for bit: 0.0 where lam >= k, and
-    1.0 where the recursion has overflowed. Once (1 - rho) * ib reaches
-    2^60 the entry rounds to 1.0, and so does every later one, since
-    both factors only grow with k above lam; the pass stops there.
+    1.0 - wait_probability(k, lam) bit for bit: 0.0 where lam >= k. Once
+    (1 - rho) * ib reaches 2^60 the entry rounds to 1.0, and so does every
+    later one, since both factors only grow with k above lam; the column
+    ends with that entry.
     """
     start = _recursion_start(lam)
     first = max(lower, start + 1)
-    out = [0.0] * (min(first, upper + 1) - lower)  # levels at or below start
+    out = [0.0] * (first - lower)  # levels at or below start
     ib = 1.0
     for k in range(start + 1, first):
         ib = 1.0 + (k / lam) * ib
-    for k in range(first, upper + 1):
+    for k in itertools.count(first):
         ib = 1.0 + (k / lam) * ib
         if lam >= k:
             out.append(0.0)
@@ -160,9 +162,7 @@ def _exact_no_wait_column(lam, lower, upper):
         tail = (1.0 - rho) * ib
         out.append(1.0 - 1.0 / (rho + tail))
         if tail >= 2.0 ** 60:
-            out.extend([1.0] * (upper - k))
-            break
-    return out
+            return out
 
 
 def erlang_c_continuous(n, lam):

@@ -18,7 +18,8 @@ Solver lineup:
   scenario per station, minimizes the weighted sum of safety factors
   subject to the full joint constraint, and rounds the implied levels.
 * solve_joint_exact_integer: certified integer optimum by exhaustive
-  lattice search between provable bounds; the ground truth at desk scale.
+  lattice search in a box read off the exact no-wait tables, with no
+  curve or decoupled solve; the ground truth at desk scale.
 * solve_decoupled: per-station single-station solves with no-wait target
   (1-epsilon)^(1/L); simple, conservative, and typically a few percent
   more expensive.
@@ -36,6 +37,7 @@ coordinate_descent and its one stopping rule, MAX_CYCLES and CYCLE_TOL.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,7 +51,6 @@ from .errors import (
     DomainError,
     EnumerationCapError,
     InfeasibleError,
-    KeyScenarioTieError,
 )
 from .frontier import (
     CostFunction,
@@ -59,7 +60,7 @@ from .frontier import (
     integer_staffing,
 )
 from .search import BETA_CAP, bisect_decreasing, grid_then_golden
-from .stochastic import FEASIBILITY_TOL, _reduced_decision
+from .stochastic import FEASIBILITY_TOL, KEY_TIE_RTOL, _reduced_decision
 from .stochastic import solve_reduced  # noqa: F401 (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -83,12 +84,6 @@ CYCLE_TOL = 1e-9
 # the lattice search forms its joint no-wait matrix in row blocks of at
 # most this many cells (8 bytes each), whatever the width of the box
 LATTICE_BLOCK_CELLS = 1 << 16
-# doublings of the 3*sqrt(rate) margin tried for a feasible box corner
-# when the key-scenario rule ties
-CORNER_DOUBLINGS = 8
-# a key must beat the incumbent by this relative margin, so near-ties in
-# a key ranking go to the lexicographically smallest key
-KEY_TIE_RTOL = 1e-9
 
 
 def _check_costs(costs, stations):
@@ -525,32 +520,6 @@ def _stability_threshold(marginal, eps):
     return marginal.rates[-1]
 
 
-def _search_bounds(scenarios, eps):
-    # box top: the decoupled levels plus 3*sqrt(level); when the
-    # key-scenario rule ties, every top rate plus 3*sqrt(rate) with the
-    # margin doubled up to CORNER_DOUBLINGS times until the corner is
-    # feasible
-    target = 1.0 - eps
-    lower = [_stability_threshold(scenarios.marginal(i), eps)
-             for i in range(scenarios.stations)]
-    try:
-        base = _decoupled_decision(scenarios, eps).n_continuous
-        doublings = 0
-    except KeyScenarioTieError:
-        base = [m.rates[-1] for m in scenarios.marginals]
-        doublings = CORNER_DOUBLINGS
-    for doubling in range(doublings + 1):
-        scale = 3.0 * 2.0 ** doubling
-        upper = [r + scale * math.sqrt(r) for r in base]
-        corner = _joint_no_wait(scenarios, upper)
-        if corner >= target:
-            return lower, upper
-    raise InfeasibleError(
-        f"joint target {target:.6g} unreachable inside the search box: "
-        f"no-wait probability at staffing {tuple(round(x, 3) for x in upper)} "
-        f"is only {corner:.6g}")
-
-
 def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
     """Joint model on the full constraint in the key parameterization.
 
@@ -610,60 +579,81 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
 def solve_joint_exact_integer(scenarios, epsilon, costs):
     """Certified integer optimum of the joint model by lattice search.
 
-    The search box is provable: below the per-station stability threshold
-    the stable mass alone cannot reach the target, and the decoupled
-    solution plus a three-sigma margin is feasible (when the key-scenario
-    rule ties, the top rates plus doubling margins give the feasible
-    corner instead). Every candidate in the box is covered, so the
-    returned vector is the exact integer optimum; ties go to the
-    lexicographically smallest vector.
+    The search box is read off exact no-wait tables, one inverse Erlang-B
+    pass per station and marginal rate, with no curve or decoupled solve.
+    A station's table runs from its stability threshold to the level where
+    every entry has rounded to 1.0, above which a level costs more and
+    raises no factor. Every no-wait factor is at most one, so the joint
+    no-wait never exceeds a station's expected no-wait over its marginal,
+    and each station's floor is the first level where that reaches the
+    target (Luedtke & Ahmed 2008, the marginal relaxation of a joint
+    chance constraint). A feasible incumbent caps each station at its
+    floor plus what the incumbent's cost over the floors affords. Every
+    candidate in the box is covered, so the returned vector is the exact
+    integer optimum; ties go to the lexicographically smallest vector.
 
-    Each station's no-wait probabilities over its box come from one
-    inverse Erlang-B pass per marginal rate. Every no-wait factor is at
-    most one, so the joint no-wait never exceeds a station's own
-    expected no-wait over its marginal, and each station's box starts at
-    the first level where that reaches the target (Luedtke & Ahmed 2008,
-    the marginal relaxation of a joint chance constraint). The first L-2
-    stations are enumerated in lexicographic order, each station's range
-    ending once even the cheapest completion costs as much as the
-    incumbent; for each such outer point one matrix product gives the
-    joint no-wait probability over the box of the last two stations, and
-    the cheapest feasible level of the last station is the first column
-    of each row to reach the target. The reported QoS is folded from the
-    same tables, equal to joint_constraint_value at the optimum bit for
-    bit.
+    The first L-2 stations are enumerated in lexicographic order, each
+    station's range ending once even the cheapest completion costs as
+    much as the best point so far; for each such outer point one matrix
+    product gives the joint no-wait probability over the part of the last
+    two stations' box that could still beat that point, and the cheapest
+    feasible level of the last station is the first column of each row to
+    reach the target. The reported QoS is folded from the same tables,
+    equal to joint_constraint_value at the optimum bit for bit.
     """
     eps = check_epsilon(epsilon)
     L = scenarios.stations
     costs = _check_costs(costs, L)
     target = 1.0 - eps
-    lower_c, upper_c = _search_bounds(scenarios, eps)
-    lower = [int(math.floor(x)) + 1 for x in lower_c]
-    upper = [int(math.ceil(x)) for x in upper_c]
     dep = L - 1
     row = L - 2             # station indexing the rows; -1 when L == 1
     outer_stations = max(row, 0)
     probs = np.array(scenarios.probs)
+    index = [np.array(idx) for idx in scenarios.rate_index]
 
     # tables[i][j, k - lower_i]: no-wait at level k against station i's
-    # j-th marginal rate; index[i][w]: that rate's position in scenario w
-    tables = [np.array([_exact_no_wait_column(r, lo, hi) for r in marginal.rates])
-              for marginal, lo, hi in zip(scenarios.marginals, lower, upper)]
-    # every u_i <= 1, so the joint no-wait never exceeds station j's own
-    # marginal no-wait E[u_j]: levels where that falls short are infeasible
-    # and the box starts at each station's first level reaching the target.
-    # The 1e-12 slack, far above the rounding of either sum, keeps any
-    # level the joint check below could accept.
+    # j-th marginal rate, rows padded with 1.0 to the widest; index[i][w]:
+    # that rate's position in scenario w. The 1e-12 slack on the floor, far
+    # above the rounding of either sum, keeps any level the joint check
+    # below could accept; a floor never reached leaves only the top.
+    lower = [int(math.floor(_stability_threshold(m, eps))) + 1
+             for m in scenarios.marginals]
+    tables, reach = [], []  # reach[j]: running maximum of E[u_j] from the floor
     for j, marginal in enumerate(scenarios.marginals):
-        reach = np.flatnonzero(np.array(marginal.probs) @ tables[j] >= target - 1e-12)
-        if not reach.size:
-            raise InfeasibleError("no integer staffing in the search box is feasible")
-        lower[j] += int(reach[0])
-        tables[j] = tables[j][:, reach[0]:]
-    index = [np.array(idx) for idx in scenarios.rate_index]
-    # outer station factors gathered per scenario, one row per level
-    outer_factors = [np.ascontiguousarray(tables[i][index[i]].T)
-                     for i in range(outer_stations)]
+        rows = [_exact_no_wait_column(r, lower[j]) for r in marginal.rates]
+        width = max(map(len, rows))
+        table = np.array([r + [1.0] * (width - len(r)) for r in rows])
+        running = np.maximum.accumulate(np.array(marginal.probs) @ table)
+        floor = min(int(np.searchsorted(running, target - 1e-12)), width - 1)
+        lower[j] += floor
+        tables.append(table[:, floor:])
+        reach.append(running[floor:])
+
+    # factors[i][k - lower_i, w]: station i's no-wait at level k in scenario w
+    factors = [np.ascontiguousarray(table[idx].T) for table, idx in zip(tables, index)]
+
+    # incumbent: each station at its first level whose marginal no-wait
+    # reaches t, for the smallest feasible t by bisection over the union
+    # of those values; t = inf puts every station at its top
+    def offsets_at(t):
+        return [min(int(np.searchsorted(r, t)), r.size - 1) for r in reach]
+
+    def meets_target(t):
+        joint = probs
+        for factor, k in zip(factors, offsets_at(t)):
+            joint = joint * factor[k]
+        return joint.sum() >= target
+
+    thresholds = np.unique(np.concatenate(reach)).tolist() + [math.inf]
+    incumbent = bisect.bisect_left(thresholds, True, key=meets_target)
+    if incumbent == len(thresholds):
+        raise InfeasibleError(
+            f"joint target {target:.6g} unreachable even at saturated staffing")
+    # no station rises above its floor by more than the incumbent's cost
+    # over the floors affords; points of exactly that cost stay
+    budget = sum(c * k for c, k in zip(costs, offsets_at(thresholds[incumbent])))
+    tables = [table[:, :int(budget / c + 1e-9) + 1] for table, c in zip(tables, costs)]
+    upper = [lo + table.shape[1] - 1 for lo, table in zip(lower, tables)]
     dep_table = tables[dep]
     dep_rates = dep_table.shape[0]
     if row >= 0:
@@ -686,7 +676,7 @@ def solve_joint_exact_integer(scenarios, epsilon, costs):
         # outer points from station i on, in lexicographic order, with
         # their cost prefix and scenario weights; a level whose cheapest
         # completion (every later station at its lower level) cannot beat
-        # the incumbent ends station i's range, as every later level
+        # the best point so far ends station i's range, as every later level
         # costs at least as much
         if i == outer_stations:
             yield head, prefix, weights
@@ -699,25 +689,29 @@ def solve_joint_exact_integer(scenarios, epsilon, costs):
             if cheapest + row_cost * row_lo + dep_cost * dep_lo >= best_cost:
                 return
             yield from outer_points(i + 1, head + (n,), fixed,
-                                    weights * outer_factors[i][n - lower[i]])
+                                    weights * factors[i][n - lower[i]])
 
     for outer, prefix, weights in outer_points(0, (), 0, probs):
+        # no row or column past what the best point so far leaves room
+        # for above the cheapest completion can beat that point
+        room = best_cost - prefix - row_cost * row_lo - dep_cost * dep_lo
+        row_top = (int(min(row_hi, row_lo + room / row_cost + 1e-9)) if row_cost
+                   else row_hi)
+        cols = int(min(dep_table.shape[1] - 1, room / dep_cost + 1e-9)) + 1
         mass = np.bincount(cell, weights, minlength=row_rates * dep_rates)
-        partial = mass.reshape(row_rates, dep_rates) @ dep_table
-        for start in range(row_lo, row_hi + 1, block):
+        partial = mass.reshape(row_rates, dep_rates) @ dep_table[:, :cols]
+        for start in range(row_lo, row_top + 1, block):
             if prefix + row_cost * start + dep_cost * dep_lo >= best_cost:
                 break
-            stop = min(start + block, row_hi + 1)
+            stop = min(start + block, row_top + 1)
             feasible = row_table[start - row_lo:stop - row_lo] @ partial >= target
-            found = feasible.any(axis=1).tolist()
             first = feasible.argmax(axis=1).tolist()
-            for n, ok, k in zip(range(start, stop), found, first):
+            for i in np.flatnonzero(feasible.any(axis=1)).tolist():
+                n, k = start + i, first[i]
                 fixed = prefix + row_cost * n
                 if fixed + dep_cost * dep_lo >= best_cost:
                     # every later row costs at least as much
                     break
-                if not ok:
-                    continue
                 cost = fixed + dep_cost * (dep_lo + k)
                 if cost < best_cost:
                     best_cost = cost

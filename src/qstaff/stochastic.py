@@ -37,6 +37,9 @@ __all__ = [
 
 TAIL_TIE_TOL = 1e-12
 FEASIBILITY_TOL = 1e-9
+# a key must beat the incumbent by this relative margin, so near-ties in
+# a key ranking go to the lexicographically smallest key
+KEY_TIE_RTOL = 1e-9
 
 
 def constraint_value(scenarios, n, bound="exact"):
@@ -205,7 +208,7 @@ def solve_exact_enumeration(scenarios, epsilon, cost=1.0, key_index=None):
         decision = _decide(scenarios, key, result.root)
         objective = c * decision.n_continuous
         # prefer the lowest key index among near-equal costs
-        if best is None or objective < best[0] * (1.0 - 1e-9):
+        if best is None or objective < best[0] * (1.0 - KEY_TIE_RTOL):
             best = (objective, decision, result.converged)
     if best is None:
         raise InfeasibleError(

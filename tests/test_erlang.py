@@ -360,6 +360,16 @@ class TestWaitProbability:
             wait_probability(n, lam, bound="nope")
 
 
+def no_wait_box(lam, lower, upper):
+    """_exact_no_wait_column(lam, lower), which runs until its entries
+    have rounded to 1.0, padded with 1.0 or cut to the levels lower..upper."""
+    column = _exact_no_wait_column(lam, lower)
+    assert column[-1] == 1.0
+    assert 1.0 - wait_probability(lower + len(column), lam) == 1.0
+    size = upper - lower + 1
+    return (column + [1.0] * size)[:size]
+
+
 class TestExactNoWaitColumn:
     # (lambda, lower, upper): above 1, every box reaches below lambda,
     # where the no-wait probability is 0.0
@@ -370,7 +380,7 @@ class TestExactNoWaitColumn:
         (6150.7, 6080, 6420),
     ])
     def test_bit_identical_to_scalar_kernel(self, lam, lower, upper):
-        column = _exact_no_wait_column(lam, lower, upper)
+        column = no_wait_box(lam, lower, upper)
         assert len(column) == upper - lower + 1
         for k, value in zip(range(lower, upper + 1), column):
             assert value == 1.0 - wait_probability(k, lam), k
@@ -380,7 +390,7 @@ class TestExactNoWaitColumn:
         # far above lambda the inverse blocking recursion overflows and
         # the scalar kernel reports alpha = 0.0
         lam, lower, upper = 0.3, 1, 400
-        column = _exact_no_wait_column(lam, lower, upper)
+        column = no_wait_box(lam, lower, upper)
         assert wait_probability(upper, lam) == 0.0
         overflowed = [k for k in range(lower, upper + 1)
                       if wait_probability(k, lam) == 0.0]
@@ -441,7 +451,7 @@ class TestWarmStartedRecursion:
     def test_exact_matches_recursion_from_one(self, lam):
         first, top = math.floor(lam) + 1, math.floor(lam + 15.0 * math.sqrt(lam))
         ib = reference_inverse_blocking(lam, top)
-        column = _exact_no_wait_column(lam, 1, top)
+        column = no_wait_box(lam, 1, top)
         assert column == [reference_no_wait(lam, k, ib) for k in range(1, top + 1)]
         # erlang_c_exact at every level, past 2e4 at every level of the
         # first sqrt(lam) above lam, where the dropped terms weigh most,
@@ -474,7 +484,7 @@ class TestWarmStartedRecursion:
         lower = math.floor(lam) + 1 + offset
         upper = lower + 600
         ib = reference_inverse_blocking(lam, upper)
-        column = _exact_no_wait_column(lam, lower, upper)
+        column = no_wait_box(lam, lower, upper)
         assert column == [reference_no_wait(lam, k, ib)
                           for k in range(lower, upper + 1)]
         assert column[-1] == 1.0

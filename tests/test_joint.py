@@ -3,9 +3,9 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qstaff import joint
+from qstaff import erlang, joint
 from qstaff.erlang import wait_probability
 from qstaff.errors import (
     DomainError,
@@ -78,39 +78,96 @@ S64_KEY = (7, 7)
 
 
 def brute_force_lattice(scenarios, epsilon, costs):
-    """Cheapest feasible vector over the whole search box, scanned point by
-    point with joint_constraint_value; the lexicographically smallest wins
-    ties. None when nothing in the box is feasible."""
-    lower_c, upper_c = joint._search_bounds(scenarios, epsilon)
-    box = [range(int(math.floor(lo)) + 1, int(math.ceil(hi)) + 1)
-           for lo, hi in zip(lower_c, upper_c)]
+    """Cheapest feasible integer vector by joint_constraint_value alone;
+    the lexicographically smallest wins ties. None when none is feasible.
+
+    A station is saturated at a level where its no-wait is 1.0 against
+    every rate: no vector can do better there, and a higher level only
+    costs more. Raising every station together, each held at its
+    saturation level once there, gives a feasible vector of cost B unless
+    even the saturated corner falls short. Every vector costing at most B
+    is then scanned in lexicographic order, pruned by cost, each station
+    stopping at its saturation level and each prefix skipped when even
+    saturated later stations cannot meet the target; the last station
+    stops at its first feasible level.
+    """
+    target = 1.0 - epsilon
+    stations = scenarios.stations
+
+    def saturated(i, n):
+        return all(r < n and 1.0 - wait_probability(n, r) == 1.0
+                   for r in scenarios.marginal(i).rates)
+
+    top = []
+    for i in range(stations):
+        n = 1
+        while not saturated(i, n):
+            n += 1
+        top.append(n)
+
+    def feasible(n):
+        return joint_constraint_value(scenarios, n) >= target
+
+    def cost_of(n):
+        return sum(c * x for c, x in zip(costs, n))
+
+    if not feasible(tuple(top)):
+        return None
+    level = 1
+    while not feasible(tuple(min(level, t) for t in top)):
+        level += 1
+    budget = cost_of(tuple(min(level, t) for t in top))
     best = None
-    for n in itertools.product(*box):
-        cost = sum(c * x for c, x in zip(costs, n))
-        if best is not None and cost >= best[0]:
-            continue
-        if joint_constraint_value(scenarios, n) >= 1.0 - epsilon:
-            best = (cost, n)
+
+    def too_dear(cost):
+        return cost > budget if best is None else cost >= best[0]
+
+    def scan(head):
+        nonlocal best
+        i = len(head)
+        for n in range(1, top[i] + 1):
+            point = head + (n,)
+            if too_dear(cost_of(point + (1,) * (stations - i - 1))):
+                return
+            if i == stations - 1:
+                if feasible(point):
+                    best = (cost_of(point), point)
+                    return
+            elif feasible(point + tuple(top[i + 1:])):
+                scan(point)
+
+    scan(())
     return best
 
 
 @st.composite
 def small_joint_problems(draw):
+    # cost ratios up to 100, and optionally a thin top: one more scenario,
+    # carrying less than epsilon, at two to four times one station's rate,
+    # so that the optimum may staff that station far above the rest
     stations = draw(st.integers(1, 4))
-    rate = st.floats(0.5, (6.0, 6.0, 3.0, 1.5)[stations - 1])
+    rate = st.floats(0.5, (20.0, 20.0, 3.0, 1.5)[stations - 1])
     grids = [draw(st.lists(rate, min_size=1, max_size=3, unique=True))
              for _ in range(stations)]
     vectors = draw(st.lists(st.tuples(*(st.sampled_from(g) for g in grids)),
                             min_size=1, max_size=5, unique=True))
     weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(vectors),
                             max_size=len(vectors)))
-    total = math.fsum(weights)
-    scenarios = JointScenarioSet(tuple(vectors), tuple(w / total for w in weights))
     epsilon = draw(st.floats(0.02, 0.3))
+    probs = [w / math.fsum(weights) for w in weights]
     if draw(st.booleans()):
-        costs = (draw(st.floats(0.5, 4.0)),) * stations
+        base = list(draw(st.sampled_from(vectors)))
+        station = draw(st.integers(0, stations - 1))
+        base[station] *= draw(st.floats(2.0, 4.0))
+        thin = draw(st.floats(0.1, 0.9)) * epsilon
+        vectors = vectors + [tuple(base)]
+        probs = [p * (1.0 - thin) for p in probs] + [thin]
+    scenarios = JointScenarioSet(tuple(vectors), tuple(probs))
+    price = st.floats(math.log(0.5), math.log(50.0)).map(math.exp)
+    if draw(st.booleans()):
+        costs = (draw(price),) * stations
     else:
-        costs = tuple(draw(st.floats(0.5, 4.0)) for _ in range(stations))
+        costs = tuple(draw(price) for _ in range(stations))
     return scenarios, epsilon, costs
 
 
@@ -536,7 +593,7 @@ class TestSolveJointExactInteger:
 
     def test_key_scenario_tie_still_certifies(self):
         # the tail above rate 100 carries exactly epsilon, so the
-        # decoupled box top is undefined; the doubling corner replaces it
+        # key-scenario rule ties and there is no decoupled solution
         one = JointScenarioSet(((100.0,), (200.0,)), (0.95, 0.05))
         with pytest.raises(KeyScenarioTieError):
             solve_decoupled(one, 0.05, (1.0,))
@@ -547,24 +604,50 @@ class TestSolveJointExactInteger:
         assert rep.achieved_qos >= 0.95
         assert joint_constraint_value(one, (194,)) < 0.95
 
-    def test_key_scenario_tie_corner_cap(self, monkeypatch):
-        # the mass at the top rate is too thin for a three-sigma corner;
-        # one doubling of the margin is needed
+    def test_key_scenario_tie_corner_cap(self):
+        # the key-scenario rule ties, and the mass at the top rate is too
+        # thin for staffing three sigma above it to meet the target
         one = JointScenarioSet(((100.0,), (100.0001,)), (0.999, 0.001))
+        with pytest.raises(KeyScenarioTieError):
+            solve_decoupled(one, 0.001, (1.0,))
+        assert joint_constraint_value(one, (131,)) < 0.999
         rep = solve_joint_exact_integer(one, 0.001, (1.0,))
+        assert rep.n == (134,)
         assert rep.achieved_qos >= 0.999
-        monkeypatch.setattr(joint, "CORNER_DOUBLINGS", 0)
-        with pytest.raises(InfeasibleError):
-            solve_joint_exact_integer(one, 0.001, (1.0,))
+        assert (rep.cost, rep.n) == brute_force_lattice(one, 0.001, (1.0,))
+
+    def test_thin_top_optimum_outside_old_box(self):
+        # the cheap station covers its thin top scenario at 500 so that
+        # the dear one can stay low; the optimum lies far above the
+        # decoupled solution plus three sigma, (402, 163)
+        thin = product_instance(((300.0, 500.0), (0.98, 0.02)),
+                                ((100.0, 110.0), (0.5, 0.5)))
+        rep = solve_joint_exact_integer(thin, 0.05, (1.0, 100.0))
+        assert rep.n == (539, 126)
+        assert rep.cost == 13139.0
+        assert rep.achieved_qos == joint_constraint_value(thin, rep.n)
+        assert joint_constraint_value(thin, (348, 129)) >= 0.95
+
+    def test_needs_no_curve_and_no_decoupled_solve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the lattice called a curve or a decoupled solve")
+
+        monkeypatch.setattr(joint, "_decoupled_decision", forbidden)
+        monkeypatch.setattr(erlang, "_alpha_bar_cached", forbidden)
+        monkeypatch.setattr(erlang, "_alpha_bar_from", forbidden)
+        rep = solve_joint_exact_integer(S3, EPSILON, (1.0, 1.0, 1.0))
+        assert rep.n == (529, 226, 136)
+        assert rep.cost == 891.0
 
     @settings(max_examples=50, deadline=None)
     @given(small_joint_problems())
+    # a thin top at the cheap station: the optimum (60, 20) at 975 lies
+    # above the decoupled solution plus three sigma
+    @example(problem=(JointScenarioSet(((20.0, 1.0), (20.0, 16.4), (54.4, 1.0)),
+                                       (0.195, 0.698, 0.107)), 0.25, (1.25, 45.0)))
     def test_matches_brute_force_scan(self, problem):
         scenarios, epsilon, costs = problem
-        try:
-            expected = brute_force_lattice(scenarios, epsilon, costs)
-        except InfeasibleError:
-            expected = None
+        expected = brute_force_lattice(scenarios, epsilon, costs)
         if expected is None:
             with pytest.raises(InfeasibleError):
                 solve_joint_exact_integer(scenarios, epsilon, costs)
