@@ -11,7 +11,9 @@ files, so both dumps hold the same output kinds:
 The output set: compare_solutions on the bundled example1, the S64, S3,
 S4 and S5 stress instances (an InfeasibleError is recorded by its text)
 and the first 50 compare-2st benchmark instances of seeds 1 and 2; the
-full solve_joint report on example1 and S64; solve_joint_exact_integer
+full solve_joint report on example1 and S64; solve_reduced_joint at
+every key of example1 and S64 and solve_joint at every key of example1
+(an InfeasibleError again recorded by its text); solve_joint_exact_integer
 on S3, S4 and S5, on the thin-top instance (two stations: rates
 (300, 500) with p (.98, .02) and (100, 110) with p (.5, .5), costs
 (1, 100), whose optimum sits far above the decoupled solution) and on
@@ -37,6 +39,7 @@ The benchmark instances come from perfbench/gen.py, imported by path.
 import argparse
 import dataclasses
 import importlib.util
+import itertools
 import json
 import math
 import pathlib
@@ -156,6 +159,7 @@ def outputs():
         solve_joint,
         solve_joint_exact_integer,
         solve_reduced,
+        solve_reduced_joint,
         solve_weighted_stoch,
         sweep_frontier,
     )
@@ -175,6 +179,14 @@ def outputs():
                 lambda: compare_solutions(scenarios, inst["epsilon"], inst["costs"]))
     out["joint/example1"] = record(lambda: solve_joint(*example1))
     out["joint/S64"] = record(lambda: solve_joint(*stress["S64"]))
+    for name, args in (("example1", example1), ("S64", stress["S64"])):
+        for key in itertools.product(*(range(len(m)) for m in args[0].marginals)):
+            tag = "-".join(map(str, key))
+            out[f"keyed/reduced/{name}/{tag}"] = record(
+                lambda: solve_reduced_joint(*args, key))
+            if name == "example1":
+                out[f"keyed/joint/{name}/{tag}"] = record(
+                    lambda: solve_joint(*args, key_indices=key))
     for name in ("S3", "S4", "S5"):
         out[f"lattice/{name}"] = record(
             lambda: solve_joint_exact_integer(*stress[name]))

@@ -399,14 +399,25 @@ def wait_curve(lam, bound="exact"):
     Returns beta -> wait_probability(max(lam + beta*sqrt(lam), 1), lam, bound):
     staffing below one server is clamped to one, and for lam >= 1 the
     curve falls strictly from 1 at beta = 0. Every solver that searches
-    over beta builds its curve here.
+    over beta builds its curve here. lam and bound are checked once; the
+    exact curve then calls the cached kernels directly, bit for bit as
+    wait_probability would.
     """
     lam = _check_lambda(lam)
     if bound not in BOUND_CHOICES:
         raise DomainError(f"bound must be one of {BOUND_CHOICES}, got {bound!r}")
     root = math.sqrt(lam)
+    if bound != "exact":
+        return lambda beta: wait_probability(max(lam + beta * root, 1.0), lam, bound)
 
     def curve(beta):
-        return wait_probability(max(lam + beta * root, 1.0), lam, bound)
+        n = float(max(lam + beta * root, 1.0))
+        if not math.isfinite(n):
+            raise DomainError(f"staffing level must be a finite real >= 1, got {n!r}")
+        if lam >= n:
+            return 1.0
+        if n.is_integer():
+            return _erlang_c_exact_cached(int(n), lam)
+        return _alpha_bar_cached(n, lam)
 
     return curve

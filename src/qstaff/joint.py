@@ -418,10 +418,12 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
 
     curves = [wait_curve(r) for r in key_rates]
     dep = L - 1
+    guess = None    # the last dependent root; descent moves it only a little
 
     def dep_beta(betas):
         """Smallest beta for the dependent station, or inf if the free
         coordinates leave the target out of reach."""
+        nonlocal guess
         u = [1.0 - curve(b) for curve, b in zip(curves, betas[:dep])]
         const, slope = _split_linear(coeffs, u)
         if const >= target:
@@ -434,9 +436,10 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
         if u_req <= 0.0:
             return 0.0
         try:
-            return bisect_decreasing(curves[dep], 1.0 - u_req).root
+            guess = bisect_decreasing(curves[dep], 1.0 - u_req, guess).root
         except BracketError:
             return math.inf
+        return guess
 
     return _solve_keyed(scenarios, eps, costs, keys, key_rates, [1.0] * L,
                         dep_beta, "reduced-joint")
@@ -549,12 +552,14 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
     roots = [math.sqrt(r) for r in key_rates]
     dep = L - 1
     dep_no_waits = {}  # dependent no-wait vectors by level; bisection midpoints recur
+    guess = betas[dep]  # the last dependent root; descent moves it only a little
 
     def dep_beta(betas):
         # smallest dependent beta restoring the constraint with the free
         # coordinates fixed (the joint wait falls in it); the free stations
         # fold once into weights over the dependent rates, so a bisection
         # step makes at most one vector kernel call
+        nonlocal guess
         free = [max(r + x * rt, 1.0) for r, rt, x in zip(key_rates, roots, betas[:dep])]
         weights = _fold(scenarios, [_no_wait_vector(m, n) for m, n in
                                     zip(scenarios.marginals, free)])
@@ -568,9 +573,10 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
             return 1.0 - _dot(weights, no_wait)
 
         try:
-            return bisect_decreasing(joint_wait, eps).root
+            guess = bisect_decreasing(joint_wait, eps, guess).root
         except BracketError:
             return math.inf
+        return guess
 
     return _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta,
                         "joint")

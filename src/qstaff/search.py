@@ -6,7 +6,10 @@ Every constraint curve in this package is monotone in beta and every
 easy to reason about when a solver misbehaves, so bisect_decreasing
 keeps it to the last bit and only spends fewer curve evaluations on it:
 Illinois steps narrow the bracket, and the bisection midpoints the
-narrowed bracket already decides are never evaluated.
+narrowed bracket already decides are never evaluated. A caller solving a
+run of nearby problems, as a descent does for its dependent safety
+factor, passes the last root as a guess; a short walk from it brackets
+the crossing before the first midpoint, and the answer stays the same.
 
 Every solver searches beta in one box, defined only here: [0, BETA_HI],
 the upper end doubling up to BETA_CAP, in bisect_decreasing until the
@@ -30,7 +33,9 @@ _XTOL = 1e-10
 _RTOL = 1e-9      # bisection residual counted as converged
 _MAX_ITER = 200
 _N_GRID = 33
-_SLACK = 4        # Illinois steps bisect_decreasing may take beyond those repaid
+_SLACK = 4        # calls bisect_decreasing may make beyond those repaid
+_WALK = 1e-3      # first step of the walk from a guess, per unit of 1 + guess
+_WALK_GROWTH = 8.0
 _LOG_TINY = math.log(math.ulp(0.0))
 _EDGE = 1e-6      # a minimizer this close to the upper end sits on the edge
 
@@ -43,7 +48,7 @@ class RootResult:
     converged: bool
 
 
-def bisect_decreasing(fn, target):
+def bisect_decreasing(fn, target, guess=None):
     """Solve fn(x) = target for a non-increasing fn on [_LO, BETA_CAP].
 
     The upper bracket starts at BETA_HI and doubles until fn drops to the
@@ -52,15 +57,34 @@ def bisect_decreasing(fn, target):
 
     The result (root, residual, converged) is exactly plain bisection's:
     the same midpoints 0.5*(lo + hi) from the same bracket down to _XTOL,
-    each sent the same way. Only the evaluation count differs. Every
-    evaluated point a with fn(a) > target and b with fn(b) <= target
-    bounds the crossing, so a midpoint at or below a is above target and
-    one at or above b is not, without a call. Before a midpoint inside
-    (a, b) is evaluated, Illinois steps (regula falsi on log fn, halving
-    the weight of an end kept twice running) narrow (a, b). They may cost
-    at most _SLACK calls more than the midpoints they let the bisection
-    skip, so no fn takes more than _SLACK calls beyond plain bisection;
-    a wait-curve root takes about 13 calls instead of 40.
+    each sent the same way, whatever the guess. Only the evaluation count
+    differs. Every evaluated point a with fn(a) > target and b with
+    fn(b) <= target bounds the crossing, so a midpoint at or below a is
+    above target and one at or above b is not, without a call; the same
+    holds for fn(_LO) and each doubled upper end, except that fn(_LO) is
+    evaluated whenever no known point above _LO lies above target, since
+    the early return reports its value.
+
+    A guess in (_LO, BETA_CAP), say the root of a neighbouring problem,
+    seeds (a, b) before any of that: fn is evaluated at the guess, then at
+    guess +- _WALK * (1 + guess) * _WALK_GROWTH^k for k = 0, 1, ...,
+    upward while fn stays above target and downward while it does not,
+    until the crossing is bracketed or the next point leaves (_LO,
+    BETA_CAP), so the walk makes at most seven calls. A guess outside
+    (_LO, BETA_CAP), or None, seeds nothing.
+
+    Before a midpoint inside (a, b) is evaluated, Illinois steps (regula
+    falsi on log fn, halving the weight of an end kept twice running)
+    narrow (a, b). Once fn(b) equals the target (or does on the log
+    scale) the chord lands on b, so the first such step goes _XTOL/2 left
+    of b instead, where it brackets a root at b for every later midpoint.
+    Every call plain bisection would not make (walk, Illinois) is charged
+    against the calls it does make that are skipped, with an allowance of
+    _SLACK, and an Illinois step is taken only while the balance is
+    positive. So no fn takes more than max(_SLACK, walk calls) <= 7 calls
+    beyond plain bisection, and without a guess no more than _SLACK. A
+    wait-curve root takes about 13 calls instead of 40, and a dependent
+    root seeded by the previous one about 8.
     """
     evals = 0
 
@@ -69,29 +93,55 @@ def bisect_decreasing(fn, target):
         evals += 1
         return fn(x)
 
+    # (a, fa), (b, fb): the tightest evaluated points with fn(a) > target
+    # >= fn(b); a = 0.0 and b = inf stand for none yet
+    a, fa, b, fb = 0.0, None, math.inf, None
+    credit = _SLACK     # calls skipped + _SLACK - calls plain bisection would not make
+    if guess is not None:
+        x, step = guess, _WALK * (1.0 + guess)
+        while _LO < x < BETA_CAP and (a == 0.0 or b == math.inf):
+            credit -= 1
+            fx = f(x)
+            if fx > target:
+                a, fa, x = x, fx, guess + step
+            else:
+                b, fb, x = x, fx, guess - step
+            step *= _WALK_GROWTH
     lo, hi = _LO, BETA_HI
-    flo = f(lo)
-    if flo <= target:
-        return RootResult(lo, flo - target, evals, True)
-    a, fa = lo, flo
-    fhi = f(hi)
-    while fhi > target:
-        a, fa = hi, fhi
+    if a > lo:
+        credit += 1
+    else:
+        flo = f(lo)
+        if flo <= target:
+            return RootResult(lo, flo - target, evals, True)
+        a, fa = lo, flo
+    while hi < b:
+        if hi <= a:
+            credit += 1
+        else:
+            fhi = f(hi)
+            if fhi <= target:
+                b, fb = hi, fhi
+                break
+            a, fa = hi, fhi
         hi *= 2.0
         if hi > BETA_CAP:
             raise BracketError(
                 f"no root below x={BETA_CAP:g}: fn({BETA_CAP:g}) still above target {target:g}")
-        fhi = f(hi)
+    else:
+        credit += 1     # fn(b) <= target decides this fn(hi)
     gap = _gap_scale(target)
-    b, ga, gb = hi, gap(fa), gap(fhi)
+    ga, gb = gap(fa), gap(fb)
     kept = None         # the end the last Illinois step left in place
-    credit = _SLACK     # midpoints skipped + _SLACK - Illinois steps taken
+    exact_hit = True    # the step left of a b the chord lands on is still untaken
     for _ in range(_MAX_ITER):
         if hi - lo <= _XTOL:
             break
         mid = 0.5 * (lo + hi)
         while credit > 0 and a < mid < b and ga > gb:
             x = b - gb * (b - a) / (gb - ga)
+            if x >= b and exact_hit:
+                x, exact_hit = b - 0.5 * _XTOL, False
             if not a < x < b:
                 break
             credit -= 1

@@ -486,13 +486,13 @@ class TestSolveJoint:
             calls.append(len(rates))
             return vector(n, rates, bound)
 
-        def watched_bisect(fn, target):
+        def watched_bisect(fn, target, guess=None):
             def step(x):
                 before = len(calls)
                 value = fn(x)
                 per_step.append(calls[before:])
                 return value
-            return bisect(step, target)
+            return bisect(step, target, guess)
 
         monkeypatch.setattr(joint, "_wait_vector", counted_vector)
         monkeypatch.setattr(joint, "bisect_decreasing", watched_bisect)
@@ -500,6 +500,24 @@ class TestSolveJoint:
         assert len(per_step) > 100
         assert max(len(step) for step in per_step) == 1
         assert all(size <= len(S64.marginal(1)) == 8 for step in per_step for size in step)
+
+    def test_dependent_roots_start_at_the_previous_root(self, monkeypatch):
+        # each dependent-beta search starts from the last root, which descent
+        # moves only a little: measured 7.95 evaluations per root on S64
+        # (81 roots), against 14.8 when every search starts from scratch
+        evaluations, guesses = [], []
+        bisect = joint.bisect_decreasing
+
+        def counted_bisect(fn, target, guess=None):
+            result = bisect(fn, target, guess)
+            evaluations.append(result.evaluations)
+            guesses.append(guess)
+            return result
+
+        monkeypatch.setattr(joint, "bisect_decreasing", counted_bisect)
+        solve_joint(S64, EPSILON, PRICES, key_indices=S64_KEY)
+        assert guesses[0] == 1.0    # the descent's starting beta
+        assert sum(evaluations) / len(evaluations) <= 9
 
     def test_written_off_key_still_solvable(self):
         # the full constraint never writes mass off, so a key the reduced

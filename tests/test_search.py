@@ -2,7 +2,8 @@
 
 Every test compares against plain_bisection below, the bracket doubling
 and bisection loop bisect_decreasing must reproduce: the same root,
-residual and converged flag, bit for bit, on any non-increasing function.
+residual and converged flag, bit for bit, on any non-increasing function
+and with any guess.
 """
 import math
 import re
@@ -17,6 +18,8 @@ from qstaff.search import (
     _MAX_ITER,
     _RTOL,
     _SLACK,
+    _WALK,
+    _WALK_GROWTH,
     _XTOL,
     BETA_CAP,
     BETA_HI,
@@ -27,6 +30,16 @@ from qstaff.search import (
 from .test_joint import S64, instance
 
 FIRST_MIDPOINT = 0.5 * (_LO + BETA_HI)
+# the walk from a guess makes at most seven calls (the first step,
+# _WALK * (1 + guess) >= 1e-3, grows 8-fold and stops at BETA_CAP = 64),
+# charged like Illinois steps, so a guess may cost seven calls beyond plain
+# bisection, three more than _SLACK; the worst measured over random guesses
+# on the cases below is six
+WALK_EXTRA = 3
+# guesses below _LO, at and around the bracket ends, and above BETA_CAP,
+# which seed nothing
+GUESSES = [0.0, _LO, 1e-6, 0.3, 2.9, BETA_HI, 13.0, BETA_CAP - 1e-3,
+           BETA_CAP, 2 * BETA_CAP]
 
 
 def plain_bisection(fn, target):
@@ -66,14 +79,25 @@ def bits(result):
     return result.root.hex(), result.residual.hex(), result.converged
 
 
-def assert_same_answer(fn, target, extra=_SLACK):
-    """bisect_decreasing answers as plain bisection does, in at most
-    `extra` calls more; returns both results."""
+def assert_same_answer(fn, target, extra=_SLACK, guess=None):
+    """bisect_decreasing answers as plain bisection does, and as it does
+    without a guess, in at most `extra` calls more than plain bisection,
+    WALK_EXTRA more with a guess; returns both results."""
     reference = plain_bisection(fn, target)
-    guided = bisect_decreasing(fn, target)
+    guided = bisect_decreasing(fn, target, guess)
     assert bits(guided) == bits(reference)
+    if guess is not None:
+        assert bits(bisect_decreasing(fn, target)) == bits(reference)
+        extra += WALK_EXTRA
     assert guided.evaluations <= reference.evaluations + extra
     return guided, reference
+
+
+def guesses():
+    """None, or anything in (0, 2 * BETA_CAP), a hair off the bracket ends
+    included."""
+    return st.one_of(st.none(), st.floats(0.0, 2 * BETA_CAP),
+                     st.sampled_from(GUESSES))
 
 
 def step(at, high=1.0, low=0.0):
@@ -114,26 +138,36 @@ def test_adversarial_functions_cost_at_most_four_extra_calls(name, fn, target):
     assert_same_answer(fn, target, extra=4)
 
 
+@pytest.mark.parametrize("name, fn, target", ADVERSARIAL,
+                         ids=[case[0] for case in ADVERSARIAL])
+@settings(max_examples=60, deadline=None)
+@given(guess=guesses())
+def test_adversarial_functions_with_any_guess(name, fn, target, guess):
+    assert_same_answer(fn, target, extra=4, guess=guess)
+
+
 @settings(max_examples=150, deadline=None)
 @given(log_lam=st.floats(math.log(0.5), math.log(1e5)),
        bound=st.sampled_from(BOUND_CHOICES),
-       log_target=st.floats(math.log(1e-12), math.log(0.99)))
-def test_matches_plain_bisection_on_wait_curves(log_lam, bound, log_target):
+       log_target=st.floats(math.log(1e-12), math.log(0.99)),
+       guess=guesses())
+def test_matches_plain_bisection_on_wait_curves(log_lam, bound, log_target, guess):
     curve, target = wait_curve(math.exp(log_lam), bound), math.exp(log_target)
     try:
         plain_bisection(curve, target)
     except BracketError as exc:
         with pytest.raises(BracketError, match=re.escape(str(exc))):
-            bisect_decreasing(curve, target)
+            bisect_decreasing(curve, target, guess)
         return
-    assert_same_answer(curve, target)
+    assert_same_answer(curve, target, guess=guess)
 
 
 @settings(max_examples=150, deadline=None)
 @given(steps=st.lists(st.tuples(st.floats(0.0, 70.0), st.floats(0.0, 5.0)),
                       min_size=1, max_size=12),
-       target=st.floats(-1.0, 10.0))
-def test_matches_plain_bisection_on_random_staircases(steps, target):
+       target=st.floats(-1.0, 10.0),
+       guess=guesses())
+def test_matches_plain_bisection_on_random_staircases(steps, target, guess):
     # non-increasing: fn(x) is the total drop still ahead of x
     def fn(x):
         return sum(drop for at, drop in steps if x < at)
@@ -142,9 +176,9 @@ def test_matches_plain_bisection_on_random_staircases(steps, target):
         plain_bisection(fn, target)
     except BracketError:
         with pytest.raises(BracketError):
-            bisect_decreasing(fn, target)
+            bisect_decreasing(fn, target, guess)
         return
-    assert_same_answer(fn, target)
+    assert_same_answer(fn, target, guess=guess)
 
 
 def near_a_probe():
@@ -159,16 +193,17 @@ def near_a_probe():
 
 @settings(max_examples=300, deadline=None)
 @given(at=st.one_of(st.floats(0.0, 70.0), near_a_probe()),
-       low=st.sampled_from([0.0, 1e-300, 0.01, 0.3]))
-def test_matches_plain_bisection_on_steps_near_probes(at, low):
+       low=st.sampled_from([0.0, 1e-300, 0.01, 0.3]),
+       guess=guesses())
+def test_matches_plain_bisection_on_steps_near_probes(at, low, guess):
     fn = step(at, low=low)
     try:
         plain_bisection(fn, 0.5)
     except BracketError:
         with pytest.raises(BracketError):
-            bisect_decreasing(fn, 0.5)
+            bisect_decreasing(fn, 0.5, guess)
         return
-    assert_same_answer(fn, 0.5, extra=4)
+    assert_same_answer(fn, 0.5, extra=4, guess=guess)
 
 
 def test_root_exactly_at_a_bisection_midpoint():
@@ -178,21 +213,47 @@ def test_root_exactly_at_a_bisection_midpoint():
 
 def test_root_exactly_at_the_first_chord_point():
     # a line meets its chord at its root, so the first Illinois step
-    # evaluates fn exactly at the target
+    # evaluates fn exactly at the target; the chord then lands on b, and
+    # one step _XTOL/2 left of it brackets the root for every later
+    # midpoint: 6 calls against plain bisection's 40
     seen = []
 
     def fn(x):
         seen.append(x)
         return 3.0 - x
 
-    assert_same_answer(fn, 0.0)
+    guided, reference = assert_same_answer(fn, 0.0)
     assert 3.0 in seen      # no bisection midpoint lands on it
+    assert 3.0 - 0.5 * _XTOL in seen
+    assert (guided.evaluations, reference.evaluations) == (6, 40)
+
+
+def test_walk_from_a_guess():
+    # the walk steps 1e-3 * (1 + guess) from the guess, growing 8-fold, in
+    # the direction of the crossing; here it brackets 2.05 in four calls
+    seen = []
+
+    def fn(x):
+        seen.append(x)
+        return 2.05 - x
+
+    guided = bisect_decreasing(fn, 0.0, guess=2.0)
+    step = _WALK * 3.0
+    assert seen[:4] == [2.0, 2.0 + step, 2.0 + _WALK_GROWTH * step,
+                        2.0 + _WALK_GROWTH ** 2 * step]
+    assert bits(guided) == bits(plain_bisection(fn, 0.0))
+    assert guided.evaluations <= 8
 
 
 def test_early_return_at_lower_edge():
     result = bisect_decreasing(lambda x: 0.1, 0.5)
     assert result == RootResult(_LO, 0.1 - 0.5, 1, True)
     assert result == plain_bisection(lambda x: 0.1, 0.5)
+    for guess in GUESSES:
+        # a guess in (_LO, BETA_CAP) walks down to _LO first
+        result = bisect_decreasing(lambda x: 0.1, 0.5, guess)
+        assert result == RootResult(_LO, 0.1 - 0.5, result.evaluations, True)
+        assert result.evaluations <= 1 + _SLACK + WALK_EXTRA
 
 
 def test_bracket_doubling():
@@ -212,8 +273,9 @@ def test_bracket_error_unchanged():
     message = re.escape("no root below x=64: fn(64) still above target 0")
     with pytest.raises(BracketError, match=message):
         plain_bisection(lambda x: 100.0 - x, 0.0)
-    with pytest.raises(BracketError, match=message):
-        bisect_decreasing(lambda x: 100.0 - x, 0.0)
+    for guess in (None, *GUESSES):
+        with pytest.raises(BracketError, match=message):
+            bisect_decreasing(lambda x: 100.0 - x, 0.0, guess)
 
 
 @pytest.mark.parametrize("fn, target", [
