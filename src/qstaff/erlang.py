@@ -359,15 +359,11 @@ def wait_probability(n, lam, bound="exact"):
     selects the exact value or one of the sandwich bounds as the curve.
     """
     lam = _check_lambda(lam)
-    n = float(n)
-    if not math.isfinite(n) or n < 1.0:
-        raise DomainError(f"staffing level must be a finite real >= 1, got {n!r}")
+    n = _check_level(n)
+    if bound == "exact":
+        return _exact_wait(n, lam)
     if lam >= n:
         return 1.0
-    if bound == "exact":
-        if n.is_integer():
-            return _erlang_c_exact_cached(int(n), lam)
-        return _alpha_bar_cached(n, lam)
     pair = jvlz_bounds_at(n, lam)
     if bound == "upper":
         return pair.upper
@@ -376,6 +372,22 @@ def wait_probability(n, lam, bound="exact"):
     if bound == "hw":
         return halfin_whitt((n - lam) / math.sqrt(lam))
     raise DomainError(f"unknown bound selector {bound!r}")
+
+
+def _check_level(n):
+    n = float(n)
+    if not math.isfinite(n) or n < 1.0:
+        raise DomainError(f"staffing level must be a finite real >= 1, got {n!r}")
+    return n
+
+
+def _exact_wait(n, lam):
+    """wait_probability(n, lam) for a checked float level and rate."""
+    if lam >= n:
+        return 1.0
+    if n.is_integer():
+        return _erlang_c_exact_cached(int(n), lam)
+    return _alpha_bar_cached(n, lam)
 
 
 def _wait_vector(n, rates, bound="exact"):
@@ -399,9 +411,8 @@ def wait_curve(lam, bound="exact"):
     Returns beta -> wait_probability(max(lam + beta*sqrt(lam), 1), lam, bound):
     staffing below one server is clamped to one, and for lam >= 1 the
     curve falls strictly from 1 at beta = 0. Every solver that searches
-    over beta builds its curve here. lam and bound are checked once; the
-    exact curve then calls the cached kernels directly, bit for bit as
-    wait_probability would.
+    over beta builds its curve here. lam and bound are checked once, not
+    at every point.
     """
     lam = _check_lambda(lam)
     if bound not in BOUND_CHOICES:
@@ -410,14 +421,4 @@ def wait_curve(lam, bound="exact"):
     if bound != "exact":
         return lambda beta: wait_probability(max(lam + beta * root, 1.0), lam, bound)
 
-    def curve(beta):
-        n = float(max(lam + beta * root, 1.0))
-        if not math.isfinite(n):
-            raise DomainError(f"staffing level must be a finite real >= 1, got {n!r}")
-        if lam >= n:
-            return 1.0
-        if n.is_integer():
-            return _erlang_c_exact_cached(int(n), lam)
-        return _alpha_bar_cached(n, lam)
-
-    return curve
+    return lambda beta: _exact_wait(_check_level(max(lam + beta * root, 1.0)), lam)

@@ -75,16 +75,13 @@ def bisect_decreasing(fn, target, guess=None):
 
     Before a midpoint inside (a, b) is evaluated, Illinois steps (regula
     falsi on log fn, halving the weight of an end kept twice running)
-    narrow (a, b). Once fn(b) equals the target (or does on the log
-    scale) the chord lands on b, so the first such step goes _XTOL/2 left
-    of b instead, where it brackets a root at b for every later midpoint.
-    Every call plain bisection would not make (walk, Illinois) is charged
-    against the calls it does make that are skipped, with an allowance of
-    _SLACK, and an Illinois step is taken only while the balance is
-    positive. So no fn takes more than max(_SLACK, walk calls) <= 7 calls
-    beyond plain bisection, and without a guess no more than _SLACK. A
-    wait-curve root takes about 13 calls instead of 40, and a dependent
-    root seeded by the previous one about 8.
+    narrow (a, b). Every call plain bisection would not make (walk,
+    Illinois) is charged against the calls it does make that are skipped,
+    with an allowance of _SLACK, and an Illinois step is taken only while
+    the balance is positive. So no fn takes more than max(_SLACK, walk
+    calls) <= 7 calls beyond plain bisection, and without a guess no more
+    than _SLACK. A wait-curve root takes about 13 calls instead of 40, and
+    a dependent root seeded by the previous one about 8.
     """
     evals = 0
 
@@ -133,15 +130,12 @@ def bisect_decreasing(fn, target, guess=None):
     gap = _gap_scale(target)
     ga, gb = gap(fa), gap(fb)
     kept = None         # the end the last Illinois step left in place
-    exact_hit = True    # the step left of a b the chord lands on is still untaken
     for _ in range(_MAX_ITER):
         if hi - lo <= _XTOL:
             break
         mid = 0.5 * (lo + hi)
         while credit > 0 and a < mid < b and ga > gb:
             x = b - gb * (b - a) / (gb - ga)
-            if x >= b and exact_hit:
-                x, exact_hit = b - 0.5 * _XTOL, False
             if not a < x < b:
                 break
             credit -= 1

@@ -80,16 +80,23 @@ def bits(result):
 
 
 def assert_same_answer(fn, target, extra=_SLACK, guess=None):
-    """bisect_decreasing answers as plain bisection does, and as it does
-    without a guess, in at most `extra` calls more than plain bisection,
-    WALK_EXTRA more with a guess; returns both results."""
+    """bisect_decreasing answers as plain bisection does, with the guess
+    and without one. Without one it makes at most `extra` calls more than
+    plain bisection; a guess in (_LO, BETA_CAP) may add WALK_EXTRA, and
+    any other guess seeds nothing, so it changes nothing. Returns the
+    result with the guess and plain bisection's."""
     reference = plain_bisection(fn, target)
+    unguided = bisect_decreasing(fn, target)
+    assert bits(unguided) == bits(reference)
+    assert unguided.evaluations <= reference.evaluations + extra
+    if guess is None:
+        return unguided, reference
     guided = bisect_decreasing(fn, target, guess)
+    if not _LO < guess < BETA_CAP:
+        assert guided == unguided
+        return guided, reference
     assert bits(guided) == bits(reference)
-    if guess is not None:
-        assert bits(bisect_decreasing(fn, target)) == bits(reference)
-        extra += WALK_EXTRA
-    assert guided.evaluations <= reference.evaluations + extra
+    assert guided.evaluations <= reference.evaluations + extra + WALK_EXTRA
     return guided, reference
 
 
@@ -213,19 +220,15 @@ def test_root_exactly_at_a_bisection_midpoint():
 
 def test_root_exactly_at_the_first_chord_point():
     # a line meets its chord at its root, so the first Illinois step
-    # evaluates fn exactly at the target; the chord then lands on b, and
-    # one step _XTOL/2 left of it brackets the root for every later
-    # midpoint: 6 calls against plain bisection's 40
+    # evaluates fn exactly at the target
     seen = []
 
     def fn(x):
         seen.append(x)
         return 3.0 - x
 
-    guided, reference = assert_same_answer(fn, 0.0)
+    assert_same_answer(fn, 0.0)
     assert 3.0 in seen      # no bisection midpoint lands on it
-    assert 3.0 - 0.5 * _XTOL in seen
-    assert (guided.evaluations, reference.evaluations) == (6, 40)
 
 
 def test_walk_from_a_guess():
@@ -235,14 +238,14 @@ def test_walk_from_a_guess():
 
     def fn(x):
         seen.append(x)
-        return 2.05 - x
+        return 1.0 / (1.0 + x)
 
-    guided = bisect_decreasing(fn, 0.0, guess=2.0)
+    guided = bisect_decreasing(fn, 1.0 / 3.05, guess=2.0)
     step = _WALK * 3.0
     assert seen[:4] == [2.0, 2.0 + step, 2.0 + _WALK_GROWTH * step,
                         2.0 + _WALK_GROWTH ** 2 * step]
-    assert bits(guided) == bits(plain_bisection(fn, 0.0))
-    assert guided.evaluations <= 8
+    assert bits(guided) == bits(plain_bisection(fn, 1.0 / 3.05))
+    assert guided.evaluations == 10
 
 
 def test_early_return_at_lower_edge():
@@ -250,10 +253,13 @@ def test_early_return_at_lower_edge():
     assert result == RootResult(_LO, 0.1 - 0.5, 1, True)
     assert result == plain_bisection(lambda x: 0.1, 0.5)
     for guess in GUESSES:
-        # a guess in (_LO, BETA_CAP) walks down to _LO first
-        result = bisect_decreasing(lambda x: 0.1, 0.5, guess)
-        assert result == RootResult(_LO, 0.1 - 0.5, result.evaluations, True)
-        assert result.evaluations <= 1 + _SLACK + WALK_EXTRA
+        guided = bisect_decreasing(lambda x: 0.1, 0.5, guess)
+        if _LO < guess < BETA_CAP:
+            # the walk goes down to _LO first
+            assert guided == RootResult(_LO, 0.1 - 0.5, guided.evaluations, True)
+            assert guided.evaluations <= 1 + _SLACK + WALK_EXTRA
+        else:
+            assert guided == result
 
 
 def test_bracket_doubling():
