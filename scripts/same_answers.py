@@ -23,7 +23,10 @@ the exact curve and the upper bound. Single station:
 solve_constrained on a lambda x epsilon grid for every bound, one
 sweep_frontier per bound, and solve_reduced (both bounds) and
 solve_exact_enumeration on each of example1's marginals at three
-epsilons. Delay curve: erlang_c_exact at n = ceil(lambda) +
+epsilons and on two sets whose lowest keys cannot reach epsilon within
+the bracket: rates (1, 50, 400) with p (.2, .3, .5) at 0.05 (key 1
+wins) and rates (0.5, 2, 30, 600) with p (.1, .2, .3, .4) at 0.02 (key
+3 wins). Delay curve: erlang_c_exact at n = ceil(lambda) +
 j*ceil(sqrt(lambda)), j = 0..6, for four rates up to 2e5, and
 _exact_no_wait_column over two boxes that saturate at 1.0, padded with
 1.0 to the box (a tree whose column still takes the box top is called
@@ -58,6 +61,8 @@ SINGLE_BOUNDS = ("exact", "upper", "lower", "hw")
 FRONTIER_RATE = 120.0
 FRONTIER_EPSILONS = (0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4)
 MARGINAL_EPSILONS = (0.01, 0.05, 0.2)
+SKIPPED_KEY_SETS = (((1.0, 50.0, 400.0), (0.2, 0.3, 0.5), 0.05),
+                    ((0.5, 2.0, 30.0, 600.0), (0.1, 0.2, 0.3, 0.4), 0.02))
 EXACT_RATES = (150.5, 3700.3, 49999.7, 2e5)
 EXACT_STEPS = 7
 COLUMN_BOXES = ((3.7, 1, 200), (150.5, 100, 600))   # (lambda, lower, upper)
@@ -151,6 +156,7 @@ def outputs():
     from qstaff import erlang
     from qstaff import (
         JointScenarioSet,
+        ScenarioSet,
         compare_solutions,
         load_scenario_file,
         resolve_scenario_path,
@@ -218,6 +224,9 @@ def outputs():
                     lambda: solve_reduced(marginal, eps, cost, bound=bound))
             out[f"enumeration/example1-{station}/{eps:g}"] = record(
                 lambda: solve_exact_enumeration(marginal, eps, cost))
+    for rates, probs, eps in SKIPPED_KEY_SETS:
+        out[f"enumeration/{'-'.join(f'{r:g}' for r in rates)}/{eps:g}"] = record(
+            lambda: solve_exact_enumeration(ScenarioSet(rates, probs), eps))
     for lam in EXACT_RATES:
         for j in range(EXACT_STEPS):
             n = math.ceil(lam) + j * math.ceil(math.sqrt(lam))

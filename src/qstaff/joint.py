@@ -60,7 +60,7 @@ from .frontier import (
     integer_staffing,
 )
 from .search import BETA_CAP, bisect_decreasing, grid_then_golden
-from .stochastic import FEASIBILITY_TOL, KEY_TIE_RTOL, _reduced_decision
+from .stochastic import FEASIBILITY_TOL, _reduced_decision
 from .stochastic import solve_reduced  # noqa: F401 (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -81,6 +81,11 @@ __all__ = [
 
 MAX_CYCLES = 200
 CYCLE_TOL = 1e-9
+# enumerate_key_scenarios refuses a key lattice of more points than this
+KEY_CAP = 10000
+# a key must beat the incumbent by this relative margin, so near-ties in
+# a key ranking go to the lexicographically smallest key
+KEY_TIE_RTOL = 1e-9
 # the lattice search forms its joint no-wait matrix in row blocks of at
 # most this many cells (8 bytes each), whatever the width of the box
 LATTICE_BLOCK_CELLS = 1 << 16
@@ -475,21 +480,22 @@ def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method
         costs, eps, method, cycles=cycles, converged=converged)
 
 
-def enumerate_key_scenarios(scenarios, epsilon, costs, cap=10000):
+def enumerate_key_scenarios(scenarios, epsilon, costs):
     """Cheapest feasible key over the per-station marginal key lattice.
 
     The QoS risk can be spread across stations in several ways; each
     candidate key vector is solved by solve_reduced_joint, infeasible
     keys are skipped, and candidates are ranked by continuous server cost
-    with near-ties broken toward the lexicographically smallest key.
+    with near-ties broken toward the lexicographically smallest key. A
+    lattice of more than KEY_CAP keys raises EnumerationCapError.
     """
     eps = check_epsilon(epsilon)
     costs = _check_costs(costs, scenarios.stations)
     sizes = [len(m) for m in scenarios.marginals]
     total = math.prod(sizes)
-    if total > cap:
+    if total > KEY_CAP:
         raise EnumerationCapError(
-            f"{total} candidate key scenarios exceed the cap of {cap}")
+            f"{total} candidate key scenarios exceed the cap of {KEY_CAP}")
     best = None
     reasons = []
     for key in itertools.product(*(range(s) for s in sizes)):

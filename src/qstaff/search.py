@@ -8,8 +8,10 @@ keeps it to the last bit and only spends fewer curve evaluations on it:
 Illinois steps narrow the bracket, and the bisection midpoints the
 narrowed bracket already decides are never evaluated. A caller solving a
 run of nearby problems, as a descent does for its dependent safety
-factor, passes the last root as a guess; a short walk from it brackets
-the crossing before the first midpoint, and the answer stays the same.
+factor, passes the last root as a guess; one probe there bounds the
+crossing from one side before the first midpoint, and the answer stays
+the same. Every call, with a guess or without, makes at most _SLACK
+curve evaluations more than plain bisection.
 
 Every solver searches beta in one box, defined only here: [0, BETA_HI],
 the upper end doubling up to BETA_CAP, in bisect_decreasing until the
@@ -34,8 +36,6 @@ _RTOL = 1e-9      # bisection residual counted as converged
 _MAX_ITER = 200
 _N_GRID = 33
 _SLACK = 4        # calls bisect_decreasing may make beyond those repaid
-_WALK = 1e-3      # first step of the walk from a guess, per unit of 1 + guess
-_WALK_GROWTH = 8.0
 _LOG_TINY = math.log(math.ulp(0.0))
 _EDGE = 1e-6      # a minimizer this close to the upper end sits on the edge
 
@@ -66,22 +66,18 @@ def bisect_decreasing(fn, target, guess=None):
     the early return reports its value.
 
     A guess in (_LO, BETA_CAP), say the root of a neighbouring problem,
-    seeds (a, b) before any of that: fn is evaluated at the guess, then at
-    guess +- _WALK * (1 + guess) * _WALK_GROWTH^k for k = 0, 1, ...,
-    upward while fn stays above target and downward while it does not,
-    until the crossing is bracketed or the next point leaves (_LO,
-    BETA_CAP), so the walk makes at most seven calls. A guess outside
-    (_LO, BETA_CAP), or None, seeds nothing.
+    seeds a or b before any of that: fn is evaluated there once. A guess
+    outside (_LO, BETA_CAP), or None, seeds nothing.
 
     Before a midpoint inside (a, b) is evaluated, Illinois steps (regula
     falsi on log fn, halving the weight of an end kept twice running)
-    narrow (a, b). Every call plain bisection would not make (walk,
+    narrow (a, b). Every call plain bisection would not make (the probe,
     Illinois) is charged against the calls it does make that are skipped,
     with an allowance of _SLACK, and an Illinois step is taken only while
-    the balance is positive. So no fn takes more than max(_SLACK, walk
-    calls) <= 7 calls beyond plain bisection, and without a guess no more
-    than _SLACK. A wait-curve root takes about 13 calls instead of 40, and
-    a dependent root seeded by the previous one about 8.
+    the balance is positive. So no fn, with a guess or without, takes more
+    than _SLACK calls beyond plain bisection. A wait-curve root takes about
+    13 calls instead of 40, and a dependent root seeded by the previous one
+    about 8.
     """
     evals = 0
 
@@ -94,16 +90,13 @@ def bisect_decreasing(fn, target, guess=None):
     # >= fn(b); a = 0.0 and b = inf stand for none yet
     a, fa, b, fb = 0.0, None, math.inf, None
     credit = _SLACK     # calls skipped + _SLACK - calls plain bisection would not make
-    if guess is not None:
-        x, step = guess, _WALK * (1.0 + guess)
-        while _LO < x < BETA_CAP and (a == 0.0 or b == math.inf):
-            credit -= 1
-            fx = f(x)
-            if fx > target:
-                a, fa, x = x, fx, guess + step
-            else:
-                b, fb, x = x, fx, guess - step
-            step *= _WALK_GROWTH
+    if guess is not None and _LO < guess < BETA_CAP:
+        credit -= 1
+        fx = f(guess)
+        if fx > target:
+            a, fa = guess, fx
+        else:
+            b, fb = guess, fx
     lo, hi = _LO, BETA_HI
     if a > lo:
         credit += 1

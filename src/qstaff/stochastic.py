@@ -12,8 +12,8 @@ reaches n are unstable and contribute probability one.
 Two solvers are provided. solve_reduced keys the constraint to the
 scenario picked by the tail-sum rule and solves a single-curve equation;
 it is asymptotically exact as rates grow. solve_exact_enumeration solves
-the full constraint for every candidate key and keeps the cheapest, and
-serves as the ground truth at desk scale.
+the full constraint at the lowest key whose root lies in the bracket,
+which is the cheapest key, and serves as the ground truth at desk scale.
 """
 from __future__ import annotations
 
@@ -37,9 +37,6 @@ __all__ = [
 
 TAIL_TIE_TOL = 1e-12
 FEASIBILITY_TOL = 1e-9
-# a key must beat the incumbent by this relative margin, so near-ties in
-# a key ranking go to the lexicographically smallest key
-KEY_TIE_RTOL = 1e-9
 
 
 def constraint_value(scenarios, n, bound="exact"):
@@ -94,12 +91,12 @@ class StaffingDecision:
 @dataclass(frozen=True)
 class StochSolveReport:
     decision: StaffingDecision
-    expected_wait: float     # full constraint value at the decision, exact curve
+    expected_wait: float     # full constraint value at n_continuous, exact curve
     objective: float         # cost per server times continuous staffing level
     method: str              # reduced-exact | reduced-ub | exact-enumeration
     epsilon: float
-    feasible: bool           # expected_wait <= epsilon + FEASIBILITY_TOL
-    slack: float             # epsilon - expected_wait
+    feasible: bool           # expected_wait <= epsilon + FEASIBILITY_TOL (n_continuous)
+    slack: float             # epsilon - expected_wait (n_continuous)
     evaluations: int
     converged: bool
 
@@ -158,7 +155,9 @@ def solve_reduced(scenarios, epsilon, cost=1.0, bound="exact"):
     so a root exists. The report's expected_wait re-evaluates the full
     constraint with the exact curve; at finite rates the reduced solution
     may miss feasibility by a small margin, which shows up as a negative
-    slack rather than an error.
+    slack rather than an error. expected_wait, feasible and slack score
+    n_continuous, not the n_integer the decision carries, which may sit
+    below it and miss the target.
     """
     eps = check_epsilon(epsilon)
     c = _check_cost(cost)
@@ -172,13 +171,19 @@ def solve_reduced(scenarios, epsilon, cost=1.0, bound="exact"):
 def solve_exact_enumeration(scenarios, epsilon, cost=1.0, key_index=None):
     """Full-constraint solve, enumerating candidate key scenarios.
 
-    For each candidate key the full expected-wait constraint is driven to
-    epsilon by bisection on beta; the cheapest feasible candidate wins.
-    Since cost is charged per server and every key parameterizes the same
-    constraint in n, near-equal costs are broken toward the lowest key
-    index. Candidates whose root would need a safety factor beyond the
-    bracket cap are reported infeasible; key_index pins the search to one
+    For each candidate key, lowest rate first, the full expected-wait
+    constraint is driven to epsilon by bisection on beta. Cost is charged
+    per server and every key parameterizes the same constraint in n, so
+    the first key whose root lies within the bracket reaches the cheapest
+    level any key does (a higher key either finds the same level or
+    starts above it) and wins; the keys after it are not tried, and
+    evaluations counts only its search. Keys whose root would need a
+    safety factor beyond the bracket cap are skipped, and when every key
+    is, InfeasibleError lists them all. key_index pins the search to one
     candidate.
+
+    The report's feasible, expected_wait and slack score n_continuous,
+    not the n_integer the decision carries.
     """
     eps = check_epsilon(epsilon)
     c = _check_cost(cost)
@@ -189,8 +194,6 @@ def solve_exact_enumeration(scenarios, epsilon, cost=1.0, key_index=None):
             raise DomainError(f"key_index out of range: {key_index!r}")
         candidates = (key_index,)
 
-    best = None
-    evals = 0
     failures = []
     for key in candidates:
         rate = scenarios.rates[key]
@@ -204,16 +207,8 @@ def solve_exact_enumeration(scenarios, epsilon, cost=1.0, key_index=None):
         except BracketError as exc:
             failures.append(f"key {key}: {exc}")
             continue
-        evals += result.evaluations
-        decision = _decide(scenarios, key, result.root)
-        objective = c * decision.n_continuous
-        # prefer the lowest key index among near-equal costs
-        if best is None or objective < best[0] * (1.0 - KEY_TIE_RTOL):
-            best = (objective, decision, result.converged)
-    if best is None:
-        raise InfeasibleError(
-            "no key scenario admits a feasible safety factor within the "
-            "bracket; " + "; ".join(failures))
-    _, decision, converged = best
-    return _report(scenarios, decision, c, "exact-enumeration", eps,
-                   evals, converged)
+        return _report(scenarios, _decide(scenarios, key, result.root), c,
+                       "exact-enumeration", eps, result.evaluations, result.converged)
+    raise InfeasibleError(
+        "no key scenario admits a feasible safety factor within the "
+        "bracket; " + "; ".join(failures))

@@ -18,8 +18,6 @@ from qstaff.search import (
     _MAX_ITER,
     _RTOL,
     _SLACK,
-    _WALK,
-    _WALK_GROWTH,
     _XTOL,
     BETA_CAP,
     BETA_HI,
@@ -30,12 +28,6 @@ from qstaff.search import (
 from .test_joint import S64, instance
 
 FIRST_MIDPOINT = 0.5 * (_LO + BETA_HI)
-# the walk from a guess makes at most seven calls (the first step,
-# _WALK * (1 + guess) >= 1e-3, grows 8-fold and stops at BETA_CAP = 64),
-# charged like Illinois steps, so a guess may cost seven calls beyond plain
-# bisection, three more than _SLACK; the worst measured over random guesses
-# on the cases below is six
-WALK_EXTRA = 3
 # guesses below _LO, at and around the bracket ends, and above BETA_CAP,
 # which seed nothing
 GUESSES = [0.0, _LO, 1e-6, 0.3, 2.9, BETA_HI, 13.0, BETA_CAP - 1e-3,
@@ -81,10 +73,10 @@ def bits(result):
 
 def assert_same_answer(fn, target, extra=_SLACK, guess=None):
     """bisect_decreasing answers as plain bisection does, with the guess
-    and without one. Without one it makes at most `extra` calls more than
-    plain bisection; a guess in (_LO, BETA_CAP) may add WALK_EXTRA, and
-    any other guess seeds nothing, so it changes nothing. Returns the
-    result with the guess and plain bisection's."""
+    and without one, in at most `extra` calls more than plain bisection
+    either way; a guess outside (_LO, BETA_CAP) seeds nothing, so it
+    changes nothing. Returns the result with the guess and plain
+    bisection's."""
     reference = plain_bisection(fn, target)
     unguided = bisect_decreasing(fn, target)
     assert bits(unguided) == bits(reference)
@@ -96,7 +88,7 @@ def assert_same_answer(fn, target, extra=_SLACK, guess=None):
         assert guided == unguided
         return guided, reference
     assert bits(guided) == bits(reference)
-    assert guided.evaluations <= reference.evaluations + extra + WALK_EXTRA
+    assert guided.evaluations <= reference.evaluations + extra
     return guided, reference
 
 
@@ -231,21 +223,36 @@ def test_root_exactly_at_the_first_chord_point():
     assert 3.0 in seen      # no bisection midpoint lands on it
 
 
-def test_walk_from_a_guess():
-    # the walk steps 1e-3 * (1 + guess) from the guess, growing 8-fold, in
-    # the direction of the crossing; here it brackets 2.05 in four calls
+def probed(fn, target, guess):
+    """The points bisect_decreasing evaluates fn at, in order, with the
+    guess, and its result."""
     seen = []
 
-    def fn(x):
+    def traced(x):
         seen.append(x)
-        return 1.0 / (1.0 + x)
+        return fn(x)
 
-    guided = bisect_decreasing(fn, 1.0 / 3.05, guess=2.0)
-    step = _WALK * 3.0
-    assert seen[:4] == [2.0, 2.0 + step, 2.0 + _WALK_GROWTH * step,
-                        2.0 + _WALK_GROWTH ** 2 * step]
-    assert bits(guided) == bits(plain_bisection(fn, 1.0 / 3.05))
-    assert guided.evaluations == 10
+    return seen, bisect_decreasing(traced, target, guess)
+
+
+def test_one_probe_at_a_guess():
+    # fn crosses 0 at 40, so without a guess the first five calls are
+    # fn(_LO) and the ends 8, 16, 32 and 64; a guess above target stands
+    # in for fn(_LO) and every doubled end at or below it, a guess at or
+    # below target for every doubled end at or above it
+    def fn(x):
+        return 40.0 - x
+
+    unguided, _ = probed(fn, 0.0, None)
+    for guess, skipped in ((3.0, {_LO}), (20.0, {_LO, BETA_HI, 16.0}),
+                           (33.0, {_LO, BETA_HI, 16.0, 32.0}),
+                           (40.0, {BETA_CAP}), (50.0, {BETA_CAP})):
+        seen, guided = probed(fn, 0.0, guess)
+        assert seen[0] == guess
+        assert skipped <= set(unguided)
+        assert not skipped & set(seen[1:])
+        assert set(unguided[:5]) - skipped <= set(seen)
+        assert bits(guided) == bits(plain_bisection(fn, 0.0))
 
 
 def test_early_return_at_lower_edge():
@@ -255,9 +262,9 @@ def test_early_return_at_lower_edge():
     for guess in GUESSES:
         guided = bisect_decreasing(lambda x: 0.1, 0.5, guess)
         if _LO < guess < BETA_CAP:
-            # the walk goes down to _LO first
-            assert guided == RootResult(_LO, 0.1 - 0.5, guided.evaluations, True)
-            assert guided.evaluations <= 1 + _SLACK + WALK_EXTRA
+            # the probe at the guess comes first, then fn(_LO) for the
+            # early return
+            assert guided == RootResult(_LO, 0.1 - 0.5, 2, True)
         else:
             assert guided == result
 

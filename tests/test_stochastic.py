@@ -8,12 +8,14 @@ and probs (0.58, 0.38, 0.04), both at epsilon = 1 - sqrt(0.95).
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from qstaff import stochastic
 from qstaff.erlang import wait_probability
-from qstaff.errors import DomainError, InfeasibleError, KeyScenarioTieError
+from qstaff.errors import BracketError, DomainError, InfeasibleError, KeyScenarioTieError
 from qstaff.frontier import solve_constrained
 from qstaff.scenarios import ScenarioSet
+from qstaff.search import bisect_decreasing
 from qstaff.stochastic import (
     constraint_value,
     select_key_scenario,
@@ -34,6 +36,25 @@ QUEUE2_BETA = 0.349444612
 
 def sweep_set(m):
     return ScenarioSet((100.0 * m, 200.0 * m), (0.7, 0.3))
+
+
+def cheapest_of_every_key(scenarios, eps):
+    """Reference enumeration: solve the full constraint at every key and
+    keep the lowest level, near-ties (relative 1e-9) going to the lowest
+    key. Returns (key, beta, n, converged), or None when no key brackets."""
+    best = None
+    for key, rate in enumerate(scenarios.rates):
+        def full(beta, rate=rate):
+            return constraint_value(scenarios, rate + beta * math.sqrt(rate))
+
+        try:
+            result = bisect_decreasing(full, eps)
+        except BracketError:
+            continue
+        n = rate + result.root * math.sqrt(rate)
+        if best is None or n < best[2] * (1.0 - 1e-9):
+            best = (key, result.root, n, result.converged)
+    return best
 
 
 class TestSelectKeyScenario:
@@ -190,6 +211,40 @@ class TestSolveExactEnumeration:
         for key in range(len(s)):
             pinned = solve_exact_enumeration(s, 0.2, key_index=key)
             assert best.objective <= pinned.objective * (1.0 + 1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.floats(0.5, 5000.0), st.integers(1, 20)),
+                          min_size=1, max_size=4, unique_by=lambda pair: pair[0]),
+           eps=st.floats(1e-4, 0.6))
+    def test_matches_the_cheapest_of_every_key(self, pairs, eps):
+        total = sum(w for _, w in pairs)
+        s = ScenarioSet([r for r, _ in pairs], [w / total for _, w in pairs])
+        reference = cheapest_of_every_key(s, eps)
+        if reference is None:
+            with pytest.raises(InfeasibleError):
+                solve_exact_enumeration(s, eps)
+            return
+        rep = solve_exact_enumeration(s, eps)
+        d = rep.decision
+        assert (d.key_index, d.beta, d.n_continuous, rep.converged) == reference
+
+    def test_stops_at_the_first_key_that_brackets(self, monkeypatch):
+        # key 0 cannot reach epsilon within the bracket, key 1 can and wins,
+        # so key 2 is never searched and only key 1's search is counted
+        s = ScenarioSet((1.0, 50.0, 400.0), (0.2, 0.3, 0.5))
+        pinned = solve_exact_enumeration(s, 0.05, key_index=1)
+        searched = []
+
+        def counted_bisect(fn, target, guess=None):
+            searched.append(fn)
+            return bisect_decreasing(fn, target, guess)
+
+        monkeypatch.setattr(stochastic, "bisect_decreasing", counted_bisect)
+        rep = solve_exact_enumeration(s, 0.05)
+        assert len(searched) == 2
+        assert rep.decision == pinned.decision
+        assert rep.evaluations == pinned.evaluations
+        assert rep.decision.beta == pytest.approx(53.594, abs=1e-3)
 
     def test_infeasible_when_bracket_exhausted(self):
         s = ScenarioSet((1.0,), (1.0,))
