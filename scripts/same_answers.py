@@ -30,7 +30,17 @@ wins) and rates (0.5, 2, 30, 600) with p (.1, .2, .3, .4) at 0.02 (key
 j*ceil(sqrt(lambda)), j = 0..6, for four rates up to 2e5, and
 _exact_no_wait_column over two boxes that saturate at 1.0, padded with
 1.0 to the box (a tree whose column still takes the box top is called
-with it).
+with it). Sub-unit rates, where the integer staffing rounds up to one
+server: solve_reduced (both bounds) and solve_exact_enumeration on
+rates (0.1, 0.3) with p (.5, .5) at 0.6, and each frontier_csv_rows row
+of a sweep at lambda 0.2 on the frontier grid.
+
+The cli kind runs qstaff.cli.main in process and keeps its exit code,
+stdout and stderr, with the solve's wall_time_s masked: solve in every
+mode x budget (the file's epsilon, --delta 1000) x bound x format, and
+compare in every format, on example1 and on three files written to a
+temporary directory (one scenario at one station, one station with
+three scenarios, one scenario at two stations).
 
 Each output is stored as its repr and as a flat field -> value map.
 The diff reports, per output kind and field, whether every value is
@@ -40,13 +50,17 @@ The benchmark instances come from perfbench/gen.py, imported by path.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import itertools
 import json
 import math
 import pathlib
+import re
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 COMPARE_SEEDS = (1, 2)
@@ -66,6 +80,15 @@ SKIPPED_KEY_SETS = (((1.0, 50.0, 400.0), (0.2, 0.3, 0.5), 0.05),
 EXACT_RATES = (150.5, 3700.3, 49999.7, 2e5)
 EXACT_STEPS = 7
 COLUMN_BOXES = ((3.7, 1, 200), (150.5, 100, 600))   # (lambda, lower, upper)
+SUB_UNIT_SET = ((0.1, 0.3), (0.5, 0.5), 0.6)         # (rates, probs, epsilon)
+SUB_UNIT_RATE = 0.2
+CLI_FILES = {   # name -> (scenario rate vectors, probabilities, epsilon, costs)
+    "one-station": (((40.0,),), (1.0,), 0.1, (1.0,)),
+    "three-scenarios": (((20.0,), (35.0,), (50.0,)), (0.5, 0.3, 0.2), 0.1, (2.0,)),
+    "two-stations": (((30.0, 60.0),), (1.0,), 0.05, (1.0, 2.0)),
+}
+CLI_BUDGETS = {"epsilon": (), "delta": ("--delta", "1000")}
+CLI_FORMATS = ("table", "json", "csv")
 
 
 def _gen():
@@ -124,6 +147,66 @@ def no_wait_box(lam, lower, upper):
     return (column + [1.0] * size)[:size]
 
 
+def write_cli_file(path, rate_vectors, probs, epsilon, costs):
+    data = {
+        "version": 1,
+        "stations": [{"id": f"s{i + 1}"} for i in range(len(costs))],
+        "scenarios": [{"rates": list(rates), "probability": p}
+                      for rates, p in zip(rate_vectors, probs)],
+        "problem": {"epsilon": epsilon, "costs": list(costs)},
+    }
+    path.write_text(json.dumps(data))
+
+
+def mask_wall_time(text):
+    """A solve's output with its wall_time_s value replaced by *, in the
+    json, table or csv format."""
+    text = re.sub(r'("wall_time_s": )[^,\n]+', r'\1"*"', text)
+    text = re.sub(r"^(wall_time_s +)\S+$", r"\1*", text, flags=re.M)
+    lines = text.split("\n")
+    header = lines[0].split(",")
+    if "wall_time_s" in header:     # csv: one row under the header
+        row = lines[1].split(",")
+        row[header.index("wall_time_s")] = "*"
+        lines[1] = ",".join(row)
+    return "\n".join(lines)
+
+
+def run_cli(argv):
+    """qstaff.cli.main(argv) in process: exit code, masked stdout, stderr."""
+    from qstaff.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    fields = {"exit": code, "stdout": mask_wall_time(out.getvalue()),
+              "stderr": err.getvalue()}
+    return {"repr": repr(fields), "fields": fields}
+
+
+def cli_outputs():
+    from qstaff.erlang import BOUND_CHOICES
+    from qstaff.files import SOLVER_MODES
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"example1": "example1"}
+        for name, spec in CLI_FILES.items():
+            path = pathlib.Path(tmp) / f"{name}.json"
+            write_cli_file(path, *spec)
+            files[name] = str(path)
+        for name, path in files.items():
+            for fmt in CLI_FORMATS:
+                out[f"cli/{name}/compare/{fmt}"] = run_cli(
+                    ["compare", path, "--format", fmt])
+            for mode, (budget, flags), bound, fmt in itertools.product(
+                    SOLVER_MODES, CLI_BUDGETS.items(), BOUND_CHOICES, CLI_FORMATS):
+                out[f"cli/{name}/solve/{mode}/{budget}/{bound}/{fmt}"] = run_cli(
+                    ["solve", path, "--mode", mode, *flags, "--bound", bound,
+                     "--format", fmt])
+    return out
+
+
 def flatten(value, prefix=""):
     """Dataclass fields, recursively (a tuple of dataclasses by index), as
     {dotted path: JSON value}."""
@@ -158,6 +241,7 @@ def outputs():
         JointScenarioSet,
         ScenarioSet,
         compare_solutions,
+        frontier_csv_rows,
         load_scenario_file,
         resolve_scenario_path,
         solve_constrained,
@@ -235,6 +319,17 @@ def outputs():
     for lam, lower, upper in COLUMN_BOXES:
         out[f"erlang/column/{lam:g}/{lower}-{upper}"] = record(
             lambda: no_wait_box(lam, lower, upper))
+    rates, probs, eps = SUB_UNIT_SET
+    sub_unit = ScenarioSet(rates, probs)
+    for bound in WEIGHTED_BOUNDS:
+        out[f"subunit/reduced/{bound}"] = record(
+            lambda: solve_reduced(sub_unit, eps, bound=bound))
+    out["subunit/enumeration"] = record(lambda: solve_exact_enumeration(sub_unit, eps))
+    for row in frontier_csv_rows(
+            SUB_UNIT_RATE, sweep_frontier(SUB_UNIT_RATE, FRONTIER_EPSILONS)):
+        out[f"subunit/frontier-row/{SUB_UNIT_RATE:g}/{row['epsilon']:g}"] = {
+            "repr": repr(row), "fields": row}
+    out.update(cli_outputs())
     return out
 
 

@@ -74,6 +74,8 @@ __all__ = ["main"]
 
 def _fmt(value):
     """Render one cell for a human table, floats at 6 significant digits."""
+    if value is None:
+        return "-"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -115,6 +117,18 @@ def _print_pairs(pairs):
     width = max(len(str(key)) for key, _ in pairs)
     for key, value in pairs:
         print(f"{str(key).ljust(width)}  {_fmt(value)}")
+
+
+def _print_flat(payload, fmt, pairs=None):
+    """A flat payload as JSON, one CSV row under its header, or key/value
+    lines (its items, unless other pairs are given)."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+    elif fmt == "csv":
+        header = list(payload)
+        sys.stdout.write(_csv_text(header, [[payload[k] for k in header]]))
+    else:
+        _print_pairs(list(payload.items()) if pairs is None else pairs)
 
 
 def _write_json(path, payload):
@@ -172,14 +186,13 @@ def _server_cost(costs, staffing):
     return math.fsum(c * n for c, n in zip(costs, staffing))
 
 
-def _weighted_objective(scenarios, staffing, costs, delta):
-    wait = _expected_joint_wait(scenarios, staffing)
-    return _server_cost(costs, staffing) + delta * wait
-
-
-def _meets_epsilon(scenarios, staffing, eps):
-    # the joint reports' rule: the integer staffing, on the exact curve
-    return joint_constraint_value(scenarios, staffing) + FEASIBILITY_TOL >= 1.0 - eps
+# the decision fields an epsilon mode backed by a joint solver prints
+_JOINT_DETAIL = {
+    "det": ("betas", "n_continuous"),
+    "stoch-multi-joint": ("betas", "key_rates"),
+    "stoch-multi-decoupled": ("betas",),
+    "stoch-multi-reduced": ("betas", "key_rates", "key_indices"),
+}
 
 
 def _solve_mode(scenario_file, mode, eps, delta, bound):
@@ -216,60 +229,36 @@ def _solve_mode(scenario_file, mode, eps, delta, bound):
             if mode == "stoch-single":
                 detail["key_rate"] = key_rates[0]
         detail["continuous_objective"] = report.objective
-        return staffing, _weighted_objective(joint, staffing, costs, delta), detail
+        wait = _expected_joint_wait(joint, staffing)
+        return staffing, _server_cost(costs, staffing) + delta * wait, detail
 
     if mode == "det" and stations == 1:
         lam = joint.rate_vectors[0][0]
         beta = solve_constrained(lam, eps, bound=bound).beta
         n_continuous = lam + beta * math.sqrt(lam)
-        staffing = (max(integer_staffing(n_continuous), 1),)
-        detail = {
-            "beta": beta,
-            "n_continuous": n_continuous,
-            "feasible": _meets_epsilon(joint, staffing, eps),
-        }
-    elif mode == "det":
-        _require_exact("multistation det with epsilon", bound)
-        report = solve_joint(joint, eps, costs, key_indices=(0,) * stations)
-        staffing = report.decision.n_integer
-        detail = {
-            "betas": report.decision.betas,
-            "n_continuous": report.decision.n_continuous,
-            "feasible": report.feasible,
-        }
+        staffing = (integer_staffing(n_continuous),)
+        detail = {"beta": beta, "n_continuous": n_continuous}
     elif mode == "stoch-single":
         report = solve_reduced(joint.marginal(0), eps, cost=costs[0], bound=bound)
-        staffing = (max(report.decision.n_integer, 1),)
+        staffing = (report.decision.n_integer,)
         detail = {
             "beta": report.decision.beta,
             "key_rate": report.decision.key_rate,
             "expected_wait": report.expected_wait,
-            "feasible": _meets_epsilon(joint, staffing, eps),
         }
     else:
-        _require_exact(mode, bound)
-        if mode == "stoch-multi-joint":
-            report = solve_joint(joint, eps, costs)
-            detail = {
-                "betas": report.decision.betas,
-                "key_rates": report.decision.key_rates,
-                "feasible": report.feasible,
-            }
-        elif mode == "stoch-multi-decoupled":
+        _require_exact("multistation det with epsilon" if mode == "det" else mode,
+                       bound)
+        if mode == "stoch-multi-decoupled":
             report = solve_decoupled(joint, eps, costs)
-            detail = {
-                "betas": report.decision.betas,
-                "feasible": report.feasible,
-            }
-        else:  # stoch-multi-reduced, the only mode left
+        elif mode == "stoch-multi-reduced":
             report = enumerate_key_scenarios(joint, eps, costs)
-            detail = {
-                "betas": report.decision.betas,
-                "key_rates": report.decision.key_rates,
-                "key_indices": report.decision.key_indices,
-                "feasible": report.feasible,
-            }
+        else:   # det pins every station's key to its one scenario
+            keys = (0,) * stations if mode == "det" else None
+            report = solve_joint(joint, eps, costs, key_indices=keys)
         staffing = report.decision.n_integer
+        detail = {name: getattr(report.decision, name)
+                  for name in _JOINT_DETAIL[mode]}
     return staffing, _server_cost(costs, staffing), detail
 
 
@@ -328,26 +317,22 @@ def cmd_solve(args):
     wall = perf_counter() - start
 
     record = make_run_record(scenario_file, mode, staffing, objective, wall)
+    if eps is not None:
+        # the joint reports' rule: the integer staffing, on the exact curve
+        detail["feasible"] = record.achieved_qos + FEASIBILITY_TOL >= 1.0 - eps
     if args.out:
         write_run_record(record, args.out)
-    data = record.to_data()
-    if args.format == "json":
-        print(json.dumps(data, indent=2))
-    elif args.format == "csv":
-        header = list(data)
-        sys.stdout.write(_csv_text(header, [[data[k] for k in header]]))
-    else:
-        pairs = [
-            ("mode", mode),
-            ("solution", staffing),
-            ("objective", objective),
-            ("achieved_qos", record.achieved_qos),
-            ("epsilon", eps) if eps is not None else ("delta", delta),
-            ("bound", bound),
-        ]
-        pairs.extend(detail.items())
-        pairs.append(("wall_time_s", wall))
-        _print_pairs(pairs)
+    pairs = [
+        ("mode", mode),
+        ("solution", staffing),
+        ("objective", objective),
+        ("achieved_qos", record.achieved_qos),
+        ("epsilon", eps) if eps is not None else ("delta", delta),
+        ("bound", bound),
+        *detail.items(),
+        ("wall_time_s", wall),
+    ]
+    _print_flat(record.to_data(), args.format, pairs)
     return 0
 
 
@@ -429,13 +414,7 @@ def cmd_simulate(args):
     }
     if args.out:
         _write_json(args.out, payload)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        header = list(payload)
-        sys.stdout.write(_csv_text(header, [[payload[k] for k in header]]))
-    else:
-        _print_pairs(list(payload.items()))
+    _print_flat(payload, args.format)
     return 0
 
 
@@ -456,11 +435,7 @@ def cmd_validate(args):
         "bound": problem.bound,
         "digest": scenario_file.digest(),
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        _print_pairs([(k, v if v is not None else "-")
-                      for k, v in payload.items()])
+    _print_flat(payload, args.format)
     return 0
 
 

@@ -63,9 +63,11 @@ def integer_staffing(n_continuous):
     Nearest-integer rounding. With half-integer safety staffing the
     continuous optimum sits within half a server of the intended integer
     decision, and rounding to nearest reproduces the reference integer
-    solutions; always rounding up would systematically overshoot.
+    solutions; always rounding up would systematically overshoot. A
+    level below half a server still rounds to one: the wait curves
+    treat any staffing below one server as one server.
     """
-    return int(round(n_continuous))
+    return max(int(round(n_continuous)), 1)
 
 
 @dataclass(frozen=True)
@@ -90,11 +92,15 @@ class CostFunction:
             pts = tuple((float(b), float(c)) for b, c in self.table)
             if len(pts) < 2:
                 raise DomainError("cost table needs at least two points")
+            if not all(math.isfinite(v) for pt in pts for v in pt):
+                raise DomainError("cost table points must be finite")
             if any(b2 <= b1 or c2 <= c1 for (b1, c1), (b2, c2) in zip(pts, pts[1:])):
                 raise DomainError("cost table must be strictly increasing in beta and cost")
             object.__setattr__(self, "table", pts)
-        elif not (isinstance(self.coefficient, (int, float)) and self.coefficient > 0):
-            raise DomainError("cost coefficient must be positive")
+        elif not (isinstance(self.coefficient, (int, float))
+                  and not isinstance(self.coefficient, bool)
+                  and math.isfinite(self.coefficient) and self.coefficient > 0):
+            raise DomainError("cost coefficient must be a positive finite real")
 
     def beta_cost(self, beta, lam):
         """Cost of operating at safety factor beta against load lam."""

@@ -81,7 +81,7 @@ __all__ = [
 
 MAX_CYCLES = 200
 CYCLE_TOL = 1e-9
-# enumerate_key_scenarios refuses a key lattice of more points than this
+# the key enumerations refuse a key lattice of more points than this
 KEY_CAP = 10000
 # a key must beat the incumbent by this relative margin, so near-ties in
 # a key ranking go to the lexicographically smallest key
@@ -249,7 +249,7 @@ def _decision_from_betas(betas, key_indices, key_rates):
         key_indices=tuple(key_indices),
         key_rates=tuple(key_rates),
         n_continuous=n_cont,
-        n_integer=tuple(max(integer_staffing(x), 1) for x in n_cont),
+        n_integer=tuple(integer_staffing(x) for x in n_cont),
     )
 
 
@@ -480,6 +480,17 @@ def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method
         costs, eps, method, cycles=cycles, converged=converged)
 
 
+def _key_lattice(scenarios):
+    """Every key vector of the per-station marginal lattice, in
+    lexicographic order; EnumerationCapError past KEY_CAP keys."""
+    sizes = [len(m) for m in scenarios.marginals]
+    total = math.prod(sizes)
+    if total > KEY_CAP:
+        raise EnumerationCapError(
+            f"{total} candidate key scenarios exceed the cap of {KEY_CAP}")
+    return itertools.product(*(range(s) for s in sizes))
+
+
 def enumerate_key_scenarios(scenarios, epsilon, costs):
     """Cheapest feasible key over the per-station marginal key lattice.
 
@@ -491,14 +502,9 @@ def enumerate_key_scenarios(scenarios, epsilon, costs):
     """
     eps = check_epsilon(epsilon)
     costs = _check_costs(costs, scenarios.stations)
-    sizes = [len(m) for m in scenarios.marginals]
-    total = math.prod(sizes)
-    if total > KEY_CAP:
-        raise EnumerationCapError(
-            f"{total} candidate key scenarios exceed the cap of {KEY_CAP}")
     best = None
     reasons = []
-    for key in itertools.product(*(range(s) for s in sizes)):
+    for key in _key_lattice(scenarios):
         try:
             report = solve_reduced_joint(scenarios, eps, costs, key)
         except InfeasibleError as exc:
@@ -541,12 +547,15 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
     When key_indices is omitted the key (and a warm start) is taken from
     enumerate_key_scenarios, which is how the key choice is justified in
     the first place; the full solve then refines the reduced betas, which
-    move only marginally at realistic scales.
+    move only marginally at realistic scales. warm_betas (a start for the
+    descent, default all ones) needs key_indices.
     """
     eps = check_epsilon(epsilon)
     L = scenarios.stations
     costs = _check_costs(costs, L)
     if key_indices is None:
+        if warm_betas is not None:
+            raise DomainError("warm_betas needs key_indices")
         seed = enumerate_key_scenarios(scenarios, eps, costs)
         keys, key_rates = seed.decision.key_indices, seed.decision.key_rates
         betas = list(seed.decision.betas)
@@ -758,13 +767,13 @@ def solve_weighted_stoch(scenarios, delta, costs, bound="exact"):
     curve or its upper bound and is summed per scenario without forming
     1 - no-wait, so waits far below machine epsilon still count. The best
     key wins; near-ties within KEY_TIE_RTOL keep the lexicographically
-    smallest.
+    smallest. A lattice of more than KEY_CAP keys raises
+    EnumerationCapError.
     """
     delta = check_delta(delta)
     L = scenarios.stations
     prices = _cost_functions(costs, L)
     bound = check_bound(bound)
-    sizes = [len(m) for m in scenarios.marginals]
 
     def score(betas, key_rates, bound):
         levels = [max(r + b * math.sqrt(r), 1.0) for r, b in zip(key_rates, betas)]
@@ -772,7 +781,7 @@ def solve_weighted_stoch(scenarios, delta, costs, bound="exact"):
         return cost + delta * _expected_joint_wait(scenarios, levels, bound)
 
     best = None
-    for key in itertools.product(*(range(s) for s in sizes)):
+    for key in _key_lattice(scenarios):
         key_rates = tuple(m.rates[k] for m, k in zip(scenarios.marginals, key))
 
         def objective(betas):

@@ -39,8 +39,9 @@ TAIL_TIE_TOL = 1e-12
 FEASIBILITY_TOL = 1e-9
 
 
-def constraint_value(scenarios, n, bound="exact"):
-    """Expected wait probability of staffing level n across the scenarios.
+def constraint_value(scenarios, n):
+    """Expected wait probability of staffing level n across the scenarios,
+    on the exact curve.
 
     Scenarios with rate >= n contribute probability one (unstable).
     """
@@ -48,7 +49,7 @@ def constraint_value(scenarios, n, bound="exact"):
     if not math.isfinite(n) or n <= 0.0:
         raise DomainError(f"staffing level must be a positive real, got {n!r}")
     total = 0.0
-    for p, w in zip(scenarios.probs, _wait_vector(n, scenarios.rates, bound)):
+    for p, w in zip(scenarios.probs, _wait_vector(n, scenarios.rates)):
         total += p * w
     return total
 
@@ -114,7 +115,7 @@ def _decide(scenarios, key, beta):
 
 
 def _report(scenarios, decision, cost, method, eps, evaluations, converged):
-    achieved = constraint_value(scenarios, decision.n_continuous, bound="exact")
+    achieved = constraint_value(scenarios, decision.n_continuous)
     return StochSolveReport(
         decision=decision,
         expected_wait=achieved,
@@ -200,7 +201,7 @@ def solve_exact_enumeration(scenarios, epsilon, cost=1.0, key_index=None):
         root = math.sqrt(rate)
 
         def full(beta, rate=rate, root=root):
-            return constraint_value(scenarios, rate + beta * root, bound="exact")
+            return constraint_value(scenarios, rate + beta * root)
 
         try:
             result = bisect_decreasing(full, eps)

@@ -182,10 +182,12 @@ class TestFrontier:
         assert "--lam" in err
 
     def test_sub_unit_lam_solves(self, capsys):
-        code, out, _ = run(capsys, "frontier", "--lam", "0.5")
-        assert code == 0
-        _, rows = frontier_rows(out)
-        assert len(rows) == 19
+        for lam in ("0.5", "0.2"):
+            code, out, _ = run(capsys, "frontier", "--lam", lam)
+            assert code == 0
+            _, rows = frontier_rows(out)
+            assert len(rows) == 19
+            assert all(int(row["n_integer"]) >= 1 for row in rows)
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         out_path = tmp_path / "frontier.csv"

@@ -41,12 +41,18 @@ class TestCostFunction:
             CostFunction(kind="table", table=((0.0, 0.0), (1.0, 0.0)))
         with pytest.raises(DomainError):
             CostFunction(kind="table", table=((0.0, 1.0),))
+        with pytest.raises(DomainError):
+            CostFunction(kind="table", table=((0, 0), (1, math.inf)))
 
     def test_bad_kind_and_coefficient(self):
         with pytest.raises(DomainError):
             CostFunction(kind="quadratic")
         with pytest.raises(DomainError):
             CostFunction(coefficient=-2.0)
+        with pytest.raises(DomainError):
+            CostFunction("linear-servers", math.inf)
+        with pytest.raises(DomainError):
+            CostFunction("linear-beta", True)
 
 
 class TestConstrained:
@@ -198,6 +204,7 @@ def test_integer_staffing_rounds_to_nearest():
     assert integer_staffing(306.05) == 306
     assert integer_staffing(235.49) == 235
     assert integer_staffing(235.51) == 236
+    assert integer_staffing(0.2) == 1
 
 
 @pytest.mark.parametrize("delta", [True, math.inf, math.nan, 0.0, -1.0])

@@ -434,8 +434,11 @@ class TestEnumerateKeyScenarios:
         monkeypatch.setattr(joint, "KEY_CAP", 5)
         with pytest.raises(EnumerationCapError):
             enumerate_key_scenarios(instance(), EPSILON, PRICES)
+        with pytest.raises(EnumerationCapError):
+            solve_weighted_stoch(instance(), 1000.0, PRICES)
         monkeypatch.setattr(joint, "KEY_CAP", 6)
         enumerate_key_scenarios(instance(), EPSILON, PRICES)
+        solve_weighted_stoch(instance(), 1000.0, PRICES)
 
     def test_single_station_matches_marginal_solve(self):
         one = JointScenarioSet(((100.0,), (200.0,)), (0.58, 0.42))
@@ -573,6 +576,8 @@ class TestSolveJoint:
         with pytest.raises(DomainError):
             solve_joint(instance(), EPSILON, PRICES, key_indices=(1, 1),
                         warm_betas=(-1.0, 1.0))
+        with pytest.raises(DomainError):
+            solve_joint(instance(), EPSILON, PRICES, warm_betas=(1.0, 1.0))
 
 
 class TestSolveJointExactInteger:

@@ -66,3 +66,19 @@ def test_any_difference_exits_1(same_answers, tmp_path, capsys, after, line):
     assert line in lines
     assert run_main(same_answers, tmp_path, BEFORE, after) == 1
     assert line in capsys.readouterr().out.splitlines()
+
+
+ERROR_TEXT = "error: scenarios: det mode needs exactly one scenario\n"
+
+
+@pytest.mark.parametrize("text, masked", [
+    ('{\n  "objective": 3185.0,\n  "wall_time_s": 0.0123,\n  "tool_version": "0.1.0"\n}\n',
+     '{\n  "objective": 3185.0,\n  "wall_time_s": "*",\n  "tool_version": "0.1.0"\n}\n'),
+    ("objective     3185\nwall_time_s   0.0123\n", "objective     3185\nwall_time_s   *\n"),
+    ("solver,wall_time_s,tool_version\ndet,1.2e-05,0.1.0\n",
+     "solver,wall_time_s,tool_version\ndet,*,0.1.0\n"),
+    (ERROR_TEXT, ERROR_TEXT),
+    ("", ""),
+], ids=["json", "table", "csv", "no-wall-time", "empty"])
+def test_mask_wall_time(same_answers, text, masked):
+    assert same_answers.mask_wall_time(text) == masked

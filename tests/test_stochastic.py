@@ -179,6 +179,13 @@ class TestSolveReduced:
         with pytest.raises(KeyScenarioTieError):
             solve_reduced(ScenarioSet((100.0, 200.0), (0.5, 0.5)), 0.5)
 
+    def test_sub_unit_rates_staff_one_server(self):
+        # the continuous level sits below half a server; the curves treat
+        # it as one server, and so does the integer decision
+        rep = solve_reduced(ScenarioSet((0.1, 0.3), (0.5, 0.5)), 0.6)
+        assert rep.decision.n_continuous < 0.5
+        assert rep.decision.n_integer == 1
+
 
 class TestSolveExactEnumeration:
     def test_single_scenario_matches_constrained(self):
