@@ -12,8 +12,10 @@ The output set: compare_solutions on the bundled example1, the S64, S3,
 S4 and S5 stress instances (an InfeasibleError is recorded by its text)
 and the first 50 compare-2st benchmark instances of seeds 1 and 2; the
 full solve_joint report on example1 and S64; solve_reduced_joint at
-every key of example1 and S64 and solve_joint at every key of example1
-(an InfeasibleError again recorded by its text); solve_joint_exact_integer
+every key of example1, S64, S3 and S4, and of S3 and S4 at epsilon 0.5,
+where descent from beta = 1 solves keys with two and three free stations,
+and solve_joint at every key of example1 (an InfeasibleError again
+recorded by its text); solve_joint_exact_integer
 on S3, S4 and S5, on the thin-top instance (two stations: rates
 (300, 500) with p (.98, .02) and (100, 110) with p (.5, .5), costs
 (1, 100), whose optimum sits far above the decoupled solution) and on
@@ -75,6 +77,7 @@ SINGLE_BOUNDS = ("exact", "upper", "lower", "hw")
 FRONTIER_RATE = 120.0
 FRONTIER_EPSILONS = (0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4)
 MARGINAL_EPSILONS = (0.01, 0.05, 0.2)
+KEYED_LOOSE_EPSILON = 0.5
 SKIPPED_KEY_SETS = (((1.0, 50.0, 400.0), (0.2, 0.3, 0.5), 0.05),
                     ((0.5, 2.0, 30.0, 600.0), (0.1, 0.2, 0.3, 0.4), 0.02))
 EXACT_RATES = (150.5, 3700.3, 49999.7, 2e5)
@@ -269,7 +272,11 @@ def outputs():
                 lambda: compare_solutions(scenarios, inst["epsilon"], inst["costs"]))
     out["joint/example1"] = record(lambda: solve_joint(*example1))
     out["joint/S64"] = record(lambda: solve_joint(*stress["S64"]))
-    for name, args in (("example1", example1), ("S64", stress["S64"])):
+    keyed = {"example1": example1, **{name: stress[name] for name in ("S64", "S3", "S4")}}
+    for name in ("S3", "S4"):
+        scenarios, _, costs = stress[name]
+        keyed[f"{name}-{KEYED_LOOSE_EPSILON:g}"] = (scenarios, KEYED_LOOSE_EPSILON, costs)
+    for name, args in keyed.items():
         for key in itertools.product(*(range(len(m)) for m in args[0].marginals)):
             tag = "-".join(map(str, key))
             out[f"keyed/reduced/{name}/{tag}"] = record(

@@ -90,6 +90,12 @@ def _check_lambda(lam):
     return float(lam)
 
 
+def _check_beta(beta):
+    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0.0):
+        raise DomainError(f"safety factor must be a positive finite real, got {beta!r}")
+    return float(beta)
+
+
 def erlang_c_exact(n, lam):
     """Erlang-C waiting probability P{all n servers busy} for integer n.
 
@@ -238,8 +244,7 @@ def _alpha_bar_from(n, lam, q, half_log, stirl):
 def erlang_c_sqrt(beta, lam):
     """Delay probability under square-root staffing n = lambda + beta*sqrt(lambda)."""
     lam = _check_lambda(lam)
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"safety factor must be a positive finite real, got {beta!r}")
+    beta = _check_beta(beta)
     n = lam + beta * math.sqrt(lam)
     if n < 1.0:
         # only reachable for sub-unit loads with tiny beta
@@ -256,8 +261,7 @@ def halfin_whitt(beta):
     which keeps the value finite for any beta instead of overflowing at
     beta around 38.
     """
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"safety factor must be a positive finite real, got {beta!r}")
+    beta = _check_beta(beta)
     return _inv_one_plus_exp(
         math.log(SQRT_2PI * beta * float(ndtr(beta))) + 0.5 * beta * beta)
 
@@ -345,8 +349,7 @@ def jvlz_bounds_at(n, lam):
 def jvlz_bounds(beta, lam):
     """Sandwich bounds at the square-root staffing level lambda + beta*sqrt(lambda)."""
     lam = _check_lambda(lam)
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"safety factor must be a positive finite real, got {beta!r}")
+    beta = _check_beta(beta)
     return jvlz_bounds_at(lam + beta * math.sqrt(lam), lam)
 
 

@@ -24,9 +24,9 @@ Solver lineup:
   (1-epsilon)^(1/L); simple, conservative, and typically a few percent
   more expensive.
 * solve_reduced_joint / enumerate_key_scenarios: the asymptotic reduced
-  model keyed to a per-station key scenario, with scenarios above a key
-  written off and scenarios below it written in; enumeration searches the
-  key lattice for the cheapest feasible risk allocation.
+  model, the same fold over no-wait vectors clipped at per-station key
+  scenarios (rates above a key written off, below it written in);
+  enumeration searches the key lattice for the cheapest feasible key.
 * solve_weighted_stoch: the only weighted multi-station solver, trading
   server cost against delta times the joint wait probability by descent
   from beta = 1 at every key; multistation.solve_multi is its
@@ -354,83 +354,59 @@ def _key_rates(scenarios, key_indices):
     return keys, tuple(m.rates[k] for m, k in zip(scenarios.marginals, keys))
 
 
-def _reduced_terms(scenarios, key_rates):
-    """Multilinear form of the reduced constraint.
-
-    Scenario coordinates above their key rate zero the whole term and
-    coordinates below contribute factor one, so each surviving scenario
-    reduces to its probability times the product of u_i over the
-    coordinates sitting exactly at the key rate. Returns {bitmask: coeff}.
-    """
-    coeffs = {}
-    for rates, p in scenarios.pairs():
-        mask = 0
-        for i, (r, key) in enumerate(zip(rates, key_rates)):
-            if r > key:
-                break
-            if r == key:
-                mask |= 1 << i
-        else:
-            coeffs[mask] = coeffs.get(mask, 0.0) + p
-    return coeffs
-
-
-def _split_linear(coeffs, u):
-    # constraint = const + slope * u_last with the free stations' u fixed
-    const = slope = 0.0
-    last = 1 << len(u)
-    for mask, c in coeffs.items():
-        for i, x in enumerate(u):
-            if mask >> i & 1:
-                c *= x
-        if mask & last:
-            slope += c
-        else:
-            const += c
-    return const, slope
+def _reduced_vector(marginal, key, u):
+    # a station's no-wait factor per marginal rate in the reduced model:
+    # written in (1) below the key rate, u at it, written off (0) above it
+    return [1.0] * key + [u] + [0.0] * (len(marginal) - key - 1)
 
 
 def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
     """Reduced joint model for a fixed per-station key-scenario choice.
 
-    Minimizes sum c_i beta_i subject to the multilinear constraint built
-    by the over/under/at-key trichotomy. The constraint is active at any
-    optimum, so the last station's u is solved linearly from the others
-    and inverted to a beta by bisection; the free coordinates are
-    optimized by cyclic grid-plus-golden descent.
+    Minimizes sum c_i beta_i subject to the joint constraint on no-wait
+    vectors cut by the over/under/at-key trichotomy: one below a station's
+    key rate, u_i = 1 - alpha at it, zero above it. Folding the free
+    stations as solve_joint does leaves const + slope * u_last, the folded
+    weight below the last key and at it. The constraint is active at any
+    optimum, so u_last is solved linearly and inverted to a beta by
+    bisection; the free coordinates are optimized by cyclic descent.
 
-    A key whose surviving probability mass cannot reach 1 - epsilon even
-    with vanishing wait at every key coordinate is infeasible. A key
-    whose constant terms alone reach the target needs no safety staffing
-    at all; it is returned with zero betas and flagged over_conservative.
+    A key whose surviving mass (the fold at u = 1) cannot reach 1 - epsilon
+    is infeasible. A key whose mass below every key rate (the fold at
+    u = 0) reaches the target needs no safety staffing; it is returned
+    with zero betas and flagged over_conservative.
     """
     eps = check_epsilon(epsilon)
     L = scenarios.stations
     costs = _check_costs(costs, L)
     keys, key_rates = _key_rates(scenarios, key_indices)
-    coeffs = _reduced_terms(scenarios, key_rates)
     target = 1.0 - eps
+    dep = L - 1
 
-    reachable = sum(coeffs.values())
+    def split(u):
+        # (const, slope) of the constraint in u_last, the free stations' u given
+        weights = _fold(scenarios, [_reduced_vector(m, k, x) for m, k, x in
+                                    zip(scenarios.marginals, keys, u)])
+        return sum(weights[:keys[dep]]), weights[keys[dep]]
+
+    reachable = sum(split([1.0] * dep))
     if reachable <= target:
         raise InfeasibleError(
             f"key scenario {keys} keeps probability mass {reachable:.6g}, "
             f"short of the no-wait target {target:.6g}")
-    if coeffs.get(0, 0.0) >= target:
+    if split([0.0] * dep)[0] >= target:
         decision = _decision_from_betas((0.0,) * L, keys, key_rates)
         return _reduced_report(scenarios, decision, costs, eps,
                                "reduced-joint", over_conservative=True)
 
     curves = [wait_curve(r) for r in key_rates]
-    dep = L - 1
     guess = None    # the last dependent root; descent moves it only a little
 
     def dep_beta(betas):
         """Smallest beta for the dependent station, or inf if the free
         coordinates leave the target out of reach."""
         nonlocal guess
-        u = [1.0 - curve(b) for curve, b in zip(curves, betas[:dep])]
-        const, slope = _split_linear(coeffs, u)
+        const, slope = split([1.0 - curve(b) for curve, b in zip(curves, betas[:dep])])
         if const >= target:
             return 0.0
         if slope <= 0.0:
@@ -438,8 +414,6 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
         u_req = (target - const) / slope
         if u_req >= 1.0:
             return math.inf
-        if u_req <= 0.0:
-            return 0.0
         try:
             guess = bisect_decreasing(curves[dep], 1.0 - u_req, guess).root
         except BracketError:

@@ -86,15 +86,20 @@ def solve_multi(instance, bound="exact"):
     )
 
 
+def _check_betas(instance, betas):
+    betas = tuple(float(b) for b in betas)
+    if len(betas) != instance.station_count or any(b < 0 for b in betas):
+        raise DomainError("betas must be a non-negative vector, one per station")
+    return betas
+
+
 def exact_objective(instance, betas):
     """Weighted objective at a fixed beta vector, always with exact waits.
 
     Useful for scoring solutions produced under an approximating bound on
     the ground-truth objective.
     """
-    betas = tuple(float(b) for b in betas)
-    if len(betas) != instance.station_count or any(b < 0 for b in betas):
-        raise DomainError("betas must be a non-negative vector, one per station")
+    betas = _check_betas(instance, betas)
     waits = [wait_curve(lam)(b) for b, lam in zip(betas, instance.lambdas)]
     cost_total = sum(c.beta_cost(b, lam)
                      for b, lam, c in zip(betas, instance.lambdas, instance.costs))
@@ -108,9 +113,7 @@ def objective_gap(instance, betas):
     delta * (prod(1 - exact_i) - prod(1 - upper_i)) >= 0 since each upper
     bound dominates its exact wait probability.
     """
-    betas = tuple(float(b) for b in betas)
-    if len(betas) != instance.station_count or any(b < 0 for b in betas):
-        raise DomainError("betas must be a non-negative vector, one per station")
+    betas = _check_betas(instance, betas)
     exact = math.prod(1.0 - wait_curve(lam)(b) for b, lam in zip(betas, instance.lambdas))
     upper = math.prod(1.0 - wait_curve(lam, "upper")(b)
                       for b, lam in zip(betas, instance.lambdas))

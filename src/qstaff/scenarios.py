@@ -20,21 +20,26 @@ __all__ = ["ScenarioSet", "JointScenarioSet"]
 PROB_SUM_TOL = 1e-12
 
 
-def _check_probability(p, what):
-    if not math.isfinite(p) or not 0.0 < p <= 1.0:
-        raise DomainError(f"{what} must lie in (0, 1], got {p!r}")
-
-
 def _check_rate(r, what):
     if not math.isfinite(r) or r <= 0.0:
         raise DomainError(f"{what} must be a positive real, got {r!r}")
 
 
-def _check_total(probs):
-    total = math.fsum(probs)
+def _merged(keys, probs):
+    """keys sorted with exact duplicates merged, and their summed
+    probabilities; each probability must lie in (0, 1], the total at one."""
+    for p in probs:
+        if not math.isfinite(p) or not 0.0 < p <= 1.0:
+            raise DomainError(f"scenario probability must lie in (0, 1], got {p!r}")
+    merged = {}
+    for k, p in zip(keys, probs):
+        merged[k] = merged.get(k, 0.0) + p
+    items = sorted(merged.items())
+    total = math.fsum(p for _, p in items)
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise DomainError(
             f"scenario probabilities must sum to 1 within {PROB_SUM_TOL}, got {total!r}")
+    return tuple(k for k, _ in items), tuple(p for _, p in items)
 
 
 @dataclass(frozen=True)
@@ -56,15 +61,9 @@ class ScenarioSet:
             raise DomainError("rates and probs must be non-empty and of equal length")
         for r in rates:
             _check_rate(r, "scenario rate")
-        for p in probs:
-            _check_probability(p, "scenario probability")
-        merged = {}
-        for r, p in zip(rates, probs):
-            merged[r] = merged.get(r, 0.0) + p
-        items = sorted(merged.items())
-        _check_total(p for _, p in items)
-        object.__setattr__(self, "rates", tuple(r for r, _ in items))
-        object.__setattr__(self, "probs", tuple(p for _, p in items))
+        rates, probs = _merged(rates, probs)
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "probs", probs)
 
     def __len__(self):
         return len(self.rates)
@@ -113,15 +112,9 @@ class JointScenarioSet:
         for v in vectors:
             for r in v:
                 _check_rate(r, "scenario rate")
-        for p in probs:
-            _check_probability(p, "scenario probability")
-        merged = {}
-        for v, p in zip(vectors, probs):
-            merged[v] = merged.get(v, 0.0) + p
-        items = sorted(merged.items())
-        _check_total(p for _, p in items)
-        object.__setattr__(self, "rate_vectors", tuple(v for v, _ in items))
-        object.__setattr__(self, "probs", tuple(p for _, p in items))
+        vectors, probs = _merged(vectors, probs)
+        object.__setattr__(self, "rate_vectors", vectors)
+        object.__setattr__(self, "probs", probs)
 
     def __len__(self):
         return len(self.rate_vectors)

@@ -217,7 +217,7 @@ def _staffing_vector(decision, stations):
     out = []
     for x in levels:
         if isinstance(x, bool) or not isinstance(x, (int, float)) \
-                or x != int(x) or x < 1:
+                or not float(x).is_integer() or x < 1:
             raise DomainError(f"staffing levels must be positive integers, got {x!r}")
         out.append(int(x))
     return tuple(out)

@@ -1,4 +1,6 @@
 """Tests for the event-driven M/M/n simulator."""
+import math
+
 import pytest
 
 from qstaff.erlang import wait_probability
@@ -141,3 +143,9 @@ class TestSimulateScenarioQos:
             simulate_scenario_qos(self.joint(), (496.5, 235), SimConfig(n=2, lam=1.0))
         with pytest.raises(DomainError):
             simulate_scenario_qos((1.0, 2.0), (3,), SimConfig(n=2, lam=1.0))
+
+    @pytest.mark.parametrize("level", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_staffing(self, level):
+        one = ScenarioSet((1.0,), (1.0,))
+        with pytest.raises(DomainError, match="must be positive integers"):
+            simulate_scenario_qos(one, (level,), SimConfig(n=2, lam=1.0))
