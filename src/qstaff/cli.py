@@ -37,6 +37,7 @@ from .errors import (
     KeyScenarioTieError,
     StaffingError,
     ValidationError,
+    positive,
 )
 from .files import (
     SOLVER_MODES,
@@ -266,10 +267,7 @@ def _solve_mode(scenario_file, mode, eps, delta, bound):
 # subcommands
 
 def cmd_frontier(args):
-    lam = args.lam
-    if not math.isfinite(lam) or lam <= 0:
-        raise ValidationError(
-            f"lam must be a positive real, got {lam!r}", pointer="--lam")
+    lam = checked(lambda v: positive(v, "lam"), args.lam, "--lam")
     start, stop, step = args.grid
     if not all(math.isfinite(v) for v in args.grid) or step <= 0:
         raise ValidationError(

@@ -37,7 +37,7 @@ from numbers import Integral
 
 from scipy.special import erfcx, gammaincc, ndtr
 
-from .errors import DomainError, QuadratureError, UnstableSystemError
+from .errors import DomainError, QuadratureError, UnstableSystemError, positive, real
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
@@ -84,18 +84,6 @@ class BoundPair:
     upper: float
 
 
-def _check_lambda(lam):
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"arrival rate must be a positive finite real, got {lam!r}")
-    return float(lam)
-
-
-def _check_beta(beta):
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"safety factor must be a positive finite real, got {beta!r}")
-    return float(beta)
-
-
 def erlang_c_exact(n, lam):
     """Erlang-C waiting probability P{all n servers busy} for integer n.
 
@@ -111,12 +99,10 @@ def erlang_c_exact(n, lam):
     Values below the double-precision underflow threshold (roughly
     1e-308, reached only for enormous safety margins) are returned as 0.0.
     """
-    if not isinstance(n, Integral):
-        raise DomainError(f"server count must be an integer, got {n!r}")
+    if real(n, "server count") < 1.0 or not isinstance(n, Integral):
+        raise DomainError(f"server count must be an integer >= 1, got {n!r}")
     n = int(n)
-    if n < 1:
-        raise DomainError(f"server count must be >= 1, got {n}")
-    lam = _check_lambda(lam)
+    lam = positive(lam, "arrival rate")
     if lam >= n:
         raise UnstableSystemError(
             f"no stationary delay probability: lambda={lam:g} >= n={n}")
@@ -191,12 +177,10 @@ def erlang_c_continuous(n, lam):
     between 1/e and 1; its double-precision accuracy bounds the result,
     about 1e-11 relative for lambda up to 1e6.
     """
-    lam = _check_lambda(lam)
-    if not (isinstance(n, (int, float)) and math.isfinite(n)):
-        raise DomainError(f"server count must be a finite real, got {n!r}")
-    n = float(n)
-    if n < 1.0:
-        raise DomainError(f"continuous extension requires n >= 1, got {n:g}")
+    lam = positive(lam, "arrival rate")
+    n = real(n, "server count")
+    if not 1.0 <= n < math.inf:
+        raise DomainError(f"continuous extension requires a finite n >= 1, got {n:g}")
     if n <= lam:
         raise UnstableSystemError(
             f"no stationary delay probability: n={n:g} <= lambda={lam:g}")
@@ -243,8 +227,8 @@ def _alpha_bar_from(n, lam, q, half_log, stirl):
 
 def erlang_c_sqrt(beta, lam):
     """Delay probability under square-root staffing n = lambda + beta*sqrt(lambda)."""
-    lam = _check_lambda(lam)
-    beta = _check_beta(beta)
+    lam = positive(lam, "arrival rate")
+    beta = positive(beta, "safety factor")
     n = lam + beta * math.sqrt(lam)
     if n < 1.0:
         # only reachable for sub-unit loads with tiny beta
@@ -261,7 +245,7 @@ def halfin_whitt(beta):
     which keeps the value finite for any beta instead of overflowing at
     beta around 38.
     """
-    beta = _check_beta(beta)
+    beta = positive(beta, "safety factor")
     return _inv_one_plus_exp(
         math.log(SQRT_2PI * beta * float(ndtr(beta))) + 0.5 * beta * beta)
 
@@ -288,9 +272,9 @@ def _one_minus_rho_log_term(x):
 
 def hw_quantities(n, lam):
     """The scaled quantities (rho, beta, gamma, a) used by the sandwich bounds."""
-    lam = _check_lambda(lam)
-    n = float(n)
-    if not math.isfinite(n) or n < lam:
+    lam = positive(lam, "arrival rate")
+    n = real(n, "server count")
+    if not lam <= n < math.inf:
         raise DomainError(f"need n >= lambda > 0, got n={n!r}, lambda={lam:g}")
     rho = lam / n
     margin = n - lam
@@ -328,8 +312,8 @@ def jvlz_bounds_at(n, lam):
     The lower bound differs from the upper only by the extra positive
     denominator term, so lower <= upper always holds in exact arithmetic.
     """
-    lam = _check_lambda(lam)
-    n = float(n)
+    lam = positive(lam, "arrival rate")
+    n = real(n, "server count")
     if n <= lam:
         raise UnstableSystemError(
             f"bounds require n > lambda, got n={n:g}, lambda={lam:g}")
@@ -348,8 +332,8 @@ def jvlz_bounds_at(n, lam):
 
 def jvlz_bounds(beta, lam):
     """Sandwich bounds at the square-root staffing level lambda + beta*sqrt(lambda)."""
-    lam = _check_lambda(lam)
-    beta = _check_beta(beta)
+    lam = positive(lam, "arrival rate")
+    beta = positive(beta, "safety factor")
     return jvlz_bounds_at(lam + beta * math.sqrt(lam), lam)
 
 
@@ -361,8 +345,8 @@ def wait_probability(n, lam, bound="exact"):
     convention when scenario rates can exceed the staffing level. bound
     selects the exact value or one of the sandwich bounds as the curve.
     """
-    lam = _check_lambda(lam)
-    n = _check_level(n)
+    lam = positive(lam, "arrival rate")
+    n = _check_level(real(n, "staffing level"))
     if bound == "exact":
         return _exact_wait(n, lam)
     if lam >= n:
@@ -417,7 +401,7 @@ def wait_curve(lam, bound="exact"):
     over beta builds its curve here. lam and bound are checked once, not
     at every point.
     """
-    lam = _check_lambda(lam)
+    lam = positive(lam, "arrival rate")
     if bound not in BOUND_CHOICES:
         raise DomainError(f"bound must be one of {BOUND_CHOICES}, got {bound!r}")
     root = math.sqrt(lam)

@@ -1,4 +1,15 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one check that turns
+a number from outside the package into a float.
+
+Every public entry point passes the numbers it is given (rates, prices,
+budgets, staffing levels) through real() or positive(): a bool, a value
+that is not a numbers.Real, such as a string, and an int beyond float
+range raise DomainError there, so no OverflowError, TypeError or
+silently accepted True escapes a solver. The file reader maps that
+DomainError to a ValidationError at the field's pointer.
+"""
+import math
+from numbers import Real
 
 
 class StaffingError(Exception):
@@ -55,3 +66,25 @@ class ValidationError(StaffingError, ValueError):
     def __init__(self, message, pointer=None):
         super().__init__(message if pointer is None else f"{pointer}: {message}")
         self.pointer = pointer
+
+
+def real(value, what):
+    """value as a float; DomainError, naming it what, for a bool, a value
+    that is not a real number, or an int beyond float range."""
+    if type(value) is float:    # the common case, without the slow ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, Real)):
+        raise DomainError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{what} must be a real number within float range, "
+                          f"got {value!r}") from None
+
+
+def positive(value, what):
+    """real(value, what), which must also be finite and above zero."""
+    x = real(value, what)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{what} must be a positive real, got {value!r}")
+    return x

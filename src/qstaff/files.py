@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 
 from ._version import __version__
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, positive, real
 from .erlang import BOUND_CHOICES
 from .frontier import check_delta, check_epsilon
 from .joint import joint_constraint_value
@@ -68,9 +68,7 @@ def _require(data, key, kind, pointer):
         _fail("missing required field", pointer)
     value = data[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail(f"expected a number, got {value!r}", pointer)
-        return float(value)
+        return checked(lambda v: real(v, key), value, pointer)
     if not isinstance(value, kind):
         _fail(f"expected {kind.__name__}, got {value!r}", pointer)
     return value
@@ -82,13 +80,6 @@ def checked(check, value, pointer):
         return check(value)
     except DomainError as exc:
         raise ValidationError(str(exc), pointer=pointer) from None
-
-
-def _positive_real(value, pointer):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value) or value <= 0:
-        _fail(f"expected a positive real, got {value!r}", pointer)
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -177,8 +168,8 @@ def _parse_stations(data):
         seen.add(name)
         rate = 1.0
         if "service_rate" in entry:
-            rate = _positive_real(entry["service_rate"],
-                                  f"stations[{i}].service_rate")
+            rate = checked(lambda v: positive(v, "service rate"),
+                           entry["service_rate"], f"stations[{i}].service_rate")
         specs.append(StationSpec(id=name, service_rate=rate))
     return tuple(specs)
 
@@ -195,11 +186,12 @@ def _parse_scenarios(data, station_count):
         if len(rates) != station_count:
             _fail(f"expected {station_count} rates, got {len(rates)}",
                   f"scenarios[{i}].rates")
-        values = tuple(_positive_real(r, f"scenarios[{i}].rates[{j}]")
+        values = tuple(checked(lambda v: positive(v, "scenario rate"), r,
+                               f"scenarios[{i}].rates[{j}]")
                        for j, r in enumerate(rates))
         prob = _require(entry, "probability", float,
                         f"scenarios[{i}].probability")
-        if not math.isfinite(prob) or not 0.0 < prob <= 1.0:
+        if not 0.0 < prob <= 1.0:
             _fail(f"probability must lie in (0, 1], got {prob!r}",
                   f"scenarios[{i}].probability")
         parsed.append((values, prob))
@@ -227,7 +219,8 @@ def _parse_problem(data, station_count):
         if not isinstance(raw, list) or len(raw) != station_count:
             _fail(f"expected a list of {station_count} per-server prices",
                   "problem.costs")
-        costs = tuple(_positive_real(c, f"problem.costs[{j}]")
+        costs = tuple(checked(lambda v: positive(v, "per-server price"), c,
+                              f"problem.costs[{j}]")
                       for j, c in enumerate(raw))
     return ProblemSpec(epsilon=epsilon, delta=delta, costs=costs,
                        solver=_choice(problem, "solver", SOLVER_MODES, None),

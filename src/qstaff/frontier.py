@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .erlang import wait_curve
-from .errors import DomainError
+from .errors import DomainError, positive, real
 from .search import bisect_decreasing, grid_then_golden
 
 __all__ = [
@@ -34,20 +34,15 @@ __all__ = [
 
 def check_epsilon(epsilon):
     """epsilon as a float strictly inside (0, 1); DomainError otherwise."""
-    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
-        raise DomainError(f"epsilon must be a real number, got {epsilon!r}")
-    eps = float(epsilon)
-    if not math.isfinite(eps) or not 0.0 < eps < 1.0:
+    eps = real(epsilon, "epsilon")
+    if not 0.0 < eps < 1.0:
         raise DomainError(f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
     return eps
 
 
 def check_delta(delta):
     """QoS weight delta as a positive finite float; DomainError otherwise."""
-    if not isinstance(delta, (int, float)) or isinstance(delta, bool) \
-            or not math.isfinite(delta) or delta <= 0.0:
-        raise DomainError(f"delta must be a positive real, got {delta!r}")
-    return float(delta)
+    return positive(delta, "delta")
 
 
 def check_bound(bound):
@@ -89,7 +84,8 @@ class CostFunction:
         if self.kind not in ("linear-beta", "linear-servers", "table"):
             raise DomainError(f"unknown cost kind {self.kind!r}")
         if self.kind == "table":
-            pts = tuple((float(b), float(c)) for b, c in self.table)
+            pts = tuple((real(b, "cost table beta"), real(c, "cost table cost"))
+                        for b, c in self.table)
             if len(pts) < 2:
                 raise DomainError("cost table needs at least two points")
             if not all(math.isfinite(v) for pt in pts for v in pt):
@@ -97,10 +93,9 @@ class CostFunction:
             if any(b2 <= b1 or c2 <= c1 for (b1, c1), (b2, c2) in zip(pts, pts[1:])):
                 raise DomainError("cost table must be strictly increasing in beta and cost")
             object.__setattr__(self, "table", pts)
-        elif not (isinstance(self.coefficient, (int, float))
-                  and not isinstance(self.coefficient, bool)
-                  and math.isfinite(self.coefficient) and self.coefficient > 0):
-            raise DomainError("cost coefficient must be a positive finite real")
+        else:
+            object.__setattr__(self, "coefficient",
+                               positive(self.coefficient, "cost coefficient"))
 
     def beta_cost(self, beta, lam):
         """Cost of operating at safety factor beta against load lam."""

@@ -51,6 +51,8 @@ from .errors import (
     DomainError,
     EnumerationCapError,
     InfeasibleError,
+    positive,
+    real,
 )
 from .frontier import (
     CostFunction,
@@ -92,12 +94,10 @@ LATTICE_BLOCK_CELLS = 1 << 16
 
 
 def _check_costs(costs, stations):
-    out = tuple(float(c) for c in costs)
+    out = tuple(positive(c, "per-server cost") for c in costs)
     if len(out) != stations:
         raise DomainError(
             f"need one cost per station, got {len(out)} for {stations} stations")
-    if any(not math.isfinite(c) or c <= 0.0 for c in out):
-        raise DomainError("per-server costs must be positive reals")
     return out
 
 
@@ -173,13 +173,13 @@ def joint_constraint_value(scenarios, n):
     wait curve; integer levels use the exact recursion. Stations whose
     realized rate reaches n_i contribute zero no-wait probability.
     """
-    levels = tuple(float(x) for x in n)
+    levels = tuple(real(x, "staffing level") for x in n)
     if len(levels) != scenarios.stations:
         raise DomainError(
             f"staffing vector has {len(levels)} entries for "
             f"{scenarios.stations} stations")
-    if any(not math.isfinite(x) or x < 1.0 for x in levels):
-        raise DomainError("staffing levels must be reals >= 1")
+    if not all(1.0 <= x < math.inf for x in levels):
+        raise DomainError("staffing levels must be finite reals >= 1")
     return _joint_no_wait(scenarios, levels)
 
 
@@ -535,8 +535,9 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
         betas = list(seed.decision.betas)
     else:
         keys, key_rates = _key_rates(scenarios, key_indices)
-        betas = [1.0] * L if warm_betas is None else [float(b) for b in warm_betas]
-        if len(betas) != L or any(b < 0 or not math.isfinite(b) for b in betas):
+        betas = ([1.0] * L if warm_betas is None
+                 else [real(b, "warm beta") for b in warm_betas])
+        if len(betas) != L or not all(0.0 <= b < math.inf for b in betas):
             raise DomainError("warm_betas must be a non-negative vector, one per station")
     roots = [math.sqrt(r) for r in key_rates]
     dep = L - 1

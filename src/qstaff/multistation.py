@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .erlang import wait_curve
-from .errors import DomainError
+from .errors import DomainError, positive, real
 from .frontier import CostFunction, check_delta
 from .joint import _joint_wait, solve_weighted_stoch
 from .scenarios import JointScenarioSet
@@ -36,8 +36,8 @@ class MultiStationInstance:
     delta: float
 
     def __post_init__(self):
-        lams = tuple(float(x) for x in self.lambdas)
-        if not lams or any(not math.isfinite(x) or x <= 0 for x in lams):
+        lams = tuple(positive(x, "arrival rate") for x in self.lambdas)
+        if not lams:
             raise DomainError("lambdas must be a non-empty vector of positive reals")
         costs = self.costs
         if isinstance(costs, CostFunction):
@@ -45,7 +45,7 @@ class MultiStationInstance:
         costs = tuple(costs)
         if len(costs) != len(lams):
             raise DomainError("need one cost function per station")
-        check_delta(self.delta)
+        object.__setattr__(self, "delta", check_delta(self.delta))
         object.__setattr__(self, "lambdas", lams)
         object.__setattr__(self, "costs", costs)
 
@@ -87,8 +87,8 @@ def solve_multi(instance, bound="exact"):
 
 
 def _check_betas(instance, betas):
-    betas = tuple(float(b) for b in betas)
-    if len(betas) != instance.station_count or any(b < 0 for b in betas):
+    betas = tuple(real(b, "safety factor") for b in betas)
+    if len(betas) != instance.station_count or not all(0.0 <= b < math.inf for b in betas):
         raise DomainError("betas must be a non-negative vector, one per station")
     return betas
 
@@ -103,7 +103,7 @@ def exact_objective(instance, betas):
     waits = [wait_curve(lam)(b) for b, lam in zip(betas, instance.lambdas)]
     cost_total = sum(c.beta_cost(b, lam)
                      for b, lam, c in zip(betas, instance.lambdas, instance.costs))
-    return cost_total + float(instance.delta) * _joint_wait(waits)
+    return cost_total + instance.delta * _joint_wait(waits)
 
 
 def objective_gap(instance, betas):
@@ -117,4 +117,4 @@ def objective_gap(instance, betas):
     exact = math.prod(1.0 - wait_curve(lam)(b) for b, lam in zip(betas, instance.lambdas))
     upper = math.prod(1.0 - wait_curve(lam, "upper")(b)
                       for b, lam in zip(betas, instance.lambdas))
-    return float(instance.delta) * (exact - upper)
+    return instance.delta * (exact - upper)

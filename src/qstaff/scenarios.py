@@ -13,23 +13,18 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError
+from .errors import DomainError, positive, real
 
 __all__ = ["ScenarioSet", "JointScenarioSet"]
 
 PROB_SUM_TOL = 1e-12
 
 
-def _check_rate(r, what):
-    if not math.isfinite(r) or r <= 0.0:
-        raise DomainError(f"{what} must be a positive real, got {r!r}")
-
-
 def _merged(keys, probs):
     """keys sorted with exact duplicates merged, and their summed
     probabilities; each probability must lie in (0, 1], the total at one."""
     for p in probs:
-        if not math.isfinite(p) or not 0.0 < p <= 1.0:
+        if not 0.0 < p <= 1.0:
             raise DomainError(f"scenario probability must lie in (0, 1], got {p!r}")
     merged = {}
     for k, p in zip(keys, probs):
@@ -55,12 +50,10 @@ class ScenarioSet:
     probs: tuple
 
     def __post_init__(self):
-        rates = tuple(float(r) for r in self.rates)
-        probs = tuple(float(p) for p in self.probs)
+        rates = tuple(positive(r, "scenario rate") for r in self.rates)
+        probs = tuple(real(p, "scenario probability") for p in self.probs)
         if not rates or len(rates) != len(probs):
             raise DomainError("rates and probs must be non-empty and of equal length")
-        for r in rates:
-            _check_rate(r, "scenario rate")
         rates, probs = _merged(rates, probs)
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "probs", probs)
@@ -83,8 +76,7 @@ class ScenarioSet:
 
     def scaled(self, factor):
         """Same distribution with every rate multiplied by factor > 0."""
-        if not math.isfinite(factor) or factor <= 0.0:
-            raise DomainError(f"scale factor must be positive, got {factor!r}")
+        factor = positive(factor, "scale factor")
         return ScenarioSet(tuple(factor * r for r in self.rates), self.probs)
 
 
@@ -101,17 +93,15 @@ class JointScenarioSet:
     probs: tuple
 
     def __post_init__(self):
-        vectors = tuple(tuple(float(r) for r in v) for v in self.rate_vectors)
-        probs = tuple(float(p) for p in self.probs)
+        vectors = tuple(tuple(positive(r, "scenario rate") for r in v)
+                        for v in self.rate_vectors)
+        probs = tuple(real(p, "scenario probability") for p in self.probs)
         if not vectors or len(vectors) != len(probs):
             raise DomainError(
                 "rate_vectors and probs must be non-empty and of equal length")
         width = len(vectors[0])
         if width < 1 or any(len(v) != width for v in vectors):
             raise DomainError("all scenario rate vectors must share one positive length")
-        for v in vectors:
-            for r in v:
-                _check_rate(r, "scenario rate")
         vectors, probs = _merged(vectors, probs)
         object.__setattr__(self, "rate_vectors", vectors)
         object.__setattr__(self, "probs", probs)
@@ -148,8 +138,7 @@ class JointScenarioSet:
 
     def scaled(self, factor):
         """Same distribution with every rate multiplied by factor > 0."""
-        if not math.isfinite(factor) or factor <= 0.0:
-            raise DomainError(f"scale factor must be positive, got {factor!r}")
+        factor = positive(factor, "scale factor")
         return JointScenarioSet(
             tuple(tuple(factor * r for r in v) for v in self.rate_vectors),
             self.probs)

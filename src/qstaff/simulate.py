@@ -13,11 +13,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.special import stdtrit
 
-from .errors import DomainError, UnstableSystemError
+from .errors import DomainError, UnstableSystemError, positive, real
 from .scenarios import JointScenarioSet, ScenarioSet
 
 __all__ = [
@@ -59,10 +60,7 @@ class SimConfig:
 
     def __post_init__(self):
         _check_count(self.n, "n", 1)
-        if isinstance(self.lam, bool) or not isinstance(self.lam, (int, float)) \
-                or not math.isfinite(self.lam) or self.lam <= 0.0:
-            raise DomainError(f"lam must be a positive real, got {self.lam!r}")
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", positive(self.lam, "lam"))
         if self.lam >= self.n:
             raise UnstableSystemError(
                 f"offered load {self.lam} needs more than {self.n} servers")
@@ -208,7 +206,7 @@ def simulate_busy_fraction(config):
 
 def _staffing_vector(decision, stations):
     levels = getattr(decision, "n_integer", decision)
-    if isinstance(levels, (int, float)):
+    if isinstance(levels, Real):
         levels = (levels,)
     levels = tuple(levels)
     if len(levels) != stations:
@@ -216,8 +214,8 @@ def _staffing_vector(decision, stations):
             f"staffing has {len(levels)} entries for {stations} stations")
     out = []
     for x in levels:
-        if isinstance(x, bool) or not isinstance(x, (int, float)) \
-                or not float(x).is_integer() or x < 1:
+        level = real(x, "staffing level")
+        if not (level.is_integer() and level >= 1.0):
             raise DomainError(f"staffing levels must be positive integers, got {x!r}")
         out.append(int(x))
     return tuple(out)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 from .erlang import _wait_vector, wait_curve
 from .erlang import wait_probability  # noqa: F401 (perfbench/tracing.py wraps it here)
-from .errors import BracketError, DomainError, InfeasibleError, KeyScenarioTieError
+from .errors import (BracketError, DomainError, InfeasibleError, KeyScenarioTieError,
+                     positive)
 from .frontier import check_bound, check_epsilon, integer_staffing
 from .search import bisect_decreasing
 
@@ -45,9 +46,7 @@ def constraint_value(scenarios, n):
 
     Scenarios with rate >= n contribute probability one (unstable).
     """
-    n = float(n)
-    if not math.isfinite(n) or n <= 0.0:
-        raise DomainError(f"staffing level must be a positive real, got {n!r}")
+    n = positive(n, "staffing level")
     total = 0.0
     for p, w in zip(scenarios.probs, _wait_vector(n, scenarios.rates)):
         total += p * w
@@ -92,12 +91,12 @@ class StaffingDecision:
 @dataclass(frozen=True)
 class StochSolveReport:
     decision: StaffingDecision
-    expected_wait: float     # full constraint value at n_continuous, exact curve
+    expected_wait: float     # full constraint value at n_integer, exact curve
     objective: float         # cost per server times continuous staffing level
     method: str              # reduced-exact | reduced-ub | exact-enumeration
     epsilon: float
-    feasible: bool           # expected_wait <= epsilon + FEASIBILITY_TOL (n_continuous)
-    slack: float             # epsilon - expected_wait (n_continuous)
+    feasible: bool           # expected_wait <= epsilon + FEASIBILITY_TOL
+    slack: float             # epsilon - expected_wait
     evaluations: int
     converged: bool
 
@@ -115,7 +114,7 @@ def _decide(scenarios, key, beta):
 
 
 def _report(scenarios, decision, cost, method, eps, evaluations, converged):
-    achieved = constraint_value(scenarios, decision.n_continuous)
+    achieved = constraint_value(scenarios, decision.n_integer)
     return StochSolveReport(
         decision=decision,
         expected_wait=achieved,
@@ -127,13 +126,6 @@ def _report(scenarios, decision, cost, method, eps, evaluations, converged):
         evaluations=evaluations,
         converged=converged,
     )
-
-
-def _check_cost(cost):
-    c = float(cost)
-    if not math.isfinite(c) or c <= 0.0:
-        raise DomainError(f"cost per server must be positive, got {cost!r}")
-    return c
 
 
 def _reduced_decision(scenarios, eps, bound="exact"):
@@ -154,14 +146,13 @@ def solve_reduced(scenarios, epsilon, cost=1.0, bound="exact"):
 
     The selection rule guarantees the right-hand side lies in (0, p_key),
     so a root exists. The report's expected_wait re-evaluates the full
-    constraint with the exact curve; at finite rates the reduced solution
-    may miss feasibility by a small margin, which shows up as a negative
-    slack rather than an error. expected_wait, feasible and slack score
-    n_continuous, not the n_integer the decision carries, which may sit
-    below it and miss the target.
+    constraint with the exact curve at the decision's n_integer; the
+    reduced model at finite rates, or rounding to the nearest server, may
+    miss feasibility by a small margin, which shows up as a negative slack
+    rather than an error.
     """
     eps = check_epsilon(epsilon)
-    c = _check_cost(cost)
+    c = positive(cost, "cost per server")
     bound = check_bound(bound)
     decision, result = _reduced_decision(scenarios, eps, bound)
     method = "reduced-exact" if bound == "exact" else "reduced-ub"
@@ -183,11 +174,11 @@ def solve_exact_enumeration(scenarios, epsilon, cost=1.0, key_index=None):
     is, InfeasibleError lists them all. key_index pins the search to one
     candidate.
 
-    The report's feasible, expected_wait and slack score n_continuous,
-    not the n_integer the decision carries.
+    The report's feasible, expected_wait and slack score the decision's
+    n_integer, which may round below the root and miss the target.
     """
     eps = check_epsilon(epsilon)
-    c = _check_cost(cost)
+    c = positive(cost, "cost per server")
     if key_index is None:
         candidates = range(len(scenarios))
     else:

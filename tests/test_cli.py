@@ -563,3 +563,32 @@ class TestBudgetChecks:
         error = json.loads(out)["error"]
         assert error["type"] == "ValidationError"
         assert error["pointer"] == f"problem.{field}"
+
+
+HUGE = 10**400  # a JSON integer beyond float range
+
+
+def document_with_huge(pointer):
+    document = {"scenarios[0].rates[0]": det_document(lam=HUGE),
+                "problem.costs[0]": det_document(cost=HUGE),
+                "problem.epsilon": det_document(epsilon=HUGE),
+                "problem.delta": det_document(delta=HUGE)}.get(pointer, det_document())
+    if pointer == "scenarios[0].probability":
+        document["scenarios"][0]["probability"] = HUGE
+    elif pointer == "stations[0].service_rate":
+        document["stations"][0]["service_rate"] = HUGE
+    return document
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("pointer", [
+    "scenarios[0].rates[0]", "scenarios[0].probability", "stations[0].service_rate",
+    "problem.costs[0]", "problem.epsilon", "problem.delta",
+])
+def test_integer_beyond_float_range_exits_2(capsys, tmp_path, command, pointer):
+    path = write_document(tmp_path, document_with_huge(pointer))
+    code, out, err = run(capsys, command, path, "--format", "json")
+    assert code == 2
+    assert err.startswith(f"error: {pointer}: ")
+    error = json.loads(out)["error"]
+    assert (error["type"], error["pointer"]) == ("ValidationError", pointer)

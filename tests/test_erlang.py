@@ -18,6 +18,7 @@ from qstaff.erlang import (
     hw_quantities,
     jvlz_bounds,
     jvlz_bounds_at,
+    wait_curve,
     wait_probability,
 )
 from qstaff.errors import DomainError, UnstableSystemError
@@ -40,6 +41,8 @@ ALPHA_BAR_FROZEN = {
 }
 ALPHA_SQRT_1E6_FROZEN = {0.5: 0.504654034713, 1.0: 0.223501824169, 2.0: 0.0269438524019}
 HW_FROZEN = {0.5: 0.50453864099794502, 1.0: 0.22336127479826074, 2.0: 0.0268813624294322628}
+# a bool, an int beyond float range, nan and a string: none is an input number
+BAD_NUMBERS = (True, 10**400, math.nan, "3")
 
 
 class TestExact:
@@ -81,6 +84,11 @@ class TestExact:
             erlang_c_exact(3, -1.0)
         with pytest.raises(DomainError):
             erlang_c_exact(3, math.inf)
+        for bad in BAD_NUMBERS:
+            with pytest.raises(DomainError):
+                erlang_c_exact(bad, 0.5)
+            with pytest.raises(DomainError):
+                erlang_c_exact(3, bad)
 
     @given(n=st.integers(min_value=1, max_value=400),
            rho=st.floats(min_value=0.5, max_value=0.99))
@@ -180,6 +188,11 @@ class TestContinuous:
             erlang_c_continuous(99.0, 100.0)
         with pytest.raises(DomainError):
             erlang_c_continuous(0.9, 0.5)
+        for bad in BAD_NUMBERS:
+            with pytest.raises(DomainError):
+                erlang_c_continuous(bad, 0.5)
+            with pytest.raises(DomainError):
+                erlang_c_continuous(10.0, bad)
 
     def test_tiny_margin_near_one(self):
         # n barely above lambda: probability must approach 1 from below
@@ -240,6 +253,9 @@ class TestHalfinWhitt:
             halfin_whitt(0.0)
         with pytest.raises(DomainError):
             halfin_whitt(-1.0)
+        for bad in BAD_NUMBERS:
+            with pytest.raises(DomainError):
+                halfin_whitt(bad)
 
 
 class TestHWQuantities:
@@ -335,6 +351,26 @@ class TestBounds:
             jvlz_bounds_at(99.0, 100.0)
         with pytest.raises(DomainError):
             jvlz_bounds(-0.5, 100.0)
+        for bad in BAD_NUMBERS:
+            for call in (lambda: jvlz_bounds(bad, 100.0), lambda: jvlz_bounds(1.0, bad),
+                         lambda: jvlz_bounds_at(bad, 100.0), lambda: jvlz_bounds_at(120.0, bad)):
+                with pytest.raises(DomainError):
+                    call()
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS, ids=("bool", "huge-int", "nan", "str"))
+@pytest.mark.parametrize("call", [
+    lambda bad: erlang_c_sqrt(bad, 5.0),
+    lambda bad: erlang_c_sqrt(1.0, bad),
+    lambda bad: hw_quantities(bad, 0.5),
+    lambda bad: hw_quantities(10.0, bad),
+    lambda bad: wait_probability(bad, 0.5),
+    lambda bad: wait_probability(10, bad),
+    lambda bad: wait_curve(bad),
+], ids=("sqrt-beta", "sqrt-lambda", "hw-n", "hw-lambda", "wait-n", "wait-lambda", "curve"))
+def test_rejects_what_is_not_a_number(call, bad):
+    with pytest.raises(DomainError):
+        call(bad)
 
 
 class TestWaitProbability:

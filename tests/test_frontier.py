@@ -17,6 +17,9 @@ from qstaff.joint import solve_weighted_stoch
 from qstaff.multistation import MultiStationInstance
 from qstaff.scenarios import JointScenarioSet
 
+# a bool, an int beyond float range, nan and a string: none is an input number
+BAD_NUMBERS = (True, 10**400, math.nan, "3")
+
 # Frozen from a dense grid scan (step 1e-4) of beta + 1e6*wait(beta) at lam=100.
 WEIGHTED_GRID_ORACLE_BETA = 5.49820
 
@@ -53,6 +56,11 @@ class TestCostFunction:
             CostFunction("linear-servers", math.inf)
         with pytest.raises(DomainError):
             CostFunction("linear-beta", True)
+        for bad in BAD_NUMBERS:
+            with pytest.raises(DomainError):
+                CostFunction("linear-servers", bad)
+            with pytest.raises(DomainError):
+                CostFunction(kind="table", table=((0.0, 0.0), (1.0, bad)))
 
 
 class TestConstrained:
@@ -74,7 +82,7 @@ class TestConstrained:
         assert all(a >= b for a, b in zip(betas, betas[1:]))
 
     def test_epsilon_validation(self):
-        for bad in (0.0, 1.0, -0.2, 1.5, float("nan")):
+        for bad in (0.0, 1.0, -0.2, 1.5, *BAD_NUMBERS):
             with pytest.raises(DomainError):
                 solve_constrained(100.0, bad)
 
@@ -207,7 +215,8 @@ def test_integer_staffing_rounds_to_nearest():
     assert integer_staffing(0.2) == 1
 
 
-@pytest.mark.parametrize("delta", [True, math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("delta", [True, math.inf, math.nan, 0.0, -1.0,
+                                   pytest.param(10**400, id="huge-int"), "3"])
 @pytest.mark.parametrize("entry", ["solve_weighted", "multistation", "solve_weighted_stoch"])
 def test_delta_checked_alike(entry, delta):
     with pytest.raises(DomainError):

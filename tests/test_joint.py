@@ -48,6 +48,8 @@ DECOUPLED_QOS = 0.9512743877711
 LATTICE_STAFFING = (495, 236)
 LATTICE_COST = 3183.0
 LATTICE_QOS = 0.950113179928
+# a bool, an int beyond float range, nan and a string: none is an input number
+BAD_NUMBERS = (True, 10**400, math.nan, "3")
 
 
 def instance(scale=1.0):
@@ -273,7 +275,8 @@ class TestJointConstraintValue:
         assert joint_constraint_value(instance(), (491, 230)) >= base
         assert joint_constraint_value(instance(), (490, 231)) >= base
 
-    @pytest.mark.parametrize("n", [(496,), (496, 235, 10), (0.5, 235), (float("nan"), 235)])
+    @pytest.mark.parametrize("n", [(496,), (496, 235, 10), (0.5, 235), (float("nan"), 235),
+                                   *((bad, 235) for bad in BAD_NUMBERS)])
     def test_rejects_bad_staffing(self, n):
         with pytest.raises(DomainError):
             joint_constraint_value(instance(), n)
@@ -286,6 +289,13 @@ class TestJointConstraintValue:
         bumped = joint_constraint_value(small, (n1 + d1, n2 + d2))
         assert 0.0 <= value <= 1.0
         assert bumped >= value
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS, ids=("bool", "huge-int", "nan", "str"))
+@pytest.mark.parametrize("solve", [solve_decoupled, enumerate_key_scenarios])
+def test_per_server_costs_checked(solve, bad):
+    with pytest.raises(DomainError):
+        solve(instance(), EPSILON, (bad, 3.0))
 
 
 class TestSolveDecoupled:
@@ -462,6 +472,9 @@ class TestSolveReducedJoint:
             solve_reduced_joint(instance(), EPSILON, PRICES, key_indices=(1, 5))
         with pytest.raises(DomainError):
             solve_reduced_joint(instance(), 1.5, PRICES, key_indices=(1, 1))
+        for bad in BAD_NUMBERS:
+            with pytest.raises(DomainError):
+                solve_reduced_joint(instance(), EPSILON, (bad, 3.0), key_indices=(1, 1))
 
 
 class TestEnumerateKeyScenarios:
@@ -637,6 +650,12 @@ class TestSolveJoint:
                         warm_betas=(-1.0, 1.0))
         with pytest.raises(DomainError):
             solve_joint(instance(), EPSILON, PRICES, warm_betas=(1.0, 1.0))
+        for bad in BAD_NUMBERS:
+            with pytest.raises(DomainError):
+                solve_joint(instance(), EPSILON, PRICES, key_indices=(1, 1),
+                            warm_betas=(bad, 1.0))
+            with pytest.raises(DomainError):
+                solve_joint(instance(), EPSILON, (bad, 3.0), key_indices=(1, 1))
 
 
 class TestSolveJointExactInteger:
@@ -670,6 +689,9 @@ class TestSolveJointExactInteger:
             solve_joint_exact_integer(instance(), 0.0, PRICES)
         with pytest.raises(DomainError):
             solve_joint_exact_integer(instance(), EPSILON, (5.0, 3.0, 1.0))
+        for bad in BAD_NUMBERS:
+            with pytest.raises(DomainError):
+                solve_joint_exact_integer(instance(), EPSILON, (bad, 3.0))
 
     def test_three_station_certified_optimum(self):
         rep = solve_joint_exact_integer(S3, EPSILON, (1.0, 1.0, 1.0))
@@ -856,6 +878,9 @@ class TestSolveWeightedStoch:
             solve_weighted_stoch(instance(), -5.0, PRICES)
         with pytest.raises(DomainError):
             solve_weighted_stoch(instance(), 100.0, PRICES, bound="lower")
+        for bad in BAD_NUMBERS:
+            with pytest.raises(DomainError):
+                solve_weighted_stoch(instance(), 100.0, (bad, 3.0))
 
 
 class TestCompareSolutions:

@@ -16,6 +16,9 @@ from qstaff.multistation import (
 )
 from qstaff.frontier import solve_weighted
 
+# a bool, an int beyond float range, nan and a string: none is an input number
+BAD_NUMBERS = (True, 10**400, math.nan, "3")
+
 
 def beta_linear(coef=1.0):
     return CostFunction(kind="linear-beta", coefficient=coef)
@@ -35,6 +38,11 @@ class TestInstanceValidation:
             MultiStationInstance(lambdas=(10.0,), costs=beta_linear(), delta=0.0)
         with pytest.raises(DomainError):
             MultiStationInstance(lambdas=(10.0,), costs=(beta_linear(),) * 2, delta=1.0)
+        for bad in BAD_NUMBERS:
+            with pytest.raises(DomainError):
+                MultiStationInstance(lambdas=(10.0, bad), costs=beta_linear(), delta=1.0)
+            with pytest.raises(DomainError):
+                MultiStationInstance(lambdas=(10.0,), costs=beta_linear(), delta=bad)
 
 
 class TestSolveMulti:
@@ -178,6 +186,11 @@ class TestObjectiveGap:
             objective_gap(inst, (0.5, 0.5))
         with pytest.raises(DomainError):
             objective_gap(inst, (-1.0,))
+        for bad in BAD_NUMBERS:
+            with pytest.raises(DomainError):
+                objective_gap(inst, (bad,))
+            with pytest.raises(DomainError):
+                exact_objective(inst, (bad,))
 
 
 class TestTinyWaits:

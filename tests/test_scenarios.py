@@ -12,6 +12,8 @@ EXAMPLE_VECTORS = (
     (350.0, 300.0), (350.0, 200.0), (350.0, 100.0),
 )
 EXAMPLE_PROBS = (0.03, 0.21, 0.10, 0.01, 0.17, 0.48)
+# a bool, an int beyond float range, nan and a string: none is an input number
+BAD_NUMBERS = (True, 10**400, math.nan, "3")
 
 
 def random_scenario_sets():
@@ -60,6 +62,8 @@ class TestScenarioSet:
         ((100.0, 200.0), (1.2, -0.2)),
         ((100.0, 200.0), (0.0, 1.0)),          # zero-probability scenario
         ((float("nan"), 200.0), (0.5, 0.5)),
+        *(((bad, 200.0), (0.5, 0.5)) for bad in BAD_NUMBERS),
+        *(((100.0,), (bad,)) for bad in BAD_NUMBERS),
     ])
     def test_rejects_invalid(self, rates, probs):
         with pytest.raises(DomainError):
@@ -112,10 +116,20 @@ class TestJointScenarioSet:
         (((100.0, 50.0), (100.0,)), (0.5, 0.5)),        # ragged
         (((100.0, 50.0),), (0.9,)),                     # does not sum to 1
         (((100.0, 0.0),), (1.0,)),                      # zero rate
+        *((((100.0, bad),), (1.0,)) for bad in BAD_NUMBERS),
+        *((((100.0, 50.0),), (bad,)) for bad in BAD_NUMBERS),
     ])
     def test_rejects_invalid(self, vectors, probs):
         with pytest.raises(DomainError):
             JointScenarioSet(vectors, probs)
+
+    @pytest.mark.parametrize("bad", (0.0, -2.0, math.inf, *BAD_NUMBERS), ids=(
+        "zero", "negative", "inf", "bool", "huge-int", "nan", "str"))
+    def test_scaled_rejects_bad_factor(self, bad):
+        for scenarios in (ScenarioSet((100.0, 200.0), (0.7, 0.3)),
+                          JointScenarioSet(EXAMPLE_VECTORS, EXAMPLE_PROBS)):
+            with pytest.raises(DomainError):
+                scenarios.scaled(bad)
 
     def test_marginal_index_checked(self):
         joint = JointScenarioSet(EXAMPLE_VECTORS, EXAMPLE_PROBS)

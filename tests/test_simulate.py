@@ -38,6 +38,7 @@ class TestSimConfig:
         dict(n=2, lam=1.0, measured_customers=9_999),
         dict(n=2, lam=1.0, replications=1),
         dict(n=2, lam=1.0, seed=-1),
+        *(dict(n=2, lam=bad) for bad in (True, 10**400, "3")),
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(DomainError):
@@ -149,3 +150,10 @@ class TestSimulateScenarioQos:
         one = ScenarioSet((1.0,), (1.0,))
         with pytest.raises(DomainError, match="must be positive integers"):
             simulate_scenario_qos(one, (level,), SimConfig(n=2, lam=1.0))
+
+    @pytest.mark.parametrize("level", [True, 10**400, "3"], ids=("bool", "huge-int", "str"))
+    def test_rejects_what_is_not_a_number(self, level):
+        one = ScenarioSet((1.0,), (1.0,))
+        for staffing in (level, (level,)):
+            with pytest.raises(DomainError):
+                simulate_scenario_qos(one, staffing, SimConfig(n=2, lam=1.0))

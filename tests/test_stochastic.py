@@ -27,6 +27,8 @@ from qstaff.stochastic import (
 EPS_SPLIT = 1.0 - math.sqrt(0.95)     # per-station target so both stations jointly hit 0.95
 QUEUE1 = ScenarioSet((350.0, 450.0), (0.66, 0.34))
 QUEUE2 = ScenarioSet((100.0, 200.0, 300.0), (0.58, 0.38, 0.04))
+# a bool, an int beyond float range, nan and a string: none is an input number
+BAD_NUMBERS = (True, 10**400, math.nan, "3")
 
 # frozen roots of the reduced equations, computed by independent bisection
 # against the continuous Erlang-C oracle
@@ -118,8 +120,9 @@ class TestConstraintValue:
             assert a > b
 
     def test_rejects_bad_staffing(self):
-        with pytest.raises(DomainError):
-            constraint_value(QUEUE1, 0.0)
+        for bad in (0.0, *BAD_NUMBERS):
+            with pytest.raises(DomainError):
+                constraint_value(QUEUE1, bad)
 
 
 class TestSolveReduced:
@@ -157,12 +160,25 @@ class TestSolveReduced:
 
     def test_full_constraint_report(self):
         rep = solve_reduced(QUEUE1, EPS_SPLIT)
-        # the report re-evaluates the full constraint; at these rates the
-        # below-key term is tiny so the decision is feasible within tolerance
+        # at these rates the below-key term is tiny, so the continuous level
+        # meets the full constraint within tolerance; the report re-evaluates
+        # the full constraint at the integer staffing, which rounds up here
+        continuous = constraint_value(QUEUE1, rep.decision.n_continuous)
+        assert continuous == pytest.approx(EPS_SPLIT, abs=1e-9)
+        assert rep.expected_wait == constraint_value(QUEUE1, rep.decision.n_integer)
+        assert rep.expected_wait < continuous
         assert rep.feasible
-        assert rep.expected_wait == pytest.approx(EPS_SPLIT, abs=1e-9)
-        recomputed = constraint_value(QUEUE1, rep.decision.n_continuous)
-        assert rep.expected_wait == recomputed
+        assert rep.slack == EPS_SPLIT - rep.expected_wait
+
+    @pytest.mark.parametrize("solve", [solve_reduced, solve_exact_enumeration])
+    def test_report_scores_the_integer_staffing(self, solve):
+        # the root 118.4 rounds down to 118 servers, whose exact wait misses
+        # the target: the report says so instead of scoring the root
+        rep = solve(ScenarioSet((100.0,), (1.0,)), 0.05)
+        assert rep.decision.n_continuous > rep.decision.n_integer == 118
+        assert rep.expected_wait == 0.051583684369369574
+        assert not rep.feasible
+        assert rep.slack == 0.05 - rep.expected_wait
 
     def test_rhs_validity(self):
         for s, eps in ((QUEUE1, EPS_SPLIT), (QUEUE2, EPS_SPLIT), (sweep_set(1), 0.2)):
@@ -176,6 +192,11 @@ class TestSolveReduced:
             solve_reduced(QUEUE1, EPS_SPLIT, bound="lower")
         with pytest.raises(DomainError):
             solve_reduced(QUEUE1, EPS_SPLIT, cost=0.0)
+        for bad in BAD_NUMBERS:
+            with pytest.raises(DomainError):
+                solve_reduced(QUEUE1, EPS_SPLIT, cost=bad)
+            with pytest.raises(DomainError):
+                solve_exact_enumeration(QUEUE1, EPS_SPLIT, cost=bad)
         with pytest.raises(KeyScenarioTieError):
             solve_reduced(ScenarioSet((100.0, 200.0), (0.5, 0.5)), 0.5)
 
@@ -196,14 +217,18 @@ class TestSolveExactEnumeration:
         assert rep.method == "exact-enumeration"
 
     def test_constraint_active_and_feasible(self):
-        for m in (1, 10):
+        # the continuous root meets the constraint with equality; the
+        # report scores the rounded staffing: 204 misses, 2014 meets it
+        for m, feasible in ((1, False), (10, True)):
             rep = solve_exact_enumeration(sweep_set(m), 0.2)
-            assert rep.feasible
-            assert rep.expected_wait == pytest.approx(0.2, abs=1e-8)
+            continuous = constraint_value(sweep_set(m), rep.decision.n_continuous)
+            assert continuous == pytest.approx(0.2, abs=1e-8)
+            assert rep.feasible is feasible
+            assert (rep.expected_wait <= 0.2) is feasible
 
     def test_nonanticipative_single_staffing(self):
         rep = solve_exact_enumeration(sweep_set(1), 0.2)
-        n = rep.decision.n_continuous
+        n = rep.decision.n_integer
         assert rep.expected_wait == constraint_value(sweep_set(1), n)
 
     def test_key_pinning(self):
@@ -321,9 +346,12 @@ class TestAsymptoticAgreement:
         slacks = []
         for m in self.MS:
             rep = solve_reduced(sweep_set(m), 0.2, bound="upper")
-            assert rep.feasible
-            slacks.append(rep.slack)
-        # conservative at every m, with the margin shrinking toward zero
+            slacks.append(0.2 - constraint_value(sweep_set(m), rep.decision.n_continuous))
+            # the report scores the rounded staffing, which may miss
+            assert rep.slack == 0.2 - rep.expected_wait
+            assert rep.feasible == (rep.slack >= -stochastic.FEASIBILITY_TOL)
+        # the continuous level is conservative at every m, with the margin
+        # shrinking toward zero
         assert all(sl > 0.0 for sl in slacks)
         assert slacks[0] > slacks[1] > slacks[2]
 
