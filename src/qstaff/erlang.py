@@ -33,11 +33,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 
 from scipy.special import erfcx, gammaincc, ndtr
 
-from .errors import DomainError, QuadratureError, UnstableSystemError, positive, real
+from .errors import (DomainError, QuadratureError, UnstableSystemError, at_least, integer,
+                     positive, real)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
@@ -99,9 +99,7 @@ def erlang_c_exact(n, lam):
     Values below the double-precision underflow threshold (roughly
     1e-308, reached only for enormous safety margins) are returned as 0.0.
     """
-    if real(n, "server count") < 1.0 or not isinstance(n, Integral):
-        raise DomainError(f"server count must be an integer >= 1, got {n!r}")
-    n = int(n)
+    n = integer(n, "server count", 1)
     lam = positive(lam, "arrival rate")
     if lam >= n:
         raise UnstableSystemError(
@@ -178,9 +176,7 @@ def erlang_c_continuous(n, lam):
     about 1e-11 relative for lambda up to 1e6.
     """
     lam = positive(lam, "arrival rate")
-    n = real(n, "server count")
-    if not 1.0 <= n < math.inf:
-        raise DomainError(f"continuous extension requires a finite n >= 1, got {n:g}")
+    n = at_least(n, "server count", 1.0)
     if n <= lam:
         raise UnstableSystemError(
             f"no stationary delay probability: n={n:g} <= lambda={lam:g}")
@@ -346,7 +342,7 @@ def wait_probability(n, lam, bound="exact"):
     selects the exact value or one of the sandwich bounds as the curve.
     """
     lam = positive(lam, "arrival rate")
-    n = _check_level(real(n, "staffing level"))
+    n = at_least(n, "staffing level", 1.0)
     if bound == "exact":
         return _exact_wait(n, lam)
     if lam >= n:
@@ -359,13 +355,6 @@ def wait_probability(n, lam, bound="exact"):
     if bound == "hw":
         return halfin_whitt((n - lam) / math.sqrt(lam))
     raise DomainError(f"unknown bound selector {bound!r}")
-
-
-def _check_level(n):
-    n = float(n)
-    if not math.isfinite(n) or n < 1.0:
-        raise DomainError(f"staffing level must be a finite real >= 1, got {n!r}")
-    return n
 
 
 def _exact_wait(n, lam):
@@ -408,4 +397,5 @@ def wait_curve(lam, bound="exact"):
     if bound != "exact":
         return lambda beta: wait_probability(max(lam + beta * root, 1.0), lam, bound)
 
-    return lambda beta: _exact_wait(_check_level(max(lam + beta * root, 1.0)), lam)
+    return lambda beta: _exact_wait(
+        at_least(max(lam + beta * root, 1.0), "staffing level", 1.0), lam)

@@ -1,15 +1,18 @@
-"""Exception types shared across the toolkit, and the one check that turns
-a number from outside the package into a float.
+"""Exception types shared across the toolkit, and the checks that turn
+input from outside the package into floats, ints and per-station tuples.
 
 Every public entry point passes the numbers it is given (rates, prices,
-budgets, staffing levels) through real() or positive(): a bool, a value
-that is not a numbers.Real, such as a string, and an int beyond float
-range raise DomainError there, so no OverflowError, TypeError or
-silently accepted True escapes a solver. The file reader maps that
-DomainError to a ValidationError at the field's pointer.
+budgets, staffing levels) through real(), positive() or at_least(), its
+integers (key and station indices, server and replication counts)
+through integer(), and its per-station vectors (prices, safety factors,
+staffing levels, key indices) through per_station(). A bool, a string, a
+fractional index, an int beyond float range, a value out of range and a
+vector of the wrong length raise DomainError there, so no OverflowError,
+TypeError or silently accepted True escapes a solver. The file reader
+maps that DomainError to a ValidationError at the field's pointer.
 """
 import math
-from numbers import Real
+from numbers import Integral, Real
 
 
 class StaffingError(Exception):
@@ -88,3 +91,40 @@ def positive(value, what):
     if not 0.0 < x < math.inf:
         raise DomainError(f"{what} must be a positive real, got {value!r}")
     return x
+
+
+def at_least(value, what, minimum):
+    """real(value, what), which must also be finite and at least minimum."""
+    x = real(value, what)
+    if not minimum <= x < math.inf:
+        raise DomainError(f"{what} must be a finite real >= {minimum:g}, got {value!r}")
+    return x
+
+
+def integer(value, what, minimum=0, below=None):
+    """value as an int, at least minimum and, if below is given, less than
+    below; DomainError, naming it what, for a bool, a value that is not an
+    integer (a float, even 1.0, or a string), an int beyond float range,
+    or one out of range. Numpy integers pass."""
+    if type(value) is not int:  # the common case, without the slow ABC check
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise DomainError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    if not minimum <= real(value, what) < (math.inf if below is None else below):
+        span = f">= {minimum}" if below is None else f"from {minimum} to {below - 1}"
+        raise DomainError(f"{what} must be an integer {span}, got {value!r}")
+    return value
+
+
+def per_station(values, stations, check, what, *args):
+    """check(v, f"station {i} {what}", *args) for each station i's value v,
+    as a tuple; DomainError, naming it what, unless values is a sequence of
+    one value per station, whose length is checked before any value."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise DomainError(f"need one {what} per station, got {values!r}") from None
+    if len(values) != stations:
+        raise DomainError(
+            f"need one {what} per station, got {len(values)} for {stations} stations")
+    return tuple(check(v, f"station {i} {what}", *args) for i, v in enumerate(values))

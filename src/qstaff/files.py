@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 
 from ._version import __version__
-from .errors import DomainError, ValidationError, positive, real
+from .errors import DomainError, ValidationError, integer, positive, real
 from .erlang import BOUND_CHOICES
 from .frontier import check_delta, check_epsilon
 from .joint import joint_constraint_value
@@ -62,13 +62,14 @@ def _fail(message, pointer):
 
 
 def _require(data, key, kind, pointer):
+    # kind is a type, or a check such as real called as check(value, key)
     if not isinstance(data, dict):
         _fail("expected an object", pointer.rsplit(".", 1)[0] if "." in pointer else "")
     if key not in data:
         _fail("missing required field", pointer)
     value = data[key]
-    if kind is float:
-        return checked(lambda v: real(v, key), value, pointer)
+    if not isinstance(kind, type):
+        return checked(lambda v: kind(v, key), value, pointer)
     if not isinstance(value, kind):
         _fail(f"expected {kind.__name__}, got {value!r}", pointer)
     return value
@@ -189,7 +190,7 @@ def _parse_scenarios(data, station_count):
         values = tuple(checked(lambda v: positive(v, "scenario rate"), r,
                                f"scenarios[{i}].rates[{j}]")
                        for j, r in enumerate(rates))
-        prob = _require(entry, "probability", float,
+        prob = _require(entry, "probability", real,
                         f"scenarios[{i}].probability")
         if not 0.0 < prob <= 1.0:
             _fail(f"probability must lie in (0, 1], got {prob!r}",
@@ -244,9 +245,7 @@ def parse_scenario_data(data):
     """
     if not isinstance(data, dict):
         _fail("top level must be an object", "")
-    version = _require(data, "version", int, "version")
-    if isinstance(version, bool) or version < 1:
-        _fail(f"version must be a positive integer, got {version!r}", "version")
+    version = _require(data, "version", lambda v, what: integer(v, what, 1), "version")
     stations = _parse_stations(data)
     scenarios = _parse_scenarios(data, len(stations))
     problem = _parse_problem(data, len(stations))

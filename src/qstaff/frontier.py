@@ -204,8 +204,9 @@ def solve_weighted(lam, delta, cost=None, bound="exact"):
 def sweep_frontier(lam, epsilons, cost=None, bound="exact"):
     """One constrained solve per epsilon; returns points plus failures.
 
-    The grid must be strictly increasing inside (0, 1). A failure at one
-    epsilon (e.g. bracket exhaustion) is recorded and the sweep moves on.
+    The grid must be strictly increasing inside (0, 1). Bad input raises
+    before any solve; a failure at one epsilon (e.g. bracket exhaustion)
+    is recorded and the sweep moves on.
     """
     cost = cost or CostFunction()
     eps = [check_epsilon(e) for e in epsilons]
@@ -213,6 +214,8 @@ def sweep_frontier(lam, epsilons, cost=None, bound="exact"):
         raise DomainError("epsilon grid is empty")
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise DomainError("epsilon grid must be strictly increasing")
+    wait_curve(lam, bound)  # lam and bound are checked here, before any solve
+    exact = wait_curve(lam)
     points = []
     failures = []
     for e in eps:
@@ -222,7 +225,7 @@ def sweep_frontier(lam, epsilons, cost=None, bound="exact"):
                 epsilon=e,
                 beta=rep.beta,
                 cost=rep.objective,
-                wait_prob=wait_curve(lam)(rep.beta),
+                wait_prob=exact(rep.beta),
             ))
         except Exception as exc:  # noqa: BLE001 - per-point failures are data here
             failures.append((e, f"{type(exc).__name__}: {exc}"))

@@ -51,8 +51,10 @@ from .errors import (
     DomainError,
     EnumerationCapError,
     InfeasibleError,
+    at_least,
+    integer,
+    per_station,
     positive,
-    real,
 )
 from .frontier import (
     CostFunction,
@@ -93,23 +95,12 @@ KEY_TIE_RTOL = 1e-9
 LATTICE_BLOCK_CELLS = 1 << 16
 
 
-def _check_costs(costs, stations):
-    out = tuple(positive(c, "per-server cost") for c in costs)
-    if len(out) != stations:
-        raise DomainError(
-            f"need one cost per station, got {len(out)} for {stations} stations")
-    return out
-
-
-def _cost_functions(costs, stations):
-    # one CostFunction per station; a bare per-server price c stands for
-    # CostFunction("linear-servers", c)
-    costs = tuple(costs)
-    prices = _check_costs(
-        [1.0 if isinstance(c, CostFunction) else c for c in costs], stations)
-    return tuple(c if isinstance(c, CostFunction)
-                 else CostFunction("linear-servers", p)
-                 for c, p in zip(costs, prices))
+def _cost_function(cost, what):
+    # a per_station check: a bare per-server price stands for
+    # CostFunction("linear-servers", price)
+    if isinstance(cost, CostFunction):
+        return cost
+    return CostFunction("linear-servers", positive(cost, what))
 
 
 def _no_wait_vector(marginal, n):
@@ -173,13 +164,7 @@ def joint_constraint_value(scenarios, n):
     wait curve; integer levels use the exact recursion. Stations whose
     realized rate reaches n_i contribute zero no-wait probability.
     """
-    levels = tuple(real(x, "staffing level") for x in n)
-    if len(levels) != scenarios.stations:
-        raise DomainError(
-            f"staffing vector has {len(levels)} entries for "
-            f"{scenarios.stations} stations")
-    if not all(1.0 <= x < math.inf for x in levels):
-        raise DomainError("staffing levels must be finite reals >= 1")
+    levels = per_station(n, scenarios.stations, at_least, "staffing level", 1.0)
     return _joint_no_wait(scenarios, levels)
 
 
@@ -334,7 +319,7 @@ def solve_decoupled(scenarios, epsilon, costs):
     cover risk at another.
     """
     eps = check_epsilon(epsilon)
-    costs = _check_costs(costs, scenarios.stations)
+    costs = per_station(costs, scenarios.stations, positive, "per-server cost")
     return _reduced_report(scenarios, _decoupled_decision(scenarios, eps),
                            costs, eps, "decoupled")
 
@@ -343,14 +328,10 @@ def solve_decoupled(scenarios, epsilon, costs):
 # reduced joint model with key scenarios
 
 def _key_rates(scenarios, key_indices):
-    keys = tuple(int(k) for k in key_indices)
-    if len(keys) != scenarios.stations:
-        raise DomainError(
-            f"need one key index per station, got {len(keys)} for "
-            f"{scenarios.stations} stations")
-    for i, (k, marginal) in enumerate(zip(keys, scenarios.marginals)):
-        if not 0 <= k < len(marginal):
-            raise DomainError(f"station {i} key index out of range: {k!r}")
+    # per_station checks station i's key against the i-th marginal's size
+    sizes = iter([len(m) for m in scenarios.marginals])
+    keys = per_station(key_indices, scenarios.stations,
+                       lambda k, what: integer(k, what, below=next(sizes)), "key index")
     return keys, tuple(m.rates[k] for m, k in zip(scenarios.marginals, keys))
 
 
@@ -378,7 +359,7 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
     """
     eps = check_epsilon(epsilon)
     L = scenarios.stations
-    costs = _check_costs(costs, L)
+    costs = per_station(costs, L, positive, "per-server cost")
     keys, key_rates = _key_rates(scenarios, key_indices)
     target = 1.0 - eps
     dep = L - 1
@@ -465,6 +446,27 @@ def _key_lattice(scenarios):
     return itertools.product(*(range(s) for s in sizes))
 
 
+def _best_key(scenarios, solve, value):
+    """Best solve(key) over the key lattice in lexicographic order: a key
+    replaces the incumbent only if its value() is lower by KEY_TIE_RTOL. A
+    key whose solve raises InfeasibleError is skipped; if every key is,
+    InfeasibleError lists them all."""
+    best = None
+    reasons = []
+    for key in _key_lattice(scenarios):
+        try:
+            result = solve(key)
+        except InfeasibleError as exc:
+            reasons.append(str(exc))
+            continue
+        if best is None or value(result) < value(best) * (1.0 - KEY_TIE_RTOL):
+            best = result
+    if best is None:
+        raise InfeasibleError(
+            "every candidate key scenario is infeasible: " + "; ".join(reasons))
+    return best
+
+
 def enumerate_key_scenarios(scenarios, epsilon, costs):
     """Cheapest feasible key over the per-station marginal key lattice.
 
@@ -475,21 +477,9 @@ def enumerate_key_scenarios(scenarios, epsilon, costs):
     lattice of more than KEY_CAP keys raises EnumerationCapError.
     """
     eps = check_epsilon(epsilon)
-    costs = _check_costs(costs, scenarios.stations)
-    best = None
-    reasons = []
-    for key in _key_lattice(scenarios):
-        try:
-            report = solve_reduced_joint(scenarios, eps, costs, key)
-        except InfeasibleError as exc:
-            reasons.append(str(exc))
-            continue
-        if best is None or report.server_cost < best.server_cost * (1.0 - KEY_TIE_RTOL):
-            best = report
-    if best is None:
-        raise InfeasibleError(
-            "every candidate key scenario is infeasible: " + "; ".join(reasons))
-    return best
+    costs = per_station(costs, scenarios.stations, positive, "per-server cost")
+    return _best_key(scenarios, lambda key: solve_reduced_joint(scenarios, eps, costs, key),
+                     lambda report: report.server_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +516,7 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
     """
     eps = check_epsilon(epsilon)
     L = scenarios.stations
-    costs = _check_costs(costs, L)
+    costs = per_station(costs, L, positive, "per-server cost")
     if key_indices is None:
         if warm_betas is not None:
             raise DomainError("warm_betas needs key_indices")
@@ -536,9 +526,7 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
     else:
         keys, key_rates = _key_rates(scenarios, key_indices)
         betas = ([1.0] * L if warm_betas is None
-                 else [real(b, "warm beta") for b in warm_betas])
-        if len(betas) != L or not all(0.0 <= b < math.inf for b in betas):
-            raise DomainError("warm_betas must be a non-negative vector, one per station")
+                 else list(per_station(warm_betas, L, at_least, "warm beta", 0.0)))
     roots = [math.sqrt(r) for r in key_rates]
     dep = L - 1
     dep_no_waits = {}  # dependent no-wait vectors by level; bisection midpoints recur
@@ -599,7 +587,7 @@ def solve_joint_exact_integer(scenarios, epsilon, costs):
     """
     eps = check_epsilon(epsilon)
     L = scenarios.stations
-    costs = _check_costs(costs, L)
+    costs = per_station(costs, L, positive, "per-server cost")
     target = 1.0 - eps
     dep = L - 1
     row = L - 2             # station indexing the rows; -1 when L == 1
@@ -747,7 +735,7 @@ def solve_weighted_stoch(scenarios, delta, costs, bound="exact"):
     """
     delta = check_delta(delta)
     L = scenarios.stations
-    prices = _cost_functions(costs, L)
+    prices = per_station(costs, L, _cost_function, "per-server cost")
     bound = check_bound(bound)
 
     def score(betas, key_rates, bound):
@@ -755,9 +743,8 @@ def solve_weighted_stoch(scenarios, delta, costs, bound="exact"):
         cost = sum(c.beta_cost(b, r) for c, b, r in zip(prices, betas, key_rates))
         return cost + delta * _expected_joint_wait(scenarios, levels, bound)
 
-    best = None
-    for key in _key_lattice(scenarios):
-        key_rates = tuple(m.rates[k] for m, k in zip(scenarios.marginals, key))
+    def solve(key):
+        keys, key_rates = _key_rates(scenarios, key)
 
         def objective(betas):
             return score(betas, key_rates, bound)
@@ -767,10 +754,10 @@ def solve_weighted_stoch(scenarios, delta, costs, bound="exact"):
 
         betas, value, cycles, converged = coordinate_descent(
             slice_at, objective, [1.0] * L, range(L))
-        if best is None or value < best[0] * (1.0 - KEY_TIE_RTOL):
-            best = (value, key, key_rates, tuple(betas), cycles, converged)
+        return value, keys, key_rates, tuple(betas), cycles, converged
 
-    value, key, key_rates, betas, cycles, converged = best
+    value, key, key_rates, betas, cycles, converged = _best_key(
+        scenarios, solve, lambda result: result[0])
     decision = _decision_from_betas(betas, key, key_rates)
     exact_levels = [max(n, 1.0) for n in decision.n_continuous]
     return WeightedSolveReport(

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 from .erlang import wait_curve
-from .errors import DomainError, positive, real
+from .errors import DomainError, at_least, per_station, positive
 from .frontier import CostFunction, check_delta
-from .joint import _joint_wait, solve_weighted_stoch
+from .joint import _cost_function, _joint_wait, solve_weighted_stoch
 from .scenarios import JointScenarioSet
 
 __all__ = ["MultiStationInstance", "MultiSolveReport", "solve_multi",
@@ -42,9 +42,7 @@ class MultiStationInstance:
         costs = self.costs
         if isinstance(costs, CostFunction):
             costs = (costs,) * len(lams)
-        costs = tuple(costs)
-        if len(costs) != len(lams):
-            raise DomainError("need one cost function per station")
+        costs = per_station(costs, len(lams), _cost_function, "cost function")
         object.__setattr__(self, "delta", check_delta(self.delta))
         object.__setattr__(self, "lambdas", lams)
         object.__setattr__(self, "costs", costs)
@@ -86,20 +84,13 @@ def solve_multi(instance, bound="exact"):
     )
 
 
-def _check_betas(instance, betas):
-    betas = tuple(real(b, "safety factor") for b in betas)
-    if len(betas) != instance.station_count or not all(0.0 <= b < math.inf for b in betas):
-        raise DomainError("betas must be a non-negative vector, one per station")
-    return betas
-
-
 def exact_objective(instance, betas):
     """Weighted objective at a fixed beta vector, always with exact waits.
 
     Useful for scoring solutions produced under an approximating bound on
     the ground-truth objective.
     """
-    betas = _check_betas(instance, betas)
+    betas = per_station(betas, instance.station_count, at_least, "safety factor", 0.0)
     waits = [wait_curve(lam)(b) for b, lam in zip(betas, instance.lambdas)]
     cost_total = sum(c.beta_cost(b, lam)
                      for b, lam, c in zip(betas, instance.lambdas, instance.costs))
@@ -113,7 +104,7 @@ def objective_gap(instance, betas):
     delta * (prod(1 - exact_i) - prod(1 - upper_i)) >= 0 since each upper
     bound dominates its exact wait probability.
     """
-    betas = _check_betas(instance, betas)
+    betas = per_station(betas, instance.station_count, at_least, "safety factor", 0.0)
     exact = math.prod(1.0 - wait_curve(lam)(b) for b, lam in zip(betas, instance.lambdas))
     upper = math.prod(1.0 - wait_curve(lam, "upper")(b)
                       for b, lam in zip(betas, instance.lambdas))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, positive, real
+from .errors import DomainError, integer, positive, real
 
 __all__ = ["ScenarioSet", "JointScenarioSet"]
 
@@ -132,9 +132,7 @@ class JointScenarioSet:
                      for position, column in zip(positions, zip(*self.rate_vectors)))
 
     def marginal(self, station):
-        if not 0 <= station < self.stations:
-            raise DomainError(f"station index out of range: {station!r}")
-        return self.marginals[station]
+        return self.marginals[integer(station, "station index", below=self.stations)]
 
     def scaled(self, factor):
         """Same distribution with every rate multiplied by factor > 0."""

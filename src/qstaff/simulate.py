@@ -18,7 +18,7 @@ from numbers import Real
 import numpy as np
 from scipy.special import stdtrit
 
-from .errors import DomainError, UnstableSystemError, positive, real
+from .errors import DomainError, UnstableSystemError, integer, per_station, positive, real
 from .scenarios import JointScenarioSet, ScenarioSet
 
 __all__ = [
@@ -31,14 +31,6 @@ __all__ = [
 
 # degenerate all-identical replications still get a positive halfwidth
 MIN_HALFWIDTH = 1e-12
-
-
-def _check_count(value, name, minimum):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise DomainError(f"{name} must be at least {minimum}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -59,16 +51,16 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count(self.n, "n", 1)
+        integer(self.n, "n", 1)
         object.__setattr__(self, "lam", positive(self.lam, "lam"))
         if self.lam >= self.n:
             raise UnstableSystemError(
                 f"offered load {self.lam} needs more than {self.n} servers")
         if self.warmup_customers is not None:
-            _check_count(self.warmup_customers, "warmup_customers", 0)
-        _check_count(self.measured_customers, "measured_customers", 10_000)
-        _check_count(self.replications, "replications", 2)
-        _check_count(self.seed, "seed", 0)
+            integer(self.warmup_customers, "warmup_customers", 0)
+        integer(self.measured_customers, "measured_customers", 10_000)
+        integer(self.replications, "replications", 2)
+        integer(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -204,21 +196,19 @@ def simulate_busy_fraction(config):
     return _estimate([frac for _, frac in pairs])
 
 
+def _server_count(x, what):
+    # a simulated staffing level: an integer-valued real >= 1, such as 496.0
+    level = real(x, what)
+    if not (level.is_integer() and level >= 1.0):
+        raise DomainError(f"staffing levels must be positive integers, got {x!r}")
+    return int(x)
+
+
 def _staffing_vector(decision, stations):
     levels = getattr(decision, "n_integer", decision)
     if isinstance(levels, Real):
         levels = (levels,)
-    levels = tuple(levels)
-    if len(levels) != stations:
-        raise DomainError(
-            f"staffing has {len(levels)} entries for {stations} stations")
-    out = []
-    for x in levels:
-        level = real(x, "staffing level")
-        if not (level.is_integer() and level >= 1.0):
-            raise DomainError(f"staffing levels must be positive integers, got {x!r}")
-        out.append(int(x))
-    return tuple(out)
+    return per_station(levels, stations, _server_count, "staffing level")
 
 
 def simulate_scenario_qos(scenarios, decision, config):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .erlang import _wait_vector, wait_curve
 from .erlang import wait_probability  # noqa: F401 (perfbench/tracing.py wraps it here)
 from .errors import (BracketError, DomainError, InfeasibleError, KeyScenarioTieError,
-                     positive)
+                     integer, positive)
 from .frontier import check_bound, check_epsilon, integer_staffing
 from .search import bisect_decreasing
 
@@ -182,9 +182,7 @@ def solve_exact_enumeration(scenarios, epsilon, cost=1.0, key_index=None):
     if key_index is None:
         candidates = range(len(scenarios))
     else:
-        if not 0 <= key_index < len(scenarios):
-            raise DomainError(f"key_index out of range: {key_index!r}")
-        candidates = (key_index,)
+        candidates = (integer(key_index, "key_index", below=len(scenarios)),)
 
     failures = []
     for key in candidates:

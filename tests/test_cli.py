@@ -577,13 +577,15 @@ def document_with_huge(pointer):
         document["scenarios"][0]["probability"] = HUGE
     elif pointer == "stations[0].service_rate":
         document["stations"][0]["service_rate"] = HUGE
+    elif pointer == "version":
+        document["version"] = HUGE
     return document
 
 
 @pytest.mark.parametrize("command", ["validate", "solve"])
 @pytest.mark.parametrize("pointer", [
     "scenarios[0].rates[0]", "scenarios[0].probability", "stations[0].service_rate",
-    "problem.costs[0]", "problem.epsilon", "problem.delta",
+    "problem.costs[0]", "problem.epsilon", "problem.delta", "version",
 ])
 def test_integer_beyond_float_range_exits_2(capsys, tmp_path, command, pointer):
     path = write_document(tmp_path, document_with_huge(pointer))

@@ -183,6 +183,11 @@ class TestSweep:
             sweep_frontier(100.0, [0.5, 0.5])
         with pytest.raises(DomainError):
             sweep_frontier(100.0, [0.5, 0.3])
+        # a bad rate or bound is refused once, not recorded per epsilon
+        with pytest.raises(DomainError):
+            sweep_frontier(True, [0.1, 0.2])
+        with pytest.raises(DomainError):
+            sweep_frontier(100.0, [0.1], bound="nope")
 
     def test_sub_unit_load_clamps_to_one_server(self):
         sweep = sweep_frontier(0.5, [0.05, 0.5])

@@ -2,6 +2,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -50,6 +51,9 @@ LATTICE_COST = 3183.0
 LATTICE_QOS = 0.950113179928
 # a bool, an int beyond float range, nan and a string: none is an input number
 BAD_NUMBERS = (True, 10**400, math.nan, "3")
+# what a key index is not: a bool, a fraction, a string, a float however
+# integral, and ints out of range
+BAD_KEYS = (True, 0.9, 1.7, "1", 1.0, -1, 10**400)
 
 
 def instance(scale=1.0):
@@ -276,7 +280,7 @@ class TestJointConstraintValue:
         assert joint_constraint_value(instance(), (490, 231)) >= base
 
     @pytest.mark.parametrize("n", [(496,), (496, 235, 10), (0.5, 235), (float("nan"), 235),
-                                   *((bad, 235) for bad in BAD_NUMBERS)])
+                                   *((bad, 235) for bad in BAD_NUMBERS), 496])
     def test_rejects_bad_staffing(self, n):
         with pytest.raises(DomainError):
             joint_constraint_value(instance(), n)
@@ -475,6 +479,11 @@ class TestSolveReducedJoint:
         for bad in BAD_NUMBERS:
             with pytest.raises(DomainError):
                 solve_reduced_joint(instance(), EPSILON, (bad, 3.0), key_indices=(1, 1))
+        for bad in BAD_KEYS:
+            with pytest.raises(DomainError):
+                solve_reduced_joint(instance(), EPSILON, PRICES, key_indices=(bad, 1))
+        assert (solve_reduced_joint(instance(), EPSILON, PRICES, key_indices=(np.int64(1), 1))
+                == solve_reduced_joint(instance(), EPSILON, PRICES, key_indices=(1, 1)))
 
 
 class TestEnumerateKeyScenarios:
@@ -649,7 +658,14 @@ class TestSolveJoint:
             solve_joint(instance(), EPSILON, PRICES, key_indices=(1, 1),
                         warm_betas=(-1.0, 1.0))
         with pytest.raises(DomainError):
+            solve_joint(instance(), EPSILON, PRICES, key_indices=(1, 1), warm_betas=1.0)
+        with pytest.raises(DomainError):
             solve_joint(instance(), EPSILON, PRICES, warm_betas=(1.0, 1.0))
+        with pytest.raises(DomainError):
+            solve_joint(instance(), EPSILON, (5.0,), key_indices=(1, 1))
+        for bad in BAD_KEYS:
+            with pytest.raises(DomainError):
+                solve_joint(instance(), EPSILON, PRICES, key_indices=(1, bad))
         for bad in BAD_NUMBERS:
             with pytest.raises(DomainError):
                 solve_joint(instance(), EPSILON, PRICES, key_indices=(1, 1),
@@ -878,6 +894,8 @@ class TestSolveWeightedStoch:
             solve_weighted_stoch(instance(), -5.0, PRICES)
         with pytest.raises(DomainError):
             solve_weighted_stoch(instance(), 100.0, PRICES, bound="lower")
+        with pytest.raises(DomainError):
+            solve_weighted_stoch(instance(), 100.0, (5.0,))
         for bad in BAD_NUMBERS:
             with pytest.raises(DomainError):
                 solve_weighted_stoch(instance(), 100.0, (bad, 3.0))

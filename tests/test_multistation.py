@@ -28,6 +28,10 @@ class TestInstanceValidation:
     def test_single_cost_broadcasts(self):
         inst = MultiStationInstance(lambdas=(10.0, 20.0), costs=beta_linear(), delta=5.0)
         assert len(inst.costs) == 2
+        # a bare per-server price stands for a linear-servers cost, as in solve_multi
+        priced = MultiStationInstance(lambdas=(10.0, 20.0), costs=(1.0, 2.0), delta=5.0)
+        assert priced.costs == (CostFunction("linear-servers", 1.0),
+                                CostFunction("linear-servers", 2.0))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -186,6 +190,8 @@ class TestObjectiveGap:
             objective_gap(inst, (0.5, 0.5))
         with pytest.raises(DomainError):
             objective_gap(inst, (-1.0,))
+        with pytest.raises(DomainError):
+            exact_objective(inst, (0.5, 0.5))
         for bad in BAD_NUMBERS:
             with pytest.raises(DomainError):
                 objective_gap(inst, (bad,))

@@ -1,6 +1,7 @@
 """Scenario container normalization and marginal derivation."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -133,5 +134,7 @@ class TestJointScenarioSet:
 
     def test_marginal_index_checked(self):
         joint = JointScenarioSet(EXAMPLE_VECTORS, EXAMPLE_PROBS)
-        with pytest.raises(DomainError):
-            joint.marginal(2)
+        assert joint.marginal(np.int64(1)) is joint.marginal(1)
+        for bad in (2, -1, True, 1.5, "0", 1.0):
+            with pytest.raises(DomainError):
+                joint.marginal(bad)

@@ -7,6 +7,7 @@ and probs (0.58, 0.38, 0.04), both at epsilon = 1 - sqrt(0.95).
 """
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -234,8 +235,10 @@ class TestSolveExactEnumeration:
     def test_key_pinning(self):
         rep = solve_exact_enumeration(sweep_set(1), 0.2, key_index=1)
         assert rep.decision.key_index == 1
-        with pytest.raises(DomainError):
-            solve_exact_enumeration(sweep_set(1), 0.2, key_index=7)
+        assert solve_exact_enumeration(sweep_set(1), 0.2, key_index=np.int64(1)) == rep
+        for bad in (7, True, 0.9, 1.7, "1", 1.0, -1, 10**400):
+            with pytest.raises(DomainError):
+                solve_exact_enumeration(sweep_set(1), 0.2, key_index=bad)
 
     def test_enumeration_no_worse_than_any_pin(self):
         s = sweep_set(1)
