@@ -37,12 +37,21 @@ server: solve_reduced (both bounds) and solve_exact_enumeration on
 rates (0.1, 0.3) with p (.5, .5) at 0.6, and each frontier_csv_rows row
 of a sweep at lambda 0.2 on the frontier grid.
 
+The simulate kind: simulate_wait_probability and simulate_busy_fraction
+at five (n, lambda) points from (1, 0.5) to (235, 200), seeds 0 and 7,
+and the default warm-up, none and 7 customers; simulate_scenario_qos on
+the six-scenario call-center set at (496, 235) with seeds 0 and 19, on
+the same set at (440, 235), where every scenario with rate 450 at the
+first station waits surely, and on the single-station set rates (5, 20)
+with p (.5, .5) at 10 servers, whose rate 20 is unstable.
+
 The cli kind runs qstaff.cli.main in process and keeps its exit code,
 stdout and stderr, with the solve's wall_time_s masked: solve in every
 mode x budget (the file's epsilon, --delta 1000) x bound x format, and
 compare in every format, on example1 and on three files written to a
 temporary directory (one scenario at one station, one station with
-three scenarios, one scenario at two stations).
+three scenarios, one scenario at two stations), and simulate on example1
+with --seed 1 --replications 8 in every format.
 
 Each output is stored as its repr and as a flat field -> value map.
 The diff reports, per output kind and field, whether every value is
@@ -92,6 +101,14 @@ CLI_FILES = {   # name -> (scenario rate vectors, probabilities, epsilon, costs)
 }
 CLI_BUDGETS = {"epsilon": (), "delta": ("--delta", "1000")}
 CLI_FORMATS = ("table", "json", "csv")
+CLI_SIMULATE_FLAGS = ("--seed", "1", "--replications", "8")
+SIM_POINTS = ((1, 0.5), (2, 1.0), (3, 2.4), (12, 9.0), (235, 200.0))   # (n, lambda)
+SIM_SEEDS = (0, 7)
+SIM_WARMUPS = (None, 0, 7)
+CALL_CENTER = (((350.0, 100.0), (350.0, 200.0), (350.0, 300.0),
+                (450.0, 100.0), (450.0, 200.0), (450.0, 300.0)),
+               (0.48, 0.17, 0.01, 0.10, 0.21, 0.03))   # (rate vectors, probs)
+UNSTABLE_ONE_STATION = ((5.0, 20.0), (0.5, 0.5))      # (rates, probs) at 10 servers
 
 
 def _gen():
@@ -207,6 +224,40 @@ def cli_outputs():
                 out[f"cli/{name}/solve/{mode}/{budget}/{bound}/{fmt}"] = run_cli(
                     ["solve", path, "--mode", mode, *flags, "--bound", bound,
                      "--format", fmt])
+    for fmt in CLI_FORMATS:
+        out[f"cli/example1/simulate/{fmt}"] = run_cli(
+            ["simulate", "example1", *CLI_SIMULATE_FLAGS, "--format", fmt])
+    return out
+
+
+def simulate_outputs():
+    from qstaff import (
+        JointScenarioSet,
+        ScenarioSet,
+        SimConfig,
+        simulate_busy_fraction,
+        simulate_scenario_qos,
+        simulate_wait_probability,
+    )
+
+    out = {}
+    for (n, lam), seed, warmup in itertools.product(SIM_POINTS, SIM_SEEDS, SIM_WARMUPS):
+        config = SimConfig(n=n, lam=lam, warmup_customers=warmup, seed=seed)
+        for name, estimator in (("wait", simulate_wait_probability),
+                                ("busy", simulate_busy_fraction)):
+            out[f"simulate/{name}/{n}/{lam:g}/{seed}/{warmup}"] = record(
+                lambda: estimator(config))
+    call_center = JointScenarioSet(*CALL_CENTER)
+    one_station = ScenarioSet(*UNSTABLE_ONE_STATION)
+    for name, scenarios, staffing, seed in (
+            ("call-center/496-235", call_center, (496, 235), 0),
+            ("call-center/496-235", call_center, (496, 235), 19),
+            ("call-center/440-235", call_center, (440, 235), 0),
+            ("one-station-unstable/10", one_station, 10, 31)):
+        # n and lam are placeholders: the sweep takes its own from each run
+        out[f"simulate/qos/{name}/{seed}"] = record(
+            lambda: simulate_scenario_qos(scenarios, staffing,
+                                          SimConfig(n=2, lam=1.0, seed=seed)))
     return out
 
 
@@ -336,6 +387,7 @@ def outputs():
             SUB_UNIT_RATE, sweep_frontier(SUB_UNIT_RATE, FRONTIER_EPSILONS)):
         out[f"subunit/frontier-row/{SUB_UNIT_RATE:g}/{row['epsilon']:g}"] = {
             "repr": repr(row), "fields": row}
+    out.update(simulate_outputs())
     out.update(cli_outputs())
     return out
 

@@ -4,10 +4,12 @@ input from outside the package into floats, ints and per-station tuples.
 Every public entry point passes the numbers it is given (rates, prices,
 budgets, staffing levels) through real(), positive() or at_least(), its
 integers (key and station indices, server and replication counts)
-through integer(), and its per-station vectors (prices, safety factors,
-staffing levels, key indices) through per_station(). A bool, a string, a
-fractional index, an int beyond float range, a value out of range and a
-vector of the wrong length raise DomainError there, so no OverflowError,
+through integer(), its per-station vectors (prices, safety factors,
+staffing levels, key indices) through per_station(), and the vectors
+that set a count (scenario rates and probabilities, arrival rates)
+through sequence(). A bool, a string, a fractional index, an int beyond
+float range, a value out of range, a vector of the wrong length and a
+vector that is no sequence raise DomainError there, so no OverflowError,
 TypeError or silently accepted True escapes a solver. The file reader
 maps that DomainError to a ValidationError at the field's pointer.
 """
@@ -116,14 +118,20 @@ def integer(value, what, minimum=0, below=None):
     return value
 
 
+def sequence(values, what):
+    """values as a tuple; DomainError, naming it what, unless values is a
+    sequence (anything tuple() takes). Its length is not checked."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise DomainError(f"expected a sequence of {what}, got {values!r}") from None
+
+
 def per_station(values, stations, check, what, *args):
     """check(v, f"station {i} {what}", *args) for each station i's value v,
     as a tuple; DomainError, naming it what, unless values is a sequence of
     one value per station, whose length is checked before any value."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise DomainError(f"need one {what} per station, got {values!r}") from None
+    values = sequence(values, f"one {what} per station")
     if len(values) != stations:
         raise DomainError(
             f"need one {what} per station, got {len(values)} for {stations} stations")

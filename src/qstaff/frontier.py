@@ -52,6 +52,16 @@ def check_bound(bound):
     return bound
 
 
+def check_cost(cost):
+    """cost, or the default CostFunction() for None; DomainError for
+    anything else that is not a CostFunction."""
+    if cost is None:
+        return CostFunction()
+    if not isinstance(cost, CostFunction):
+        raise DomainError(f"cost must be a CostFunction, got {cost!r}")
+    return cost
+
+
 def integer_staffing(n_continuous):
     """Integer server count for a continuous staffing level.
 
@@ -162,7 +172,7 @@ def solve_constrained(lam, epsilon, cost=None, bound="exact"):
     solution is guaranteed below epsilon.
     """
     epsilon = check_epsilon(epsilon)
-    cost = cost or CostFunction()
+    cost = check_cost(cost)
     res = bisect_decreasing(wait_curve(lam, bound), epsilon)
     return SolveReport(
         beta=res.root,
@@ -184,7 +194,7 @@ def solve_weighted(lam, delta, cost=None, bound="exact"):
     """
     delta = check_delta(delta)
     bound = check_bound(bound)
-    cost = cost or CostFunction()
+    cost = check_cost(cost)
     curve = wait_curve(lam, bound)
 
     def objective(b):
@@ -208,7 +218,7 @@ def sweep_frontier(lam, epsilons, cost=None, bound="exact"):
     before any solve; a failure at one epsilon (e.g. bracket exhaustion)
     is recorded and the sweep moves on.
     """
-    cost = cost or CostFunction()
+    cost = check_cost(cost)
     eps = [check_epsilon(e) for e in epsilons]
     if not eps:
         raise DomainError("epsilon grid is empty")

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .erlang import wait_curve
-from .errors import DomainError, at_least, per_station, positive
+from .errors import DomainError, at_least, per_station, positive, sequence
 from .frontier import CostFunction, check_delta
 from .joint import _cost_function, _joint_wait, solve_weighted_stoch
 from .scenarios import JointScenarioSet
@@ -36,7 +36,8 @@ class MultiStationInstance:
     delta: float
 
     def __post_init__(self):
-        lams = tuple(positive(x, "arrival rate") for x in self.lambdas)
+        lams = tuple(positive(x, "arrival rate")
+                     for x in sequence(self.lambdas, "arrival rates"))
         if not lams:
             raise DomainError("lambdas must be a non-empty vector of positive reals")
         costs = self.costs

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, integer, positive, real
+from .errors import DomainError, integer, positive, real, sequence
 
 __all__ = ["ScenarioSet", "JointScenarioSet"]
 
@@ -50,8 +50,10 @@ class ScenarioSet:
     probs: tuple
 
     def __post_init__(self):
-        rates = tuple(positive(r, "scenario rate") for r in self.rates)
-        probs = tuple(real(p, "scenario probability") for p in self.probs)
+        rates = tuple(positive(r, "scenario rate")
+                      for r in sequence(self.rates, "scenario rates"))
+        probs = tuple(real(p, "scenario probability")
+                      for p in sequence(self.probs, "scenario probabilities"))
         if not rates or len(rates) != len(probs):
             raise DomainError("rates and probs must be non-empty and of equal length")
         rates, probs = _merged(rates, probs)
@@ -93,9 +95,11 @@ class JointScenarioSet:
     probs: tuple
 
     def __post_init__(self):
-        vectors = tuple(tuple(positive(r, "scenario rate") for r in v)
-                        for v in self.rate_vectors)
-        probs = tuple(real(p, "scenario probability") for p in self.probs)
+        vectors = tuple(tuple(positive(r, "scenario rate")
+                              for r in sequence(v, "scenario rates"))
+                        for v in sequence(self.rate_vectors, "scenario rate vectors"))
+        probs = tuple(real(p, "scenario probability")
+                      for p in sequence(self.probs, "scenario probabilities"))
         if not vectors or len(vectors) != len(probs):
             raise DomainError(
                 "rate_vectors and probs must be non-empty and of equal length")
@@ -144,7 +148,7 @@ class JointScenarioSet:
     @classmethod
     def from_product(cls, station_sets):
         """Independent product of per-station ScenarioSet distributions."""
-        sets = tuple(station_sets)
+        sets = sequence(station_sets, "station scenario sets")
         if not sets:
             raise DomainError("need at least one station")
         combos = list(itertools.product(*(s.pairs() for s in sets)))

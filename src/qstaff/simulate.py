@@ -2,11 +2,13 @@
 
 The analytical stack computes wait probabilities from the Erlang-C
 formula and its continuous extension; this module estimates the same
-quantities from first principles. A single future-event list drives an
-FCFS many-server queue with unit service rate, so the arrival rate is
-the offered load. Replications use independent counter-based streams
-and aggregate through their sufficient statistics, which keeps every
-estimate bit-identical for a given seed regardless of scheduling.
+quantities from first principles. It runs an FCFS many-server queue
+with unit service rate, so the arrival rate is the offered load, from
+the time of the next arrival and a heap of the departure times of the
+customers in service; the waiting line is a count. Replications use
+independent counter-based streams and aggregate through their sufficient
+statistics, which keeps every estimate bit-identical for a given seed
+regardless of scheduling.
 """
 from __future__ import annotations
 
@@ -70,43 +72,21 @@ class SimEstimate:
     replications_used: int
 
 
-class _Uniforms:
-    """Buffered draws from one stream; order is fixed, refills are not."""
-
-    __slots__ = ("gen", "buf", "idx")
-
-    def __init__(self, gen, size=8192):
-        self.gen = gen
-        self.buf = gen.random(size)
-        self.idx = 0
-
-    def next(self):
-        if self.idx == len(self.buf):
-            self.buf = self.gen.random(len(self.buf))
-            self.idx = 0
-        u = self.buf[self.idx]
-        self.idx += 1
-        return u
+def _unit_exponentials(seed, index, size=8192):
+    """Unit-rate exponential draws -log1p(-u) in a fixed order, from seed's
+    counter-based generator jumped index times; each replication has its
+    own index, so their streams are independent."""
+    gen = np.random.Generator(np.random.Philox(seed).jumped(index))
+    while True:
+        for u in gen.random(size).tolist():
+            yield -math.log1p(-u)
 
 
-def _stream(seed, index):
-    # independent replications by jumping a counter-based generator
-    return np.random.Generator(np.random.Philox(seed).jumped(index))
-
-
-def _replicate(n, lam, warmup, measured, gen):
-    """One replication; returns (arrival-seen wait fraction, all-busy
-    time fraction over the measurement window)."""
-    draws = _Uniforms(gen)
-
-    def exp_after(t, rate):
-        return t - math.log1p(-draws.next()) / rate
-
-    # entries are (time, sequence, is_departure); the sequence number
-    # makes tie order deterministic
-    events = [(exp_after(0.0, lam), 0, False)]
-    seq = 0
-    busy = 0
+def _replicate(n, lam, warmup, measured, draw):
+    """One replication on the draws draw() returns; (arrival-seen wait
+    fraction, all-busy time fraction over the measurement window)."""
+    arrival = draw() / lam
+    departures = []     # heap of departure times, one per busy server
     queued = 0
     arrivals = 0
     waited = 0
@@ -116,27 +96,26 @@ def _replicate(n, lam, warmup, measured, gen):
     busy_time = 0.0
     window_start = 0.0
 
-    while events:
-        t, _, is_departure = heapq.heappop(events)
+    while True:
+        # an arrival and a departure at the same time: the arrival goes first
+        departing = bool(departures) and departures[0] < arrival
+        t = departures[0] if departing else arrival
         if window_open:
-            if busy == n:
+            if len(departures) == n:
                 busy_time += t - t_prev
             t_prev = t
-        if is_departure:
+        if departing:
             if queued:
                 queued -= 1
-                seq += 1
-                heapq.heappush(events, (exp_after(t, 1.0), seq, True))
+                heapq.heapreplace(departures, t + draw())
             else:
-                busy -= 1
+                heapq.heappop(departures)
             continue
         arrivals += 1
-        if arrivals > warmup and busy == n:
+        if arrivals > warmup and len(departures) == n:
             waited += 1
-        if busy < n:
-            busy += 1
-            seq += 1
-            heapq.heappush(events, (exp_after(t, 1.0), seq, True))
+        if len(departures) < n:
+            heapq.heappush(departures, t + draw())
         else:
             queued += 1
         if arrivals == warmup:
@@ -146,9 +125,7 @@ def _replicate(n, lam, warmup, measured, gen):
         if arrivals == end_count:
             span = max(t - window_start, 1e-300)
             return waited / measured, busy_time / span
-        seq += 1
-        heapq.heappush(events, (exp_after(t, lam), seq, False))
-    raise AssertionError("event list drained with arrivals pending")
+        arrival = t + draw() / lam
 
 
 def _estimate(values):
@@ -170,8 +147,8 @@ def _run_fractions(n, lam, config, stream_base):
         warmup = 10 * n
     pairs = []
     for rep in range(config.replications):
-        gen = _stream(config.seed, stream_base + rep)
-        pairs.append(_replicate(n, lam, warmup, config.measured_customers, gen))
+        draw = _unit_exponentials(config.seed, stream_base + rep).__next__
+        pairs.append(_replicate(n, lam, warmup, config.measured_customers, draw))
     return pairs
 
 
@@ -225,16 +202,16 @@ def simulate_scenario_qos(scenarios, decision, config):
     With a single scenario and station this reduces to
     simulate_wait_probability on the same streams, estimate for estimate.
     """
-    if isinstance(scenarios, JointScenarioSet):
-        stations = scenarios.stations
-        pairs = scenarios.pairs()
-    elif isinstance(scenarios, ScenarioSet):
-        stations = 1
-        pairs = tuple(((rate,), p) for rate, p in scenarios.pairs())
-    else:
+    if isinstance(scenarios, ScenarioSet):
+        scenarios = JointScenarioSet(tuple((rate,) for rate in scenarios.rates),
+                                     scenarios.probs)
+    elif not isinstance(scenarios, JointScenarioSet):
         raise DomainError(
             f"expected a scenario set, got {type(scenarios).__name__}")
-    levels = _staffing_vector(decision, stations)
+    if not isinstance(config, SimConfig):
+        raise DomainError(f"config must be a SimConfig, got {config!r}")
+    levels = _staffing_vector(decision, scenarios.stations)
+    pairs = scenarios.pairs()
 
     reps = config.replications
     fractions = {}
@@ -245,7 +222,7 @@ def simulate_scenario_qos(scenarios, decision, config):
             if key in fractions:
                 continue
             if rate >= levels[i]:
-                fractions[key] = None
+                fractions[key] = [1.0] * reps
             else:
                 runs = _run_fractions(levels[i], rate, config, run_index * reps)
                 fractions[key] = [seen for seen, _ in runs]
@@ -258,16 +235,10 @@ def simulate_scenario_qos(scenarios, decision, config):
             if len(rates) == 1:
                 # single factor taken directly, so the degenerate case
                 # reproduces the plain estimator bit for bit
-                seen = fractions[(rates[0], 0)]
-                scenario_wait = 1.0 if seen is None else seen[rep]
+                scenario_wait = fractions[(rates[0], 0)][rep]
             else:
-                prod = 1.0
-                for i, rate in enumerate(rates):
-                    seen = fractions[(rate, i)]
-                    prod *= 0.0 if seen is None else 1.0 - seen[rep]
-                    if prod == 0.0:
-                        break
-                scenario_wait = 1.0 - prod
+                scenario_wait = 1.0 - math.prod(
+                    1.0 - fractions[(rate, i)][rep] for i, rate in enumerate(rates))
             waited += p * scenario_wait
         union.append(waited)
     return _estimate(union)

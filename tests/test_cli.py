@@ -498,6 +498,16 @@ class TestSimulate:
         assert mean(first) == mean(second)
         assert mean(first) != mean(moved)
 
+    def test_example1_estimate_pinned(self, capsys):
+        # the README's simulate figures at full precision: a change to the
+        # draws or the order of events moves them and must update this test
+        code, out, _ = run(capsys, "simulate", "example1", "--seed", "1",
+                           "--replications", "8", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["wait_prob_mean"] == 0.046772894775000004
+        assert payload["ci99_halfwidth"] == 0.00951120490177864
+
 
 class TestRoundTrip:
 

@@ -85,6 +85,10 @@ class TestConstrained:
         for bad in (0.0, 1.0, -0.2, 1.5, *BAD_NUMBERS):
             with pytest.raises(DomainError):
                 solve_constrained(100.0, bad)
+        # only None stands for the default cost
+        for bad in (0, "x"):
+            with pytest.raises(DomainError):
+                solve_constrained(100.0, 0.1, cost=bad)
 
     def test_upper_bound_dominates_and_stays_feasible(self):
         for lam in (10.0, 100.0, 1000.0):
@@ -146,6 +150,9 @@ class TestWeighted:
             solve_weighted(100.0, 0.0)
         with pytest.raises(DomainError):
             solve_weighted(100.0, 5.0, bound="lower")
+        for bad in (0, "x"):
+            with pytest.raises(DomainError):
+                solve_weighted(100.0, 5.0, cost=bad)
 
 
 class TestSweep:
@@ -188,6 +195,9 @@ class TestSweep:
             sweep_frontier(True, [0.1, 0.2])
         with pytest.raises(DomainError):
             sweep_frontier(100.0, [0.1], bound="nope")
+        for bad in (0, "x"):
+            with pytest.raises(DomainError):
+                sweep_frontier(100.0, [0.1, 0.2], cost=bad)
 
     def test_sub_unit_load_clamps_to_one_server(self):
         sweep = sweep_frontier(0.5, [0.05, 0.5])

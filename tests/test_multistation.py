@@ -42,6 +42,8 @@ class TestInstanceValidation:
             MultiStationInstance(lambdas=(10.0,), costs=beta_linear(), delta=0.0)
         with pytest.raises(DomainError):
             MultiStationInstance(lambdas=(10.0,), costs=(beta_linear(),) * 2, delta=1.0)
+        with pytest.raises(DomainError):
+            MultiStationInstance(lambdas=5.0, costs=CostFunction(), delta=1.0)
         for bad in BAD_NUMBERS:
             with pytest.raises(DomainError):
                 MultiStationInstance(lambdas=(10.0, bad), costs=beta_linear(), delta=1.0)

@@ -65,6 +65,7 @@ class TestScenarioSet:
         ((float("nan"), 200.0), (0.5, 0.5)),
         *(((bad, 200.0), (0.5, 0.5)) for bad in BAD_NUMBERS),
         *(((100.0,), (bad,)) for bad in BAD_NUMBERS),
+        (5.0, 1.0),                            # no sequences
     ])
     def test_rejects_invalid(self, rates, probs):
         with pytest.raises(DomainError):
@@ -105,6 +106,8 @@ class TestJointScenarioSet:
         # the factors come back as marginals
         assert joint.marginal(0).probs == pytest.approx((0.7, 0.3), abs=1e-12)
         assert joint.marginal(1).probs == pytest.approx((0.4, 0.6), abs=1e-12)
+        with pytest.raises(DomainError):
+            JointScenarioSet.from_product(5)
 
     def test_scaled(self):
         joint = JointScenarioSet(EXAMPLE_VECTORS, EXAMPLE_PROBS)
@@ -119,6 +122,9 @@ class TestJointScenarioSet:
         (((100.0, 0.0),), (1.0,)),                      # zero rate
         *((((100.0, bad),), (1.0,)) for bad in BAD_NUMBERS),
         *((((100.0, 50.0),), (bad,)) for bad in BAD_NUMBERS),
+        (5, (1.0,)),                                    # no sequence of vectors
+        ((5.0,), (1.0,)),                               # a rate, not a vector
+        (((1.0,),), 1.0),                               # no sequence of probs
     ])
     def test_rejects_invalid(self, vectors, probs):
         with pytest.raises(DomainError):

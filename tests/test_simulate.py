@@ -144,6 +144,8 @@ class TestSimulateScenarioQos:
             simulate_scenario_qos(self.joint(), (496.5, 235), SimConfig(n=2, lam=1.0))
         with pytest.raises(DomainError):
             simulate_scenario_qos((1.0, 2.0), (3,), SimConfig(n=2, lam=1.0))
+        with pytest.raises(DomainError):
+            simulate_scenario_qos(self.joint(), (496, 235), "cfg")
 
     @pytest.mark.parametrize("level", [math.inf, math.nan, -math.inf])
     def test_rejects_non_finite_staffing(self, level):
