@@ -7,148 +7,24 @@ systems when the arrival rates are only known through a scenario
 distribution. A discrete-event simulator provides an independent
 empirical check, and a small CLI ties the solvers to JSON scenario
 files.
+
+Each module lists what it offers in its own __all__; the package
+re-exports those lists and nothing else. The CLI (qstaff.cli) is not
+re-exported.
 """
 from ._version import __version__
-from .erlang import (
-    erlang_c_continuous,
-    erlang_c_exact,
-    erlang_c_sqrt,
-    halfin_whitt,
-    jvlz_bounds,
-    wait_probability,
-)
-from .errors import (
-    BracketError,
-    DomainError,
-    EnumerationCapError,
-    InfeasibleError,
-    KeyScenarioTieError,
-    QuadratureError,
-    StaffingError,
-    UnstableSystemError,
-    ValidationError,
-)
-from .files import (
-    RunRecord,
-    ScenarioFile,
-    load_scenario_file,
-    make_run_record,
-    parse_scenario_data,
-    resolve_scenario_path,
-    write_run_record,
-    write_scenario_file,
-)
-from .frontier import (
-    CostFunction,
-    FrontierPoint,
-    FrontierSweep,
-    SolveReport,
-    frontier_csv_rows,
-    integer_staffing,
-    solve_constrained,
-    solve_weighted,
-    sweep_frontier,
-)
-from .joint import (
-    ComparisonReport,
-    JointDecision,
-    JointSolveReport,
-    SolutionSummary,
-    WeightedSolveReport,
-    compare_solutions,
-    enumerate_key_scenarios,
-    joint_constraint_value,
-    solve_decoupled,
-    solve_joint,
-    solve_joint_exact_integer,
-    solve_reduced_joint,
-    solve_weighted_stoch,
-)
-from .multistation import (
-    MultiStationInstance,
-    MultiSolveReport,
-    exact_objective,
-    solve_multi,
-)
-from .scenarios import JointScenarioSet, ScenarioSet
-from .simulate import (
-    SimConfig,
-    SimEstimate,
-    simulate_busy_fraction,
-    simulate_scenario_qos,
-    simulate_wait_probability,
-)
-from .stochastic import (
-    StaffingDecision,
-    StochSolveReport,
-    constraint_value,
-    select_key_scenario,
-    solve_exact_enumeration,
-    solve_reduced,
-)
+from .erlang import *        # noqa: F403
+from .errors import *        # noqa: F403
+from .files import *         # noqa: F403
+from .frontier import *      # noqa: F403
+from .joint import *         # noqa: F403
+from .multistation import *  # noqa: F403
+from .scenarios import *     # noqa: F403
+from .simulate import *      # noqa: F403
+from .stochastic import *    # noqa: F403
+from . import (erlang, errors, files, frontier, joint, multistation, scenarios,
+               simulate, stochastic)
 
-__all__ = [
-    "__version__",
-    "erlang_c_exact",
-    "erlang_c_sqrt",
-    "erlang_c_continuous",
-    "wait_probability",
-    "halfin_whitt",
-    "jvlz_bounds",
-    "StaffingError",
-    "DomainError",
-    "UnstableSystemError",
-    "QuadratureError",
-    "BracketError",
-    "KeyScenarioTieError",
-    "InfeasibleError",
-    "EnumerationCapError",
-    "ValidationError",
-    "CostFunction",
-    "FrontierPoint",
-    "FrontierSweep",
-    "SolveReport",
-    "frontier_csv_rows",
-    "integer_staffing",
-    "solve_constrained",
-    "solve_weighted",
-    "sweep_frontier",
-    "MultiStationInstance",
-    "MultiSolveReport",
-    "exact_objective",
-    "solve_multi",
-    "ScenarioSet",
-    "JointScenarioSet",
-    "StaffingDecision",
-    "StochSolveReport",
-    "select_key_scenario",
-    "constraint_value",
-    "solve_reduced",
-    "solve_exact_enumeration",
-    "JointDecision",
-    "JointSolveReport",
-    "WeightedSolveReport",
-    "SolutionSummary",
-    "ComparisonReport",
-    "joint_constraint_value",
-    "solve_joint",
-    "solve_joint_exact_integer",
-    "solve_decoupled",
-    "solve_reduced_joint",
-    "enumerate_key_scenarios",
-    "solve_weighted_stoch",
-    "compare_solutions",
-    "SimConfig",
-    "SimEstimate",
-    "simulate_wait_probability",
-    "simulate_busy_fraction",
-    "simulate_scenario_qos",
-    "ScenarioFile",
-    "RunRecord",
-    "parse_scenario_data",
-    "load_scenario_file",
-    "write_scenario_file",
-    "resolve_scenario_path",
-    "make_run_record",
-    "write_run_record",
-]
+__all__ = ["__version__", *erlang.__all__, *errors.__all__, *files.__all__,
+           *frontier.__all__, *joint.__all__, *multistation.__all__,
+           *scenarios.__all__, *simulate.__all__, *stochastic.__all__]

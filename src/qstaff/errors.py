@@ -5,16 +5,23 @@ Every public entry point passes the numbers it is given (rates, prices,
 budgets, staffing levels) through real(), positive() or at_least(), its
 integers (key and station indices, server and replication counts)
 through integer(), its per-station vectors (prices, safety factors,
-staffing levels, key indices) through per_station(), and the vectors
-that set a count (scenario rates and probabilities, arrival rates)
-through sequence(). A bool, a string, a fractional index, an int beyond
-float range, a value out of range, a vector of the wrong length and a
-vector that is no sequence raise DomainError there, so no OverflowError,
-TypeError or silently accepted True escapes a solver. The file reader
-maps that DomainError to a ValidationError at the field's pointer.
+staffing levels, key indices) through per_station(), the vectors that
+set a count (scenario rates and probabilities, arrival rates) through
+sequence(), and the objects it reads attributes from (scenario sets,
+cost functions, simulator configs) through of_type(). A bool, a string,
+a fractional index, an int beyond float range, a value out of range, a
+vector of the wrong length, a vector that is no sequence and an object
+of the wrong class raise DomainError there, so no OverflowError,
+TypeError, AttributeError or silently accepted True escapes a solver.
+The file reader maps that DomainError to a ValidationError at the
+field's pointer.
 """
 import math
 from numbers import Integral, Real
+
+__all__ = ["StaffingError", "DomainError", "UnstableSystemError", "QuadratureError",
+           "BracketError", "KeyScenarioTieError", "InfeasibleError",
+           "EnumerationCapError", "ValidationError"]
 
 
 class StaffingError(Exception):
@@ -115,6 +122,14 @@ def integer(value, what, minimum=0, below=None):
     if not minimum <= real(value, what) < (math.inf if below is None else below):
         span = f">= {minimum}" if below is None else f"from {minimum} to {below - 1}"
         raise DomainError(f"{what} must be an integer {span}, got {value!r}")
+    return value
+
+
+def of_type(value, what, cls):
+    """value, if it is an instance of cls; DomainError, naming it what,
+    otherwise."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
     return value
 
 

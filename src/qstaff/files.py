@@ -43,7 +43,6 @@ __all__ = [
     "resolve_scenario_path",
     "make_run_record",
     "write_run_record",
-    "checked",
 ]
 
 SOLVER_MODES = (

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .erlang import wait_curve
-from .errors import DomainError, positive, real
+from .errors import DomainError, of_type, positive, real
 from .search import bisect_decreasing, grid_then_golden
 
 __all__ = [
@@ -55,11 +55,7 @@ def check_bound(bound):
 def check_cost(cost):
     """cost, or the default CostFunction() for None; DomainError for
     anything else that is not a CostFunction."""
-    if cost is None:
-        return CostFunction()
-    if not isinstance(cost, CostFunction):
-        raise DomainError(f"cost must be a CostFunction, got {cost!r}")
-    return cost
+    return CostFunction() if cost is None else of_type(cost, "cost", CostFunction)
 
 
 def integer_staffing(n_continuous):

@@ -53,6 +53,7 @@ from .errors import (
     InfeasibleError,
     at_least,
     integer,
+    of_type,
     per_station,
     positive,
 )
@@ -63,6 +64,7 @@ from .frontier import (
     check_epsilon,
     integer_staffing,
 )
+from .scenarios import JointScenarioSet
 from .search import BETA_CAP, bisect_decreasing, grid_then_golden
 from .stochastic import FEASIBILITY_TOL, _reduced_decision
 from .stochastic import solve_reduced  # noqa: F401 (perfbench/tracing.py wraps it here)
@@ -164,6 +166,7 @@ def joint_constraint_value(scenarios, n):
     wait curve; integer levels use the exact recursion. Stations whose
     realized rate reaches n_i contribute zero no-wait probability.
     """
+    scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
     levels = per_station(n, scenarios.stations, at_least, "staffing level", 1.0)
     return _joint_no_wait(scenarios, levels)
 
@@ -318,6 +321,7 @@ def solve_decoupled(scenarios, epsilon, costs):
     joint model because the split ignores how slack at one station could
     cover risk at another.
     """
+    scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
     eps = check_epsilon(epsilon)
     costs = per_station(costs, scenarios.stations, positive, "per-server cost")
     return _reduced_report(scenarios, _decoupled_decision(scenarios, eps),
@@ -357,6 +361,7 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
     u = 0) reaches the target needs no safety staffing; it is returned
     with zero betas and flagged over_conservative.
     """
+    scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
     eps = check_epsilon(epsilon)
     L = scenarios.stations
     costs = per_station(costs, L, positive, "per-server cost")
@@ -476,6 +481,7 @@ def enumerate_key_scenarios(scenarios, epsilon, costs):
     with near-ties broken toward the lexicographically smallest key. A
     lattice of more than KEY_CAP keys raises EnumerationCapError.
     """
+    scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
     eps = check_epsilon(epsilon)
     costs = per_station(costs, scenarios.stations, positive, "per-server cost")
     return _best_key(scenarios, lambda key: solve_reduced_joint(scenarios, eps, costs, key),
@@ -514,6 +520,7 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
     move only marginally at realistic scales. warm_betas (a start for the
     descent, default all ones) needs key_indices.
     """
+    scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
     eps = check_epsilon(epsilon)
     L = scenarios.stations
     costs = per_station(costs, L, positive, "per-server cost")
@@ -585,6 +592,7 @@ def solve_joint_exact_integer(scenarios, epsilon, costs):
     reach the target. The reported QoS is folded from the same tables,
     equal to joint_constraint_value at the optimum bit for bit.
     """
+    scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
     eps = check_epsilon(epsilon)
     L = scenarios.stations
     costs = per_station(costs, L, positive, "per-server cost")
@@ -733,6 +741,7 @@ def solve_weighted_stoch(scenarios, delta, costs, bound="exact"):
     smallest. A lattice of more than KEY_CAP keys raises
     EnumerationCapError.
     """
+    scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
     delta = check_delta(delta)
     L = scenarios.stations
     prices = per_station(costs, L, _cost_function, "per-server cost")

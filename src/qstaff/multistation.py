@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .erlang import wait_curve
-from .errors import DomainError, at_least, per_station, positive, sequence
+from .errors import DomainError, at_least, of_type, per_station, positive, sequence
 from .frontier import CostFunction, check_delta
 from .joint import _cost_function, _joint_wait, solve_weighted_stoch
 from .scenarios import JointScenarioSet
@@ -70,6 +70,7 @@ def solve_multi(instance, bound="exact"):
     The reported objective is the solved objective at the returned betas,
     under the bound the solve ran with; the waits are exact.
     """
+    instance = of_type(instance, "instance", MultiStationInstance)
     report = solve_weighted_stoch(JointScenarioSet((instance.lambdas,), (1.0,)),
                                   instance.delta, instance.costs, bound)
     betas = report.decision.betas
@@ -91,6 +92,7 @@ def exact_objective(instance, betas):
     Useful for scoring solutions produced under an approximating bound on
     the ground-truth objective.
     """
+    instance = of_type(instance, "instance", MultiStationInstance)
     betas = per_station(betas, instance.station_count, at_least, "safety factor", 0.0)
     waits = [wait_curve(lam)(b) for b, lam in zip(betas, instance.lambdas)]
     cost_total = sum(c.beta_cost(b, lam)
@@ -105,6 +107,7 @@ def objective_gap(instance, betas):
     delta * (prod(1 - exact_i) - prod(1 - upper_i)) >= 0 since each upper
     bound dominates its exact wait probability.
     """
+    instance = of_type(instance, "instance", MultiStationInstance)
     betas = per_station(betas, instance.station_count, at_least, "safety factor", 0.0)
     exact = math.prod(1.0 - wait_curve(lam)(b) for b, lam in zip(betas, instance.lambdas))
     upper = math.prod(1.0 - wait_curve(lam, "upper")(b)

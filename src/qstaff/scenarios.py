@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, integer, positive, real, sequence
+from .errors import DomainError, integer, of_type, positive, real, sequence
 
 __all__ = ["ScenarioSet", "JointScenarioSet"]
 
@@ -148,7 +148,8 @@ class JointScenarioSet:
     @classmethod
     def from_product(cls, station_sets):
         """Independent product of per-station ScenarioSet distributions."""
-        sets = sequence(station_sets, "station scenario sets")
+        sets = [of_type(s, "station scenario set", ScenarioSet)
+                for s in sequence(station_sets, "station scenario sets")]
         if not sets:
             raise DomainError("need at least one station")
         combos = list(itertools.product(*(s.pairs() for s in sets)))

@@ -20,7 +20,8 @@ from numbers import Real
 import numpy as np
 from scipy.special import stdtrit
 
-from .errors import DomainError, UnstableSystemError, integer, per_station, positive, real
+from .errors import (DomainError, UnstableSystemError, integer, of_type, per_station, positive,
+                     real)
 from .scenarios import JointScenarioSet, ScenarioSet
 
 __all__ = [
@@ -159,6 +160,7 @@ def simulate_wait_probability(config):
     holds at least n customers, the quantity the Erlang-C formula
     computes exactly.
     """
+    config = of_type(config, "config", SimConfig)
     pairs = _run_fractions(config.n, config.lam, config, 0)
     return _estimate([seen for seen, _ in pairs])
 
@@ -169,6 +171,7 @@ def simulate_busy_fraction(config):
     Runs the same trajectories as simulate_wait_probability for the same
     config, so the two estimates form a paired PASTA check.
     """
+    config = of_type(config, "config", SimConfig)
     pairs = _run_fractions(config.n, config.lam, config, 0)
     return _estimate([frac for _, frac in pairs])
 
@@ -205,11 +208,8 @@ def simulate_scenario_qos(scenarios, decision, config):
     if isinstance(scenarios, ScenarioSet):
         scenarios = JointScenarioSet(tuple((rate,) for rate in scenarios.rates),
                                      scenarios.probs)
-    elif not isinstance(scenarios, JointScenarioSet):
-        raise DomainError(
-            f"expected a scenario set, got {type(scenarios).__name__}")
-    if not isinstance(config, SimConfig):
-        raise DomainError(f"config must be a SimConfig, got {config!r}")
+    scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
+    config = of_type(config, "config", SimConfig)
     levels = _staffing_vector(decision, scenarios.stations)
     pairs = scenarios.pairs()
 

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from .erlang import _wait_vector, wait_curve
 from .erlang import wait_probability  # noqa: F401 (perfbench/tracing.py wraps it here)
 from .errors import (BracketError, DomainError, InfeasibleError, KeyScenarioTieError,
-                     integer, positive)
+                     integer, of_type, positive)
 from .frontier import check_bound, check_epsilon, integer_staffing
+from .scenarios import ScenarioSet
 from .search import bisect_decreasing
 
 __all__ = [
@@ -46,6 +47,7 @@ def constraint_value(scenarios, n):
 
     Scenarios with rate >= n contribute probability one (unstable).
     """
+    scenarios = of_type(scenarios, "scenarios", ScenarioSet)
     n = positive(n, "staffing level")
     total = 0.0
     for p, w in zip(scenarios.probs, _wait_vector(n, scenarios.rates)):
@@ -63,6 +65,7 @@ def select_key_scenario(scenarios, epsilon):
     the reduced model ill-posed (the asymptotic analysis needs strict
     inequalities on both sides) and raises KeyScenarioTieError.
     """
+    scenarios = of_type(scenarios, "scenarios", ScenarioSet)
     eps = check_epsilon(epsilon)
     tails = scenarios.tail_sums()
     for i in range(1, len(scenarios) + 1):
@@ -177,6 +180,7 @@ def solve_exact_enumeration(scenarios, epsilon, cost=1.0, key_index=None):
     The report's feasible, expected_wait and slack score the decision's
     n_integer, which may round below the root and miss the target.
     """
+    scenarios = of_type(scenarios, "scenarios", ScenarioSet)
     eps = check_epsilon(epsilon)
     c = positive(cost, "cost per server")
     if key_index is None:

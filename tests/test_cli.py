@@ -48,6 +48,27 @@ def det_document(lam=100.0, cost=2.0, **problem):
     }
 
 
+DELETE = object()
+
+
+def document_with(field, value):
+    """det_document() with the entry at field, a path of keys and indices,
+    set to value (deleted for DELETE); the empty path replaces the whole
+    document."""
+    if not field:
+        return value
+    document = det_document()
+    *parents, last = field
+    target = document
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return document
+
+
 def two_station_document(scenarios, **problem):
     return {
         "version": 1,
@@ -128,6 +149,38 @@ class TestValidate:
         assert code == 2
         assert "problem" in err
 
+    @pytest.mark.parametrize("field, value, pointer", [
+        ((), [1.0], ""),
+        (("version",), DELETE, "version"),
+        (("stations", 0), "desk", "stations[0]"),
+        (("scenarios", 0), [100.0], "scenarios[0]"),
+        (("stations",), {"id": "desk"}, "stations"),
+        (("stations", 0, "id"), 7, "stations[0].id"),
+        (("stations",), [], "stations"),
+        (("stations", 0, "id"), "", "stations[0].id"),
+        (("stations",), [{"id": "desk"}, {"id": "desk"}], "stations[1].id"),
+        (("scenarios",), [], "scenarios"),
+        (("scenarios", 0, "rates"), [100.0, 50.0], "scenarios[0].rates"),
+        (("scenarios", 0, "probability"), 0.0, "scenarios[0].probability"),
+        (("problem", "costs"), [1.0, 2.0], "problem.costs"),
+        (("problem", "solver"), "magic", "problem.solver"),
+        (("problem", "bound"), "lowest", "problem.bound"),
+        (None, None, "file"),
+    ], ids=["top-level", "missing-field", "station-object", "scenario-object",
+            "stations-type", "id-type", "no-stations", "empty-id", "duplicate-id",
+            "no-scenarios", "rate-count", "probability", "price-count", "solver",
+            "bound", "unreadable"])
+    def test_bad_document_points_at_its_field(self, capsys, tmp_path, field, value,
+                                              pointer):
+        # field None stands for a path that cannot be read: a directory
+        path = str(tmp_path) if field is None else write_document(
+            tmp_path, document_with(field, value))
+        code, out, err = run(capsys, "validate", path, "--format", "json")
+        assert code == 2
+        assert err.startswith("error: ")
+        error = json.loads(out)["error"]
+        assert (error["type"], error["pointer"]) == ("ValidationError", pointer)
+
     def test_service_rate_rescales_offered_load(self, tmp_path):
         document = det_document(lam=200.0)
         document["stations"][0]["service_rate"] = 2.0
@@ -165,10 +218,12 @@ class TestFrontier:
             assert float(u["cost"]) >= float(e["cost"]) - 1e-12
 
     def test_empty_grid_exits_2(self, capsys):
-        code, _, err = run(capsys, "frontier", "--lam", "100",
-                           "--grid", "0.9", "0.1", "0.05")
-        assert code == 2
-        assert "--grid" in err
+        # a zero step would never leave START, so it is refused like a grid
+        # that ends before it starts
+        for grid in (("0.9", "0.1", "0.05"), ("0.1", "0.5", "0")):
+            code, _, err = run(capsys, "frontier", "--lam", "100", "--grid", *grid)
+            assert code == 2
+            assert "--grid" in err
 
     def test_grid_reaching_one_exits_2(self, capsys):
         code, _, _ = run(capsys, "frontier", "--lam", "100",
@@ -196,6 +251,36 @@ class TestFrontier:
                            "--out", str(out_path))
         assert code == 0
         assert out_path.read_text() == out
+
+    def test_table_rounds_the_csv_cells(self, capsys):
+        grid = ("--grid", "0.1", "0.3", "0.1")
+        _, csv_out, _ = run(capsys, "frontier", "--lam", "100", *grid)
+        code, table_out, _ = run(capsys, "frontier", "--lam", "100", *grid,
+                                 "--format", "table")
+        assert code == 0
+        header, rows = frontier_rows(csv_out)
+        table = [line.split() for line in table_out.splitlines()]
+        assert table[0] == header
+        assert table[1:] == [[f"{float(row[key]):.6g}" for key in header]
+                             for row in rows]
+
+    def test_failed_epsilon_warns_and_the_rest_solve(self, capsys):
+        # at lam = 0.001 even the bracket cap's 2 servers wait with
+        # probability far above 1e-12
+        code, out, err = run(capsys, "frontier", "--lam", "0.001",
+                             "--grid", "1e-12", "0.5", "0.25")
+        assert code == 0
+        assert err.startswith("warning: epsilon 1e-12: BracketError")
+        _, rows = frontier_rows(out)
+        assert [round(float(row["epsilon"]), 6) for row in rows] == [0.25, 0.5]
+
+    def test_every_epsilon_failing_exits_3(self, capsys):
+        code, out, err = run(capsys, "frontier", "--lam", "0.001",
+                             "--grid", "1e-12", "1e-12", "0.1")
+        assert code == 3
+        assert out == ""
+        assert "warning: epsilon 1e-12" in err
+        assert "error: every grid point failed to solve" in err
 
     def test_json_points_match_library(self, capsys):
         code, out, _ = run(capsys, "frontier", "--lam", "50",
@@ -288,6 +373,16 @@ class TestSolve:
         assert n == best
         assert record["objective"] == pytest.approx(objective(best), rel=1e-12)
 
+    def test_stoch_single_delta_reports_its_key_rate(self, capsys, tmp_path):
+        path = write_document(tmp_path, det_document(solver="stoch-single", delta=50.0))
+        code, out, _ = run(capsys, "solve", path)
+        assert code == 0
+        fields = dict(line.split(None, 1) for line in out.splitlines())
+        assert fields["mode"] == "stoch-single"
+        assert fields["solution"] == "(110)"
+        assert fields["key_rate"] == "100"
+        assert "beta" in fields and "delta" in fields
+
     def test_huge_delta_objective_keeps_the_tiny_wait(self, capsys, tmp_path):
         # 65 servers against rate 1 wait with probability 4.5e-92, which
         # 1 - no-wait rounds to zero
@@ -341,6 +436,10 @@ class TestSolve:
         code, _, err = run(capsys, "solve", path)
         assert code == 2
         assert "problem.solver" in err
+        # the file itself is valid; validate shows the missing mode as -
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 0
+        assert dict(line.split(None, 1) for line in out.splitlines())["solver"] == "-"
 
     def test_det_needs_single_scenario(self, capsys):
         code, _, err = run(capsys, "solve", "example1", "--mode", "det")
@@ -416,10 +515,13 @@ class TestCompare:
         assert "496" in out and "306" in out
         assert "1.04804" in out
 
-    def test_example_json(self, capsys):
-        code, out, _ = run(capsys, "compare", "example1", "--format", "json")
+    def test_example_json(self, capsys, tmp_path):
+        out_path = tmp_path / "compare.json"
+        code, out, _ = run(capsys, "compare", "example1", "--format", "json",
+                           "--out", str(out_path))
         assert code == 0
         payload = json.loads(out)
+        assert json.loads(out_path.read_text()) == payload
         assert payload["joint"]["n"] == EXAMPLE_SOLUTION
         assert payload["decoupled"]["n"] == DECOUPLED_SOLUTION
         assert payload["cost_ratio"] == pytest.approx(
@@ -477,10 +579,13 @@ class TestSimulate:
 
     def test_union_wait_within_ci(self, capsys, tmp_path):
         path = write_document(tmp_path, det_document())
+        out_path = tmp_path / "simulate.json"
         code, out, _ = run(capsys, "simulate", path, "--seed", "3",
-                           "--replications", "4", "--format", "json")
+                           "--replications", "4", "--format", "json",
+                           "--out", str(out_path))
         assert code == 0
         payload = json.loads(out)
+        assert json.loads(out_path.read_text()) == payload
         assert payload["solution"] == [115]
         assert payload["within_ci"] is True
         scenario_file = load_scenario_file(path)
@@ -507,6 +612,32 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["wait_prob_mean"] == 0.046772894775000004
         assert payload["ci99_halfwidth"] == 0.00951120490177864
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_csv_row_matches_json(capsys, tmp_path, command):
+    # one CSV row under the JSON payload's keys: floats by repr, vectors
+    # joined by semicolons, flags as true/false
+    path = write_document(tmp_path, det_document())
+    args = (command, path, "--seed", "2", "--replications", "2") if command == "simulate" \
+        else (command, path)
+    _, out, _ = run(capsys, *args, "--format", "json")
+    payload = json.loads(out)
+    code, out, _ = run(capsys, *args, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 1 and list(rows[0]) == list(payload)
+
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, list):
+            return ";".join(cell(v) for v in value)
+        return repr(value) if isinstance(value, float) else str(value)
+
+    payload.pop("wall_time_s", None)    # the only field that differs between runs
+    assert {key: rows[0][key] for key in payload} == {
+        key: cell(value) for key, value in payload.items()}
 
 
 class TestRoundTrip:

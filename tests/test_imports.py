@@ -1,11 +1,37 @@
-"""Import footprint of the package."""
+"""Import footprint and public surface of the package."""
+import ast
 import importlib
 import importlib.util
+import itertools
 import os
 import subprocess
 import sys
 
 import qstaff
+
+PUBLIC_MODULES = ("erlang", "errors", "files", "frontier", "joint", "multistation",
+                  "scenarios", "simulate", "stochastic")
+# every name the package exported when it kept its own list; none may go
+EXPORTED_BEFORE = """
+    __version__ BracketError ComparisonReport CostFunction DomainError
+    EnumerationCapError FrontierPoint FrontierSweep InfeasibleError JointDecision
+    JointScenarioSet JointSolveReport KeyScenarioTieError MultiSolveReport
+    MultiStationInstance QuadratureError RunRecord ScenarioFile ScenarioSet SimConfig
+    SimEstimate SolutionSummary SolveReport StaffingDecision StaffingError
+    StochSolveReport UnstableSystemError ValidationError WeightedSolveReport
+    compare_solutions constraint_value enumerate_key_scenarios erlang_c_continuous
+    erlang_c_exact erlang_c_sqrt exact_objective frontier_csv_rows halfin_whitt
+    integer_staffing joint_constraint_value jvlz_bounds load_scenario_file
+    make_run_record parse_scenario_data resolve_scenario_path select_key_scenario
+    simulate_busy_fraction simulate_scenario_qos simulate_wait_probability
+    solve_constrained solve_decoupled solve_exact_enumeration solve_joint
+    solve_joint_exact_integer solve_multi solve_reduced solve_reduced_joint
+    solve_weighted solve_weighted_stoch sweep_frontier wait_probability
+    write_run_record write_scenario_file
+""".split()
+# module-public names the package did not re-export until it read their lists
+JOINED_LATER = ("wait_curve", "hw_quantities", "jvlz_bounds_at", "BoundPair", "HWQuantities",
+                "StationSpec", "ProblemSpec", "SOLVER_MODES", "objective_gap")
 
 
 def test_import_loads_no_quadrature_or_stats():
@@ -32,3 +58,31 @@ def test_benchmark_trace_points_resolve():
     missing = [(module, name) for module, name, _, _ in points
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert missing == []
+
+
+def test_package_exports_each_module_list_once():
+    modules = [importlib.import_module(f"qstaff.{name}") for name in PUBLIC_MODULES]
+    exported = qstaff.__all__
+    assert exported == ["__version__", *itertools.chain(*(m.__all__ for m in modules))]
+    assert len(set(exported)) == len(exported)
+    assert len(EXPORTED_BEFORE) == 63
+    assert sorted(exported) == sorted(EXPORTED_BEFORE + list(JOINED_LATER))
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(qstaff, name) is getattr(module, name)
+    assert "checked" not in exported and "main" not in exported
+
+
+def test_package_init_names_nothing_itself():
+    # qstaff/__init__.py only star-imports the modules and joins their
+    # lists: it spells no function, class or exception name
+    with open(qstaff.__file__) as handle:
+        tree = ast.parse(handle.read())
+    assert not [node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported == {"*", "__version__", *PUBLIC_MODULES}
+    strings = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert strings == [ast.get_docstring(tree, clean=False), "__version__"]

@@ -1,6 +1,7 @@
 """Tests for the multi-station joint solvers and the comparison table."""
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,6 +178,44 @@ def small_joint_problems(draw):
     return scenarios, epsilon, costs
 
 
+@st.composite
+def coupled_marginals(draw):
+    # two marginals of 2-3 rates each, as (ascending rates, exact probabilities)
+    marginals = []
+    for _ in range(2):
+        rates = sorted(draw(st.lists(st.floats(20.0, 400.0), min_size=2, max_size=3,
+                                     unique=True)))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(rates),
+                                max_size=len(rates)))
+        marginals.append((rates, [Fraction(w, sum(weights)) for w in weights]))
+    epsilon = draw(st.floats(0.02, 0.3))
+    costs = (draw(st.floats(1.0, 5.0)), draw(st.floats(1.0, 5.0)))
+    return marginals, epsilon, costs
+
+
+TOP_HEAVY = [Fraction(15, 25), Fraction(9, 25), Fraction(1, 25)]
+
+
+def coupled(marginals, t):
+    """The two marginals' independent product mixed, with weight |t|, with
+    their comonotone quantile coupling (t > 0) or antitone one (t < 0)."""
+    (rates_a, p), (rates_b, q) = marginals
+
+    def intervals(probs):
+        edges = list(itertools.accumulate(probs, initial=Fraction(0)))
+        return list(zip(edges, edges[1:]))
+
+    across = intervals(p)
+    down = [(1 - hi, 1 - lo) if t < 0 else (lo, hi) for lo, hi in intervals(q)]
+    cells = {}
+    for (i, a), (j, b) in itertools.product(enumerate(across), enumerate(down)):
+        extreme = max(Fraction(0), min(a[1], b[1]) - max(a[0], b[0]))
+        mass = (1 - abs(t)) * p[i] * q[j] + abs(t) * extreme
+        if mass > 0:
+            cells[(rates_a[i], rates_b[j])] = float(mass)
+    return JointScenarioSet(tuple(cells), tuple(cells.values()))
+
+
 def mp_joint_qos(scenarios, n):
     # independent route: integer Erlang-C waits at 40 digits
     total = 0.0
@@ -300,6 +339,23 @@ class TestJointConstraintValue:
 def test_per_server_costs_checked(solve, bad):
     with pytest.raises(DomainError):
         solve(instance(), EPSILON, (bad, 3.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: solve_joint(s, EPSILON, (1.0,)),
+    lambda s: compare_solutions(s, EPSILON, (1.0,)),
+    lambda s: joint_constraint_value(s, (300,)),
+    lambda s: solve_decoupled(s, EPSILON, (1.0,)),
+    lambda s: enumerate_key_scenarios(s, EPSILON, (1.0,)),
+    lambda s: solve_reduced_joint(s, EPSILON, (1.0,), key_indices=(0,)),
+    lambda s: solve_joint_exact_integer(s, EPSILON, (1.0,)),
+    lambda s: solve_weighted_stoch(s, 20.0, (1.0,)),
+], ids=("joint", "compare", "constraint", "decoupled", "enumerate", "reduced-joint",
+        "lattice", "weighted"))
+def test_joint_solvers_refuse_a_single_station_set(call):
+    # a joint solver reads a JointScenarioSet; a ScenarioSet is refused, not converted
+    with pytest.raises(DomainError, match="must be a JointScenarioSet, got ScenarioSet"):
+        call(ScenarioSet((200.0, 300.0), (0.6, 0.4)))
 
 
 class TestSolveDecoupled:
@@ -792,6 +848,28 @@ class TestSolveJointExactInteger:
         rep = solve_joint_exact_integer(scenarios, epsilon, costs)
         assert (rep.cost, rep.n) == expected
         assert rep.achieved_qos == joint_constraint_value(scenarios, rep.n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(coupled_marginals())
+    # the ROADMAP's sweep: the optimum costs 666, 666, 665, 660 and 625
+    @example(problem=([([300.0, 400.0, 500.0], TOP_HEAVY), ([100.0, 150.0, 200.0], TOP_HEAVY)],
+                      0.05, (1.0, 1.0)))
+    def test_correlation_only_lowers_the_optimum(self, problem):
+        # each station's no-wait u_i falls as its rate rises, so u_1 u_2 is
+        # supermodular and E[u_1 u_2] is largest under the comonotone
+        # coupling and smallest under the antitone one (Chebyshev's
+        # association inequality); along either mixture it is linear in t.
+        # Every staffing's QoS therefore rises with t, and the certified
+        # optimum's cost cannot (an infeasible instance costs +inf)
+        marginals, epsilon, costs = problem
+        optimum = []
+        for t in (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1)):
+            try:
+                optimum.append(solve_joint_exact_integer(
+                    coupled(marginals, t), epsilon, costs).cost)
+            except InfeasibleError:
+                optimum.append(math.inf)
+        assert all(b <= a for a, b in zip(optimum, optimum[1:])), optimum
 
 
 class TestSolveWeightedStoch:

@@ -194,6 +194,10 @@ class TestObjectiveGap:
             objective_gap(inst, (-1.0,))
         with pytest.raises(DomainError):
             exact_objective(inst, (0.5, 0.5))
+        for call in (lambda: solve_multi("x"), lambda: exact_objective("x", (0.5,)),
+                     lambda: objective_gap("x", (0.5,))):
+            with pytest.raises(DomainError, match="must be a MultiStationInstance"):
+                call()
         for bad in BAD_NUMBERS:
             with pytest.raises(DomainError):
                 objective_gap(inst, (bad,))

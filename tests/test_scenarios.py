@@ -108,6 +108,8 @@ class TestJointScenarioSet:
         assert joint.marginal(1).probs == pytest.approx((0.4, 0.6), abs=1e-12)
         with pytest.raises(DomainError):
             JointScenarioSet.from_product(5)
+        with pytest.raises(DomainError, match="must be a ScenarioSet"):
+            JointScenarioSet.from_product((5,))
 
     def test_scaled(self):
         joint = JointScenarioSet(EXAMPLE_VECTORS, EXAMPLE_PROBS)

@@ -146,6 +146,10 @@ class TestSimulateScenarioQos:
             simulate_scenario_qos((1.0, 2.0), (3,), SimConfig(n=2, lam=1.0))
         with pytest.raises(DomainError):
             simulate_scenario_qos(self.joint(), (496, 235), "cfg")
+        with pytest.raises(DomainError, match="must be a SimConfig"):
+            simulate_wait_probability("cfg")
+        with pytest.raises(DomainError, match="must be a SimConfig"):
+            simulate_busy_fraction(None)
 
     @pytest.mark.parametrize("level", [math.inf, math.nan, -math.inf])
     def test_rejects_non_finite_staffing(self, level):

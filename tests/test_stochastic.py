@@ -200,6 +200,12 @@ class TestSolveReduced:
                 solve_exact_enumeration(QUEUE1, EPS_SPLIT, cost=bad)
         with pytest.raises(KeyScenarioTieError):
             solve_reduced(ScenarioSet((100.0, 200.0), (0.5, 0.5)), 0.5)
+        for call in (lambda: solve_reduced("x", EPS_SPLIT),
+                     lambda: solve_exact_enumeration("x", EPS_SPLIT),
+                     lambda: select_key_scenario("x", EPS_SPLIT),
+                     lambda: constraint_value("x", 400)):
+            with pytest.raises(DomainError, match="must be a ScenarioSet"):
+                call()
 
     def test_sub_unit_rates_staff_one_server(self):
         # the continuous level sits below half a server; the curves treat
