@@ -46,12 +46,16 @@ first station waits surely, and on the single-station set rates (5, 20)
 with p (.5, .5) at 10 servers, whose rate 20 is unstable.
 
 The cli kind runs qstaff.cli.main in process and keeps its exit code,
-stdout and stderr, with the solve's wall_time_s masked: solve in every
-mode x budget (the file's epsilon, --delta 1000) x bound x format, and
-compare in every format, on example1 and on three files written to a
-temporary directory (one scenario at one station, one station with
-three scenarios, one scenario at two stations), and simulate on example1
-with --seed 1 --replications 8 in every format.
+stdout and stderr, with the solve's wall_time_s and validate's file (a
+temporary or source-tree path) masked: solve in every mode x budget (the
+file's epsilon, --delta 1000) x bound x format, compare in every format
+and validate in table and json, on example1 and on three files written
+to a temporary directory (one scenario at one station, one station with
+three scenarios, one scenario at two stations); simulate on example1
+with --seed 1 --replications 8 in every format; and frontier in every
+bound x format at lambda 120 on the default grid and at lambda 0.001 on
+the grid 1e-12 0.5 0.25, whose first point fails and warns on every
+bound but hw.
 
 Each output is stored as its repr and as a flat field -> value map.
 The diff reports, per output kind and field, whether every value is
@@ -102,6 +106,10 @@ CLI_FILES = {   # name -> (scenario rate vectors, probabilities, epsilon, costs)
 CLI_BUDGETS = {"epsilon": (), "delta": ("--delta", "1000")}
 CLI_FORMATS = ("table", "json", "csv")
 CLI_SIMULATE_FLAGS = ("--seed", "1", "--replications", "8")
+CLI_FRONTIERS = {   # name -> flags; at lambda 0.001, epsilon 1e-12 fails and warns
+    "120": ("--lam", "120"),
+    "0.001": ("--lam", "0.001", "--grid", "1e-12", "0.5", "0.25"),
+}
 SIM_POINTS = ((1, 0.5), (2, 1.0), (3, 2.4), (12, 9.0), (235, 200.0))   # (n, lambda)
 SIM_SEEDS = (0, 7)
 SIM_WARMUPS = (None, 0, 7)
@@ -192,6 +200,13 @@ def mask_wall_time(text):
     return "\n".join(lines)
 
 
+def mask_file(text):
+    """validate's output with its file value replaced by *, in the json or
+    table format."""
+    text = re.sub(r'("file": )"[^"]*"', r'\1"*"', text)
+    return re.sub(r"^(file +)\S.*$", r"\1*", text, flags=re.M)
+
+
 def run_cli(argv):
     """qstaff.cli.main(argv) in process: exit code, masked stdout, stderr."""
     from qstaff.cli import main
@@ -199,7 +214,7 @@ def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    fields = {"exit": code, "stdout": mask_wall_time(out.getvalue()),
+    fields = {"exit": code, "stdout": mask_file(mask_wall_time(out.getvalue())),
               "stderr": err.getvalue()}
     return {"repr": repr(fields), "fields": fields}
 
@@ -219,6 +234,9 @@ def cli_outputs():
             for fmt in CLI_FORMATS:
                 out[f"cli/{name}/compare/{fmt}"] = run_cli(
                     ["compare", path, "--format", fmt])
+            for fmt in ("table", "json"):
+                out[f"cli/{name}/validate/{fmt}"] = run_cli(
+                    ["validate", path, "--format", fmt])
             for mode, (budget, flags), bound, fmt in itertools.product(
                     SOLVER_MODES, CLI_BUDGETS.items(), BOUND_CHOICES, CLI_FORMATS):
                 out[f"cli/{name}/solve/{mode}/{budget}/{bound}/{fmt}"] = run_cli(
@@ -227,6 +245,10 @@ def cli_outputs():
     for fmt in CLI_FORMATS:
         out[f"cli/example1/simulate/{fmt}"] = run_cli(
             ["simulate", "example1", *CLI_SIMULATE_FLAGS, "--format", fmt])
+    for (name, flags), bound, fmt in itertools.product(
+            CLI_FRONTIERS.items(), BOUND_CHOICES, CLI_FORMATS):
+        out[f"cli/frontier/{name}/{bound}/{fmt}"] = run_cli(
+            ["frontier", *flags, "--bound", bound, "--format", fmt])
     return out
 
 

@@ -71,69 +71,50 @@ __all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
-# formatting
+# output
 
-def _fmt(value):
-    """Render one cell for a human table, floats at 6 significant digits."""
+def _cell(value, for_csv=False):
+    """Render one cell: for a table, floats at 6 significant digits and
+    vectors as (a, b); for CSV, floats by repr, which round-trips, and
+    vectors as a;b."""
     if value is None:
         return "-"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.6g}"
+        return repr(value) if for_csv else f"{value:.6g}"
     if isinstance(value, (tuple, list)):
-        return "(" + ", ".join(_fmt(v) for v in value) + ")"
+        cells = [_cell(v, for_csv) for v in value]
+        return ";".join(cells) if for_csv else "(" + ", ".join(cells) + ")"
     return str(value)
 
 
-def _csv_cell(value):
-    # repr keeps floats round-trippable; vectors flatten with semicolons
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        return ";".join(_csv_cell(v) for v in value)
-    return str(value)
-
-
-def _csv_text(header, rows):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(cell) for cell in row])
-    return buffer.getvalue()
-
-
-def _print_table(header, rows):
-    table = [list(header)] + [[_fmt(cell) for cell in row] for row in rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    for row in table:
-        line = "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-        print(line.rstrip())
-
-
-def _print_pairs(pairs):
-    width = max(len(str(key)) for key, _ in pairs)
-    for key, value in pairs:
-        print(f"{str(key).ljust(width)}  {_fmt(value)}")
+def _emit(fmt, data, rows=(), csv_rows=None, path=None):
+    """Print data as JSON, rows (a header is just the first row) as a
+    table, or csv_rows (rows unless given) as CSV; or write it to path."""
+    if fmt == "json":
+        text = json.dumps(data, indent=2) + "\n"
+    elif fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(
+            [_cell(c, for_csv=True) for c in row]
+            for row in (rows if csv_rows is None else csv_rows))
+        text = buffer.getvalue()
+    else:   # the last column is left unpadded, so no line ends in spaces
+        table = [[_cell(c) for c in row] for row in rows]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        text = "".join("  ".join([*map(str.ljust, row[:-1], widths), row[-1]]) + "\n"
+                       for row in table)
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _print_flat(payload, fmt, pairs=None):
     """A flat payload as JSON, one CSV row under its header, or key/value
     lines (its items, unless other pairs are given)."""
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        header = list(payload)
-        sys.stdout.write(_csv_text(header, [[payload[k] for k in header]]))
-    else:
-        _print_pairs(list(payload.items()) if pairs is None else pairs)
-
-
-def _write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    _emit(fmt, payload, pairs or payload.items(), zip(*payload.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -144,32 +125,26 @@ def _load(args):
     return path, load_scenario_file(path)
 
 
-def _resolve_mode(args, scenario_file):
-    mode = getattr(args, "mode", None) or scenario_file.problem.solver
+def _read_request(args):
+    """(scenario file, mode, epsilon, delta, bound) for solve and simulate.
+    Flags override the file; exactly one budget survives."""
+    _, scenario_file = _load(args)
+    problem = scenario_file.problem
+    mode = args.mode or problem.solver
     if mode is None:
         raise ValidationError(
             "no solver mode; pass --mode or set problem.solver",
             pointer="problem.solver",
         )
-    return mode
-
-
-def _resolve_budget(args, scenario_file):
-    """Flags override the file; exactly one budget survives."""
     if args.epsilon is not None and args.delta is not None:
         raise ValidationError(
             "--epsilon and --delta are mutually exclusive", pointer="--delta")
-    eps = scenario_file.problem.epsilon
-    delta = scenario_file.problem.delta
+    eps, delta = problem.epsilon, problem.delta
     if args.epsilon is not None:
         eps, delta = checked(check_epsilon, args.epsilon, "--epsilon"), None
     elif args.delta is not None:
         eps, delta = None, checked(check_delta, args.delta, "--delta")
-    return eps, delta
-
-
-def _resolve_bound(args, scenario_file):
-    return args.bound or scenario_file.problem.bound
+    return scenario_file, mode, eps, delta, args.bound or problem.bound
 
 
 def _require_exact(mode, bound):
@@ -289,25 +264,15 @@ def cmd_frontier(args):
         raise StaffingError("every grid point failed to solve")
 
     rows = frontier_csv_rows(lam, sweep, bound=args.bound)
-    header = list(rows[0])
-    cells = [[row[key] for key in header] for row in rows]
+    table = [list(rows[0])] + [list(row.values()) for row in rows]
     if args.out:
-        Path(args.out).write_text(_csv_text(header, cells))
-    if args.format == "json":
-        print(json.dumps(
-            {"lam": lam, "bound": args.bound, "points": rows}, indent=2))
-    elif args.format == "table":
-        _print_table(header, cells)
-    else:
-        sys.stdout.write(_csv_text(header, cells))
+        _emit("csv", None, table, path=args.out)
+    _emit(args.format, {"lam": lam, "bound": args.bound, "points": rows}, table)
     return 0
 
 
 def cmd_solve(args):
-    _, scenario_file = _load(args)
-    mode = _resolve_mode(args, scenario_file)
-    eps, delta = _resolve_budget(args, scenario_file)
-    bound = _resolve_bound(args, scenario_file)
+    scenario_file, mode, eps, delta, bound = _read_request(args)
 
     start = perf_counter()
     staffing, objective, detail = _solve_mode(
@@ -367,23 +332,16 @@ def cmd_compare(args):
     payload["cost_ratio"] = report.cost_ratio
 
     if args.out:
-        _write_json(args.out, payload)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        ratio_row = ["cost_ratio"] + [""] * stations + [report.cost_ratio, "", ""]
-        sys.stdout.write(_csv_text(header, rows + [ratio_row]))
-    else:
-        _print_table(header, rows)
+        _emit("json", payload, path=args.out)
+    ratio_row = ["cost_ratio"] + [""] * stations + [report.cost_ratio, "", ""]
+    _emit(args.format, payload, [header, *rows], [header, *rows, ratio_row])
+    if args.format == "table":
         print(f"cost ratio (decoupled/joint): {report.cost_ratio:.6g}")
     return 0
 
 
 def cmd_simulate(args):
-    _, scenario_file = _load(args)
-    mode = _resolve_mode(args, scenario_file)
-    eps, delta = _resolve_budget(args, scenario_file)
-    bound = _resolve_bound(args, scenario_file)
+    scenario_file, mode, eps, delta, bound = _read_request(args)
     staffing, _, _ = _solve_mode(scenario_file, mode, eps, delta, bound)
 
     joint = scenario_file.joint_set()
@@ -411,7 +369,7 @@ def cmd_simulate(args):
         <= estimate.ci99_halfwidth,
     }
     if args.out:
-        _write_json(args.out, payload)
+        _emit("json", payload, path=args.out)
     _print_flat(payload, args.format)
     return 0
 
@@ -512,12 +470,11 @@ def _build_parser():
 def _emit_error(args, exc, code):
     print(f"error: {exc}", file=sys.stderr)
     if getattr(args, "format", None) == "json":
-        payload = {"error": {
+        _emit("json", {"error": {
             "type": type(exc).__name__,
             "message": str(exc),
             "pointer": getattr(exc, "pointer", None),
-        }}
-        print(json.dumps(payload, indent=2))
+        }})
     return code
 
 

@@ -343,18 +343,16 @@ def wait_probability(n, lam, bound="exact"):
     """
     lam = positive(lam, "arrival rate")
     n = at_least(n, "staffing level", 1.0)
+    if bound not in BOUND_CHOICES:
+        raise DomainError(f"unknown bound selector {bound!r}")
     if bound == "exact":
         return _exact_wait(n, lam)
     if lam >= n:
         return 1.0
-    pair = jvlz_bounds_at(n, lam)
-    if bound == "upper":
-        return pair.upper
-    if bound == "lower":
-        return pair.lower
     if bound == "hw":
         return halfin_whitt((n - lam) / math.sqrt(lam))
-    raise DomainError(f"unknown bound selector {bound!r}")
+    pair = jvlz_bounds_at(n, lam)
+    return pair.upper if bound == "upper" else pair.lower
 
 
 def _exact_wait(n, lam):

@@ -158,8 +158,6 @@ def _parse_stations(data):
     specs = []
     seen = set()
     for i, entry in enumerate(stations):
-        if not isinstance(entry, dict):
-            _fail("expected an object", f"stations[{i}]")
         name = _require(entry, "id", str, f"stations[{i}].id")
         if not name:
             _fail("station id must be non-empty", f"stations[{i}].id")
@@ -180,8 +178,6 @@ def _parse_scenarios(data, station_count):
         _fail("at least one scenario is required", "scenarios")
     parsed = []
     for i, entry in enumerate(scenarios):
-        if not isinstance(entry, dict):
-            _fail("expected an object", f"scenarios[{i}]")
         rates = _require(entry, "rates", list, f"scenarios[{i}].rates")
         if len(rates) != station_count:
             _fail(f"expected {station_count} rates, got {len(rates)}",

@@ -119,6 +119,14 @@ class TestValidate:
         assert payload["epsilon"] == 0.05
         assert payload["costs"] == [5.0, 3.0]
 
+    def test_json_payload_names_a_delta_budget(self, capsys, tmp_path):
+        path = write_document(tmp_path, det_document(delta=50.0))
+        code, out, _ = run(capsys, "validate", path, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["delta"] == 50.0
+        assert "epsilon" not in payload
+
     def test_probability_sum_off_exits_2(self, capsys, tmp_path):
         document = two_point_document()
         document["scenarios"][0]["probability"] = 0.5

@@ -209,6 +209,11 @@ class TestSqrtStaffing:
     def test_small_beta_saturates(self):
         assert erlang_c_sqrt(1e-7, 400.0) > 0.9999
 
+    def test_staffing_below_one_server_rejected(self):
+        # a sub-unit load with a small beta puts n = 0.3 below one server
+        with pytest.raises(DomainError, match="below one server"):
+            erlang_c_sqrt(0.1, 0.25)
+
     @given(beta=st.floats(min_value=0.01, max_value=8.0),
            lam=st.floats(min_value=1.0, max_value=2e4))
     @settings(max_examples=80, deadline=None)
@@ -366,8 +371,10 @@ class TestBounds:
     lambda bad: hw_quantities(10.0, bad),
     lambda bad: wait_probability(bad, 0.5),
     lambda bad: wait_probability(10, bad),
+    lambda bad: wait_probability(5, 10.0, bad),     # unstable, yet the bound is checked
     lambda bad: wait_curve(bad),
-], ids=("sqrt-beta", "sqrt-lambda", "hw-n", "hw-lambda", "wait-n", "wait-lambda", "curve"))
+], ids=("sqrt-beta", "sqrt-lambda", "hw-n", "hw-lambda", "wait-n", "wait-lambda",
+        "wait-bound-unstable", "curve"))
 def test_rejects_what_is_not_a_number(call, bad):
     with pytest.raises(DomainError):
         call(bad)

@@ -358,6 +358,25 @@ def test_joint_solvers_refuse_a_single_station_set(call):
         call(ScenarioSet((200.0, 300.0), (0.6, 0.4)))
 
 
+# one station at sub-unit rates: key 0 writes off half the mass, and key 1
+# needs a safety factor past the bracket cap to wait with probability <= 1e-9
+TINY_RATES = JointScenarioSet(((0.001,), (0.002,)), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("call, reason", [
+    (lambda: solve_reduced_joint(TINY_RATES, 1e-9, (1.0,), (1,)),
+     "beyond the bracket cap"),
+    (lambda: enumerate_key_scenarios(TINY_RATES, 1e-9, (1.0,)),
+     "every candidate key scenario is infeasible"),
+    (lambda: solve_joint_exact_integer(
+        JointScenarioSet(((5.0,), (7.0,), (9.0,)), (0.7, 0.2, 0.1)), 1e-300, (1.0,)),
+     "unreachable even at saturated staffing"),
+], ids=("reduced-joint-cap", "enumerate-all-keys", "lattice-saturated"))
+def test_unreachable_target_is_infeasible(call, reason):
+    with pytest.raises(InfeasibleError, match=reason):
+        call()
+
+
 class TestSolveDecoupled:
     def test_call_center_instance(self):
         rep = solve_decoupled(instance(), EPSILON, PRICES)

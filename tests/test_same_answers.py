@@ -82,3 +82,14 @@ ERROR_TEXT = "error: scenarios: det mode needs exactly one scenario\n"
 ], ids=["json", "table", "csv", "no-wall-time", "empty"])
 def test_mask_wall_time(same_answers, text, masked):
     assert same_answers.mask_wall_time(text) == masked
+
+
+@pytest.mark.parametrize("text, masked", [
+    ('{\n  "ok": true,\n  "file": "/tmp/t/one-station.json",\n  "version": 1\n}\n',
+     '{\n  "ok": true,\n  "file": "*",\n  "version": 1\n}\n'),
+    ("ok         true\nfile       /tmp/t/one-station.json\nversion    1\n",
+     "ok         true\nfile       *\nversion    1\n"),
+    (ERROR_TEXT, ERROR_TEXT),
+], ids=["json", "table", "no-file"])
+def test_mask_file(same_answers, text, masked):
+    assert same_answers.mask_file(text) == masked

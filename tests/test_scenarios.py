@@ -110,6 +110,8 @@ class TestJointScenarioSet:
             JointScenarioSet.from_product(5)
         with pytest.raises(DomainError, match="must be a ScenarioSet"):
             JointScenarioSet.from_product((5,))
+        with pytest.raises(DomainError, match="at least one station"):
+            JointScenarioSet.from_product([])
 
     def test_scaled(self):
         joint = JointScenarioSet(EXAMPLE_VECTORS, EXAMPLE_PROBS)
