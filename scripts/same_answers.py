@@ -60,7 +60,10 @@ bound but hw.
 Each output is stored as its repr and as a flat field -> value map.
 The diff reports, per output kind and field, whether every value is
 identical, or the largest absolute difference and how many outputs it
-touches; it exits 1 when any field differs or exists on one side only.
+touches. Then it names every output whose repr differs: one line each,
+saying whether it went from an error to a solution, from a solution to
+an error, or which of its fields moved. It exits 1 when any field
+differs or exists on one side only.
 The benchmark instances come from perfbench/gen.py, imported by path.
 """
 
@@ -431,9 +434,22 @@ def _abs_difference(a, b):
     return abs(a - b)
 
 
+def moved(name, a, b):
+    """The line naming output name, whose repr differs between two dumps,
+    from its before and after fields: error -> solution, solution ->
+    error, or the fields that moved."""
+    was, now = (list(fields) == ["error"] for fields in (a, b))
+    if was != now:
+        return f"output {name}: {'error -> solution' if was else 'solution -> error'}"
+    fields = [f for f in sorted(set(a) | set(b))
+              if f not in a or f not in b or a[f] != b[f]]
+    return f"output {name}: moved in {', '.join(fields) or 'its repr only'}"
+
+
 def diff(before, after):
-    """Lines of a per-(kind, field) comparison of two dumps, and whether
-    every output and field is on both sides with identical values."""
+    """Lines of a per-(kind, field) comparison of two dumps, then one line
+    per output whose repr differs, and whether every output and field is
+    on both sides with identical values."""
     lines = []
     for name in sorted(set(before) ^ set(after)):
         side = "before" if name in before else "after"
@@ -472,6 +488,9 @@ def diff(before, after):
         else:
             lines.append(f"{head} largest |difference| {entry['largest']:.3g} "
                          f"in {entry['differ']}")
+    lines += [moved(name, before[name]["fields"], after[name]["fields"])
+              for name in sorted(set(before) & set(after))
+              if before[name]["repr"] != after[name]["repr"]]
     same = not set(before) ^ set(after) and not any(
         entry["only"] or entry["differ"] for entry in stats.values())
     return lines, same

@@ -208,11 +208,7 @@ def _alpha_bar_from(n, lam, q, half_log, stirl):
     # erlang_c_continuous from q = Q(n, lam), half_log = ln sqrt(2 pi n)
     # and stirl = stirlerr(n), the last two shared by every lam at level n
     x = (n - lam) / n  # 1 - rho without cancellation
-    if x < 0.5:
-        half_a2 = -n * _one_minus_rho_log_term(x)
-    else:
-        # rho is small: 1 - x would lose the digits of rho that ln rho needs
-        half_a2 = -n * (x + math.log(lam / n))
+    half_a2 = -n * _one_minus_rho_log_term(x, lam / n)
     if not (math.isfinite(q) and q > 0.0):
         raise QuadratureError(
             f"incomplete gamma Q(n, lambda) = {q!r} for n={n:g}, lambda={lam:g}",
@@ -254,16 +250,19 @@ def _inv_one_plus_exp(d):
     return 1.0 / (1.0 + math.exp(d))
 
 
-def _one_minus_rho_log_term(x):
-    """(1-rho) + ln(rho) written as x + log1p(-x) with x = 1-rho.
+def _one_minus_rho_log_term(x, rho):
+    """(1-rho) + ln(rho) from x = 1-rho, formed without cancellation, and rho.
 
-    The direct form cancels catastrophically for x near 0, which is
-    exactly the QED regime; below 1e-4 the series
-    -x^2/2 - x^3/3 - x^4/4 - x^5/5 carries full double precision.
+    The direct form cancels catastrophically for x near 0, the QED regime:
+    below 1e-4 the series -x^2/2 - x^3/3 - x^4/4 - x^5/5 carries full
+    double precision, and up to x = 1/2 x + log1p(-x) does. Above, 1 - x
+    would lose the digits of the small rho that ln rho needs: x + ln rho.
     """
     if abs(x) < 1e-4:
         return -x * x * (0.5 + x * (1.0 / 3.0 + x * (0.25 + x * 0.2)))
-    return x + math.log1p(-x)
+    if x < 0.5:
+        return x + math.log1p(-x)
+    return x + (math.log(rho) if rho > 0.0 else -math.inf)
 
 
 def hw_quantities(n, lam):
@@ -277,7 +276,7 @@ def hw_quantities(n, lam):
     beta = margin / math.sqrt(lam)
     gamma = margin / math.sqrt(n)
     # a = sqrt(-2n(1 - rho + ln rho)); 1-rho computed as margin/n, no cancellation
-    v = -2.0 * n * _one_minus_rho_log_term(margin / n)
+    v = -2.0 * n * _one_minus_rho_log_term(margin / n, rho)
     a = math.sqrt(max(v, 0.0))
     return HWQuantities(rho=rho, beta=beta, gamma=gamma, a=a)
 
@@ -343,36 +342,36 @@ def wait_probability(n, lam, bound="exact"):
     """
     lam = positive(lam, "arrival rate")
     n = at_least(n, "staffing level", 1.0)
+    return _wait(n, lam, _bound_choice(bound))
+
+
+def _bound_choice(bound):
+    """bound if it is one of BOUND_CHOICES; DomainError otherwise."""
     if bound not in BOUND_CHOICES:
-        raise DomainError(f"unknown bound selector {bound!r}")
-    if bound == "exact":
-        return _exact_wait(n, lam)
+        raise DomainError(f"bound must be one of {BOUND_CHOICES}, got {bound!r}")
+    return bound
+
+
+def _wait(n, lam, bound):
+    """wait_probability(n, lam, bound) for a checked float level, rate and bound."""
     if lam >= n:
         return 1.0
+    if bound == "exact":
+        return (_erlang_c_exact_cached(int(n), lam) if n.is_integer()
+                else _alpha_bar_cached(n, lam))
     if bound == "hw":
         return halfin_whitt((n - lam) / math.sqrt(lam))
-    pair = jvlz_bounds_at(n, lam)
-    return pair.upper if bound == "upper" else pair.lower
-
-
-def _exact_wait(n, lam):
-    """wait_probability(n, lam) for a checked float level and rate."""
-    if lam >= n:
-        return 1.0
-    if n.is_integer():
-        return _erlang_c_exact_cached(int(n), lam)
-    return _alpha_bar_cached(n, lam)
+    return getattr(jvlz_bounds_at(n, lam), bound)   # "upper" or "lower", a BoundPair field
 
 
 def _wait_vector(n, rates, bound="exact"):
     """[1.0 if r >= n else wait_probability(max(n, 1), r, bound) for r in rates],
     bit for bit, for positive finite float rates (left unchecked). One ufunc
     call gives Q(n, r) for every rate below a non-integer level."""
-    level = float(max(n, 1.0))
-    if bound != "exact" or not math.isfinite(level):
-        return [1.0 if r >= n else wait_probability(level, r, bound) for r in rates]
-    if level.is_integer():
-        return [1.0 if r >= n else _erlang_c_exact_cached(int(level), r) for r in rates]
+    bound = _bound_choice(bound)
+    level = at_least(float(max(n, 1.0)), "staffing level", 1.0)
+    if bound != "exact" or level.is_integer():
+        return [1.0 if r >= n else _wait(level, r, bound) for r in rates]
     half_log, stirl = 0.5 * math.log(2.0 * math.pi * level), _stirlerr(level)
     qs = iter(gammaincc(level, [r for r in rates if r < n]).tolist())
     return [1.0 if r >= n else _alpha_bar_from(level, r, next(qs), half_log, stirl)
@@ -389,11 +388,7 @@ def wait_curve(lam, bound="exact"):
     at every point.
     """
     lam = positive(lam, "arrival rate")
-    if bound not in BOUND_CHOICES:
-        raise DomainError(f"bound must be one of {BOUND_CHOICES}, got {bound!r}")
+    bound = _bound_choice(bound)
     root = math.sqrt(lam)
-    if bound != "exact":
-        return lambda beta: wait_probability(max(lam + beta * root, 1.0), lam, bound)
-
-    return lambda beta: _exact_wait(
-        at_least(max(lam + beta * root, 1.0), "staffing level", 1.0), lam)
+    return lambda beta: _wait(
+        at_least(max(lam + beta * root, 1.0), "staffing level", 1.0), lam, bound)

@@ -413,7 +413,9 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
 def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method):
     # minimize sum c_i beta_i by descent over every station but the last,
     # whose beta dep_beta(betas) sets to restore the constraint (inf when
-    # no beta up to the bracket cap does, making the cost inf too)
+    # no beta up to the bracket cap does, making the cost inf too); with two
+    # or more free stations, an infinite descent reruns from common free
+    # starts doubling from the largest given one (>= 1 first) to the cap
     dep = len(betas) - 1
 
     def completed(bs):
@@ -429,8 +431,13 @@ def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method
 
         return coord
 
-    betas, value, cycles, converged = coordinate_descent(
-        slice_at, completed, betas, range(dep))
+    found = coordinate_descent(slice_at, completed, betas, range(dep))
+    start = max([0.5, *betas[:dep]])
+    while not math.isfinite(found[1]) and dep >= 2 and start < BETA_CAP:
+        start = min(2.0 * start, BETA_CAP)
+        found = coordinate_descent(slice_at, completed, [start] * dep + betas[dep:],
+                                   range(dep))
+    betas, value, cycles, converged = found
     if not math.isfinite(value):
         raise InfeasibleError(
             f"key scenario {keys} needs a safety factor beyond the "

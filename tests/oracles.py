@@ -95,3 +95,16 @@ def mp_hw_a(n, lam):
     lam = mp.mpf(lam)
     rho = lam / n
     return float(mp.sqrt(-2 * n * (1 - rho + mp.log(rho))))
+
+
+def mp_jvlz_bounds(n, lam):
+    """(lower, upper) sandwich bounds of erlang.jvlz_bounds_at at 40 digits,
+    with a, phi(a) and Phi(a) from mpmath and no overflow at any a."""
+    n = mp.mpf(n)
+    lam = mp.mpf(lam)
+    rho = lam / n
+    gamma = (n - lam) / mp.sqrt(n)
+    a = mp.sqrt(-2 * n * (1 - rho + mp.log(rho)))
+    phi = mp.npdf(a)
+    den_upper = rho + gamma * (mp.ncdf(a) / phi + 2 / (3 * mp.sqrt(n)))
+    return 1 / (den_upper + gamma / (phi * (12 * n - 1))), 1 / den_upper

@@ -252,6 +252,14 @@ class TestFrontier:
             assert len(rows) == 19
             assert all(int(row["n_integer"]) >= 1 for row in rows)
 
+    def test_light_load_upper_bound_solves(self, capsys):
+        # lambda/n lies below 2^-53 at every grid point, where 1 - rho rounds to 1
+        code, out, err = run(capsys, "frontier", "--lam", "1e-18", "--bound", "upper")
+        assert (code, err) == (0, "")
+        _, rows = frontier_rows(out)
+        assert len(rows) == 19
+        assert all(int(row["n_integer"]) == 1 for row in rows)
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         out_path = tmp_path / "frontier.csv"
         code, out, _ = run(capsys, "frontier", "--lam", "50",

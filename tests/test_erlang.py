@@ -1,6 +1,7 @@
 """Tests for the Erlang-C core: exact, continuous, limit, and bounds."""
 import math
 import random
+import re
 
 import mpmath as mp
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qstaff.erlang import (
     BOUND_CHOICES,
+    BoundPair,
     _exact_no_wait_column,
     _wait_vector,
     _stirlerr,
@@ -22,6 +24,7 @@ from qstaff.erlang import (
     wait_probability,
 )
 from qstaff.errors import DomainError, UnstableSystemError
+from qstaff.frontier import solve_constrained
 
 from .oracles import (
     gamma_identity_alpha_bar,
@@ -31,6 +34,7 @@ from .oracles import (
     mp_gamma_alpha_bar,
     mp_halfin_whitt,
     mp_hw_a,
+    mp_jvlz_bounds,
 )
 
 # Frozen oracle values (mpmath, 40 digits, independent quadrature).
@@ -43,6 +47,8 @@ ALPHA_SQRT_1E6_FROZEN = {0.5: 0.504654034713, 1.0: 0.223501824169, 2.0: 0.026943
 HW_FROZEN = {0.5: 0.50453864099794502, 1.0: 0.22336127479826074, 2.0: 0.0268813624294322628}
 # a bool, an int beyond float range, nan and a string: none is an input number
 BAD_NUMBERS = (True, 10**400, math.nan, "3")
+# traffic intensities from where 1 - rho rounds to 1 (below 2^-53) up to 1/2
+LIGHT_LOADS = (1e-300, 1e-100, 1e-30, 1e-16, 1e-10, 1e-7, 1e-4, 0.01, 0.1, 0.3, 0.5)
 
 
 class TestExact:
@@ -280,6 +286,13 @@ class TestHWQuantities:
             lam = n * (1.0 - x)
             assert hw_quantities(n, lam).a == pytest.approx(mp_hw_a(n, lam), rel=1e-11)
 
+    @pytest.mark.parametrize("lam", (0.3, 5.0, 1000.0))
+    @pytest.mark.parametrize("rho", LIGHT_LOADS)
+    def test_a_at_light_load_against_mpmath(self, rho, lam):
+        # ln rho from rho itself: 1 - rho would carry none of its digits
+        n = lam / rho
+        assert hw_quantities(n, lam).a == pytest.approx(mp_hw_a(n, lam), rel=1e-15, abs=0.0)
+
     @given(n=st.floats(min_value=1.0, max_value=1e5),
            drop=st.floats(min_value=1e-6, max_value=0.9))
     @settings(max_examples=60, deadline=None)
@@ -347,6 +360,15 @@ class TestBounds:
 
         assert max_term(1e4) < max_term(1e2)
 
+    @pytest.mark.parametrize("n", (1.0, 30.0))
+    @pytest.mark.parametrize("rho", LIGHT_LOADS)
+    def test_light_load_against_mpmath(self, rho, n):
+        # e^(a^2/2) turns the rounding of a^2 (up to 1380) into about 1e-13
+        lower, upper = mp_jvlz_bounds(n, rho * n)
+        pair = jvlz_bounds_at(n, rho * n)
+        assert pair.lower == pytest.approx(float(lower), rel=1e-12, abs=0.0)
+        assert pair.upper == pytest.approx(float(upper), rel=1e-12, abs=0.0)
+
     def test_huge_beta_bounds_collapse(self):
         pair = jvlz_bounds(64.0, 1e4)
         assert 0.0 <= pair.lower <= pair.upper < 1e-100
@@ -378,6 +400,27 @@ class TestBounds:
 def test_rejects_what_is_not_a_number(call, bad):
     with pytest.raises(DomainError):
         call(bad)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: jvlz_bounds_at(1e20, 5.0), BoundPair(lower=0.0, upper=0.0)),
+    (lambda: wait_probability(1e20, 5.0, "upper"), 0.0),
+    (lambda: solve_constrained(1e-20, 0.1, bound="upper").beta, 1e-8),
+    (lambda: jvlz_bounds_at(1e308, 1e-20), BoundPair(lower=0.0, upper=0.0)),  # rho is 0.0
+], ids=("jvlz", "wait-upper", "solve-upper", "jvlz-rho-underflows"))
+def test_bounds_finite_where_rho_rounds_away(call, value):
+    assert call() == value
+
+
+@pytest.mark.parametrize("call", [
+    lambda bound: wait_probability(520.0, 450.0, bound),
+    lambda bound: wait_curve(450.0, bound),
+    lambda bound: _wait_vector(520.0, [450.0], bound),
+], ids=("wait", "curve", "vector"))
+def test_one_bound_message(call):
+    message = "bound must be one of ('exact', 'upper', 'lower', 'hw'), got 'nope'"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call("nope")
 
 
 class TestWaitProbability:

@@ -93,3 +93,26 @@ def test_mask_wall_time(same_answers, text, masked):
 ], ids=["json", "table", "no-file"])
 def test_mask_file(same_answers, text, masked):
     assert same_answers.mask_file(text) == masked
+
+
+def test_moved_outputs_named_one_line_each(same_answers, tmp_path, capsys):
+    before = dump(**{
+        "compare/a": {"n": [496, 235], "cost": 3185.0, "label": "joint"},
+        "compare/b": {"error": "InfeasibleError: every candidate key is infeasible"},
+        "compare/c": {"n": [484, 306], "cost": 3338.0, "label": "joint"},
+        "compare/d": {"n": [484, 306], "cost": 3338.0, "label": "joint"},
+    })
+    after = dump(**{
+        "compare/a": {"n": [496, 236], "cost": 3188.0, "label": "joint"},
+        "compare/b": {"n": [535, 225, 132], "cost": 892.0, "label": "joint"},
+        "compare/c": {"error": "InfeasibleError: every candidate key is infeasible"},
+        "compare/d": {"n": [484, 306], "cost": 3338.0, "label": "joint"},
+    })
+    named = ["output compare/a: moved in cost, n",
+             "output compare/b: error -> solution",
+             "output compare/c: solution -> error"]
+    lines, same = same_answers.diff(before, after)
+    assert not same
+    assert [line for line in lines if line.startswith("output ")] == named
+    assert run_main(same_answers, tmp_path, before, after) == 1
+    assert capsys.readouterr().out.splitlines()[-3:] == named
