@@ -297,18 +297,19 @@ def _mills_ratio(a):
 
 
 def jvlz_bounds_at(n, lam):
-    """Sandwich bounds on erlang_c_continuous(n, lam) for real n > lambda.
+    """Sandwich bounds on erlang_c_continuous(n, lam) for real n > lambda, n >= 1.
 
     With q = hw_quantities(n, lam) and M = Phi(a)/phi(a):
 
         upper = [ rho + gamma * (M + 2/(3 sqrt(n))) ]^(-1)
         lower = [ rho + gamma * (M + 2/(3 sqrt(n))) + gamma/(phi(a)(12n - 1)) ]^(-1)
 
-    The lower bound differs from the upper only by the extra positive
-    denominator term, so lower <= upper always holds in exact arithmetic.
+    The lower bound differs from the upper only by the extra denominator
+    term, positive for n >= 1, so lower <= upper always holds in exact
+    arithmetic.
     """
     lam = positive(lam, "arrival rate")
-    n = real(n, "server count")
+    n = at_least(n, "server count", 1.0)
     if n <= lam:
         raise UnstableSystemError(
             f"bounds require n > lambda, got n={n:g}, lambda={lam:g}")

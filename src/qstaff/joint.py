@@ -16,10 +16,11 @@ Solver lineup:
 
 * solve_joint: the joint model as solved in practice; picks a key
   scenario per station, minimizes the weighted sum of safety factors
-  subject to the full joint constraint, and rounds the implied levels.
-* solve_joint_exact_integer: certified integer optimum by exhaustive
-  lattice search in a box read off the exact no-wait tables, with no
-  curve or decoupled solve; the ground truth at desk scale.
+  subject to the full joint constraint, and rounds the implied levels;
+  a rounding that misses the target gives way to the cheapest feasible
+  point of the box n - 1 .. n + 1, as in every epsilon-mode report.
+* solve_joint_exact_integer: certified integer optimum by the lattice
+  walk over a box read off exact no-wait tables; the ground truth.
 * solve_decoupled: per-station single-station solves with no-wait target
   (1-epsilon)^(1/L); simple, conservative, and typically a few percent
   more expensive.
@@ -37,14 +38,11 @@ coordinate_descent and its one stopping rule, MAX_CYCLES and CYCLE_TOL.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .erlang import _exact_no_wait_column, _wait_vector, wait_curve
+from .erlang import _wait_vector, wait_curve
 from .erlang import wait_probability  # noqa: F401 (perfbench/tracing.py wraps it here)
 from .errors import (
     BracketError,
@@ -64,6 +62,7 @@ from .frontier import (
     check_epsilon,
     integer_staffing,
 )
+from .lattice import certified_box, no_wait_tables, walk
 from .scenarios import JointScenarioSet
 from .search import BETA_CAP, bisect_decreasing, grid_then_golden
 from .stochastic import FEASIBILITY_TOL, _reduced_decision
@@ -92,9 +91,6 @@ KEY_CAP = 10000
 # a key must beat the incumbent by this relative margin, so near-ties in
 # a key ranking go to the lexicographically smallest key
 KEY_TIE_RTOL = 1e-9
-# the lattice search forms its joint no-wait matrix in row blocks of at
-# most this many cells (8 bytes each), whatever the width of the box
-LATTICE_BLOCK_CELLS = 1 << 16
 
 
 def _cost_function(cost, what):
@@ -131,6 +127,12 @@ def _dot(weights, no_wait):
 def _folded_no_wait(scenarios, no_waits):
     # joint no-wait from every station's no-wait vector
     return _dot(_fold(scenarios, no_waits[:-1]), no_waits[-1])
+
+
+def _table_no_wait(scenarios, lower, tables, n):
+    # joint_constraint_value(scenarios, n) bit for bit, from lattice tables holding n
+    return _folded_no_wait(scenarios, [t[:, k - lo].tolist()
+                                       for t, k, lo in zip(tables, n, lower)])
 
 
 def _joint_no_wait(scenarios, levels):
@@ -179,7 +181,7 @@ class JointDecision:
     key_indices: tuple     # index into each station's marginal rate list
     key_rates: tuple
     n_continuous: tuple
-    n_integer: tuple
+    n_integer: tuple       # nearest rounding, or the cheapest feasible point of its +-1 box
 
 
 @dataclass(frozen=True)
@@ -232,31 +234,30 @@ class ComparisonReport:
 
 def _decision_from_betas(betas, key_indices, key_rates):
     n_cont = tuple(r + b * math.sqrt(r) for b, r in zip(betas, key_rates))
-    return JointDecision(
-        betas=tuple(betas),
-        key_indices=tuple(key_indices),
-        key_rates=tuple(key_rates),
-        n_continuous=n_cont,
-        n_integer=tuple(integer_staffing(x) for x in n_cont),
-    )
+    return JointDecision(betas=tuple(betas), key_indices=tuple(key_indices),
+                         key_rates=tuple(key_rates), n_continuous=n_cont,
+                         n_integer=tuple(integer_staffing(x) for x in n_cont))
 
 
 def _reduced_report(scenarios, decision, costs, eps, method, over_conservative=False,
                     cycles=0, converged=True):
+    # a rounding that misses the target gives way to the cheapest feasible
+    # point of the box n - 1 .. n + 1 (from 1 up) around it, if any
     achieved = joint_constraint_value(scenarios, decision.n_integer)
+    if achieved + FEASIBILITY_TOL < 1.0 - eps:
+        lower = [max(n - 1, 1) for n in decision.n_integer]
+        tables = [t[:, :3] for t in no_wait_tables(scenarios.marginals, lower)]
+        found = walk(scenarios, 1.0 - eps, costs, lower, tables)
+        if found is not None:
+            decision = replace(decision, n_integer=found[0])
+            achieved = _table_no_wait(scenarios, lower, tables, found[0])
     return JointSolveReport(
-        decision=decision,
-        beta_cost=sum(c * b for c, b in zip(costs, decision.betas)),
+        decision=decision, beta_cost=sum(c * b for c, b in zip(costs, decision.betas)),
         server_cost=sum(c * n for c, n in zip(costs, decision.n_continuous)),
         integer_cost=sum(c * n for c, n in zip(costs, decision.n_integer)),
-        achieved_qos=achieved,
-        epsilon=eps,
-        feasible=achieved + FEASIBILITY_TOL >= 1.0 - eps,
-        over_conservative=over_conservative,
-        method=method,
-        cycles=cycles,
-        converged=converged,
-    )
+        achieved_qos=achieved, epsilon=eps, feasible=achieved + FEASIBILITY_TOL >= 1.0 - eps,
+        over_conservative=over_conservative, method=method, cycles=cycles,
+        converged=converged)
 
 
 def coordinate_descent(slice_at, objective, betas, coords):
@@ -266,11 +267,12 @@ def coordinate_descent(slice_at, objective, betas, coords):
     beta_i alone, for each i in coords in turn by grid_then_golden, then
     scores the cycle with objective(betas), which may complete betas in
     place. Descent stops when a cycle gains less than
-    CYCLE_TOL * (1 + |value|), when the value is infinite, or after
-    MAX_CYCLES cycles; with no coords, one cycle. Returns (betas, value,
-    cycles, converged), value being the objective at the returned betas;
-    a beta the last cycle left on the edge of the search box is not
-    converged.
+    CYCLE_TOL * (1 + |value|), when the value is infinite, at once when a
+    slice's minimum is, or after MAX_CYCLES cycles; with no coords, one
+    cycle. Returns (betas, value, cycles, converged), value being the
+    objective at the returned betas (inf, unconverged, after an infinite
+    slice); a beta the last cycle left on the edge of the search box is
+    not converged.
 
     The slice for coordinate i must depend on betas only through the
     other coordinates in coords, and neither another slice nor objective
@@ -290,7 +292,9 @@ def coordinate_descent(slice_at, objective, betas, coords):
             if seen is not None and seen[0] == others:
                 edge = seen[1]
             else:
-                betas[i], _, _, edge = grid_then_golden(slice_at(i, betas))
+                betas[i], low, _, edge = grid_then_golden(slice_at(i, betas))
+                if low == math.inf:
+                    return betas, math.inf, cycle, False
                 last[i] = (others, edge)
             at_cap = at_cap or edge
         previous, value = value, objective(betas)
@@ -447,25 +451,20 @@ def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method
         costs, eps, method, cycles=cycles, converged=converged)
 
 
-def _key_lattice(scenarios):
-    """Every key vector of the per-station marginal lattice, in
-    lexicographic order; EnumerationCapError past KEY_CAP keys."""
+def _best_key(scenarios, solve, value):
+    """Best solve(key) over the per-station marginal key lattice in
+    lexicographic order: a key replaces the incumbent only if its value()
+    is lower by KEY_TIE_RTOL. A key whose solve raises InfeasibleError is
+    skipped; if every key is, InfeasibleError lists them all. A lattice of
+    more than KEY_CAP keys raises EnumerationCapError before any solve."""
     sizes = [len(m) for m in scenarios.marginals]
     total = math.prod(sizes)
     if total > KEY_CAP:
         raise EnumerationCapError(
             f"{total} candidate key scenarios exceed the cap of {KEY_CAP}")
-    return itertools.product(*(range(s) for s in sizes))
-
-
-def _best_key(scenarios, solve, value):
-    """Best solve(key) over the key lattice in lexicographic order: a key
-    replaces the incumbent only if its value() is lower by KEY_TIE_RTOL. A
-    key whose solve raises InfeasibleError is skipped; if every key is,
-    InfeasibleError lists them all."""
     best = None
     reasons = []
-    for key in _key_lattice(scenarios):
+    for key in itertools.product(*(range(s) for s in sizes)):
         try:
             result = solve(key)
         except InfeasibleError as exc:
@@ -497,20 +496,6 @@ def enumerate_key_scenarios(scenarios, epsilon, costs):
 
 # ---------------------------------------------------------------------------
 # joint model on the exact constraint
-
-def _stability_threshold(marginal, eps):
-    # smallest rate r such that staffing strictly above r keeps the
-    # stable-scenario mass at 1 - eps or more; a necessary condition on
-    # any feasible staffing level because the no-wait product dies on
-    # unstable stations
-    need = 1.0 - eps
-    cum = 0.0
-    for rate, p in marginal.pairs():
-        cum += p
-        if cum >= need - 1e-12:
-            return rate
-    return marginal.rates[-1]
-
 
 def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
     """Joint model on the full constraint in the key parameterization.
@@ -577,155 +562,24 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
 def solve_joint_exact_integer(scenarios, epsilon, costs):
     """Certified integer optimum of the joint model by lattice search.
 
-    The search box is read off exact no-wait tables, one inverse Erlang-B
-    pass per station and marginal rate, with no curve or decoupled solve.
-    A station's table runs from its stability threshold to the level where
-    every entry has rounded to 1.0, above which a level costs more and
-    raises no factor. Every no-wait factor is at most one, so the joint
-    no-wait never exceeds a station's expected no-wait over its marginal,
-    and each station's floor is the first level where that reaches the
-    target (Luedtke & Ahmed 2008, the marginal relaxation of a joint
-    chance constraint). A feasible incumbent caps each station at its
-    floor plus what the incumbent's cost over the floors affords. Every
-    candidate in the box is covered, so the returned vector is the exact
-    integer optimum; ties go to the lexicographically smallest vector.
-
-    The first L-2 stations are enumerated in lexicographic order, each
-    station's range ending once even the cheapest completion costs as
-    much as the best point so far; for each such outer point one matrix
-    product gives the joint no-wait probability over the part of the last
-    two stations' box that could still beat that point, and the cheapest
-    feasible level of the last station is the first column of each row to
-    reach the target. The reported QoS is folded from the same tables,
-    equal to joint_constraint_value at the optimum bit for bit.
+    lattice.walk covers the box lattice.certified_box reads off exact
+    no-wait tables, with no curve or decoupled solve; ties go to the
+    lexicographically smallest vector. The QoS is folded from the same
+    tables, joint_constraint_value at the optimum bit for bit.
     """
     scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
     eps = check_epsilon(epsilon)
-    L = scenarios.stations
-    costs = per_station(costs, L, positive, "per-server cost")
-    target = 1.0 - eps
-    dep = L - 1
-    row = L - 2             # station indexing the rows; -1 when L == 1
-    outer_stations = max(row, 0)
-    probs = np.array(scenarios.probs)
-    index = [np.array(idx) for idx in scenarios.rate_index]
-
-    # tables[i][j, k - lower_i]: no-wait at level k against station i's
-    # j-th marginal rate, rows padded with 1.0 to the widest; index[i][w]:
-    # that rate's position in scenario w. The 1e-12 slack on the floor, far
-    # above the rounding of either sum, keeps any level the joint check
-    # below could accept; a floor never reached leaves only the top.
-    lower = [int(math.floor(_stability_threshold(m, eps))) + 1
-             for m in scenarios.marginals]
-    tables, reach = [], []  # reach[j]: running maximum of E[u_j] from the floor
-    for j, marginal in enumerate(scenarios.marginals):
-        rows = [_exact_no_wait_column(r, lower[j]) for r in marginal.rates]
-        width = max(map(len, rows))
-        table = np.array([r + [1.0] * (width - len(r)) for r in rows])
-        running = np.maximum.accumulate(np.array(marginal.probs) @ table)
-        floor = min(int(np.searchsorted(running, target - 1e-12)), width - 1)
-        lower[j] += floor
-        tables.append(table[:, floor:])
-        reach.append(running[floor:])
-
-    # factors[i][k - lower_i, w]: station i's no-wait at level k in scenario w
-    factors = [np.ascontiguousarray(table[idx].T) for table, idx in zip(tables, index)]
-
-    # incumbent: each station at its first level whose marginal no-wait
-    # reaches t, for the smallest feasible t by bisection over the union
-    # of those values; t = inf puts every station at its top
-    def offsets_at(t):
-        return [min(int(np.searchsorted(r, t)), r.size - 1) for r in reach]
-
-    def meets_target(t):
-        joint = probs
-        for factor, k in zip(factors, offsets_at(t)):
-            joint = joint * factor[k]
-        return joint.sum() >= target
-
-    thresholds = np.unique(np.concatenate(reach)).tolist() + [math.inf]
-    incumbent = bisect.bisect_left(thresholds, True, key=meets_target)
-    if incumbent == len(thresholds):
-        raise InfeasibleError(
-            f"joint target {target:.6g} unreachable even at saturated staffing")
-    # no station rises above its floor by more than the incumbent's cost
-    # over the floors affords; points of exactly that cost stay
-    budget = sum(c * k for c, k in zip(costs, offsets_at(thresholds[incumbent])))
-    tables = [table[:, :int(budget / c + 1e-9) + 1] for table, c in zip(tables, costs)]
-    upper = [lo + table.shape[1] - 1 for lo, table in zip(lower, tables)]
-    dep_table = tables[dep]
-    dep_rates = dep_table.shape[0]
-    if row >= 0:
-        row_table = np.ascontiguousarray(tables[row].T)
-        cell = index[row] * dep_rates + index[dep]
-        row_lo, row_hi, row_cost = lower[row], upper[row], costs[row]
-    else:
-        # one station: a single virtual row level with no cost and no-wait 1
-        row_table = np.ones((1, 1))
-        cell = index[dep]
-        row_lo, row_hi, row_cost = 0, 0, 0.0
-    row_rates = row_table.shape[1]
-    block = max(1, LATTICE_BLOCK_CELLS // max(dep_table.shape[1], 1))
-    dep_lo, dep_cost = lower[dep], costs[dep]
-
-    best_cost = math.inf
-    best_n = None
-
-    def outer_points(i, head, prefix, weights):
-        # outer points from station i on, in lexicographic order, with
-        # their cost prefix and scenario weights; a level whose cheapest
-        # completion (every later station at its lower level) cannot beat
-        # the best point so far ends station i's range, as every later level
-        # costs at least as much
-        if i == outer_stations:
-            yield head, prefix, weights
-            return
-        for n in range(lower[i], upper[i] + 1):
-            fixed = prefix + costs[i] * n
-            cheapest = fixed
-            for c, lo in zip(costs[i + 1:outer_stations], lower[i + 1:]):
-                cheapest = cheapest + c * lo
-            if cheapest + row_cost * row_lo + dep_cost * dep_lo >= best_cost:
-                return
-            yield from outer_points(i + 1, head + (n,), fixed,
-                                    weights * factors[i][n - lower[i]])
-
-    for outer, prefix, weights in outer_points(0, (), 0, probs):
-        # no row or column past what the best point so far leaves room
-        # for above the cheapest completion can beat that point
-        room = best_cost - prefix - row_cost * row_lo - dep_cost * dep_lo
-        row_top = (int(min(row_hi, row_lo + room / row_cost + 1e-9)) if row_cost
-                   else row_hi)
-        cols = int(min(dep_table.shape[1] - 1, room / dep_cost + 1e-9)) + 1
-        mass = np.bincount(cell, weights, minlength=row_rates * dep_rates)
-        partial = mass.reshape(row_rates, dep_rates) @ dep_table[:, :cols]
-        for start in range(row_lo, row_top + 1, block):
-            if prefix + row_cost * start + dep_cost * dep_lo >= best_cost:
-                break
-            stop = min(start + block, row_top + 1)
-            feasible = row_table[start - row_lo:stop - row_lo] @ partial >= target
-            first = feasible.argmax(axis=1).tolist()
-            for i in np.flatnonzero(feasible.any(axis=1)).tolist():
-                n, k = start + i, first[i]
-                fixed = prefix + row_cost * n
-                if fixed + dep_cost * dep_lo >= best_cost:
-                    # every later row costs at least as much
-                    break
-                cost = fixed + dep_cost * (dep_lo + k)
-                if cost < best_cost:
-                    best_cost = cost
-                    best_n = (outer + (n,))[:dep] + (dep_lo + k,)
-    if best_n is None:
+    costs = per_station(costs, scenarios.stations, positive, "per-server cost")
+    lower, tables = certified_box(scenarios, eps, costs)
+    found = walk(scenarios, 1.0 - eps, costs, lower, tables)
+    if found is None:
         raise InfeasibleError("no integer staffing in the search box is feasible")
-    # table entries equal 1 - wait_probability bit for bit, so this is
-    # joint_constraint_value(scenarios, best_n) without a kernel call
-    columns = [table[:, n - lo].tolist() for table, n, lo in zip(tables, best_n, lower)]
     return SolutionSummary(
         label="joint-integer",
-        n=best_n,
-        cost=best_cost,
-        achieved_qos=_folded_no_wait(scenarios, columns),
-        feasible=True,      # the search only keeps points meeting the target
+        n=found[0],
+        cost=found[1],
+        achieved_qos=_table_no_wait(scenarios, lower, tables, found[0]),
+        feasible=True,      # the walk only keeps points meeting the target
     )
 
 
@@ -777,14 +631,9 @@ def solve_weighted_stoch(scenarios, delta, costs, bound="exact"):
     decision = _decision_from_betas(betas, key, key_rates)
     exact_levels = [max(n, 1.0) for n in decision.n_continuous]
     return WeightedSolveReport(
-        decision=decision,
-        objective=value,
-        exact_objective=score(betas, key_rates, "exact"),
-        no_wait=_joint_no_wait(scenarios, exact_levels),
-        bound_used=bound,
-        cycles=cycles,
-        converged=converged,
-    )
+        decision=decision, objective=value, exact_objective=score(betas, key_rates, "exact"),
+        no_wait=_joint_no_wait(scenarios, exact_levels), bound_used=bound, cycles=cycles,
+        converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -805,23 +654,13 @@ def compare_solutions(scenarios, epsilon, costs):
     decoupled = solve_decoupled(scenarios, epsilon, costs)
 
     def summarize(report, label):
+        d = report.decision
         return SolutionSummary(
-            label=label,
-            n=report.decision.n_integer,
-            cost=report.integer_cost,
-            achieved_qos=report.achieved_qos,
-            feasible=report.feasible,
-            n_continuous=report.decision.n_continuous,
-            betas=report.decision.betas,
-            key_rates=report.decision.key_rates,
-        )
+            label=label, n=d.n_integer, cost=report.integer_cost,
+            achieved_qos=report.achieved_qos, feasible=report.feasible,
+            n_continuous=d.n_continuous, betas=d.betas, key_rates=d.key_rates)
 
-    joint_summary = summarize(joint, "joint")
-    reduced_summary = summarize(reduced, "reduced")
-    decoupled_summary = summarize(decoupled, "decoupled")
-    return ComparisonReport(
-        joint=joint_summary,
-        reduced=reduced_summary,
-        decoupled=decoupled_summary,
-        cost_ratio=decoupled_summary.cost / joint_summary.cost,
-    )
+    columns = {label: summarize(report, label) for label, report in
+               (("joint", joint), ("reduced", reduced), ("decoupled", decoupled))}
+    return ComparisonReport(**columns,
+                            cost_ratio=columns["decoupled"].cost / columns["joint"].cost)

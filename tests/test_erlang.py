@@ -378,6 +378,8 @@ class TestBounds:
             jvlz_bounds_at(99.0, 100.0)
         with pytest.raises(DomainError):
             jvlz_bounds(-0.5, 100.0)
+        with pytest.raises(DomainError):    # below one server, lower would exceed upper
+            jvlz_bounds_at(0.05, 0.025)
         for bad in BAD_NUMBERS:
             for call in (lambda: jvlz_bounds(bad, 100.0), lambda: jvlz_bounds(1.0, bad),
                          lambda: jvlz_bounds_at(bad, 100.0), lambda: jvlz_bounds_at(120.0, bad)):
