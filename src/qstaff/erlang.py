@@ -124,9 +124,10 @@ def _erlang_c_exact_cached(n, lam):
     return 1.0 / (rho + (1.0 - rho) * ib)
 
 
-def _exact_no_wait_column(lam, lower):
+def _exact_no_wait_column(lam, lower, top=None):
     """No-wait probabilities 1 - alpha(k, lam) for k = lower, lower + 1, ...
-    up to the first level where the entry rounds to 1.0 for good; 1 <= lower.
+    up to the first level where the entry rounds to 1.0 for good, or to
+    top (lower <= top) if that comes first; 1 <= lower.
 
     One pass of the inverse Erlang-B recursion, from the same start as
     erlang_c_exact, yields alpha at every k on the way. Each entry goes
@@ -139,11 +140,13 @@ def _exact_no_wait_column(lam, lower):
     """
     start = _recursion_start(lam)
     first = max(lower, start + 1)
+    if top is not None and top < first:
+        return [0.0] * (top - lower + 1)    # start < lam: every level is unstable
     out = [0.0] * (first - lower)  # levels at or below start
     ib = 1.0
     for k in range(start + 1, first):
         ib = 1.0 + (k / lam) * ib
-    for k in itertools.count(first):
+    for k in itertools.count(first) if top is None else range(first, top + 1):
         ib = 1.0 + (k / lam) * ib
         if lam >= k:
             out.append(0.0)
@@ -152,7 +155,8 @@ def _exact_no_wait_column(lam, lower):
         tail = (1.0 - rho) * ib
         out.append(1.0 - 1.0 / (rho + tail))
         if tail >= 2.0 ** 60:
-            return out
+            break
+    return out
 
 
 def erlang_c_continuous(n, lam):

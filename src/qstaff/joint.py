@@ -246,7 +246,7 @@ def _reduced_report(scenarios, decision, costs, eps, method, over_conservative=F
     achieved = joint_constraint_value(scenarios, decision.n_integer)
     if achieved + FEASIBILITY_TOL < 1.0 - eps:
         lower = [max(n - 1, 1) for n in decision.n_integer]
-        tables = [t[:, :3] for t in no_wait_tables(scenarios.marginals, lower)]
+        tables = no_wait_tables(scenarios.marginals, lower, [k + 2 for k in lower])
         found = walk(scenarios, 1.0 - eps, costs, lower, tables)
         if found is not None:
             decision = replace(decision, n_integer=found[0])
@@ -264,9 +264,10 @@ def coordinate_descent(slice_at, objective, betas, coords):
     """Cyclic coordinate descent over the safety factors betas[i], i in coords.
 
     A cycle minimizes slice_at(i, betas), the objective as a function of
-    beta_i alone, for each i in coords in turn by grid_then_golden, then
-    scores the cycle with objective(betas), which may complete betas in
-    place. Descent stops when a cycle gains less than
+    beta_i alone, for each i in coords in turn by grid_then_golden (a
+    grid scan refined by Brent's method, to a relative 2**-27 in beta),
+    then scores the cycle with objective(betas), which may complete betas
+    in place. Descent stops when a cycle gains less than
     CYCLE_TOL * (1 + |value|), when the value is infinite, at once when a
     slice's minimum is, or after MAX_CYCLES cycles; with no coords, one
     cycle. Returns (betas, value, cycles, converged), value being the

@@ -19,13 +19,14 @@ from .errors import InfeasibleError
 LATTICE_BLOCK_CELLS = 1 << 16
 
 
-def no_wait_tables(marginals, lower):
+def no_wait_tables(marginals, lower, top=None):
     """tables[i][j, k - lower[i]]: 1 - wait_probability(k, rate j of station
-    i) bit for bit, from lower[i] until every entry rounds to 1.0, rows
-    padded with 1.0 to the widest; one inverse Erlang-B pass per rate."""
+    i) bit for bit, from lower[i] until every entry rounds to 1.0, or to
+    top[i] if that comes first, rows padded with 1.0 to the widest; one
+    inverse Erlang-B pass per rate."""
     tables = []
-    for marginal, lo in zip(marginals, lower):
-        rows = [_exact_no_wait_column(r, lo) for r in marginal.rates]
+    for marginal, lo, hi in zip(marginals, lower, top or [None] * len(lower)):
+        rows = [_exact_no_wait_column(r, lo, hi) for r in marginal.rates]
         width = max(map(len, rows))
         tables.append(np.array([r + [1.0] * (width - len(r)) for r in rows]))
     return tables

@@ -487,6 +487,16 @@ class TestExactNoWaitColumn:
             assert value == 1.0 - wait_probability(k, lam), k
         assert column[-1] == 1.0
 
+    # lower below the recursion's start (217 at 480.2), at and above lambda
+    @pytest.mark.parametrize("lam,lower", [
+        (480.2, 1), (480.2, 200), (480.2, 470), (480.2, 600), (7.5, 1), (6150.7, 6080),
+    ])
+    def test_top_cuts_the_column(self, lam, lower):
+        full = _exact_no_wait_column(lam, lower)
+        for top in (lower, lower + 1, lower + 2, lower + 20,
+                    lower + len(full) - 1, lower + len(full) + 5):
+            assert _exact_no_wait_column(lam, lower, top) == full[:top - lower + 1], top
+
 
 class TestWaitVector:
     @st.composite

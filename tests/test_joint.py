@@ -540,7 +540,10 @@ class TestSolveReducedJoint:
     def test_deterministic_instance_active_and_locally_optimal(self):
         det = JointScenarioSet(((450.0, 200.0),), (1.0,))
         rep = solve_reduced_joint(det, EPSILON, PRICES, key_indices=(0, 0))
-        assert rep.decision.betas == pytest.approx((1.969963951, 2.218433814), abs=1e-6)
+        assert rep.decision.betas == pytest.approx((1.969962091, 2.218436914), abs=1e-6)
+        # no costlier than golden-section search left it
+        assert 5.0 * rep.decision.betas[0] + 3.0 * rep.decision.betas[1] <= (
+            16.505121196782024 + 1e-9)
         n1, n2 = rep.decision.n_continuous
         no_wait = (1.0 - wait_probability(n1, 450.0)) * (1.0 - wait_probability(n2, 200.0))
         assert no_wait == pytest.approx(0.95, abs=1e-8)
@@ -680,7 +683,7 @@ class TestSolveJoint:
         rep = solve_joint(instance(), EPSILON, PRICES, key_indices=(1, 1))
         assert len(searches) == 1
         assert (rep.cycles, rep.converged) == (2, True)
-        assert rep.decision.betas == (2.150449246375281, 2.478332831703411)
+        assert rep.decision.betas == (2.1504480501797403, 2.478334825374003)
 
     def test_descent_free_reports_have_no_cycles(self):
         decoupled = solve_decoupled(instance(), EPSILON, PRICES)
@@ -1018,8 +1021,8 @@ class TestSolveWeightedStoch:
         one = JointScenarioSet(((10.0, 20.0, 5.0),), (1.0,))
         rep = solve_weighted_stoch(one, 100.0, (1.0, 2.0, 1.5))
         assert rep.decision.betas == (
-            2.5400594066411775, 1.9508402338275064, 2.5999265377811556)
-        assert rep.objective == 99.41405982984378
+            2.5400593300089733, 1.9508402269790763, 2.599926510090588)
+        assert rep.objective == 99.41405982984392
         assert (rep.cycles, rep.converged) == (4, True)
 
     def test_exact_bound_scores_are_consistent(self):

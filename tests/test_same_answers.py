@@ -116,3 +116,75 @@ def test_moved_outputs_named_one_line_each(same_answers, tmp_path, capsys):
     assert [line for line in lines if line.startswith("output ")] == named
     assert run_main(same_answers, tmp_path, before, after) == 1
     assert capsys.readouterr().out.splitlines()[-3:] == named
+
+
+def keyed(**fields):
+    """A keyed report's fields, the dump's values unless given."""
+    return {"decision.betas": [2.150449246375281, 2.478332831703411],
+            "decision.n_integer": [496, 235], "server_cost": 3185.2, "cycles": 2,
+            "converged": True, **fields}
+
+
+def verdict(same_answers, before, after, field):
+    """--diff's pass flag and its line for field."""
+    lines, passes = same_answers.diff(dump(**{"keyed/a": before}),
+                                      dump(**{"keyed/a": after}))
+    [line] = [line for line in lines if line.startswith(f"keyed.{field} ")]
+    return passes, line
+
+
+def test_continuous_fields_pass_within_their_bound(same_answers):
+    bound = same_answers.TOLERANCE["betas"]
+    moved = keyed(**{"decision.betas": [2.150449246375281 + 0.5 * bound,
+                                        2.478332831703411]})
+    passes, line = verdict(same_answers, keyed(), moved, "decision.betas")
+    assert passes
+    assert line.endswith(f"in 1, within bound {bound:g}")
+    moved["decision.betas"][0] += bound
+    passes, line = verdict(same_answers, keyed(), moved, "decision.betas")
+    assert not passes
+    assert line.endswith(f"in 1, 1 beyond bound {bound:g}")
+
+
+def test_counts_are_reported_not_gated(same_answers):
+    passes, line = verdict(same_answers, keyed(), keyed(cycles=200), "cycles")
+    assert passes
+    assert line == ("keyed.cycles (1 outputs): largest |difference| 198 in 1, "
+                    "a count: not gated")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("decision.n_integer", [496, 236]),     # an integer staffing
+    ("converged", False),                   # a flag
+    ("epsilon", 0.05 + 1e-15),              # a field the policy does not name
+], ids=["n", "flag", "unnamed"])
+def test_any_other_field_must_stay_identical(same_answers, field, value):
+    before = keyed(epsilon=0.05)
+    passes, line = verdict(same_answers, before, {**before, field: value}, field)
+    assert not passes
+    assert "bound" not in line
+
+
+def test_lattice_and_simulate_outputs_stay_identical(same_answers):
+    bound = same_answers.TOLERANCE["n_continuous"]
+    for name in ("lattice/a", "simulate/a"):
+        before = dump(**{name: {"n_continuous": [10.0], "cycles": 1}})
+        after = dump(**{name: {"n_continuous": [10.0 + 0.5 * bound], "cycles": 2}})
+        assert not same_answers.diff(before, after)[1]
+
+
+STDOUT = "betas         (2.15045, 2.47834)\nobjective     3185\ncost_ratio    1.04804\n"
+
+
+@pytest.mark.parametrize("after, passes", [
+    (STDOUT.replace("2.47834", "2.47833"), True),        # a float within bound
+    (STDOUT.replace("1.04804", "1.05804"), False),       # a float beyond bound
+    (STDOUT.replace("3185", "3186"), False),             # an integral number
+    (STDOUT.replace("3185", "3185.01"), True),           # integral on one side only
+    (STDOUT.replace("objective", "objectives"), False),  # the text around them
+    (STDOUT + "1\n", False),                             # one number more
+], ids=["float", "float-beyond", "integral", "integral-one-side", "text", "count"])
+def test_cli_stdout_compared_token_by_token(same_answers, after, passes):
+    before = dump(**{"cli/a": {"exit": 0, "stdout": STDOUT, "stderr": ""}})
+    moved = dump(**{"cli/a": {"exit": 0, "stdout": after, "stderr": ""}})
+    assert same_answers.diff(before, moved)[1] == passes

@@ -1,9 +1,11 @@
-"""Tests for bisect_decreasing: the answers of plain bisection, fewer calls.
+"""Tests for bisect_decreasing: the answers of plain bisection, fewer calls;
+and for Brent's minimizer under grid_then_golden.
 
-Every test compares against plain_bisection below, the bracket doubling
-and bisection loop bisect_decreasing must reproduce: the same root,
-residual and converged flag, bit for bit, on any non-increasing function
-and with any guess.
+Every bisection test compares against plain_bisection below, the bracket
+doubling and bisection loop bisect_decreasing must reproduce: the same
+root, residual and converged flag, bit for bit, on any non-increasing
+function and with any guess. The minimizer tests hold Brent's answer to
+twice its stopping tolerance of a known minimizer.
 """
 import math
 import re
@@ -18,11 +20,14 @@ from qstaff.search import (
     _MAX_ITER,
     _RTOL,
     _SLACK,
+    _XREL,
     _XTOL,
     BETA_CAP,
     BETA_HI,
     RootResult,
     bisect_decreasing,
+    brent_min,
+    grid_then_golden,
 )
 
 from .test_joint import S64, instance
@@ -311,3 +316,49 @@ def test_wait_curve_roots_take_at_most_sixteen_calls_on_average():
                  for rate in marginal.rates
                  for eps in (0.001, 0.01, 0.02, 0.05, 0.1, 0.2)]
         assert sum(calls) / len(calls) <= 16
+
+
+def brent_tol(x):
+    """Brent's stopping tolerance at x."""
+    return _XREL * abs(x) + 0.25 * _XTOL
+
+
+SLICE_SHAPES = {
+    "quadratic": lambda x, c: (x - c) ** 2,
+    "abs": lambda x, c: abs(x - c),
+    "quartic": lambda x, c: (x - c) ** 4,
+}
+# (lo, hi, minimizer): inside, at either end, and off-centre in a short bracket
+BRACKETS = [(0.0, 1.0, 0.3), (0.0, 0.25, 0.0), (7.75, 8.0, 8.0),
+            (2.25, 2.75, 2.7), (31.0, 33.0, 32.0 + 1e-7)]
+
+
+@pytest.mark.parametrize("shape", SLICE_SHAPES, ids=list(SLICE_SHAPES))
+@pytest.mark.parametrize("lo, hi, c", BRACKETS)
+def test_brent_lands_within_two_tol_inside_the_bracket(shape, lo, hi, c):
+    seen = []
+
+    def fn(x):
+        seen.append(x)
+        return SLICE_SHAPES[shape](x, c)
+
+    x, fx, evals = brent_min(fn, lo, hi)
+    assert abs(x - c) <= 2.0 * brent_tol(x)
+    assert evals == len(seen)
+    assert fx == SLICE_SHAPES[shape](x, c)
+    assert all(lo < u < hi for u in seen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(0.0, BETA_HI),
+       weights=st.tuples(*[st.floats(0.0, 10.0)] * 3).filter(lambda w: max(w) >= 1e-3))
+def test_grid_then_golden_finds_convex_minimizers(c, weights):
+    quadratic, linear, quartic = weights
+
+    def fn(x):
+        d = x - c
+        return quadratic * d * d + linear * abs(d) + quartic * d ** 4
+
+    x, _, _, at_cap = grid_then_golden(fn)
+    assert abs(x - c) <= 2.0 * brent_tol(x)
+    assert not at_cap
