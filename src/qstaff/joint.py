@@ -260,12 +260,12 @@ def _reduced_report(scenarios, decision, costs, eps, method, over_conservative=F
         converged=converged)
 
 
-def coordinate_descent(slice_at, objective, betas, coords):
+def coordinate_descent(slice_at, objective, betas, coords, warm=False):
     """Cyclic coordinate descent over the safety factors betas[i], i in coords.
 
     A cycle minimizes slice_at(i, betas), the objective as a function of
     beta_i alone, for each i in coords in turn by grid_then_golden (a
-    grid scan refined by Brent's method, to a relative 2**-27 in beta),
+    bracket refined by Brent's method, to a relative 2**-27 in beta),
     then scores the cycle with objective(betas), which may complete betas
     in place. Descent stops when a cycle gains less than
     CYCLE_TOL * (1 + |value|), when the value is infinite, at once when a
@@ -275,12 +275,18 @@ def coordinate_descent(slice_at, objective, betas, coords):
     slice); a beta the last cycle left on the edge of the search box is
     not converged.
 
+    The bracket comes from a grid scan, or, when warm says the betas came
+    from an earlier solve and so sit near the minimizer, from a walk out
+    of betas[i]. A descent from arbitrary betas (beta = 1, or a retry
+    start) should stay cold: a walk can settle in another basin than the
+    grid's.
+
     The slice for coordinate i must depend on betas only through the
     other coordinates in coords, and neither another slice nor objective
     may write betas[i]. A coordinate whose others have not moved since
-    its last search would then repeat that search bit for bit, so it
-    keeps its beta and edge flag instead; with one coordinate, the
-    confirming second cycle searches nothing.
+    its last search would then search the same slice again, so it keeps
+    its beta and edge flag instead; with one coordinate, the confirming
+    second cycle searches nothing.
     """
     betas = list(betas)
     value = math.inf
@@ -293,7 +299,8 @@ def coordinate_descent(slice_at, objective, betas, coords):
             if seen is not None and seen[0] == others:
                 edge = seen[1]
             else:
-                betas[i], low, _, edge = grid_then_golden(slice_at(i, betas))
+                betas[i], low, _, edge = grid_then_golden(
+                    slice_at(i, betas), betas[i] if warm else None)
                 if low == math.inf:
                     return betas, math.inf, cycle, False
                 last[i] = (others, edge)
@@ -415,12 +422,15 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
                         dep_beta, "reduced-joint")
 
 
-def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method):
+def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method,
+                 warm=False):
     # minimize sum c_i beta_i by descent over every station but the last,
     # whose beta dep_beta(betas) sets to restore the constraint (inf when
-    # no beta up to the bracket cap does, making the cost inf too); with two
-    # or more free stations, an infinite descent reruns from common free
-    # starts doubling from the largest given one (>= 1 first) to the cap
+    # no beta up to the bracket cap does, making the cost inf too); the
+    # first descent is warm if the caller's betas are (see
+    # coordinate_descent); with two or more free stations, an infinite
+    # descent reruns cold from common free starts doubling from the
+    # largest given one (>= 1 first) to the cap
     dep = len(betas) - 1
 
     def completed(bs):
@@ -436,7 +446,7 @@ def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method
 
         return coord
 
-    found = coordinate_descent(slice_at, completed, betas, range(dep))
+    found = coordinate_descent(slice_at, completed, betas, range(dep), warm)
     start = max([0.5, *betas[:dep]])
     while not math.isfinite(found[1]) and dep >= 2 and start < BETA_CAP:
         start = min(2.0 * start, BETA_CAP)
@@ -511,7 +521,10 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
     enumerate_key_scenarios, which is how the key choice is justified in
     the first place; the full solve then refines the reduced betas, which
     move only marginally at realistic scales. warm_betas (a start for the
-    descent, default all ones) needs key_indices.
+    descent, default all ones) needs key_indices. Betas from either
+    source start a warm descent (see coordinate_descent), whose slice
+    searches walk out from them instead of scanning a grid; the default
+    ones start a cold one, as do the retries after an infinite descent.
     """
     scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
     eps = check_epsilon(epsilon)
@@ -557,7 +570,7 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
         return guess
 
     return _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta,
-                        "joint")
+                        "joint", warm=key_indices is None or warm_betas is not None)
 
 
 def solve_joint_exact_integer(scenarios, epsilon, costs):

@@ -2,7 +2,8 @@
 
 Every constraint curve in this package is monotone in beta and every
 1-D objective slice is continuous, so bisection and Brent's minimizer
-(seeded by a coarse grid) are all that is needed. Bisection's answer is
+(on a bracket from a coarse grid, or from a walk out of a warm start)
+are all that is needed. Bisection's answer is
 easy to reason about when a solver misbehaves, so bisect_decreasing
 keeps it to the last bit and only spends fewer curve evaluations on it:
 Illinois steps narrow the bracket, and the bisection midpoints the
@@ -16,17 +17,18 @@ curve evaluations more than plain bisection.
 A slice is minimized only as finely as it is known: in a keyed descent
 each of its values comes from a dependent root found to _XTOL, so a
 smooth slice pins its minimizer to about 1e-5 however long the search
-runs. brent_min, which
-grid_then_golden runs on the best grid point's bracket, stops at a
+runs. brent_min, which grid_then_golden runs on its bracket, stops at a
 relative tolerance of half sqrt(machine epsilon) and takes parabolic
 steps where the slice is smooth: about 20 calls after the grid, where
-golden-section search down to _XTOL took 49.
+golden-section search down to _XTOL took 49. The 33-point grid is then
+most of a cold search; a warm one, started where an earlier solve left
+the minimizer, brackets it by walking out from there in a few calls.
 
 Every solver searches beta in one box, defined only here: [0, BETA_HI],
 the upper end doubling up to BETA_CAP, in bisect_decreasing until the
-curve falls below the target and in grid_then_golden (which runs every
-weighted solve and every coordinate-descent slice) while the minimizer
-sits on that edge.
+curve falls below the target and in grid_then_golden's grid (which runs
+every weighted solve and every cold coordinate-descent slice) while the
+minimizer sits on that edge; a warm walk ranges over [0, BETA_CAP].
 """
 from __future__ import annotations
 
@@ -247,24 +249,41 @@ def brent_min(fn, lo, hi):
     return x, fx, evals
 
 
-def grid_then_golden(fn):
-    """Coarse grid scan of _N_GRID points, then brent_min between the
-    neighbors of the best grid point, whose answer wins unless the grid
-    point is lower. Robust when unimodality is only approximate; the grid
-    pins the basin, Brent refines it. The name dates from golden-section
+def grid_then_golden(fn, start=None):
+    """Minimize fn on [0, BETA_CAP]: bracket a minimum, then brent_min on
+    the bracket, whose answer wins unless the best bracketing point is
+    lower. Robust when unimodality is only approximate; the bracket pins
+    the basin, Brent refines it. The name dates from golden-section
     refinement and is kept for its callers (perfbench's tracer wraps
     joint.grid_then_golden and reads its evaluation count).
 
-    The search starts on [0, BETA_HI]; while the minimizer lies within
-    _EDGE of the upper end, that end doubles (up to BETA_CAP) and the
-    search reruns on the wider interval. Brent's 2*tol at BETA_CAP is
-    below _EDGE, so a minimizer on the edge is still seen there. Returns
-    (x, fn(x), evaluations summed over every interval, at_cap), at_cap
-    being true when the minimizer still sits on the edge of [0, BETA_CAP].
+    Cold, with no start, a coarse grid of _N_GRID points on [0, BETA_HI]
+    brackets the minimum between the neighbours of its best point; while
+    the minimizer lies within _EDGE of the upper end, that end doubles (up
+    to BETA_CAP) and the search reruns on the wider interval. Brent's 2*tol
+    at BETA_CAP is below _EDGE, so a minimizer on the edge is still seen
+    there.
+
+    Warm, from a start in [0, BETA_CAP] where fn is finite (say a beta an
+    earlier solve left near the minimizer), the bracket comes from _walk
+    instead, usually in three evaluations (the start and its neighbours)
+    where the grid takes 33. A start outside the box is not probed; one
+    where fn is not finite costs that one probe and then the grid.
+
+    Returns (x, fn(x), evaluations summed over the probe and every
+    interval, at_cap), at_cap being true when the minimizer sits within
+    _EDGE of BETA_CAP.
     """
-    hi, evals = BETA_HI, 0
+    evals = 0
+    if start is not None and 0.0 <= start <= BETA_CAP:
+        fs = fn(start)
+        evals += 1
+        if math.isfinite(fs):
+            x, fx, e = _refine(fn, *_walk(fn, start, fs))
+            return x, fx, evals + e, x >= BETA_CAP - _EDGE
+    hi = BETA_HI
     while True:
-        x, fx, e = _grid_then_golden_once(fn, hi)
+        x, fx, e = _refine(fn, *_grid(fn, hi))
         evals += e
         at_edge = x >= hi - _EDGE
         if not at_edge or hi >= BETA_CAP:
@@ -272,20 +291,59 @@ def grid_then_golden(fn):
         hi = min(2.0 * hi, BETA_CAP)
 
 
-def _grid_then_golden_once(fn, hi):
+def _walk(fn, x, fx):
+    """Bracket a minimum of fn around x, where fn(x) = fx is finite, by
+    walking downhill (much as Numerical Recipes' mnbrak does).
+
+    The first step is the grid spacing; the neighbour above x is probed
+    first, the one below only when the one above is not lower. The walk
+    goes on toward a lower neighbour, each step twice the last, until the
+    value stops falling or the walk reaches 0 or BETA_CAP. Returns
+    (a, b, best_x, best_f, evaluations): best_x is the lowest point
+    walked, and lies in [a, b] with fn no higher there than at either end.
+    """
+    step = BETA_HI / (_N_GRID - 1)
+    evals = 0
+    for direction in (1.0, -1.0):
+        u = min(max(x + direction * step, 0.0), BETA_CAP)
+        if u == x:
+            continue
+        fu = fn(u)
+        evals += 1
+        if fu < fx:
+            break
+    else:
+        return max(x - step, 0.0), min(x + step, BETA_CAP), x, fx, evals
+    prev, x, fx = x, u, fu
+    while 0.0 < x < BETA_CAP:
+        step *= 2.0
+        u = min(max(x + direction * step, 0.0), BETA_CAP)
+        fu = fn(u)
+        evals += 1
+        if fu >= fx:
+            break
+        prev, x, fx = x, u, fu
+    return min(prev, u), max(prev, u), x, fx, evals
+
+
+def _grid(fn, hi):
+    # the neighbours of the best of _N_GRID points on [0, hi], as _walk returns
     step = hi / (_N_GRID - 1)
     best_x, best_f, best_i = 0.0, math.inf, 0
-    evals = 0
     for i in range(_N_GRID):
         x = i * step
         fx = fn(x)
-        evals += 1
         if fx < best_f:
             best_x, best_f, best_i = x, fx, i
     a = max(best_i - 1, 0) * step
     b = min(best_i + 1, _N_GRID - 1) * step
+    return a, b, best_x, best_f, _N_GRID
+
+
+def _refine(fn, a, b, best_x, best_f, evals):
+    # brent_min on (a, b), whose answer wins unless best_x is lower; the
+    # evaluations add to the bracket's
     x, fx, e = brent_min(fn, a, b)
-    evals += e
     if fx <= best_f:
-        return x, fx, evals
-    return best_x, best_f, evals
+        return x, fx, evals + e
+    return best_x, best_f, evals + e

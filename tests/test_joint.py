@@ -670,20 +670,53 @@ class TestSolveJoint:
         assert (capped.cycles, capped.converged) == (1, False)
 
     def test_one_free_coordinate_is_searched_once(self, monkeypatch):
-        # the confirming second cycle would repeat the first search bit
-        # for bit, so it is skipped and still counted
+        # the confirming second cycle would search the same slice again,
+        # so it is skipped and still counted; with no warm betas the one
+        # search scans the grid
         searches = []
         search = joint.grid_then_golden
 
-        def counted(fn):
-            searches.append(fn)
-            return search(fn)
+        def counted(fn, start=None):
+            searches.append(start)
+            return search(fn, start)
 
         monkeypatch.setattr(joint, "grid_then_golden", counted)
         rep = solve_joint(instance(), EPSILON, PRICES, key_indices=(1, 1))
-        assert len(searches) == 1
+        assert searches == [None]
         assert (rep.cycles, rep.converged) == (2, True)
         assert rep.decision.betas == (2.1504480501797403, 2.478334825374003)
+
+    def test_warm_free_coordinate_is_searched_once_by_a_walk(self, monkeypatch):
+        # from the reduced betas, as compare_solutions starts it, the one
+        # search walks out of the reduced free beta: 22 slice evaluations
+        # where the cold grid search takes 50
+        warm = solve_reduced_joint(instance(), EPSILON, PRICES, key_indices=(1, 1))
+        searches = []
+        search = joint.grid_then_golden
+
+        def counted(fn, start=None):
+            found = search(fn, start)
+            searches.append((start, found[2]))
+            return found
+
+        monkeypatch.setattr(joint, "grid_then_golden", counted)
+        rep = solve_joint(instance(), EPSILON, PRICES, key_indices=(1, 1),
+                          warm_betas=warm.decision.betas)
+        [(start, evals)] = searches
+        assert start == warm.decision.betas[0]
+        assert evals <= 22
+        assert (rep.cycles, rep.converged) == (2, True)
+        assert rep.decision.n_integer == JOINT_STAFFING
+        assert rep.decision.betas == pytest.approx(JOINT_BETAS, abs=2e-6)
+
+    def test_warm_betas_outside_the_box_scan_the_grid(self):
+        # a start past BETA_CAP is not probed: the search scans the grid
+        # and the descent answers as the cold one does, bit for bit
+        cold = solve_joint(instance(), EPSILON, PRICES, key_indices=(1, 1))
+        far = solve_joint(instance(), EPSILON, PRICES, key_indices=(1, 1),
+                          warm_betas=(100.0, 100.0))
+        assert far.decision.n_integer == cold.decision.n_integer == JOINT_STAFFING
+        assert far == cold
 
     def test_descent_free_reports_have_no_cycles(self):
         decoupled = solve_decoupled(instance(), EPSILON, PRICES)
@@ -1102,6 +1135,26 @@ class TestCompareSolutions:
         assert table.joint.cost == cost
         assert table.joint.achieved_qos == pytest.approx(qos, abs=1e-6)
         assert table.joint.feasible
+
+    def test_three_station_retry_stays_cold(self, monkeypatch):
+        # S3's winning reduced key solves only on the cold retry from the
+        # common start 2; the joint column then walks from the reduced
+        # betas, and no column moves from the grid-only answers
+        descents = []
+        descent = joint.coordinate_descent
+
+        def recorded(slice_at, objective, betas, coords, warm=False):
+            found = descent(slice_at, objective, betas, coords, warm)
+            descents.append((tuple(betas), warm, math.isfinite(found[1])))
+            return found
+
+        monkeypatch.setattr(joint, "coordinate_descent", recorded)
+        table = compare_solutions(S3, EPSILON, (1.0, 1.0, 1.0))
+        assert descents[:2] == [((1.0, 1.0, 1.0), False, False),
+                                ((2.0, 2.0, 1.0), False, True)]
+        assert descents[2:] == [(table.reduced.betas, True, True)]
+        for column in (table.joint, table.reduced, table.decoupled):
+            assert (column.n, column.cost, column.feasible) == ((534, 225, 133), 892.0, True)
 
     def test_s64_columns_repaired(self):
         # every column rounds short of the target, joint (496, 260),

@@ -1,5 +1,6 @@
 """Tests for bisect_decreasing: the answers of plain bisection, fewer calls;
-and for Brent's minimizer under grid_then_golden.
+and for Brent's minimizer under grid_then_golden, cold from its grid and
+warm from a walk out of a start.
 
 Every bisection test compares against plain_bisection below, the bracket
 doubling and bisection loop bisect_decreasing must reproduce: the same
@@ -18,6 +19,7 @@ from qstaff.errors import BracketError
 from qstaff.search import (
     _LO,
     _MAX_ITER,
+    _N_GRID,
     _RTOL,
     _SLACK,
     _XREL,
@@ -349,16 +351,77 @@ def test_brent_lands_within_two_tol_inside_the_bracket(shape, lo, hi, c):
     assert all(lo < u < hi for u in seen)
 
 
-@settings(max_examples=200, deadline=None)
-@given(c=st.floats(0.0, BETA_HI),
-       weights=st.tuples(*[st.floats(0.0, 10.0)] * 3).filter(lambda w: max(w) >= 1e-3))
-def test_grid_then_golden_finds_convex_minimizers(c, weights):
+def convex_slice(c, weights):
     quadratic, linear, quartic = weights
 
     def fn(x):
         d = x - c
         return quadratic * d * d + linear * abs(d) + quartic * d ** 4
 
-    x, _, _, at_cap = grid_then_golden(fn)
+    return fn
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(0.0, BETA_HI),
+       weights=st.tuples(*[st.floats(0.0, 10.0)] * 3).filter(lambda w: max(w) >= 1e-3))
+def test_grid_then_golden_finds_convex_minimizers(c, weights):
+    x, _, _, at_cap = grid_then_golden(convex_slice(c, weights))
     assert abs(x - c) <= 2.0 * brent_tol(x)
     assert not at_cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(0.0, BETA_CAP), start=st.floats(0.0, BETA_CAP),
+       weights=st.tuples(*[st.floats(0.0, 10.0)] * 3).filter(lambda w: max(w) >= 1e-3))
+def test_warm_search_lands_on_the_grid_minimizer(c, start, weights):
+    fn = convex_slice(c, weights)
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return fn(x)
+
+    cold = grid_then_golden(fn)
+    x, fx, evals, at_cap = grid_then_golden(counted, start)
+    assert abs(x - cold[0]) <= 2.0 * brent_tol(x)
+    assert (fx, evals, at_cap) == (fn(x), len(seen), cold[3])
+    assert seen[0] == start and all(0.0 <= u <= BETA_CAP for u in seen)
+
+
+def test_warm_search_from_an_infinite_start_scans_the_grid():
+    def fn(x):
+        return math.inf if x < 1.0 else (x - 3.0) ** 2
+
+    cold = grid_then_golden(fn)
+    x, fx, evals, at_cap = grid_then_golden(fn, 0.5)
+    assert (x, fx, at_cap) == cold[:2] + cold[3:]
+    assert evals == cold[2] + 1
+
+
+@pytest.mark.parametrize("start", [-1.0, -1e-300, math.nextafter(BETA_CAP, math.inf), 100.0,
+                                   math.inf, math.nan])
+def test_warm_search_from_outside_the_box_is_cold(start):
+    probes = []
+
+    def fn(x):
+        probes.append(x)
+        return (x - 3.0) ** 2
+
+    assert grid_then_golden(fn, start) == grid_then_golden(fn)
+    assert start not in probes
+
+
+@pytest.mark.parametrize("start", [0.0, 3.0, BETA_HI, BETA_CAP - 0.1, BETA_CAP])
+def test_warm_search_reports_a_minimizer_beyond_the_cap(start):
+    x, fx, _, at_cap = grid_then_golden(lambda b: -b, start)
+    assert x == pytest.approx(BETA_CAP, abs=1e-6)
+    assert at_cap
+
+
+def test_warm_search_of_an_increasing_slice_stays_at_the_lower_edge():
+    cold = grid_then_golden(lambda b: b * b + b)
+    x, fx, evals, at_cap = grid_then_golden(lambda b: b * b + b, 0.0)
+    assert (x, fx, at_cap) == (0.0, 0.0, False) == cold[:2] + cold[3:]
+    # the probe and the one neighbour replace the grid; Brent runs on the
+    # same bracket, (0, one grid spacing)
+    assert evals == cold[2] - _N_GRID + 2
