@@ -62,9 +62,10 @@ from .frontier import (
     check_epsilon,
     integer_staffing,
 )
+from .lattice import _dot, _fold, _folded_no_wait, _table_no_wait
 from .lattice import certified_box, no_wait_tables, walk
 from .scenarios import JointScenarioSet
-from .search import BETA_CAP, bisect_decreasing, grid_then_golden
+from .search import BETA_CAP, SLICE_XTOL, bisect_decreasing, grid_then_golden
 from .stochastic import FEASIBILITY_TOL, _reduced_decision
 from .stochastic import solve_reduced  # noqa: F401 (perfbench/tracing.py wraps it here)
 
@@ -103,36 +104,6 @@ def _cost_function(cost, what):
 
 def _no_wait_vector(marginal, n):
     return [1.0 - w for w in _wait_vector(n, marginal.rates)]
-
-
-def _fold(scenarios, no_waits):
-    # weights over the last station's rates, given the no-wait vectors u_i
-    # of stations i < L-1: weights[j] sums p^w prod_i u_i[idx_i(w)] over the
-    # scenarios w at the last station's j-th rate; the joint no-wait is
-    # their dot product with the last station's vector
-    index = scenarios.rate_index
-    terms = scenarios.probs
-    for no_wait, idx in zip(no_waits, index[:-1]):
-        terms = [t * no_wait[k] for t, k in zip(terms, idx)]
-    weights = [0.0] * len(scenarios.marginals[-1])
-    for t, j in zip(terms, index[-1]):
-        weights[j] += t
-    return weights
-
-
-def _dot(weights, no_wait):
-    return sum(x * u for x, u in zip(weights, no_wait))
-
-
-def _folded_no_wait(scenarios, no_waits):
-    # joint no-wait from every station's no-wait vector
-    return _dot(_fold(scenarios, no_waits[:-1]), no_waits[-1])
-
-
-def _table_no_wait(scenarios, lower, tables, n):
-    # joint_constraint_value(scenarios, n) bit for bit, from lattice tables holding n
-    return _folded_no_wait(scenarios, [t[:, k - lo].tolist()
-                                       for t, k, lo in zip(tables, n, lower)])
 
 
 def _joint_no_wait(scenarios, levels):
@@ -260,26 +231,26 @@ def _reduced_report(scenarios, decision, costs, eps, method, over_conservative=F
         converged=converged)
 
 
-def coordinate_descent(slice_at, objective, betas, coords, warm=False):
+def coordinate_descent(slice_at, objective, betas, coords, warm=False, xtol=None):
     """Cyclic coordinate descent over the safety factors betas[i], i in coords.
 
     A cycle minimizes slice_at(i, betas), the objective as a function of
     beta_i alone, for each i in coords in turn by grid_then_golden (a
-    bracket refined by Brent's method, to a relative 2**-27 in beta),
-    then scores the cycle with objective(betas), which may complete betas
-    in place. Descent stops when a cycle gains less than
-    CYCLE_TOL * (1 + |value|), when the value is infinite, at once when a
-    slice's minimum is, or after MAX_CYCLES cycles; with no coords, one
-    cycle. Returns (betas, value, cycles, converged), value being the
-    objective at the returned betas (inf, unconverged, after an infinite
-    slice); a beta the last cycle left on the edge of the search box is
-    not converged.
+    bracket refined by Brent's method, to a relative 2**-27 in beta or to
+    the absolute xtol given), then scores the cycle with
+    objective(betas), which may complete betas in place. Descent stops
+    when a cycle gains less than CYCLE_TOL * (1 + |value|), when the
+    value is infinite, at once when a slice's minimum is, or after
+    MAX_CYCLES cycles; with no coords, one cycle. Returns (betas, value,
+    cycles, converged), value being the objective at the returned betas
+    (inf, unconverged, after an infinite slice); a beta the last cycle
+    left on the edge of the search box is not converged.
 
-    The bracket comes from a grid scan, or, when warm says the betas came
-    from an earlier solve and so sit near the minimizer, from a walk out
-    of betas[i]. A descent from arbitrary betas (beta = 1, or a retry
-    start) should stay cold: a walk can settle in another basin than the
-    grid's.
+    The bracket comes from a grid scan, or, when warm says betas[i] is a
+    good start (it came from an earlier solve, or the slice has one
+    basin), from a walk out of betas[i]. Other descents (from beta = 1 at
+    two or more free stations, or a retry start) should stay cold: a walk
+    can settle in another basin than the grid's.
 
     The slice for coordinate i must depend on betas only through the
     other coordinates in coords, and neither another slice nor objective
@@ -300,7 +271,7 @@ def coordinate_descent(slice_at, objective, betas, coords, warm=False):
                 edge = seen[1]
             else:
                 betas[i], low, _, edge = grid_then_golden(
-                    slice_at(i, betas), betas[i] if warm else None)
+                    slice_at(i, betas), betas[i] if warm else None, xtol)
                 if low == math.inf:
                     return betas, math.inf, cycle, False
                 last[i] = (others, edge)
@@ -372,6 +343,10 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
     is infeasible. A key whose mass below every key rate (the fold at
     u = 0) reaches the target needs no safety staffing; it is returned
     with zero betas and flagged over_conservative.
+
+    At L = 2 the one free beta is searched by a walk from beta = 1 (see
+    coordinate_descent), which settles in the basin nearest that start:
+    on a slice with two basins it can return the costlier local minimum.
     """
     scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
     eps = check_epsilon(epsilon)
@@ -426,11 +401,13 @@ def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method
                  warm=False):
     # minimize sum c_i beta_i by descent over every station but the last,
     # whose beta dep_beta(betas) sets to restore the constraint (inf when
-    # no beta up to the bracket cap does, making the cost inf too); the
-    # first descent is warm if the caller's betas are (see
-    # coordinate_descent); with two or more free stations, an infinite
-    # descent reruns cold from common free starts doubling from the
-    # largest given one (>= 1 first) to the cap
+    # no beta up to the bracket cap does, making the cost inf too). With
+    # one free station the descent is one slice search, which walks from
+    # its start and stops Brent at SLICE_XTOL, as finely as a slice of
+    # dependent roots is known. With two or more, the first descent is
+    # warm if the caller's betas are (see coordinate_descent), and an
+    # infinite descent reruns cold from common free starts doubling from
+    # the largest given one (>= 1 first) to the cap
     dep = len(betas) - 1
 
     def completed(bs):
@@ -446,7 +423,8 @@ def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method
 
         return coord
 
-    found = coordinate_descent(slice_at, completed, betas, range(dep), warm)
+    found = coordinate_descent(slice_at, completed, betas, range(dep), warm or dep == 1,
+                               SLICE_XTOL if dep == 1 else None)
     start = max([0.5, *betas[:dep]])
     while not math.isfinite(found[1]) and dep >= 2 and start < BETA_CAP:
         start = min(2.0 * start, BETA_CAP)
@@ -523,8 +501,13 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
     move only marginally at realistic scales. warm_betas (a start for the
     descent, default all ones) needs key_indices. Betas from either
     source start a warm descent (see coordinate_descent), whose slice
-    searches walk out from them instead of scanning a grid; the default
-    ones start a cold one, as do the retries after an infinite descent.
+    searches walk out from them instead of scanning a grid. So does any
+    two-station descent, whose one slice search walks from the default
+    ones too; at three or more stations the default ones start a cold
+    descent, as do the retries after an infinite one. A walk settles in
+    the basin nearest its start: on a two-station slice with two basins
+    it can stop in the costlier one, where a grid scan would find the
+    cheaper, and nothing in the report tells them apart.
     """
     scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
     eps = check_epsilon(epsilon)

@@ -2,7 +2,10 @@
 
 joint.solve_joint_exact_integer walks the box that certified_box reads
 off the tables; an epsilon-mode joint report walks the box n - 1 .. n + 1
-around a rounding n that misses the target.
+around a rounding n that misses the target. The fold of per-station
+no-wait vectors into the joint no-wait, which every joint solver scores
+with, lives here too: the walk decides a point too close to the target
+for its matrix product to order as joint.joint_constraint_value does.
 """
 from __future__ import annotations
 
@@ -17,6 +20,39 @@ from .errors import InfeasibleError
 # the walk forms its joint no-wait matrix in row blocks of at most this
 # many cells (8 bytes each), whatever the width of the box
 LATTICE_BLOCK_CELLS = 1 << 16
+# a joint no-wait this close to the target, far above the rounding of
+# either sum, is decided by the fold rather than the matrix product
+_TIE = 1e-12
+
+
+def _fold(scenarios, no_waits):
+    # weights over the last station's rates, given the no-wait vectors u_i
+    # of stations i < L-1: weights[j] sums p^w prod_i u_i[idx_i(w)] over the
+    # scenarios w at the last station's j-th rate; the joint no-wait is
+    # their dot product with the last station's vector
+    index = scenarios.rate_index
+    terms = scenarios.probs
+    for no_wait, idx in zip(no_waits, index[:-1]):
+        terms = [t * no_wait[k] for t, k in zip(terms, idx)]
+    weights = [0.0] * len(scenarios.marginals[-1])
+    for t, j in zip(terms, index[-1]):
+        weights[j] += t
+    return weights
+
+
+def _dot(weights, no_wait):
+    return sum(x * u for x, u in zip(weights, no_wait))
+
+
+def _folded_no_wait(scenarios, no_waits):
+    # joint no-wait from every station's no-wait vector
+    return _dot(_fold(scenarios, no_waits[:-1]), no_waits[-1])
+
+
+def _table_no_wait(scenarios, lower, tables, n):
+    # joint_constraint_value(scenarios, n) bit for bit, from lattice tables holding n
+    return _folded_no_wait(scenarios, [t[:, k - lo].tolist()
+                                       for t, k, lo in zip(tables, n, lower)])
 
 
 def no_wait_tables(marginals, lower, top=None):
@@ -76,15 +112,21 @@ def certified_box(scenarios, eps, costs):
 
     # incumbent: each station at its first level whose marginal no-wait
     # reaches t, for the smallest feasible t by bisection over the union
-    # of those values; t = inf puts every station at its top
+    # of those values; t = inf puts every station at its top. A sum within
+    # _TIE of the target is decided by the fold, as the walk decides a cell
     def offsets_at(t):
         return [min(int(np.searchsorted(r, t)), r.size - 1) for r in reach]
 
     def meets_target(t):
+        offsets = offsets_at(t)
         joint = probs
-        for table, idx, k in zip(tables, index, offsets_at(t)):
+        for table, idx, k in zip(tables, index, offsets):
             joint = joint * table[idx, k]
-        return joint.sum() >= target
+        total = joint.sum()
+        if abs(total - target) >= _TIE:
+            return total > target
+        return _table_no_wait(scenarios, lower, tables,
+                              [lo + k for lo, k in zip(lower, offsets)]) >= target
 
     thresholds = np.unique(np.concatenate(reach)).tolist() + [math.inf]
     incumbent = bisect.bisect_left(thresholds, True, key=meets_target)
@@ -109,7 +151,10 @@ def walk(scenarios, target, costs, lower, tables):
     product gives the joint no-wait probability over the part of the last
     two stations' box that could still beat that point, and the cheapest
     feasible level of the last station is the first column of each row to
-    reach the target.
+    reach the target. A cell within _TIE of the target, where the
+    product's rounding could decide otherwise than the fold, is decided
+    by _table_no_wait when it would be the best point so far, so the walk
+    returns the point joint.joint_constraint_value finds cheapest.
     """
     L = len(tables)
     dep = L - 1
@@ -137,6 +182,17 @@ def walk(scenarios, target, costs, lower, tables):
     dep_lo, dep_cost = lower[dep], costs[dep]
 
     best_cost, best_n = math.inf, None
+
+    def clear_column(head, cells, k):
+        # the first column from k whose point head + (level,) meets the
+        # target, cells holding the row's joint no-wait per column; a cell
+        # within _TIE of the target, which the product's rounding cannot
+        # order, is decided by the fold; None when no column meets it
+        for col in range(k, cells.size):
+            if cells[col] >= target + _TIE or _table_no_wait(
+                    scenarios, lower, tables, head + (dep_lo + col,)) >= target:
+                return col
+        return None
 
     def outer_points(i, head, prefix, weights):
         # outer points from station i on, in lexicographic order, with
@@ -170,7 +226,9 @@ def walk(scenarios, target, costs, lower, tables):
             if prefix + row_cost * start + dep_cost * dep_lo >= best_cost:
                 break
             stop = min(start + block, row_top + 1)
-            feasible = row_table[start - row_lo:stop - row_lo] @ partial >= target
+            values = row_table[start - row_lo:stop - row_lo] @ partial
+            # every cell the fold could find feasible, and some it cannot
+            feasible = values >= target - _TIE
             first = feasible.argmax(axis=1).tolist()
             for i in np.flatnonzero(feasible.any(axis=1)).tolist():
                 n, k = start + i, first[i]
@@ -179,7 +237,11 @@ def walk(scenarios, target, costs, lower, tables):
                     # every later row costs at least as much
                     break
                 cost = fixed + dep_cost * (dep_lo + k)
+                if cost >= best_cost:
+                    continue
+                head = (outer + (n,))[:dep]
+                k = clear_column(head, values[i], k)
+                cost = math.inf if k is None else fixed + dep_cost * (dep_lo + k)
                 if cost < best_cost:
-                    best_cost = cost
-                    best_n = (outer + (n,))[:dep] + (dep_lo + k,)
+                    best_cost, best_n = cost, head + (dep_lo + k,)
     return None if best_n is None else (best_n, best_cost)

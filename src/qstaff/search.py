@@ -17,12 +17,13 @@ curve evaluations more than plain bisection.
 A slice is minimized only as finely as it is known: in a keyed descent
 each of its values comes from a dependent root found to _XTOL, so a
 smooth slice pins its minimizer to about 1e-5 however long the search
-runs. brent_min, which grid_then_golden runs on its bracket, stops at a
-relative tolerance of half sqrt(machine epsilon) and takes parabolic
-steps where the slice is smooth: about 20 calls after the grid, where
-golden-section search down to _XTOL took 49. The 33-point grid is then
-most of a cold search; a warm one, started where an earlier solve left
-the minimizer, brackets it by walking out from there in a few calls.
+runs. brent_min, which grid_then_golden runs on its bracket, takes
+parabolic steps where the slice is smooth and stops at a relative
+tolerance of half sqrt(machine epsilon), or at an absolute xtol a caller
+gives it: SLICE_XTOL, which a keyed descent with one free station asks
+for, ends a search about 15 calls after its bracket. The 33-point grid
+is most of a cold search; a warm one, started where the minimizer is
+expected, brackets it by walking out from there in a few calls.
 
 Every solver searches beta in one box, defined only here: [0, BETA_HI],
 the upper end doubling up to BETA_CAP, in bisect_decreasing until the
@@ -45,9 +46,13 @@ _XTOL = 1e-10
 _RTOL = 1e-9      # bisection residual counted as converged
 _MAX_ITER = 200
 _N_GRID = 33
+_GRID_STEP = BETA_HI / (_N_GRID - 1)    # the first step of a walk or a climb
 _SLACK = 4        # calls bisect_decreasing may make beyond those repaid
 _LOG_TINY = math.log(math.ulp(0.0))
 _EDGE = 1e-6      # a minimizer this close to the upper end sits on the edge
+# brent_min's absolute tolerance for a slice whose values are dependent
+# roots found to _XTOL; its 2*tol stays below _EDGE
+SLICE_XTOL = 4e-7
 _XREL = 2.0 ** -27    # Brent's relative tolerance, half sqrt(machine epsilon)
 _GOLD = (3.0 - math.sqrt(5.0)) / 2.0    # Brent's golden-section step
 
@@ -186,7 +191,7 @@ def _gap_scale(target):
     return lambda v: (math.log(v) if v > 0.0 else _LOG_TINY) - log_target
 
 
-def brent_min(fn, lo, hi):
+def brent_min(fn, lo, hi, xtol=None):
     """Minimize fn on (lo, hi) by Brent's method (Brent 1973, Algorithms
     for Minimization without Derivatives, ch. 5).
 
@@ -195,8 +200,8 @@ def brent_min(fn, lo, hi):
     inside the bracket and moves less than half the step before last;
     otherwise it takes a golden-section step into the larger side. The
     search stops once the bracket around x is within 2*tol of it, tol
-    being _XREL*|x| + _XTOL/4, so for a unimodal fn |x - x*| <= 2*tol.
-    fn is evaluated only strictly inside (lo, hi).
+    being xtol if given, else _XREL*|x| + _XTOL/4, so for a unimodal fn
+    |x - x*| <= 2*tol. fn is evaluated only strictly inside (lo, hi).
     """
     a, b = lo, hi
     x = w = v = a + _GOLD * (b - a)
@@ -205,7 +210,7 @@ def brent_min(fn, lo, hi):
     d = e = 0.0     # the last step, and the one before it
     for _ in range(_MAX_ITER):
         m = 0.5 * (a + b)
-        tol = _XREL * abs(x) + 0.25 * _XTOL
+        tol = _XREL * abs(x) + 0.25 * _XTOL if xtol is None else xtol
         if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
             break
         p = q = r = 0.0
@@ -249,13 +254,14 @@ def brent_min(fn, lo, hi):
     return x, fx, evals
 
 
-def grid_then_golden(fn, start=None):
+def grid_then_golden(fn, start=None, xtol=None):
     """Minimize fn on [0, BETA_CAP]: bracket a minimum, then brent_min on
-    the bracket, whose answer wins unless the best bracketing point is
-    lower. Robust when unimodality is only approximate; the bracket pins
-    the basin, Brent refines it. The name dates from golden-section
-    refinement and is kept for its callers (perfbench's tracer wraps
-    joint.grid_then_golden and reads its evaluation count).
+    the bracket (to xtol, if given), whose answer wins unless the best
+    bracketing point is lower. Robust when unimodality is only
+    approximate; the bracket pins the basin, Brent refines it. The name
+    dates from golden-section refinement and is kept for its callers
+    (perfbench's tracer wraps joint.grid_then_golden and reads its
+    evaluation count).
 
     Cold, with no start, a coarse grid of _N_GRID points on [0, BETA_HI]
     brackets the minimum between the neighbours of its best point; while
@@ -264,31 +270,64 @@ def grid_then_golden(fn, start=None):
     at BETA_CAP is below _EDGE, so a minimizer on the edge is still seen
     there.
 
-    Warm, from a start in [0, BETA_CAP] where fn is finite (say a beta an
-    earlier solve left near the minimizer), the bracket comes from _walk
+    Warm, from a start in [0, BETA_CAP], the bracket comes from _walk
     instead, usually in three evaluations (the start and its neighbours)
-    where the grid takes 33. A start outside the box is not probed; one
-    where fn is not finite costs that one probe and then the grid.
+    where the grid takes 33. Where fn(start) is +inf, as a keyed slice is
+    below some beta, _climb first finds a finite point to walk from. A
+    start outside the box is not probed; a NaN at the start, or no finite
+    point up to BETA_CAP, falls back to the grid after those probes.
 
-    Returns (x, fn(x), evaluations summed over the probe and every
+    Returns (x, fn(x), evaluations summed over the probes and every
     interval, at_cap), at_cap being true when the minimizer sits within
     _EDGE of BETA_CAP.
     """
     evals = 0
     if start is not None and 0.0 <= start <= BETA_CAP:
-        fs = fn(start)
-        evals += 1
+        start, fs, evals = _climb(fn, start)
         if math.isfinite(fs):
-            x, fx, e = _refine(fn, *_walk(fn, start, fs))
+            x, fx, e = _refine(fn, *_walk(fn, start, fs), xtol)
             return x, fx, evals + e, x >= BETA_CAP - _EDGE
     hi = BETA_HI
     while True:
-        x, fx, e = _refine(fn, *_grid(fn, hi))
+        x, fx, e = _refine(fn, *_grid(fn, hi), xtol)
         evals += e
         at_edge = x >= hi - _EDGE
         if not at_edge or hi >= BETA_CAP:
             return x, fx, evals, at_edge
         hi = min(2.0 * hi, BETA_CAP)
+
+
+def _climb(fn, x):
+    """(x, fn(x), evaluations) for a warm start x, moved off a prefix of
+    beta where fn is +inf.
+
+    From such a start, x steps upward (the grid spacing, doubling) to the
+    first point where fn is finite. That point can lie far past the
+    prefix's end, and past a basin there, so the gap from the last
+    infinite point is then bisected down to one grid spacing, and x moves
+    to the lowest finite point seen. A start where fn is not +inf is
+    returned as it is, as is BETA_CAP when fn is +inf all the way up.
+    """
+    fx = fn(x)
+    evals = 1
+    below, step = x, _GRID_STEP     # below: the last point where fn is +inf
+    while fx == math.inf and x < BETA_CAP:
+        below, x = x, min(x + step, BETA_CAP)
+        step *= 2.0
+        fx = fn(x)
+        evals += 1
+    hi = x
+    while math.isfinite(fx) and hi - below > _GRID_STEP:
+        mid = 0.5 * (below + hi)
+        fm = fn(mid)
+        evals += 1
+        if fm == math.inf:
+            below = mid
+        else:
+            hi = mid
+            if fm < fx:
+                x, fx = mid, fm
+    return x, fx, evals
 
 
 def _walk(fn, x, fx):
@@ -302,7 +341,7 @@ def _walk(fn, x, fx):
     (a, b, best_x, best_f, evaluations): best_x is the lowest point
     walked, and lies in [a, b] with fn no higher there than at either end.
     """
-    step = BETA_HI / (_N_GRID - 1)
+    step = _GRID_STEP
     evals = 0
     for direction in (1.0, -1.0):
         u = min(max(x + direction * step, 0.0), BETA_CAP)
@@ -340,10 +379,10 @@ def _grid(fn, hi):
     return a, b, best_x, best_f, _N_GRID
 
 
-def _refine(fn, a, b, best_x, best_f, evals):
-    # brent_min on (a, b), whose answer wins unless best_x is lower; the
-    # evaluations add to the bracket's
-    x, fx, e = brent_min(fn, a, b)
+def _refine(fn, a, b, best_x, best_f, evals, xtol):
+    # brent_min on (a, b) to xtol, whose answer wins unless best_x is
+    # lower; the evaluations add to the bracket's
+    x, fx, e = brent_min(fn, a, b, xtol)
     if fx <= best_f:
         return x, fx, evals + e
     return best_x, best_f, evals + e

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from qstaff.erlang import BOUND_CHOICES, wait_curve
 from qstaff.errors import BracketError
 from qstaff.search import (
+    _EDGE,
     _LO,
     _MAX_ITER,
     _N_GRID,
@@ -26,6 +27,7 @@ from qstaff.search import (
     _XTOL,
     BETA_CAP,
     BETA_HI,
+    SLICE_XTOL,
     RootResult,
     bisect_decreasing,
     brent_min,
@@ -320,9 +322,14 @@ def test_wait_curve_roots_take_at_most_sixteen_calls_on_average():
         assert sum(calls) / len(calls) <= 16
 
 
-def brent_tol(x):
-    """Brent's stopping tolerance at x."""
-    return _XREL * abs(x) + 0.25 * _XTOL
+def brent_tol(x, xtol=None):
+    """Brent's stopping tolerance at x, given xtol or not."""
+    return _XREL * abs(x) + 0.25 * _XTOL if xtol is None else xtol
+
+
+def test_slice_tolerance_sees_the_edge():
+    # a minimizer on BETA_CAP still lands within _EDGE of it
+    assert 2.0 * SLICE_XTOL < _EDGE
 
 
 SLICE_SHAPES = {
@@ -335,20 +342,30 @@ BRACKETS = [(0.0, 1.0, 0.3), (0.0, 0.25, 0.0), (7.75, 8.0, 8.0),
             (2.25, 2.75, 2.7), (31.0, 33.0, 32.0 + 1e-7)]
 
 
-@pytest.mark.parametrize("shape", SLICE_SHAPES, ids=list(SLICE_SHAPES))
-@pytest.mark.parametrize("lo, hi, c", BRACKETS)
-def test_brent_lands_within_two_tol_inside_the_bracket(shape, lo, hi, c):
+def assert_brent_lands_within_two_tol(shape, lo, hi, c, xtol=None):
     seen = []
 
     def fn(x):
         seen.append(x)
         return SLICE_SHAPES[shape](x, c)
 
-    x, fx, evals = brent_min(fn, lo, hi)
-    assert abs(x - c) <= 2.0 * brent_tol(x)
+    x, fx, evals = brent_min(fn, lo, hi, xtol)
+    assert abs(x - c) <= 2.0 * brent_tol(x, xtol)
     assert evals == len(seen)
     assert fx == SLICE_SHAPES[shape](x, c)
     assert all(lo < u < hi for u in seen)
+
+
+@pytest.mark.parametrize("shape", SLICE_SHAPES, ids=list(SLICE_SHAPES))
+@pytest.mark.parametrize("lo, hi, c", BRACKETS)
+def test_brent_lands_within_two_tol_inside_the_bracket(shape, lo, hi, c):
+    assert_brent_lands_within_two_tol(shape, lo, hi, c)
+
+
+@pytest.mark.parametrize("shape", SLICE_SHAPES, ids=list(SLICE_SHAPES))
+@pytest.mark.parametrize("lo, hi, c", BRACKETS)
+def test_brent_lands_within_two_xtol_inside_the_bracket(shape, lo, hi, c):
+    assert_brent_lands_within_two_tol(shape, lo, hi, c, SLICE_XTOL)
 
 
 def convex_slice(c, weights):
@@ -372,8 +389,9 @@ def test_grid_then_golden_finds_convex_minimizers(c, weights):
 
 @settings(max_examples=200, deadline=None)
 @given(c=st.floats(0.0, BETA_CAP), start=st.floats(0.0, BETA_CAP),
-       weights=st.tuples(*[st.floats(0.0, 10.0)] * 3).filter(lambda w: max(w) >= 1e-3))
-def test_warm_search_lands_on_the_grid_minimizer(c, start, weights):
+       weights=st.tuples(*[st.floats(0.0, 10.0)] * 3).filter(lambda w: max(w) >= 1e-3),
+       xtol=st.sampled_from([None, SLICE_XTOL]))
+def test_warm_search_lands_on_the_grid_minimizer(c, start, weights, xtol):
     fn = convex_slice(c, weights)
     seen = []
 
@@ -382,20 +400,75 @@ def test_warm_search_lands_on_the_grid_minimizer(c, start, weights):
         return fn(x)
 
     cold = grid_then_golden(fn)
-    x, fx, evals, at_cap = grid_then_golden(counted, start)
-    assert abs(x - cold[0]) <= 2.0 * brent_tol(x)
+    x, fx, evals, at_cap = grid_then_golden(counted, start, xtol)
+    assert abs(x - c) <= 2.0 * brent_tol(x, xtol)
+    if xtol is None:
+        assert abs(x - cold[0]) <= 2.0 * brent_tol(x)
     assert (fx, evals, at_cap) == (fn(x), len(seen), cold[3])
     assert seen[0] == start and all(0.0 <= u <= BETA_CAP for u in seen)
 
 
-def test_warm_search_from_an_infinite_start_scans_the_grid():
+def past_a_prefix(edge, fn):
+    return lambda x: math.inf if x < edge else fn(x)
+
+
+# (slice, minimizer): infinite below some beta, as a keyed slice is; the
+# second has another, higher basin where the upward steps from 1 first
+# find a finite value (8.75), past the one just above the prefix's end
+PREFIXED_SLICES = [
+    (past_a_prefix(1.0, lambda x: (x - 3.0) ** 2), 3.0),
+    (past_a_prefix(5.1, lambda x: min((x - 5.4) ** 2 + 1.0, (x - 8.8) ** 2 + 2.0)), 5.4),
+]
+
+
+@pytest.mark.parametrize("fn, c", PREFIXED_SLICES, ids=["one-basin", "two-basins"])
+@pytest.mark.parametrize("start", [0.0, 0.5, 0.99])
+def test_warm_search_walks_up_out_of_an_infinite_start(fn, c, start):
+    # the start steps upward (0.25, 0.5, 1, ...) to the first finite
+    # point, bisects back to within a grid spacing of the prefix's end and
+    # walks from the lowest point seen, well short of the grid's evaluations
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return fn(x)
+
+    cold = grid_then_golden(fn, None, SLICE_XTOL)
+    x, fx, evals, at_cap = grid_then_golden(counted, start, SLICE_XTOL)
+    assert abs(x - c) <= 2.0 * SLICE_XTOL and abs(x - cold[0]) <= 2.0 * SLICE_XTOL
+    assert (fx, evals, at_cap) == (fn(x), len(seen), False)
+    assert evals < cold[2] - _N_GRID / 2
+    first = next(i for i, u in enumerate(seen) if math.isfinite(fn(u)))
+    assert seen[:first + 1] == sorted(seen[:first + 1])
+
+
+def test_warm_search_from_a_nan_start_scans_the_grid():
     def fn(x):
-        return math.inf if x < 1.0 else (x - 3.0) ** 2
+        return math.nan if x < 1.0 else (x - 3.0) ** 2
 
     cold = grid_then_golden(fn)
     x, fx, evals, at_cap = grid_then_golden(fn, 0.5)
     assert (x, fx, at_cap) == cold[:2] + cold[3:]
     assert evals == cold[2] + 1
+
+
+def test_warm_search_of_a_slice_infinite_to_the_cap_scans_the_grid():
+    # the upward steps from 1 reach BETA_CAP, still infinite; the grid
+    # then answers as it does cold, and the slice's minimum is inf
+    seen = []
+
+    def fn(x):
+        seen.append(x)
+        return math.inf
+
+    cold = grid_then_golden(fn)
+    grid = list(seen)
+    seen.clear()
+    x, fx, evals, at_cap = grid_then_golden(fn, 1.0)
+    walked = [1.0, 1.25, 1.75, 2.75, 4.75, 8.75, 16.75, 32.75, BETA_CAP]
+    assert seen == walked + grid
+    assert (x, fx, at_cap) == cold[:2] + cold[3:] and fx == math.inf
+    assert evals == cold[2] + len(walked)
 
 
 @pytest.mark.parametrize("start", [-1.0, -1e-300, math.nextafter(BETA_CAP, math.inf), 100.0,
@@ -411,11 +484,23 @@ def test_warm_search_from_outside_the_box_is_cold(start):
     assert start not in probes
 
 
-@pytest.mark.parametrize("start", [0.0, 3.0, BETA_HI, BETA_CAP - 0.1, BETA_CAP])
+CAP_STARTS = [0.0, 3.0, BETA_HI, BETA_CAP - 0.1, BETA_CAP]
+
+
+@pytest.mark.parametrize("start", CAP_STARTS)
 def test_warm_search_reports_a_minimizer_beyond_the_cap(start):
     x, fx, _, at_cap = grid_then_golden(lambda b: -b, start)
     assert x == pytest.approx(BETA_CAP, abs=1e-6)
     assert at_cap
+
+
+@pytest.mark.parametrize("start", CAP_STARTS)
+def test_warm_search_to_slice_tolerance_reports_a_minimizer_beyond_the_cap(start):
+    # Brent's 2*SLICE_XTOL stays inside _EDGE, on a straight slice and a curved one
+    for fn in (lambda b: -b, lambda b: (b - 70.0) ** 2):
+        x, fx, _, at_cap = grid_then_golden(fn, start, SLICE_XTOL)
+        assert x == pytest.approx(BETA_CAP, abs=_EDGE)
+        assert at_cap
 
 
 def test_warm_search_of_an_increasing_slice_stays_at_the_lower_edge():
