@@ -23,9 +23,14 @@ normalized to 1):
 
 All functions are pure and safe for concurrent use. Scalar results are
 cached on the (n, lambda) pair in bounded caches (2^13 continuous and
-2^12 exact entries, a few hundred bytes each). The solvers evaluate one
-level against a station's whole rate vector through _wait_vector: one
-ufunc call per level, no cache, and the scalar bits rate by rate.
+2^12 exact entries, a few hundred bytes each). The exact recursion's
+state at floor(lambda), which every stable level of a rate walks
+through, is a checkpoint cached per rate (2^12 entries of two numbers),
+so the first exact value at a rate pays O(sqrt(lambda) + n - lambda)
+steps and every later one, scalar or column, O(n - lambda). The solvers
+evaluate one level against a station's whole rate vector through
+_wait_vector: one ufunc call per level, no cache, and the scalar bits
+rate by rate.
 """
 from __future__ import annotations
 
@@ -94,7 +99,10 @@ def erlang_c_exact(n, lam):
     precision where a factorial form would overflow near n = 170. It
     starts at b_k0 = 1, k0 = max(floor(lambda - 12 sqrt(lambda)), 0): the
     terms this drops weigh about e^(-72) of b_n, so the value is bit for
-    bit the one from b_0 = 1, in O(sqrt(lambda) + n - lambda) steps.
+    bit the one from b_0 = 1. The first call at a rate runs it to
+    floor(lambda) and keeps that state as the rate's checkpoint, in
+    O(sqrt(lambda) + n - lambda) steps; later calls at the rate resume
+    from the checkpoint, in O(n - lambda).
 
     Values below the double-precision underflow threshold (roughly
     1e-308, reached only for enormous safety margins) are returned as 0.0.
@@ -107,16 +115,24 @@ def erlang_c_exact(n, lam):
     return _erlang_c_exact_cached(n, lam)
 
 
-def _recursion_start(lam):
-    # k0 of erlang_c_exact; a start at lam - 9 sqrt(lam) already changes bits
-    return max(math.floor(lam - 12.0 * math.sqrt(lam)), 0)
+@lru_cache(maxsize=1 << 12)
+def _recursion_at_rate(lam):
+    # (k, ib) with k = floor(lam) and ib = 1/B(k, lam), the last unstable
+    # level: the prefix every stable level of lam walks, run once per rate
+    # from erlang_c_exact's k0 (a start at lam - 9 sqrt(lam) already
+    # changes bits); ib stays near sqrt(lam), far from overflow
+    last = math.floor(lam)
+    ib = 1.0
+    for k in range(max(math.floor(lam - 12.0 * math.sqrt(lam)), 0) + 1, last + 1):
+        ib = 1.0 + (k / lam) * ib
+    return last, ib
 
 
 @lru_cache(maxsize=1 << 12)
 def _erlang_c_exact_cached(n, lam):
     # needs lam < n. Past double range ib stays inf and alpha flushes to
     # 0.0, so the recursion ends with the first 512-step block ending at inf
-    ib, k = 1.0, _recursion_start(lam)  # ib after step k equals 1/B(k, lam)
+    k, ib = _recursion_at_rate(lam)     # ib after step k equals 1/B(k, lam)
     while k < n and ib < math.inf:
         for k in range(k + 1, min(k + 512, n) + 1):
             ib = 1.0 + (k / lam) * ib
@@ -129,28 +145,24 @@ def _exact_no_wait_column(lam, lower, top=None):
     up to the first level where the entry rounds to 1.0 for good, or to
     top (lower <= top) if that comes first; 1 <= lower.
 
-    One pass of the inverse Erlang-B recursion, from the same start as
-    erlang_c_exact, yields alpha at every k on the way. Each entry goes
-    through exactly the floating-point operations of
-    _erlang_c_exact_cached(k, lam), so it equals
-    1.0 - wait_probability(k, lam) bit for bit: 0.0 where lam >= k. Once
-    (1 - rho) * ib reaches 2^60 the entry rounds to 1.0, and so does every
-    later one, since both factors only grow with k above lam; the column
-    ends with that entry.
+    One pass of the inverse Erlang-B recursion, resumed from the rate's
+    checkpoint at floor(lam) as erlang_c_exact is, yields alpha at every
+    stable k on the way. Each entry goes through exactly the
+    floating-point operations of _erlang_c_exact_cached(k, lam), so it
+    equals 1.0 - wait_probability(k, lam) bit for bit: 0.0 where lam >= k.
+    Once (1 - rho) * ib reaches 2^60 the entry rounds to 1.0, and so does
+    every later one, since both factors only grow with k above lam; the
+    column ends with that entry.
     """
-    start = _recursion_start(lam)
-    first = max(lower, start + 1)
+    last, ib = _recursion_at_rate(lam)  # every level up to last is unstable
+    first = max(lower, last + 1)
     if top is not None and top < first:
-        return [0.0] * (top - lower + 1)    # start < lam: every level is unstable
-    out = [0.0] * (first - lower)  # levels at or below start
-    ib = 1.0
-    for k in range(start + 1, first):
+        return [0.0] * (top - lower + 1)
+    out = [0.0] * (first - lower)
+    for k in range(last + 1, first):
         ib = 1.0 + (k / lam) * ib
     for k in itertools.count(first) if top is None else range(first, top + 1):
         ib = 1.0 + (k / lam) * ib
-        if lam >= k:
-            out.append(0.0)
-            continue
         rho = lam / k
         tail = (1.0 - rho) * ib
         out.append(1.0 - 1.0 / (rho + tail))

@@ -213,11 +213,13 @@ def _decision_from_betas(betas, key_indices, key_rates):
 def _reduced_report(scenarios, decision, costs, eps, method, over_conservative=False,
                     cycles=0, converged=True):
     # a rounding that misses the target gives way to the cheapest feasible
-    # point of the box n - 1 .. n + 1 (from 1 up) around it, if any
-    achieved = joint_constraint_value(scenarios, decision.n_integer)
+    # point of the box n - 1 .. n + 1 (from 1 up) around it, if any. The
+    # box's tables score the rounding too, joint_constraint_value bit for
+    # bit: one recursion pass per rate, resumed from its checkpoint
+    lower = [max(n - 1, 1) for n in decision.n_integer]
+    tables = no_wait_tables(scenarios.marginals, lower, [k + 2 for k in lower])
+    achieved = _table_no_wait(scenarios, lower, tables, decision.n_integer)
     if achieved + FEASIBILITY_TOL < 1.0 - eps:
-        lower = [max(n - 1, 1) for n in decision.n_integer]
-        tables = no_wait_tables(scenarios.marginals, lower, [k + 2 for k in lower])
         found = walk(scenarios, 1.0 - eps, costs, lower, tables)
         if found is not None:
             decision = replace(decision, n_integer=found[0])

@@ -29,7 +29,8 @@ Every solver searches beta in one box, defined only here: [0, BETA_HI],
 the upper end doubling up to BETA_CAP, in bisect_decreasing until the
 curve falls below the target and in grid_then_golden's grid (which runs
 every weighted solve and every cold coordinate-descent slice) while the
-minimizer sits on that edge; a warm walk ranges over [0, BETA_CAP].
+minimizer sits on that edge or every grid point is infinite; a warm walk
+ranges over [0, BETA_CAP].
 """
 from __future__ import annotations
 
@@ -268,7 +269,10 @@ def grid_then_golden(fn, start=None, xtol=None):
     the minimizer lies within _EDGE of the upper end, that end doubles (up
     to BETA_CAP) and the search reruns on the wider interval. Brent's 2*tol
     at BETA_CAP is below _EDGE, so a minimizer on the edge is still seen
-    there.
+    there. A grid infinite at every point, as a keyed slice is when the
+    coordinate needs a beta above the grid's end, doubles the end too,
+    with no Brent run on it: each doubling costs _N_GRID more calls, 99
+    more up to BETA_CAP for a slice infinite throughout.
 
     Warm, from a start in [0, BETA_CAP], the bracket comes from _walk
     instead, usually in three evaluations (the start and its neighbours)
@@ -289,10 +293,13 @@ def grid_then_golden(fn, start=None, xtol=None):
             return x, fx, evals + e, x >= BETA_CAP - _EDGE
     hi = BETA_HI
     while True:
-        x, fx, e = _refine(fn, *_grid(fn, hi), xtol)
+        bracket = _grid(fn, hi)
+        # below the cap, a grid infinite throughout widens unrefined
+        x, fx, e = (_refine(fn, *bracket, xtol) if bracket[3] < math.inf or hi >= BETA_CAP
+                    else bracket[2:])
         evals += e
         at_edge = x >= hi - _EDGE
-        if not at_edge or hi >= BETA_CAP:
+        if (fx < math.inf and not at_edge) or hi >= BETA_CAP:
             return x, fx, evals, at_edge
         hi = min(2.0 * hi, BETA_CAP)
 

@@ -1,4 +1,5 @@
 """Tests for the Erlang-C core: exact, continuous, limit, and bounds."""
+import itertools
 import math
 import random
 import re
@@ -10,7 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from qstaff.erlang import (
     BOUND_CHOICES,
     BoundPair,
+    _erlang_c_exact_cached,
     _exact_no_wait_column,
+    _recursion_at_rate,
     _wait_vector,
     _stirlerr,
     erlang_c_exact,
@@ -586,3 +589,110 @@ class TestWarmStartedRecursion:
         assert column == [reference_no_wait(lam, k, ib)
                           for k in range(lower, upper + 1)]
         assert column[-1] == 1.0
+
+
+def from_start_alpha(n, lam):
+    """Erlang C by the recursion run from k0 = floor(lam - 12 sqrt(lam)) on
+    every call, in 512-step blocks: the reference that the checkpointed
+    kernel must match bit for bit."""
+    ib, k = 1.0, max(math.floor(lam - 12.0 * math.sqrt(lam)), 0)
+    while k < n and ib < math.inf:
+        for k in range(k + 1, min(k + 512, n) + 1):
+            ib = 1.0 + (k / lam) * ib
+    rho = lam / n
+    return 1.0 / (rho + (1.0 - rho) * ib)
+
+
+def from_start_column(lam, lower, top=None):
+    """The no-wait column by the recursion run from k0 on every call."""
+    start = max(math.floor(lam - 12.0 * math.sqrt(lam)), 0)
+    first = max(lower, start + 1)
+    if top is not None and top < first:
+        return [0.0] * (top - lower + 1)
+    out = [0.0] * (first - lower)
+    ib = 1.0
+    for k in range(start + 1, first):
+        ib = 1.0 + (k / lam) * ib
+    for k in itertools.count(first) if top is None else range(first, top + 1):
+        ib = 1.0 + (k / lam) * ib
+        if lam >= k:
+            out.append(0.0)
+            continue
+        rho = lam / k
+        tail = (1.0 - rho) * ib
+        out.append(1.0 - 1.0 / (rho + tail))
+        if tail >= 2.0 ** 60:
+            break
+    return out
+
+
+class TestRecursionCheckpoint:
+    # every rate's recursion resumes from its checkpoint at floor(lam);
+    # each value must equal the one from k0 bit for bit, whichever kernel
+    # fills the checkpoint first
+    RATES = (0.3, 1.0, 7.0, 60.0, 499.5, 4500.3, 2e5)
+
+    @staticmethod
+    def levels(lam):
+        # stable levels just above floor(lam), a few sqrt(lam) out, and
+        # one where ib has overflowed and alpha flushed to 0.0
+        base, root = math.floor(lam), math.ceil(math.sqrt(lam))
+        flushed = math.floor(lam + 45.0 * math.sqrt(lam)) + 200
+        assert from_start_alpha(flushed, lam) == 0.0
+        return sorted({base + 1, base + 2, base + root, base + 5 * root, flushed})
+
+    @staticmethod
+    def boxes(lam):
+        # (lower, top): from 1 across floor(lam), from the first stable
+        # level to saturation, far above lam, and, from 1 up, a top below
+        # the first stable level
+        base, root = math.floor(lam), math.ceil(math.sqrt(lam))
+        out = [(1, base + 3 * root), (base + 1, None), (base + 5 * root, None)]
+        if base >= 1:
+            out += [(max(base - root, 1), base), (1, None)]
+        return out
+
+    def exact_hex(self, lam):
+        return [erlang_c_exact(n, lam).hex() for n in self.levels(lam)]
+
+    def columns_hex(self, lam):
+        return [[x.hex() for x in _exact_no_wait_column(lam, lo, top)]
+                for lo, top in self.boxes(lam)]
+
+    def reference_hex(self, lam):
+        exact = [from_start_alpha(n, lam).hex() for n in self.levels(lam)]
+        columns = [[x.hex() for x in from_start_column(lam, lo, top)]
+                   for lo, top in self.boxes(lam)]
+        return exact, columns
+
+    @staticmethod
+    def clear():
+        _erlang_c_exact_cached.cache_clear()
+        _recursion_at_rate.cache_clear()
+
+    @pytest.mark.parametrize("lam", RATES)
+    def test_exact_first_then_column(self, lam):
+        self.clear()
+        exact = self.exact_hex(lam)
+        columns = self.columns_hex(lam)
+        assert (exact, columns) == self.reference_hex(lam)
+        assert (self.exact_hex(lam), self.columns_hex(lam)) == (exact, columns)
+
+    @pytest.mark.parametrize("lam", RATES)
+    def test_column_first_then_exact(self, lam):
+        self.clear()
+        columns = self.columns_hex(lam)
+        exact = self.exact_hex(lam)
+        assert (exact, columns) == self.reference_hex(lam)
+        assert (self.columns_hex(lam), self.exact_hex(lam)) == (columns, exact)
+
+    def test_checkpoint_cache_is_bounded(self):
+        # two numbers per rate, never a column
+        self.clear()
+        maxsize = _recursion_at_rate.cache_info().maxsize
+        assert maxsize == 1 << 12
+        for i in range(maxsize + 100):
+            wait_probability(2, 0.5 + i * 1e-6)
+        assert _recursion_at_rate.cache_info().currsize == maxsize
+        k, ib = _recursion_at_rate(499.5)
+        assert (type(k), type(ib), k) == (int, float, 499)

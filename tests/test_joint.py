@@ -1,7 +1,9 @@
 """Tests for the multi-station joint solvers and the comparison table."""
 import dataclasses
+import importlib.util
 import itertools
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +59,15 @@ BAD_NUMBERS = (True, 10**400, math.nan, "3")
 # what a key index is not: a bool, a fraction, a string, a float however
 # integral, and ints out of range
 BAD_KEYS = (True, 0.9, 1.7, "1", 1.0, -1, 10**400)
+
+
+def perfbench_gen():
+    """perfbench/gen.py, the benchmark's seeded instance generator, by path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def instance(scale=1.0):
@@ -604,6 +615,15 @@ class TestSolveReducedJoint:
             assert 5.0 * (b1 + h) + 3.0 * partner_beta(b1 + h) >= base - 1e-9
             assert 5.0 * (b1 - h) + 3.0 * partner_beta(b1 - h) >= base - 1e-9
 
+    def test_report_at_the_beta_cap(self):
+        # at beta 64 every no-wait in station 1's box has rounded to 1.0
+        # from n - 1 on, where its column ends; the table still spans the box
+        decision = joint._decision_from_betas((BETA_CAP, 2.0), (1, 1), (450.0, 300.0))
+        assert decision.n_integer == (1808, 335)
+        rep = joint._reduced_report(instance(), decision, PRICES, EPSILON, "joint")
+        assert rep.decision.n_integer == (1808, 335)
+        assert rep.achieved_qos == joint_constraint_value(instance(), (1808, 335))
+
     def test_single_station_reduces_to_scalar_solver(self):
         one = JointScenarioSet(((200.0,),), (1.0,))
         rep = solve_reduced_joint(one, EPSILON, (1.0,), key_indices=(0,))
@@ -815,6 +835,19 @@ class TestSolveJoint:
         solve_joint(S64, EPSILON, PRICES, key_indices=S64_KEY)
         assert guesses[0] == 1.0    # the descent's starting beta
         assert sum(evaluations) <= 230
+
+    def test_cold_three_station_descent_widens_past_the_grid(self):
+        # station 1 serves rate 21 on key rate 5, which takes a beta above
+        # BETA_HI whatever the others' betas: each cold slice grid on
+        # [0, BETA_HI] is infinite and widens to [0, 16], where it finds
+        # 9.07; the lattice optimum is the same staffing
+        scenarios = JointScenarioSet(((5.0, 5.0, 5.0), (21.0, 5.0, 5.0)), (0.5, 0.5))
+        costs = (1.0, 1.0, 1.0)
+        rep = solve_joint(scenarios, 0.25, costs, key_indices=(0, 0, 0))
+        assert rep.decision.betas[0] == pytest.approx(9.0653, abs=1e-4)
+        optimum = solve_joint_exact_integer(scenarios, 0.25, costs)
+        assert rep.decision.n_integer == optimum.n == (25, 9, 10)
+        assert rep.feasible and rep.converged
 
     def test_written_off_key_still_solvable(self):
         # the full constraint never writes mass off, so a key the reduced
@@ -1339,6 +1372,27 @@ class TestCompareSolutions:
         assert table.joint.feasible
         assert table.joint.cost >= optimum.cost * (1.0 - 1e-12)
         assert table.joint.cost <= optimum.cost * (1.0 + COMPARE_GAP)
+
+    def test_columns_report_the_constraint_value_bit_for_bit(self):
+        # each column's QoS comes off its +-1 box table, whether the
+        # rounding met the target or was repaired; example1, S3 and the
+        # first 20 compare-2st benchmark instances of seed 1
+        gen = perfbench_gen()
+        problems = [(instance(), EPSILON, PRICES), (S3, EPSILON, (1.0, 1.0, 1.0))]
+        for index in range(20):
+            inst = gen.instance(1, "compare-2st", index)
+            problems.append((JointScenarioSet(inst["rate_vectors"], inst["probs"]),
+                             inst["epsilon"], inst["costs"]))
+        repaired = kept = 0
+        for scenarios, epsilon, costs in problems:
+            table = compare_solutions(scenarios, epsilon, costs)
+            for column in (table.joint, table.reduced, table.decoupled):
+                value = joint_constraint_value(scenarios, column.n)
+                assert column.achieved_qos.hex() == value.hex(), column
+                rounded = tuple(integer_staffing(x) for x in column.n_continuous)
+                repaired += rounded != column.n
+                kept += rounded == column.n
+        assert repaired >= 1 and kept >= 1
 
     def test_call_center_table(self):
         table = compare_solutions(instance(), EPSILON, PRICES)

@@ -471,6 +471,41 @@ def test_warm_search_of_a_slice_infinite_to_the_cap_scans_the_grid():
     assert evals == cold[2] + len(walked)
 
 
+def grid_points(hi):
+    return [i * (hi / (_N_GRID - 1)) for i in range(_N_GRID)]
+
+
+def test_cold_search_widens_past_an_infinite_grid():
+    # every grid point on [0, BETA_HI] is infinite, so the interval
+    # doubles, unrefined, to [0, 16], where the grid brackets the minimizer
+    seen = []
+
+    def fn(x):
+        seen.append(x)
+        return math.inf if x < 9.0 else (x - 12.0) ** 2
+
+    x, fx, evals, at_cap = grid_then_golden(fn)
+    assert (x, fx, at_cap) == (12.0, 0.0, False)
+    assert seen[:2 * _N_GRID] == grid_points(BETA_HI) + grid_points(2.0 * BETA_HI)
+    assert evals == len(seen) < 3 * _N_GRID
+
+
+def test_cold_search_of_a_slice_infinite_to_the_cap():
+    # four grids up to BETA_CAP, and Brent only on the last one's bracket
+    seen = []
+
+    def fn(x):
+        seen.append(x)
+        return math.inf
+
+    x, fx, evals, at_cap = grid_then_golden(fn)
+    grids = [p for hi in (BETA_HI, 2.0 * BETA_HI, 4.0 * BETA_HI, BETA_CAP)
+             for p in grid_points(hi)]
+    assert seen[:len(grids)] == grids
+    assert all(0.0 < u < BETA_CAP / (_N_GRID - 1) for u in seen[len(grids):])
+    assert (fx, at_cap, evals) == (math.inf, False, len(seen))
+
+
 @pytest.mark.parametrize("start", [-1.0, -1e-300, math.nextafter(BETA_CAP, math.inf), 100.0,
                                    math.inf, math.nan])
 def test_warm_search_from_outside_the_box_is_cold(start):
