@@ -28,7 +28,13 @@ solve_exact_enumeration on each of example1's marginals at three
 epsilons and on two sets whose lowest keys cannot reach epsilon within
 the bracket: rates (1, 50, 400) with p (.2, .3, .5) at 0.05 (key 1
 wins) and rates (0.5, 2, 30, 600) with p (.1, .2, .3, .4) at 0.02 (key
-3 wins). Delay curve: erlang_c_exact at n = ceil(lambda) +
+3 wins). Two one-station sets whose rounding misses epsilon:
+solve_reduced and solve_exact_enumeration on rate 100 at 0.05 (the root
+118.15 rounds to 118) and on the paper's queue 2, rates (100, 200, 300)
+with p (.58, .38, .04), at 1 - sqrt(0.95) (306.05 rounds to 306), and
+solve_joint_exact_integer on each as a one-station joint set with cost
+1, so that the single-station reports' agreement with the lattice shows
+in the dump. Delay curve: erlang_c_exact at n = ceil(lambda) +
 j*ceil(sqrt(lambda)), j = 0..6, for four rates up to 2e5, and
 _exact_no_wait_column over two boxes that saturate at 1.0, padded with
 1.0 to the box (a tree whose column still takes the box top is called
@@ -108,6 +114,10 @@ MARGINAL_EPSILONS = (0.01, 0.05, 0.2)
 KEYED_LOOSE_EPSILON = 0.5
 SKIPPED_KEY_SETS = (((1.0, 50.0, 400.0), (0.2, 0.3, 0.5), 0.05),
                     ((0.5, 2.0, 30.0, 600.0), (0.1, 0.2, 0.3, 0.4), 0.02))
+ONE_STATION_SETS = {   # name -> (rates, probs, epsilon)
+    "100": ((100.0,), (1.0,), 0.05),
+    "queue2": ((100.0, 200.0, 300.0), (0.58, 0.38, 0.04), 1.0 - math.sqrt(0.95)),
+}
 EXACT_RATES = (150.5, 3700.3, 49999.7, 2e5)
 EXACT_STEPS = 7
 COLUMN_BOXES = ((3.7, 1, 200), (150.5, 100, 600))   # (lambda, lower, upper)
@@ -427,6 +437,13 @@ def outputs():
     for rates, probs, eps in SKIPPED_KEY_SETS:
         out[f"enumeration/{'-'.join(f'{r:g}' for r in rates)}/{eps:g}"] = record(
             lambda: solve_exact_enumeration(ScenarioSet(rates, probs), eps))
+    for name, (rates, probs, eps) in ONE_STATION_SETS.items():
+        scenarios = ScenarioSet(rates, probs)
+        out[f"reduced/{name}/{eps:g}"] = record(lambda: solve_reduced(scenarios, eps))
+        out[f"enumeration/{name}/{eps:g}"] = record(
+            lambda: solve_exact_enumeration(scenarios, eps))
+        out[f"lattice/one-station/{name}"] = record(lambda: solve_joint_exact_integer(
+            JointScenarioSet(tuple((r,) for r in rates), probs), eps, (1.0,)))
     for lam in EXACT_RATES:
         for j in range(EXACT_STEPS):
             n = math.ceil(lam) + j * math.ceil(math.sqrt(lam))

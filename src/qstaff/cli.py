@@ -64,8 +64,9 @@ from .joint import (
     solve_joint,
     solve_weighted_stoch,
 )
+from .lattice import FEASIBILITY_TOL, repair
 from .simulate import SimConfig, simulate_scenario_qos
-from .stochastic import FEASIBILITY_TOL, solve_reduced
+from .stochastic import solve_reduced
 
 __all__ = ["main"]
 
@@ -212,7 +213,7 @@ def _solve_mode(scenario_file, mode, eps, delta, bound):
         lam = joint.rate_vectors[0][0]
         beta = solve_constrained(lam, eps, bound=bound).beta
         n_continuous = lam + beta * math.sqrt(lam)
-        staffing = (integer_staffing(n_continuous),)
+        staffing, _ = repair(joint, (integer_staffing(n_continuous),), 1.0 - eps, costs)
         detail = {"beta": beta, "n_continuous": n_continuous}
     elif mode == "stoch-single":
         report = solve_reduced(joint.marginal(0), eps, cost=costs[0], bound=bound)
@@ -281,7 +282,7 @@ def cmd_solve(args):
 
     record = make_run_record(scenario_file, mode, staffing, objective, wall)
     if eps is not None:
-        # the joint reports' rule: the integer staffing, on the exact curve
+        # every epsilon report's rule: the integer staffing, on the exact curve
         detail["feasible"] = record.achieved_qos + FEASIBILITY_TOL >= 1.0 - eps
     if args.out:
         write_run_record(record, args.out)

@@ -183,8 +183,8 @@ def solve_constrained(lam, epsilon, cost=None, bound="exact"):
 def solve_weighted(lam, delta, cost=None, bound="exact"):
     """Minimize cost(beta) + delta * wait(beta) over beta >= 0.
 
-    Golden-section search seeded by a coarse grid; the search interval
-    doubles while the minimizer keeps landing on its upper edge, and one
+    A 33-point grid, then Brent's method on its best point's bracket; the
+    grid's end doubles while the minimizer keeps landing on it, and one
     still there at BETA_CAP is reported with converged=False. The
     objective at beta = 0 uses the saturated value wait = 1.
     """
@@ -239,7 +239,9 @@ def sweep_frontier(lam, epsilons, cost=None, bound="exact"):
 
 
 def frontier_csv_rows(lam, sweep, bound="exact"):
-    """Flatten a sweep into CSV-ready dict rows."""
+    """Flatten a sweep into CSV-ready dict rows. A row's n_integer is the
+    plain nearest rounding of its continuous point, not repaired by
+    lattice.repair as epsilon reports are, and makes no feasibility claim."""
     curve = wait_curve(lam, bound)
     rows = []
     for p in sweep.points:

@@ -63,10 +63,10 @@ from .frontier import (
     integer_staffing,
 )
 from .lattice import _dot, _fold, _folded_no_wait, _table_no_wait
-from .lattice import certified_box, no_wait_tables, walk
+from .lattice import FEASIBILITY_TOL, certified_box, repair, walk
 from .scenarios import JointScenarioSet
 from .search import BETA_CAP, SLICE_XTOL, bisect_decreasing, grid_then_golden
-from .stochastic import FEASIBILITY_TOL, _reduced_decision
+from .stochastic import _reduced_decision
 from .stochastic import solve_reduced  # noqa: F401 (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -212,18 +212,8 @@ def _decision_from_betas(betas, key_indices, key_rates):
 
 def _reduced_report(scenarios, decision, costs, eps, method, over_conservative=False,
                     cycles=0, converged=True):
-    # a rounding that misses the target gives way to the cheapest feasible
-    # point of the box n - 1 .. n + 1 (from 1 up) around it, if any. The
-    # box's tables score the rounding too, joint_constraint_value bit for
-    # bit: one recursion pass per rate, resumed from its checkpoint
-    lower = [max(n - 1, 1) for n in decision.n_integer]
-    tables = no_wait_tables(scenarios.marginals, lower, [k + 2 for k in lower])
-    achieved = _table_no_wait(scenarios, lower, tables, decision.n_integer)
-    if achieved + FEASIBILITY_TOL < 1.0 - eps:
-        found = walk(scenarios, 1.0 - eps, costs, lower, tables)
-        if found is not None:
-            decision = replace(decision, n_integer=found[0])
-            achieved = _table_no_wait(scenarios, lower, tables, found[0])
+    n, achieved = repair(scenarios, decision.n_integer, 1.0 - eps, costs)
+    decision = replace(decision, n_integer=n)
     return JointSolveReport(
         decision=decision, beta_cost=sum(c * b for c, b in zip(costs, decision.betas)),
         server_cost=sum(c * n for c, n in zip(costs, decision.n_continuous)),

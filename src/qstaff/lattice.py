@@ -1,11 +1,12 @@
 """Integer staffing lattice: exact no-wait tables and one walk over a box.
 
 joint.solve_joint_exact_integer walks the box that certified_box reads
-off the tables; an epsilon-mode joint report walks the box n - 1 .. n + 1
-around a rounding n that misses the target. The fold of per-station
-no-wait vectors into the joint no-wait, which every joint solver scores
-with, lives here too: the walk decides a point too close to the target
-for its matrix product to order as joint.joint_constraint_value does.
+off the tables; repair, every epsilon report's rounding rule, walks the
+box n - 1 .. n + 1 around a rounding n that misses the target. The fold
+of per-station no-wait vectors into the joint no-wait, which every joint
+solver scores with, lives here too: the walk decides a point too close to
+the target for its matrix product to order as joint.joint_constraint_value
+does.
 """
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ import numpy as np
 from .erlang import _exact_no_wait_column
 from .errors import InfeasibleError
 
+# an integer staffing is feasible when its joint no-wait reaches the target less this
+FEASIBILITY_TOL = 1e-9
 # the walk forms its joint no-wait matrix in row blocks of at most this
 # many cells (8 bytes each), whatever the width of the box
 LATTICE_BLOCK_CELLS = 1 << 16
@@ -245,3 +248,18 @@ def walk(scenarios, target, costs, lower, tables):
                 if cost < best_cost:
                     best_cost, best_n = cost, head + (dep_lo + k,)
     return None if best_n is None else (best_n, best_cost)
+
+
+def repair(scenarios, n, target, costs):
+    """(n, no_wait): the rounding n or, when it misses target by more than
+    FEASIBILITY_TOL, the cheapest point of the box n - 1 .. n + 1 (from 1
+    up) reaching it, if any, with joint_constraint_value's no-wait there."""
+    lower = [max(k - 1, 1) for k in n]
+    tables = no_wait_tables(scenarios.marginals, lower, [k + 2 for k in lower])
+    no_wait = _table_no_wait(scenarios, lower, tables, n)
+    if no_wait + FEASIBILITY_TOL < target:
+        found = walk(scenarios, target, costs, lower, tables)
+        if found is not None:
+            n = found[0]
+            no_wait = _table_no_wait(scenarios, lower, tables, n)
+    return n, no_wait

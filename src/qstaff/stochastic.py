@@ -14,18 +14,20 @@ scenario picked by the tail-sum rule and solves a single-curve equation;
 it is asymptotically exact as rates grow. solve_exact_enumeration solves
 the full constraint at the lowest key whose root lies in the bracket,
 which is the cheapest key, and serves as the ground truth at desk scale.
+Both round n as every epsilon report does, by lattice.repair.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .erlang import _wait_vector, wait_curve
 from .erlang import wait_probability  # noqa: F401 (perfbench/tracing.py wraps it here)
 from .errors import (BracketError, DomainError, InfeasibleError, KeyScenarioTieError,
                      integer, of_type, positive)
 from .frontier import check_bound, check_epsilon, integer_staffing
-from .scenarios import ScenarioSet
+from .lattice import FEASIBILITY_TOL, repair
+from .scenarios import JointScenarioSet, ScenarioSet
 from .search import bisect_decreasing
 
 __all__ = [
@@ -38,7 +40,6 @@ __all__ = [
 ]
 
 TAIL_TIE_TOL = 1e-12
-FEASIBILITY_TOL = 1e-9
 
 
 def constraint_value(scenarios, n):
@@ -117,7 +118,10 @@ def _decide(scenarios, key, beta):
 
 
 def _report(scenarios, decision, cost, method, eps, evaluations, converged):
-    achieved = constraint_value(scenarios, decision.n_integer)
+    one_station = JointScenarioSet(tuple((r,) for r in scenarios.rates), scenarios.probs)
+    (n,), _ = repair(one_station, (decision.n_integer,), 1.0 - eps, (cost,))
+    decision = replace(decision, n_integer=n)
+    achieved = constraint_value(scenarios, n)
     return StochSolveReport(
         decision=decision,
         expected_wait=achieved,
@@ -149,10 +153,10 @@ def solve_reduced(scenarios, epsilon, cost=1.0, bound="exact"):
 
     The selection rule guarantees the right-hand side lies in (0, p_key),
     so a root exists. The report's expected_wait re-evaluates the full
-    constraint with the exact curve at the decision's n_integer; the
-    reduced model at finite rates, or rounding to the nearest server, may
-    miss feasibility by a small margin, which shows up as a negative slack
-    rather than an error.
+    constraint with the exact curve at the decision's n_integer, the
+    repaired rounding. Where the reduced model at finite rates puts the
+    root over a server too low, the box holds no feasible level, which
+    shows up as feasible=False and a negative slack rather than an error.
     """
     eps = check_epsilon(epsilon)
     c = positive(cost, "cost per server")
@@ -178,7 +182,7 @@ def solve_exact_enumeration(scenarios, epsilon, cost=1.0, key_index=None):
     candidate.
 
     The report's feasible, expected_wait and slack score the decision's
-    n_integer, which may round below the root and miss the target.
+    n_integer, the root's rounding or, when that misses, the next level.
     """
     scenarios = of_type(scenarios, "scenarios", ScenarioSet)
     eps = check_epsilon(epsilon)

@@ -361,7 +361,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("mode", ["det", "stoch-single"])
     @pytest.mark.parametrize("epsilon, solution, feasible", [
-        (0.05, 118, False),   # n = 118.15 rounds down and misses epsilon
+        (0.05, 119, True),    # n = 118.15 rounds down to 118, which misses epsilon
         (0.1, 115, True),     # n = 114.76 rounds up
     ])
     def test_single_station_epsilon_reports_feasible(
@@ -374,6 +374,24 @@ class TestSolve:
         assert fields["feasible"] == ("true" if feasible else "false")
         assert (wait_probability(solution, 100.0) <= epsilon + FEASIBILITY_TOL) \
             == feasible
+
+    @pytest.mark.parametrize("mode, bound, solution, feasible", [
+        ("det", "exact", 119, True),
+        ("det", "upper", 119, True),
+        ("det", "lower", 119, True),
+        # the Halfin-Whitt root 117.40 rounds to 117; 119, the first level
+        # meeting epsilon, lies outside the box 116 .. 118 the repair walks
+        ("det", "hw", 117, False),
+        ("stoch-single", "upper", 119, True),
+    ])
+    def test_single_station_repair_under_every_bound(
+            self, capsys, tmp_path, mode, bound, solution, feasible):
+        path = write_document(tmp_path, det_document(epsilon=0.05, solver=mode))
+        code, out, _ = run(capsys, "solve", path, "--bound", bound)
+        assert code == 0
+        fields = dict(line.split(None, 1) for line in out.splitlines())
+        assert fields["solution"] == f"({solution})"
+        assert fields["feasible"] == ("true" if feasible else "false")
 
     def test_det_delta_minimizes_weighted_cost(self, capsys, tmp_path):
         path = write_document(tmp_path, det_document(delta=50.0))
@@ -429,7 +447,7 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", path, "--epsilon", "0.05",
                            "--format", "json")
         assert code == 0
-        assert json.loads(out)["solution"] == [118]
+        assert json.loads(out)["solution"] == [119]
 
     def test_delta_flag_replaces_epsilon_file(self, capsys, tmp_path):
         path = write_document(tmp_path, det_document())

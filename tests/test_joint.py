@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qstaff import erlang, joint
+from qstaff import erlang, joint, lattice
 from qstaff.erlang import wait_probability
 from qstaff.errors import (
     DomainError,
@@ -20,7 +20,6 @@ from qstaff.errors import (
 )
 from qstaff.frontier import CostFunction, integer_staffing, solve_constrained, solve_weighted
 from qstaff.joint import (
-    JointDecision,
     compare_solutions,
     enumerate_key_scenarios,
     joint_constraint_value,
@@ -30,9 +29,10 @@ from qstaff.joint import (
     solve_reduced_joint,
     solve_weighted_stoch,
 )
+from qstaff.lattice import FEASIBILITY_TOL
 from qstaff.scenarios import JointScenarioSet, ScenarioSet
 from qstaff.search import _N_GRID, BETA_CAP, SLICE_XTOL
-from qstaff.stochastic import FEASIBILITY_TOL, solve_reduced
+from qstaff.stochastic import solve_exact_enumeration, solve_reduced
 
 from .oracles import mp_erlang_c
 
@@ -877,25 +877,18 @@ class TestSolveJoint:
     @given(small_joint_problems(), st.lists(st.integers(-2, 1), min_size=4, max_size=4))
     def test_repair_matches_brute_force_box(self, problem, offsets):
         # roundings up to two servers below and one above the lattice
-        # optimum, per station; the report keeps or repairs each as a scan
-        # of its box would
+        # optimum, per station; the repair keeps or moves each as a scan of
+        # its box would, and scores the point it returns
         scenarios, epsilon, costs = problem
         try:
             optimum = solve_joint_exact_integer(scenarios, epsilon, costs).n
         except InfeasibleError:
             return
         n = tuple(max(k + d, 1) for k, d in zip(optimum, offsets))
-        stations = scenarios.stations
-        decision = JointDecision(
-            betas=(0.0,) * stations, key_indices=(0,) * stations,
-            key_rates=tuple(m.rates[0] for m in scenarios.marginals),
-            n_continuous=tuple(map(float, n)), n_integer=n)
-        rep = joint._reduced_report(scenarios, decision, costs, epsilon, "joint")
+        repaired, no_wait = lattice.repair(scenarios, n, 1.0 - epsilon, costs)
         expected = brute_force_box(scenarios, epsilon, costs, n)
-        assert rep.decision.n_integer == expected
-        assert rep.integer_cost == sum(c * x for c, x in zip(costs, expected))
-        assert rep.achieved_qos == joint_constraint_value(scenarios, expected)
-        assert rep.feasible == (rep.achieved_qos + FEASIBILITY_TOL >= 1.0 - epsilon)
+        assert repaired == expected
+        assert no_wait == joint_constraint_value(scenarios, expected)
 
     def test_single_station_reduces_to_scalar_solver(self):
         one = JointScenarioSet(((200.0,),), (1.0,))
@@ -1194,6 +1187,49 @@ class TestSolveJointExactInteger:
             except InfeasibleError:
                 optimum.append(math.inf)
         assert all(b <= a for a, b in zip(optimum, optimum[1:])), optimum
+
+
+class TestOneStationReports:
+    """Every epsilon report rounds by lattice.repair, so at one station the
+    single-station and joint reports staff the lattice optimum."""
+
+    @staticmethod
+    def one_station(scenarios):
+        return JointScenarioSet(tuple((r,) for r in scenarios.rates), scenarios.probs)
+
+    @pytest.mark.parametrize("scenarios, epsilon, n", [
+        # the root 118.15 rounds down to 118, whose wait 0.051584 misses 0.05
+        (ScenarioSet((100.0,), (1.0,)), 0.05, 119),
+        # the paper's queue 2: 306.05 rounds down to 306, whose full wait
+        # 0.025427 misses 1 - sqrt(0.95) = 0.025321
+        (ScenarioSet((100.0, 200.0, 300.0), (0.58, 0.38, 0.04)), 1.0 - math.sqrt(0.95), 307),
+    ], ids=["lambda-100", "queue-2"])
+    def test_every_report_staffs_the_optimum(self, scenarios, epsilon, n):
+        one = self.one_station(scenarios)
+        for rep in (solve_reduced(scenarios, epsilon),
+                    solve_exact_enumeration(scenarios, epsilon)):
+            assert rep.decision.n_integer == n and rep.feasible
+        rep = solve_joint(one, epsilon, (1.0,))
+        assert rep.decision.n_integer == (n,) and rep.feasible
+        report = compare_solutions(one, epsilon, (1.0,))
+        for column in (report.joint, report.reduced, report.decoupled):
+            assert column.n == (n,) and column.feasible
+        assert solve_joint_exact_integer(one, epsilon, (1.0,)).n == (n,)
+
+    @settings(max_examples=80, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.floats(5.0, 600.0), st.integers(1, 20)),
+                          min_size=1, max_size=4, unique_by=lambda pair: pair[0]),
+           epsilon=st.sampled_from((0.01, 0.02, 0.05, 0.1, 0.2, 0.3)))
+    def test_enumeration_staffs_the_lattice_optimum(self, pairs, epsilon):
+        total = sum(w for _, w in pairs)
+        scenarios = ScenarioSet([r for r, _ in pairs], [w / total for _, w in pairs])
+        # a tail mass equal to epsilon, the tie the key rule refuses, can
+        # flatten the constraint at epsilon over several levels, and the
+        # root then lands anywhere on that plateau, not at its cheapest end
+        assume(all(abs(t - epsilon) > 1e-12 for t in scenarios.tail_sums()))
+        rep = solve_exact_enumeration(scenarios, epsilon)
+        optimum = solve_joint_exact_integer(self.one_station(scenarios), epsilon, (1.0,))
+        assert rep.decision.n_integer == optimum.n[0]
 
 
 class TestSolveWeightedStoch:

@@ -141,7 +141,10 @@ class TestSolveReduced:
         assert rep.decision.key_index == 2
         assert rep.decision.beta == pytest.approx(QUEUE2_BETA, abs=1e-6)
         assert rep.decision.beta == pytest.approx(0.36, abs=0.05)
-        assert rep.decision.n_integer == 306
+        # n = 306.05 rounds down to 306, whose full wait 0.025427 misses
+        # the target 0.025321; the report repairs it to 307
+        assert rep.decision.n_integer == 307
+        assert rep.feasible
 
     def test_queue2_low_rate_insensitive(self):
         # the reduced equation only touches the key scenario's rate, so
@@ -150,7 +153,7 @@ class TestSolveReduced:
         a = solve_reduced(QUEUE2, EPS_SPLIT)
         b = solve_reduced(shifted, EPS_SPLIT)
         assert a.decision.beta == pytest.approx(b.decision.beta, abs=1e-12)
-        assert a.decision.n_integer == b.decision.n_integer == 306
+        assert a.decision.n_integer == b.decision.n_integer == 307
 
     def test_single_scenario_reduces_to_constrained(self):
         s = ScenarioSet((100.0,), (1.0,))
@@ -173,12 +176,13 @@ class TestSolveReduced:
 
     @pytest.mark.parametrize("solve", [solve_reduced, solve_exact_enumeration])
     def test_report_scores_the_integer_staffing(self, solve):
-        # the root 118.4 rounds down to 118 servers, whose exact wait misses
-        # the target: the report says so instead of scoring the root
+        # the root 118.1 rounds down to 118 servers, whose exact wait
+        # 0.051584 misses the target: the report repairs the rounding to
+        # 119 and scores that, not the root
         rep = solve(ScenarioSet((100.0,), (1.0,)), 0.05)
-        assert rep.decision.n_continuous > rep.decision.n_integer == 118
-        assert rep.expected_wait == 0.051583684369369574
-        assert not rep.feasible
+        assert rep.decision.n_continuous < rep.decision.n_integer == 119
+        assert rep.expected_wait == wait_probability(119, 100.0) == 0.041509703036053995
+        assert rep.feasible
         assert rep.slack == 0.05 - rep.expected_wait
 
     def test_rhs_validity(self):
@@ -225,13 +229,15 @@ class TestSolveExactEnumeration:
 
     def test_constraint_active_and_feasible(self):
         # the continuous root meets the constraint with equality; the
-        # report scores the rounded staffing: 204 misses, 2014 meets it
-        for m, feasible in ((1, False), (10, True)):
+        # report scores the integer staffing: the rounding 204 misses and
+        # gives way to 205, the rounding 2014 meets it
+        for m, n in ((1, 205), (10, 2014)):
             rep = solve_exact_enumeration(sweep_set(m), 0.2)
             continuous = constraint_value(sweep_set(m), rep.decision.n_continuous)
             assert continuous == pytest.approx(0.2, abs=1e-8)
-            assert rep.feasible is feasible
-            assert (rep.expected_wait <= 0.2) is feasible
+            assert rep.decision.n_integer == n
+            assert rep.feasible
+            assert rep.expected_wait <= 0.2 < constraint_value(sweep_set(m), n - 1)
 
     def test_nonanticipative_single_staffing(self):
         rep = solve_exact_enumeration(sweep_set(1), 0.2)
@@ -356,7 +362,7 @@ class TestAsymptoticAgreement:
         for m in self.MS:
             rep = solve_reduced(sweep_set(m), 0.2, bound="upper")
             slacks.append(0.2 - constraint_value(sweep_set(m), rep.decision.n_continuous))
-            # the report scores the rounded staffing, which may miss
+            # the report scores the repaired rounding, which may still miss
             assert rep.slack == 0.2 - rep.expected_wait
             assert rep.feasible == (rep.slack >= -stochastic.FEASIBILITY_TOL)
         # the continuous level is conservative at every m, with the margin
