@@ -29,8 +29,14 @@ through, is a checkpoint cached per rate (2^12 entries of two numbers),
 so the first exact value at a rate pays O(sqrt(lambda) + n - lambda)
 steps and every later one, scalar or column, O(n - lambda). The solvers
 evaluate one level against a station's whole rate vector through
-_wait_vector: one ufunc call per level, no cache, and the scalar bits
-rate by rate.
+_wait_vector and _no_wait_vector: no cache, one C call of Q per rate,
+and the scalar bits rate by rate. The no-wait kernel skips Q where the
+delay exponent's lower bound (Q >= 1/e) puts alpha below 2^-54, so that
+1 - alpha rounds to exactly 1.0 whatever Q is.
+
+The special functions are scipy's C routines called through
+scipy.special.cython_special: the ufuncs' own code, bit for bit, without
+the ufunc machinery (about 1 us) around each scalar call.
 """
 from __future__ import annotations
 
@@ -39,7 +45,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.special import erfcx, gammaincc, ndtr
+from scipy.special.cython_special import erfcx, gammaincc, ndtr
 
 from .errors import (DomainError, QuadratureError, UnstableSystemError, at_least, integer,
                      positive, real)
@@ -62,6 +68,9 @@ __all__ = [
 ]
 
 BOUND_CHOICES = ("exact", "upper", "lower", "hw")
+# a delay exponent d >= SATURATED gives alpha = 1/(1 + e^d) < e^-38 < 2^-54,
+# so 1 - alpha rounds to exactly 1.0
+SATURATED = 38.0
 
 
 @dataclass(frozen=True)
@@ -216,21 +225,24 @@ def _stirlerr(n):
 
 @lru_cache(maxsize=1 << 13)
 def _alpha_bar_cached(n, lam):
-    return _alpha_bar_from(n, lam, float(gammaincc(n, lam)),
-                           0.5 * math.log(2.0 * math.pi * n), _stirlerr(n))
+    return _alpha_bar_from(n, lam, 0.5 * math.log(2.0 * math.pi * n), _stirlerr(n))
 
 
-def _alpha_bar_from(n, lam, q, half_log, stirl):
-    # erlang_c_continuous from q = Q(n, lam), half_log = ln sqrt(2 pi n)
-    # and stirl = stirlerr(n), the last two shared by every lam at level n
+def _alpha_bar_from(n, lam, half_log, stirl, saturated=math.inf):
+    # erlang_c_continuous from half_log = ln sqrt(2 pi n) and stirl =
+    # stirlerr(n), both shared by every lam at level n; 0.0, without Q,
+    # where d = ln x + ln R is at least saturated even at Q = 1/e
     x = (n - lam) / n  # 1 - rho without cancellation
-    half_a2 = -n * _one_minus_rho_log_term(x, lam / n)
+    log_x = math.log(x)
+    head = -n * _one_minus_rho_log_term(x, lam / n) + half_log + stirl  # ln R - ln Q
+    if log_x + head - 1.0 >= saturated:
+        return 0.0
+    q = gammaincc(n, lam)
     if not (math.isfinite(q) and q > 0.0):
         raise QuadratureError(
             f"incomplete gamma Q(n, lambda) = {q!r} for n={n:g}, lambda={lam:g}",
             diagnostics={"q": q, "n": n, "lambda": lam})
-    log_r = half_a2 + half_log + stirl + math.log(q)
-    return _inv_one_plus_exp(math.log(x) + log_r)
+    return _inv_one_plus_exp(log_x + (head + math.log(q)))
 
 
 def erlang_c_sqrt(beta, lam):
@@ -255,7 +267,7 @@ def halfin_whitt(beta):
     """
     beta = positive(beta, "safety factor")
     return _inv_one_plus_exp(
-        math.log(SQRT_2PI * beta * float(ndtr(beta))) + 0.5 * beta * beta)
+        math.log(SQRT_2PI * beta * ndtr(beta)) + 0.5 * beta * beta)
 
 
 def _inv_one_plus_exp(d):
@@ -309,7 +321,7 @@ def _mills_ratio(a):
         lead = SQRT_2PI * math.exp(0.5 * a * a)
     except OverflowError:
         return math.inf
-    return lead - SQRT_PI_OVER_2 * float(erfcx(a / math.sqrt(2.0)))
+    return lead - SQRT_PI_OVER_2 * erfcx(a / math.sqrt(2.0))
 
 
 def jvlz_bounds_at(n, lam):
@@ -381,18 +393,32 @@ def _wait(n, lam, bound):
     return getattr(jvlz_bounds_at(n, lam), bound)   # "upper" or "lower", a BoundPair field
 
 
-def _wait_vector(n, rates, bound="exact"):
+def _wait_vector(n, rates, bound="exact", saturated=math.inf):
     """[1.0 if r >= n else wait_probability(max(n, 1), r, bound) for r in rates],
-    bit for bit, for positive finite float rates (left unchecked). One ufunc
-    call gives Q(n, r) for every rate below a non-integer level."""
+    bit for bit, for positive finite float rates (left unchecked). Below a
+    non-integer level each rate costs one C call of Q(n, r), and the level's
+    ln sqrt(2 pi n) and stirlerr(n) are formed once. An exact entry at a
+    non-integer level whose delay exponent is at least saturated even at
+    Q = 1/e is 0.0, without Q (see _no_wait_vector)."""
     bound = _bound_choice(bound)
     level = at_least(float(max(n, 1.0)), "staffing level", 1.0)
     if bound != "exact" or level.is_integer():
         return [1.0 if r >= n else _wait(level, r, bound) for r in rates]
     half_log, stirl = 0.5 * math.log(2.0 * math.pi * level), _stirlerr(level)
-    qs = iter(gammaincc(level, [r for r in rates if r < n]).tolist())
-    return [1.0 if r >= n else _alpha_bar_from(level, r, next(qs), half_log, stirl)
+    return [1.0 if r >= n else _alpha_bar_from(level, r, half_log, stirl, saturated)
             for r in rates]
+
+
+def _no_wait_vector(n, rates):
+    """[1.0 - w for w in _wait_vector(n, rates)], bit for bit, on the exact curve.
+
+    For n > lambda and n >= 1, Q(n, lambda) >= Q(1, 1) = 1/e, so the delay
+    exponent d = ln x + ln R is at least its value at Q = 1/e. Where that
+    bound reaches SATURATED, alpha < 2^-54 and 1 - alpha is exactly 1.0,
+    which the entry is, without Q: on the benchmark's two-station compare
+    instances, a third of the rates the joint solves evaluate.
+    """
+    return [1.0 - w for w in _wait_vector(n, rates, "exact", SATURATED)]
 
 
 def wait_curve(lam, bound="exact"):

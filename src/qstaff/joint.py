@@ -42,7 +42,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-from .erlang import _wait_vector, wait_curve
+from .erlang import _no_wait_vector, _wait_vector, wait_curve
 from .erlang import wait_probability  # noqa: F401 (perfbench/tracing.py wraps it here)
 from .errors import (
     BracketError,
@@ -92,6 +92,10 @@ KEY_CAP = 10000
 # a key must beat the incumbent by this relative margin, so near-ties in
 # a key ranking go to the lexicographically smallest key
 KEY_TIE_RTOL = 1e-9
+# enumerate_key_scenarios refuses a key whose surviving mass falls short
+# of the no-wait target by more than this, from its mass table; a key
+# nearer the target goes to solve_reduced_joint, whose fold decides it
+KEY_MASS_MARGIN = 1e-9
 
 
 def _cost_function(cost, what):
@@ -102,12 +106,8 @@ def _cost_function(cost, what):
     return CostFunction("linear-servers", positive(cost, what))
 
 
-def _no_wait_vector(marginal, n):
-    return [1.0 - w for w in _wait_vector(n, marginal.rates)]
-
-
 def _joint_no_wait(scenarios, levels):
-    return _folded_no_wait(scenarios, [_no_wait_vector(m, n) for m, n in
+    return _folded_no_wait(scenarios, [_no_wait_vector(n, m.rates) for m, n in
                                        zip(scenarios.marginals, levels)])
 
 
@@ -356,9 +356,7 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
 
     reachable = sum(split([1.0] * dep))
     if reachable <= target:
-        raise InfeasibleError(
-            f"key scenario {keys} keeps probability mass {reachable:.6g}, "
-            f"short of the no-wait target {target:.6g}")
+        raise _short_of_target(keys, reachable, target)
     if split([0.0] * dep)[0] >= target:
         decision = _decision_from_betas((0.0,) * L, keys, key_rates)
         return _reduced_report(scenarios, decision, costs, eps,
@@ -387,6 +385,33 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
 
     return _solve_keyed(scenarios, eps, costs, keys, key_rates, [1.0] * L,
                         dep_beta, "reduced-joint")
+
+
+def _short_of_target(keys, mass, target):
+    return InfeasibleError(f"key scenario {keys} keeps probability mass {mass:.6g}, "
+                           f"short of the no-wait target {target:.6g}")
+
+
+def _key_masses(scenarios):
+    """{key: P(Lam_i <= key rate_i for every station i)} over the key
+    lattice: the surviving mass solve_reduced_joint folds at each key, bit
+    for bit. Each free key's weights over the last station's rates gather
+    the scenarios at or below it in scenario order, as the fold adds them;
+    a key's mass sums those weights up to its last rate as split does."""
+    *free_index, last_index = scenarios.rate_index
+    *free_sizes, last_size = [len(m) for m in scenarios.marginals]
+    weights = {free: [0.0] * last_size
+               for free in itertools.product(*(range(s) for s in free_sizes))}
+    above = {}  # free rate indices -> the weights of every free key at or above them
+    for p, j, *idx in zip(scenarios.probs, last_index, *free_index):
+        idx = tuple(idx)
+        if idx not in above:
+            above[idx] = [weights[free] for free in itertools.product(
+                *(range(i, s) for i, s in zip(idx, free_sizes)))]
+        for row in above[idx]:
+            row[j] += p
+    return {free + (j,): sum(w[:j]) + w[j]
+            for free, w in weights.items() for j in range(last_size)}
 
 
 def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method,
@@ -432,20 +457,25 @@ def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method
         costs, eps, method, cycles=cycles, converged=converged)
 
 
-def _best_key(scenarios, solve, value):
-    """Best solve(key) over the per-station marginal key lattice in
-    lexicographic order: a key replaces the incumbent only if its value()
-    is lower by KEY_TIE_RTOL. A key whose solve raises InfeasibleError is
-    skipped; if every key is, InfeasibleError lists them all. A lattice of
-    more than KEY_CAP keys raises EnumerationCapError before any solve."""
+def _key_lattice(scenarios):
+    """Every key vector of the per-station marginal key lattice, in
+    lexicographic order; EnumerationCapError past KEY_CAP keys."""
     sizes = [len(m) for m in scenarios.marginals]
     total = math.prod(sizes)
     if total > KEY_CAP:
         raise EnumerationCapError(
             f"{total} candidate key scenarios exceed the cap of {KEY_CAP}")
+    return itertools.product(*(range(s) for s in sizes))
+
+
+def _best_key(keys, solve, value):
+    """Best solve(key) over keys in order: a key replaces the incumbent
+    only if its value() is lower by KEY_TIE_RTOL. A key whose solve raises
+    InfeasibleError is skipped; if every key is, InfeasibleError lists
+    them all."""
     best = None
     reasons = []
-    for key in itertools.product(*(range(s) for s in sizes)):
+    for key in keys:
         try:
             result = solve(key)
         except InfeasibleError as exc:
@@ -467,12 +497,26 @@ def enumerate_key_scenarios(scenarios, epsilon, costs):
     keys are skipped, and candidates are ranked by continuous server cost
     with near-ties broken toward the lexicographically smallest key. A
     lattice of more than KEY_CAP keys raises EnumerationCapError.
+
+    Most keys keep too little mass to reach the target. A table of every
+    key's surviving mass, built in one pass over the scenarios, refuses a
+    key short of the target by more than KEY_MASS_MARGIN with
+    solve_reduced_joint's own InfeasibleError, without solving it; every
+    other key is solved, so the report is the one solving every key gives.
     """
     scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
     eps = check_epsilon(epsilon)
     costs = per_station(costs, scenarios.stations, positive, "per-server cost")
-    return _best_key(scenarios, lambda key: solve_reduced_joint(scenarios, eps, costs, key),
-                     lambda report: report.server_cost)
+    keys = _key_lattice(scenarios)
+    masses = _key_masses(scenarios)
+    target = 1.0 - eps
+
+    def solve(key):
+        if masses[key] < target - KEY_MASS_MARGIN:
+            raise _short_of_target(key, masses[key], target)
+        return solve_reduced_joint(scenarios, eps, costs, key)
+
+    return _best_key(keys, solve, lambda report: report.server_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +571,7 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
         # step makes at most one vector kernel call
         nonlocal guess
         free = [max(r + x * rt, 1.0) for r, rt, x in zip(key_rates, roots, betas[:dep])]
-        weights = _fold(scenarios, [_no_wait_vector(m, n) for m, n in
+        weights = _fold(scenarios, [_no_wait_vector(n, m.rates) for m, n in
                                     zip(scenarios.marginals, free)])
 
         def joint_wait(b):
@@ -535,7 +579,7 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
             no_wait = dep_no_waits.get(level)
             if no_wait is None:
                 no_wait = dep_no_waits[level] = _no_wait_vector(
-                    scenarios.marginals[dep], level)
+                    level, scenarios.marginals[dep].rates)
             return 1.0 - _dot(weights, no_wait)
 
         try:
@@ -616,7 +660,7 @@ def solve_weighted_stoch(scenarios, delta, costs, bound="exact"):
         return value, keys, key_rates, tuple(betas), cycles, converged
 
     value, key, key_rates, betas, cycles, converged = _best_key(
-        scenarios, solve, lambda result: result[0])
+        _key_lattice(scenarios), solve, lambda result: result[0])
     decision = _decision_from_betas(betas, key, key_rates)
     exact_levels = [max(n, 1.0) for n in decision.n_continuous]
     return WeightedSolveReport(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
-from scipy.special import stdtrit
+from scipy.special.cython_special import stdtrit
 
 from .errors import (DomainError, UnstableSystemError, integer, of_type, per_station, positive,
                      real)
@@ -133,7 +133,7 @@ def _estimate(values):
     reps = len(values)
     mean = math.fsum(values) / reps
     var = math.fsum((v - mean) ** 2 for v in values) / (reps - 1)
-    t_crit = float(stdtrit(reps - 1, 0.995))
+    t_crit = stdtrit(float(reps - 1), 0.995)   # a float df: the C call takes no int
     half = t_crit * math.sqrt(var / reps)
     return SimEstimate(
         wait_prob_mean=float(mean),

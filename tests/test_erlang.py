@@ -6,13 +6,18 @@ import re
 
 import mpmath as mp
 import pytest
+import scipy.special as sc
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import cython_special as cs
 
+from qstaff import erlang
 from qstaff.erlang import (
     BOUND_CHOICES,
+    SATURATED,
     BoundPair,
     _erlang_c_exact_cached,
     _exact_no_wait_column,
+    _no_wait_vector,
     _recursion_at_rate,
     _wait_vector,
     _stirlerr,
@@ -52,6 +57,31 @@ HW_FROZEN = {0.5: 0.50453864099794502, 1.0: 0.22336127479826074, 2.0: 0.02688136
 BAD_NUMBERS = (True, 10**400, math.nan, "3")
 # traffic intensities from where 1 - rho rounds to 1 (below 2^-53) up to 1/2
 LIGHT_LOADS = (1e-300, 1e-100, 1e-30, 1e-16, 1e-10, 1e-7, 1e-4, 0.01, 0.1, 0.3, 0.5)
+
+
+def mpmath_sweep_points():
+    """The seeded (n, lambda) sweep over the regimes the closed-form kernel
+    treats apart, 206 points."""
+    rng = random.Random(1974)
+    points = []
+    for _ in range(60):  # square-root staffing, lambda 1e-3 .. 1e6
+        lam = 10.0 ** rng.uniform(-3.0, 6.0)
+        n = max(lam + rng.uniform(0.01, 4.0) * math.sqrt(lam), 1.0 + rng.random())
+        points.append((n, lam))
+    for _ in range(40):  # n within 1/3 of lambda, where Q(n, lambda) < 1/2
+        lam = 10.0 ** rng.uniform(0.0, 6.0)
+        points.append((lam + rng.uniform(0.01, 1.0) / 3.0, lam))
+    for _ in range(30):  # 1 <= n < 2 with small lambda/n, down to 1e-9
+        n = rng.uniform(1.0, 2.0)
+        points.append((n, n * 10.0 ** rng.uniform(-9.0, -0.3)))
+    for _ in range(40):  # both sides of the stirlerr switch at n = 15
+        n = rng.uniform(8.0, 25.0)
+        points.append((n, n * rng.uniform(0.3, 0.99)))
+    for _ in range(30):  # both sides of the ln(rho) switch at rho = 1/2
+        n = 10.0 ** rng.uniform(0.0, 3.3)
+        points.append((n, n * rng.uniform(0.4, 0.6)))
+    return points + [(15.0 - 1e-9, 12.0), (15.0, 12.0), (15.0 + 1e-9, 12.0),
+                     (100.0, 50.0 - 1e-9), (100.0, 50.0), (100.0, 50.0 + 1e-9)]
 
 
 class TestExact:
@@ -150,27 +180,8 @@ class TestContinuous:
                                rel_eps=1e-25)
 
     def test_accuracy_against_mpmath_gamma_route(self):
-        # seeded sweep over the regimes the closed-form kernel treats apart
-        rng = random.Random(1974)
-        points = []
-        for _ in range(60):  # square-root staffing, lambda 1e-3 .. 1e6
-            lam = 10.0 ** rng.uniform(-3.0, 6.0)
-            n = max(lam + rng.uniform(0.01, 4.0) * math.sqrt(lam), 1.0 + rng.random())
-            points.append((n, lam))
-        for _ in range(40):  # n within 1/3 of lambda, where Q(n, lambda) < 1/2
-            lam = 10.0 ** rng.uniform(0.0, 6.0)
-            points.append((lam + rng.uniform(0.01, 1.0) / 3.0, lam))
-        for _ in range(30):  # 1 <= n < 2 with small lambda/n, down to 1e-9
-            n = rng.uniform(1.0, 2.0)
-            points.append((n, n * 10.0 ** rng.uniform(-9.0, -0.3)))
-        for _ in range(40):  # both sides of the stirlerr switch at n = 15
-            n = rng.uniform(8.0, 25.0)
-            points.append((n, n * rng.uniform(0.3, 0.99)))
-        for _ in range(30):  # both sides of the ln(rho) switch at rho = 1/2
-            n = 10.0 ** rng.uniform(0.0, 3.3)
-            points.append((n, n * rng.uniform(0.4, 0.6)))
-        points += [(15.0 - 1e-9, 12.0), (15.0, 12.0), (15.0 + 1e-9, 12.0),
-                   (100.0, 50.0 - 1e-9), (100.0, 50.0), (100.0, 50.0 + 1e-9)]
+        points = mpmath_sweep_points()
+        assert len(points) == 206
         for n, lam in points:
             want = float(mp_gamma_alpha_bar(n, lam))
             # abs=0: pytest's default 1e-12 floor would hide errors in small values
@@ -525,6 +536,115 @@ class TestWaitVector:
             with pytest.raises(DomainError):
                 _wait_vector(n, [3.0, 7.0])
         assert _wait_vector(-math.inf, [3.0]) == [1.0]
+
+
+def saturation_margin(n, lam):
+    """The delay exponent's lower bound at Q = 1/e, less SATURATED, in mpmath."""
+    n, lam = mp.mpf(n), mp.mpf(lam)
+    x = (n - lam) / n
+    half_log = mp.log(2 * mp.pi * n) / 2
+    stirl = mp.loggamma(n + 1) - (n * mp.log(n) - n + half_log)
+    return mp.log(x) - n * (x + mp.log(lam / n)) + half_log + stirl - 1 - SATURATED
+
+
+def saturation_rate(n):
+    """The rate below level n >= 1 where saturation_margin crosses zero:
+    it falls from +inf at rate 0 to -inf at rate n."""
+    lo, hi = 0.0, n
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if saturation_margin(n, mid) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestNoWaitVector:
+    @st.composite
+    def levels_and_rates(draw):
+        # an integer or real level, n < 1 included, against rates within a
+        # millionth of where the level's entries saturate, anywhere below
+        # it, at it and above it
+        n = draw(st.one_of(st.integers(1, 20000).map(float),
+                           st.floats(0.05, 20000.0, allow_nan=False)))
+        edge = saturation_rate(max(n, 1.0))
+        near = st.floats(-1e-6, 1e-6).map(lambda d: edge * (1.0 + d))
+        anywhere = st.floats(1e-3, 1.6).map(lambda x: n * x)
+        return n, draw(st.lists(st.one_of(near, anywhere, st.just(n)), min_size=1, max_size=9))
+
+    @given(case=levels_and_rates())
+    @settings(max_examples=200, deadline=None)
+    @example(case=(100.5, [10.0, 30.0, 60.0, 100.5, 120.0]))
+    def test_bit_identical_to_one_minus_wait_vector(self, case):
+        n, rates = case
+        assert _no_wait_vector(n, rates) == [1.0 - w for w in _wait_vector(n, rates)]
+
+    def test_saturated_entries_skip_q(self, monkeypatch):
+        # at level 100.5 the bound crosses SATURATED near rate 38: rates 10
+        # and 30 are 1.0 without Q, and rate 30's entry is the Q route's bits
+        assert 37.0 < saturation_rate(100.5) < 39.0
+        q, calls = erlang.gammaincc, []
+        monkeypatch.setattr(erlang, "gammaincc", lambda n, lam: calls.append(lam) or q(n, lam))
+        no_wait = _no_wait_vector(100.5, [10.0, 30.0, 60.0, 90.0, 100.0, 120.0])
+        assert calls == [60.0, 90.0, 100.0]
+        assert no_wait[:2] == [1.0, 1.0] and no_wait[-1] == 0.0
+        assert 1.0 - erlang_c_continuous(100.5, 30.0) == 1.0
+
+    def test_q_is_at_least_one_over_e_below_the_level(self):
+        # Q(n, lambda) >= Q(n, n) >= Q(1, 1) = 1/e for 1 <= n and lambda < n,
+        # the floor the saturation bound rests on
+        rng = random.Random(38)
+        points = [(n, n * (1.0 - 2.0 ** -k)) for n in (1.0, 1.5, 2.0, 10.0, 1e3, 1e6)
+                  for k in (1, 10, 30, 52)]
+        for _ in range(20000):
+            n = 10.0 ** rng.uniform(0.0, 6.0)
+            points.append((n, n * (1.0 - rng.random())))
+        assert min(cs.gammaincc(n, lam) for n, lam in points) >= math.exp(-1.0)
+
+    def test_q_near_one_server_against_mpmath(self):
+        for n, lam in ((1.0, 1.0 - 1e-12), (1.0, 0.5), (1.0 + 1e-9, 1.0),
+                       (1.2, 1.19), (1.5, 1.5 - 1e-9), (2.0, 1.999)):
+            want = mp.gammainc(n, lam, mp.inf, regularized=True)
+            assert want >= mp.exp(-1)
+            assert cs.gammaincc(n, lam) == pytest.approx(float(want), rel=1e-13), (n, lam)
+
+
+class TestCythonSpecial:
+    """The package calls scipy's special functions through cython_special:
+    the ufuncs' C routines, bit for bit, without the ufunc machinery."""
+
+    @staticmethod
+    def mismatches(scalar, ufunc, points):
+        want = ufunc(*zip(*points)).tolist()
+        return [(p, a, b) for p, a, b in zip(points, (scalar(*p) for p in points), want)
+                if a != b]
+
+    def test_gammaincc(self):
+        # the mpmath sweep, then n within 12 sqrt(lambda) above lambda
+        rng = random.Random(54)
+        points = mpmath_sweep_points()
+        for _ in range(50000):
+            lam = 10.0 ** rng.uniform(-1.0, 6.0)
+            points.append((lam + 12.0 * (1.0 - rng.random()) * math.sqrt(lam), lam))
+        assert not self.mismatches(cs.gammaincc, sc.gammaincc, points)
+
+    def test_erfcx_and_ndtr_on_the_bound_arguments(self):
+        # jvlz_bounds_at passes erfcx a / sqrt(2), halfin_whitt passes ndtr beta
+        rng = random.Random(26)
+        pairs = []
+        for _ in range(20000):
+            lam = 10.0 ** rng.uniform(-1.0, 6.0)
+            pairs.append((max(lam + rng.uniform(0.0, 40.0) * math.sqrt(lam), 1.0), lam))
+        grid = [(k / 64.0,) for k in range(64 * 60)]
+        halves = [(hw_quantities(n, lam).a / math.sqrt(2.0),) for n, lam in pairs]
+        betas = [((n - lam) / math.sqrt(lam),) for n, lam in pairs]
+        assert not self.mismatches(cs.erfcx, sc.erfcx, grid + halves)
+        assert not self.mismatches(cs.ndtr, sc.ndtr, grid + betas)
+
+    def test_stdtrit_at_the_simulator_quantile(self):
+        points = [(float(df), 0.995) for df in range(1, 1001)]
+        assert not self.mismatches(cs.stdtrit, sc.stdtrit, points)
 
 
 def reference_inverse_blocking(lam, upper):

@@ -533,6 +533,11 @@ class TestSolveReducedJoint:
         target = 1.0 - eps
         surviving = reduced_reference(scenarios, keys, (1.0,) * len(keys))
         below = reduced_reference(scenarios, keys, (0.0,) * len(keys))
+        # the key mass table holds the surviving mass as solve_reduced_joint
+        # folds it, bit for bit
+        weights = joint._fold(scenarios, [joint._reduced_vector(m, k, 1.0) for m, k in
+                                          zip(scenarios.marginals[:-1], keys)])
+        assert joint._key_masses(scenarios)[keys] == sum(weights[:keys[-1]]) + weights[keys[-1]]
         assume(abs(surviving - target) > 1e-12 and abs(below - target) > 1e-12)
         costs = (1.0,) * scenarios.stations
         if surviving <= target:
@@ -651,7 +656,81 @@ class TestSolveReducedJoint:
                 == solve_reduced_joint(instance(), EPSILON, PRICES, key_indices=(1, 1)))
 
 
+def reference_key_enumeration(scenarios, eps, costs):
+    """enumerate_key_scenarios as a loop solving every key by solve_reduced_joint."""
+    best, reasons = None, []
+    for key in itertools.product(*(range(len(m)) for m in scenarios.marginals)):
+        try:
+            report = solve_reduced_joint(scenarios, eps, costs, key)
+        except InfeasibleError as exc:
+            reasons.append(str(exc))
+            continue
+        if best is None or report.server_cost < best.server_cost * (1.0 - joint.KEY_TIE_RTOL):
+            best = report
+    if best is None:
+        raise InfeasibleError(
+            "every candidate key scenario is infeasible: " + "; ".join(reasons))
+    return best
+
+
+def report_or_refusal(solve, *args):
+    try:
+        return solve(*args)
+    except InfeasibleError as exc:
+        return f"InfeasibleError: {exc}"
+
+
+@st.composite
+def key_enumeration_problems(draw):
+    # non-product sets at two or three stations, rates down to where the
+    # top key needs a safety factor past the bracket cap at a small epsilon
+    stations = draw(st.integers(2, 3))
+    rate = st.one_of(st.floats(0.001, 0.01), st.floats(0.5, 40.0))
+    grids = [draw(st.lists(rate, min_size=1, max_size=(3, 2)[stations - 2], unique=True))
+             for _ in range(stations)]
+    vectors = draw(st.lists(st.tuples(*(st.sampled_from(g) for g in grids)),
+                            min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(vectors),
+                            max_size=len(vectors)))
+    total = math.fsum(weights)
+    scenarios = JointScenarioSet(tuple(vectors), tuple(w / total for w in weights))
+    eps = draw(st.one_of(st.floats(0.02, 0.3), st.sampled_from((1e-9, 1e-12))))
+    costs = tuple(draw(st.floats(1.0, 5.0)) for _ in range(stations))
+    return scenarios, eps, costs
+
+
+# two stations whose key (0, 1) keeps mass 0.95, writing off rate 1000
+# at the first: where that reaches the target it is by far the cheapest
+MASS_EDGE = JointScenarioSet(((10.0, 10.0), (10.0, 12.0), (1000.0, 10.0)),
+                             (0.5, 0.45, 0.05))
+
+
 class TestEnumerateKeyScenarios:
+    @settings(max_examples=60, deadline=None)
+    @given(key_enumeration_problems())
+    # surviving mass 0.95 against the target 1 - 0.05, equal in floating
+    # point, and 1e-13 above it: the fold refuses the first key and keeps
+    # the second, which wins
+    @example((MASS_EDGE, 0.05, (1.0, 2.0)))
+    @example((MASS_EDGE, 0.05 + 1e-13, (1.0, 2.0)))
+    # every key fails: short of mass, or past the bracket cap
+    @example((JointScenarioSet(((0.001, 0.001), (0.002, 0.002)), (0.5, 0.5)), 1e-9,
+              (1.0, 1.0)))
+    def test_same_report_as_solving_every_key(self, problem):
+        scenarios, eps, costs = problem
+        assert (report_or_refusal(enumerate_key_scenarios, scenarios, eps, costs)
+                == report_or_refusal(reference_key_enumeration, scenarios, eps, costs))
+
+    def test_mass_table_refuses_without_solving(self, monkeypatch):
+        # example1's keys at rate 350 or rate 100 keep at most 0.66 of the
+        # mass; the table refuses them, and only the other two are solved
+        solved = []
+        solve = joint.solve_reduced_joint
+        monkeypatch.setattr(joint, "solve_reduced_joint",
+                            lambda s, e, c, key: solved.append(key) or solve(s, e, c, key))
+        enumerate_key_scenarios(instance(), EPSILON, PRICES)
+        assert solved == [(1, 1), (1, 2)]
+
     def test_call_center_key_and_cost(self):
         rep = enumerate_key_scenarios(instance(), EPSILON, PRICES)
         assert rep.decision.key_indices == (1, 1)
@@ -805,11 +884,11 @@ class TestSolveJoint:
         # call, over the dependent station's rates
         calls = []
         per_step = []
-        vector, bisect = joint._wait_vector, joint.bisect_decreasing
+        vector, bisect = joint._no_wait_vector, joint.bisect_decreasing
 
-        def counted_vector(n, rates, bound="exact"):
+        def counted_vector(n, rates):
             calls.append(len(rates))
-            return vector(n, rates, bound)
+            return vector(n, rates)
 
         def watched_bisect(fn, target, guess=None):
             def step(x):
@@ -819,7 +898,7 @@ class TestSolveJoint:
                 return value
             return bisect(step, target, guess)
 
-        monkeypatch.setattr(joint, "_wait_vector", counted_vector)
+        monkeypatch.setattr(joint, "_no_wait_vector", counted_vector)
         monkeypatch.setattr(joint, "bisect_decreasing", watched_bisect)
         solve_joint(S64, EPSILON, PRICES, key_indices=S64_KEY)
         assert len(per_step) > 100
