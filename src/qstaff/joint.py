@@ -8,9 +8,9 @@ stations, the probability that no customer waits anywhere is
 where a station whose realized rate reaches its staffing level is
 unstable and contributes zero no-wait probability. The sum is evaluated
 by folding every station but one into weights over that station's
-marginal rates, then one dot product with its no-wait vector; solve_joint
-folds the free stations once per dependent-beta solve, so each bisection
-step costs one vector kernel call over the dependent station's rates.
+marginal rates, then one dot product with its no-wait vector; the keyed
+solvers fold the free stations once per dependent beta, so a solve_joint
+bisection step costs one vector kernel call over the dependent rates.
 
 Solver lineup:
 
@@ -92,10 +92,6 @@ KEY_CAP = 10000
 # a key must beat the incumbent by this relative margin, so near-ties in
 # a key ranking go to the lexicographically smallest key
 KEY_TIE_RTOL = 1e-9
-# enumerate_key_scenarios refuses a key whose surviving mass falls short
-# of the no-wait target by more than this, from its mass table; a key
-# nearer the target goes to solve_reduced_joint, whose fold decides it
-KEY_MASS_MARGIN = 1e-9
 
 
 def _cost_function(cost, what):
@@ -320,6 +316,14 @@ def _reduced_vector(marginal, key, u):
     return [1.0] * key + [u] + [0.0] * (len(marginal) - key - 1)
 
 
+def _surviving_masses(scenarios, free_keys):
+    # the surviving mass (the reduced fold at every u_i = 1) of the keys
+    # free_keys + (j,), one per rate j of the last station
+    w = _fold(scenarios, [_reduced_vector(m, k, 1.0)
+                          for m, k in zip(scenarios.marginals, free_keys)])
+    return [sum(w[:j]) + w[j] for j in range(len(w))]
+
+
 def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
     """Reduced joint model for a fixed per-station key-scenario choice.
 
@@ -331,9 +335,10 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
     optimum, so u_last is solved linearly and inverted to a beta by
     bisection; the free coordinates are optimized by cyclic descent.
 
-    A key whose surviving mass (the fold at u = 1) cannot reach 1 - epsilon
-    is infeasible. A key whose mass below every key rate (the fold at
-    u = 0) reaches the target needs no safety staffing; it is returned
+    A key whose surviving mass (the fold at every u_i = 1, as
+    enumerate_key_scenarios reads it) cannot reach 1 - epsilon is
+    infeasible. A key whose mass below every key rate (the fold at every
+    u_i = 0) reaches the target needs no safety staffing; it is returned
     with zero betas and flagged over_conservative.
 
     At L = 2 the one free beta is searched by a walk from beta = 1 (see
@@ -348,28 +353,23 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
     target = 1.0 - eps
     dep = L - 1
 
-    def split(u):
-        # (const, slope) of the constraint in u_last, the free stations' u given
-        weights = _fold(scenarios, [_reduced_vector(m, k, x) for m, k, x in
-                                    zip(scenarios.marginals, keys, u)])
-        return sum(weights[:keys[dep]]), weights[keys[dep]]
-
-    reachable = sum(split([1.0] * dep))
-    if reachable <= target:
-        raise _short_of_target(keys, reachable, target)
-    if split([0.0] * dep)[0] >= target:
+    mass = _surviving_masses(scenarios, keys[:dep])[keys[dep]]
+    if mass <= target:
+        raise _short_of_target(keys, mass, target)
+    if _folded_no_wait(scenarios, [_reduced_vector(m, k, 0.0) for m, k in
+                                   zip(scenarios.marginals, keys)]) >= target:
         decision = _decision_from_betas((0.0,) * L, keys, key_rates)
         return _reduced_report(scenarios, decision, costs, eps,
                                "reduced-joint", over_conservative=True)
 
     curves = [wait_curve(r) for r in key_rates]
-    guess = None    # the last dependent root; descent moves it only a little
 
-    def dep_beta(betas):
-        """Smallest beta for the dependent station, or inf if the free
-        coordinates leave the target out of reach."""
-        nonlocal guess
-        const, slope = split([1.0 - curve(b) for curve, b in zip(curves, betas[:dep])])
+    def vector(i, beta):
+        return _reduced_vector(scenarios.marginals[i], keys[i], 1.0 - curves[i](beta))
+
+    def dep_root(weights, guess):
+        # const + slope * u_last >= target, solved linearly for u_last
+        const, slope = sum(weights[:keys[dep]]), weights[keys[dep]]
         if const >= target:
             return 0.0
         if slope <= 0.0:
@@ -377,14 +377,10 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
         u_req = (target - const) / slope
         if u_req >= 1.0:
             return math.inf
-        try:
-            guess = bisect_decreasing(curves[dep], 1.0 - u_req, guess).root
-        except BracketError:
-            return math.inf
-        return guess
+        return bisect_decreasing(curves[dep], 1.0 - u_req, guess).root
 
     return _solve_keyed(scenarios, eps, costs, keys, key_rates, [1.0] * L,
-                        dep_beta, "reduced-joint")
+                        vector, dep_root, "reduced-joint")
 
 
 def _short_of_target(keys, mass, target):
@@ -392,40 +388,32 @@ def _short_of_target(keys, mass, target):
                            f"short of the no-wait target {target:.6g}")
 
 
-def _key_masses(scenarios):
-    """{key: P(Lam_i <= key rate_i for every station i)} over the key
-    lattice: the surviving mass solve_reduced_joint folds at each key, bit
-    for bit. Each free key's weights over the last station's rates gather
-    the scenarios at or below it in scenario order, as the fold adds them;
-    a key's mass sums those weights up to its last rate as split does."""
-    *free_index, last_index = scenarios.rate_index
-    *free_sizes, last_size = [len(m) for m in scenarios.marginals]
-    weights = {free: [0.0] * last_size
-               for free in itertools.product(*(range(s) for s in free_sizes))}
-    above = {}  # free rate indices -> the weights of every free key at or above them
-    for p, j, *idx in zip(scenarios.probs, last_index, *free_index):
-        idx = tuple(idx)
-        if idx not in above:
-            above[idx] = [weights[free] for free in itertools.product(
-                *(range(i, s) for i, s in zip(idx, free_sizes)))]
-        for row in above[idx]:
-            row[j] += p
-    return {free + (j,): sum(w[:j]) + w[j]
-            for free, w in weights.items() for j in range(last_size)}
-
-
-def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta, method,
+def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, vector, dep_root, method,
                  warm=False):
     # minimize sum c_i beta_i by descent over every station but the last,
-    # whose beta dep_beta(betas) sets to restore the constraint (inf when
-    # no beta up to the bracket cap does, making the cost inf too). With
-    # one free station the descent is one slice search, which walks from
-    # its start and stops Brent at SLICE_XTOL, as finely as a slice of
-    # dependent roots is known. With two or more, the first descent is
-    # warm if the caller's betas are (see coordinate_descent), and an
-    # infinite descent reruns cold from common free starts doubling from
-    # the largest given one (>= 1 first) to the cap
+    # whose beta restores the constraint: the free stations' vectors
+    # vector(i, beta_i) fold into weights over its rates, from which
+    # dep_root(weights, guess) finds it, seeded by the last finite positive
+    # root (the start's dependent beta first); a root past the bracket cap
+    # is inf, and so is the cost. With one free station the descent is one
+    # slice search, which walks from its start and stops Brent at
+    # SLICE_XTOL, as finely as a slice of dependent roots is known. With
+    # two or more, the first descent is warm if the caller's betas are (see
+    # coordinate_descent), and an infinite descent reruns cold from common
+    # free starts doubling from the largest given one (>= 1 first) to the cap
     dep = len(betas) - 1
+    guess = betas[dep]
+
+    def dep_beta(bs):
+        nonlocal guess
+        weights = _fold(scenarios, [vector(i, b) for i, b in enumerate(bs[:dep])])
+        try:
+            root = dep_root(weights, guess)
+        except BracketError:
+            return math.inf
+        if 0.0 < root < math.inf:
+            guess = root
+        return root
 
     def completed(bs):
         bs[dep] = dep_beta(bs)
@@ -498,22 +486,26 @@ def enumerate_key_scenarios(scenarios, epsilon, costs):
     with near-ties broken toward the lexicographically smallest key. A
     lattice of more than KEY_CAP keys raises EnumerationCapError.
 
-    Most keys keep too little mass to reach the target. A table of every
-    key's surviving mass, built in one pass over the scenarios, refuses a
-    key short of the target by more than KEY_MASS_MARGIN with
-    solve_reduced_joint's own InfeasibleError, without solving it; every
-    other key is solved, so the report is the one solving every key gives.
+    Most keys keep too little mass to reach the target. Each key of the
+    free stations folds once into the surviving masses of its keys, which
+    refuse a key at or below the target with solve_reduced_joint's own
+    test and InfeasibleError, without solving it; every other key is
+    solved, so the report is the one solving every key gives.
     """
     scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
     eps = check_epsilon(epsilon)
     costs = per_station(costs, scenarios.stations, positive, "per-server cost")
     keys = _key_lattice(scenarios)
-    masses = _key_masses(scenarios)
+    masses = {}  # free keys -> their surviving masses
     target = 1.0 - eps
 
     def solve(key):
-        if masses[key] < target - KEY_MASS_MARGIN:
-            raise _short_of_target(key, masses[key], target)
+        free = key[:-1]
+        if free not in masses:
+            masses[free] = _surviving_masses(scenarios, free)
+        mass = masses[free][key[-1]]
+        if mass <= target:
+            raise _short_of_target(key, mass, target)
         return solve_reduced_joint(scenarios, eps, costs, key)
 
     return _best_key(keys, solve, lambda report: report.server_cost)
@@ -562,18 +554,14 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
     roots = [math.sqrt(r) for r in key_rates]
     dep = L - 1
     dep_no_waits = {}  # dependent no-wait vectors by level; bisection midpoints recur
-    guess = betas[dep]  # the last dependent root; descent moves it only a little
 
-    def dep_beta(betas):
-        # smallest dependent beta restoring the constraint with the free
-        # coordinates fixed (the joint wait falls in it); the free stations
-        # fold once into weights over the dependent rates, so a bisection
-        # step makes at most one vector kernel call
-        nonlocal guess
-        free = [max(r + x * rt, 1.0) for r, rt, x in zip(key_rates, roots, betas[:dep])]
-        weights = _fold(scenarios, [_no_wait_vector(n, m.rates) for m, n in
-                                    zip(scenarios.marginals, free)])
+    def vector(i, beta):
+        return _no_wait_vector(max(key_rates[i] + beta * roots[i], 1.0),
+                               scenarios.marginals[i].rates)
 
+    def dep_root(weights, guess):
+        # smallest dependent beta restoring the constraint (the joint wait
+        # falls in it); a bisection step makes at most one vector kernel call
         def joint_wait(b):
             level = max(key_rates[dep] + b * roots[dep], 1.0)
             no_wait = dep_no_waits.get(level)
@@ -582,13 +570,9 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
                     level, scenarios.marginals[dep].rates)
             return 1.0 - _dot(weights, no_wait)
 
-        try:
-            guess = bisect_decreasing(joint_wait, eps, guess).root
-        except BracketError:
-            return math.inf
-        return guess
+        return bisect_decreasing(joint_wait, eps, guess).root
 
-    return _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, dep_beta,
+    return _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, vector, dep_root,
                         "joint", warm=key_indices is None or warm_betas is not None)
 
 

@@ -206,8 +206,7 @@ def simulate_scenario_qos(scenarios, decision, config):
     simulate_wait_probability on the same streams, estimate for estimate.
     """
     if isinstance(scenarios, ScenarioSet):
-        scenarios = JointScenarioSet(tuple((rate,) for rate in scenarios.rates),
-                                     scenarios.probs)
+        scenarios = JointScenarioSet.from_product((scenarios,))
     scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
     config = of_type(config, "config", SimConfig)
     levels = _staffing_vector(decision, scenarios.stations)

@@ -118,8 +118,8 @@ def _decide(scenarios, key, beta):
 
 
 def _report(scenarios, decision, cost, method, eps, evaluations, converged):
-    one_station = JointScenarioSet(tuple((r,) for r in scenarios.rates), scenarios.probs)
-    (n,), _ = repair(one_station, (decision.n_integer,), 1.0 - eps, (cost,))
+    (n,), _ = repair(JointScenarioSet.from_product((scenarios,)), (decision.n_integer,),
+                     1.0 - eps, (cost,))
     decision = replace(decision, n_integer=n)
     achieved = constraint_value(scenarios, n)
     return StochSolveReport(

@@ -508,12 +508,12 @@ def count_dependent_roots(monkeypatch):
 
 class TestSolveReducedJoint:
     def test_dependent_roots_start_at_the_previous_root(self, monkeypatch):
-        # as in solve_joint: measured 161 evaluations over S64's 17 roots,
+        # as in solve_joint: measured 160 evaluations over S64's 17 roots,
         # where the grid search took 50 roots and 407 evaluations, and
         # 12.9 a root when every search starts from scratch
         evaluations, guesses = count_dependent_roots(monkeypatch)
         solve_reduced_joint(S64, EPSILON, PRICES, key_indices=S64_KEY)
-        assert guesses[0] is None and guesses[1] is not None
+        assert guesses[0] == 1.0 and guesses[1] is not None
         assert sum(evaluations) <= 185
 
     @settings(max_examples=150, deadline=None)
@@ -533,11 +533,10 @@ class TestSolveReducedJoint:
         target = 1.0 - eps
         surviving = reduced_reference(scenarios, keys, (1.0,) * len(keys))
         below = reduced_reference(scenarios, keys, (0.0,) * len(keys))
-        # the key mass table holds the surviving mass as solve_reduced_joint
-        # folds it, bit for bit
-        weights = joint._fold(scenarios, [joint._reduced_vector(m, k, 1.0) for m, k in
-                                          zip(scenarios.marginals[:-1], keys)])
-        assert joint._key_masses(scenarios)[keys] == sum(weights[:keys[-1]]) + weights[keys[-1]]
+        # the fold's surviving mass, which both the key enumeration and
+        # solve_reduced_joint read
+        assert joint._surviving_masses(scenarios, keys[:-1])[keys[-1]] == pytest.approx(
+            surviving, rel=0.0, abs=1e-14)
         assume(abs(surviving - target) > 1e-12 and abs(below - target) > 1e-12)
         costs = (1.0,) * scenarios.stations
         if surviving <= target:
@@ -730,6 +729,11 @@ class TestEnumerateKeyScenarios:
                             lambda s, e, c, key: solved.append(key) or solve(s, e, c, key))
         enumerate_key_scenarios(instance(), EPSILON, PRICES)
         assert solved == [(1, 1), (1, 2)]
+        # a surviving mass equal to the target in floating point is refused
+        # from the fold too, with no margin sending it to the solver
+        solved.clear()
+        enumerate_key_scenarios(MASS_EDGE, 0.05, (1.0, 2.0))
+        assert (0, 1) not in solved
 
     def test_call_center_key_and_cost(self):
         rep = enumerate_key_scenarios(instance(), EPSILON, PRICES)

@@ -113,6 +113,15 @@ class TestJointScenarioSet:
         with pytest.raises(DomainError, match="at least one station"):
             JointScenarioSet.from_product([])
 
+    @given(random_scenario_sets())
+    def test_one_station_product_is_the_set_itself(self, s):
+        # the one-station set the single-station solvers and the simulator
+        # build, bit for bit
+        one = JointScenarioSet.from_product((s,))
+        by_hand = JointScenarioSet(tuple((r,) for r in s.rates), s.probs)
+        assert one.rate_vectors == by_hand.rate_vectors == tuple((r,) for r in s.rates)
+        assert [p.hex() for p in one.probs] == [p.hex() for p in by_hand.probs]
+
     def test_scaled(self):
         joint = JointScenarioSet(EXAMPLE_VECTORS, EXAMPLE_PROBS)
         bigger = joint.scaled(10.0)
