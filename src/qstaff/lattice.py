@@ -4,9 +4,10 @@ joint.solve_joint_exact_integer walks the box that certified_box reads
 off the tables; repair, every epsilon report's rounding rule, walks the
 box n - 1 .. n + 1 around a rounding n that misses the target. The fold
 of per-station no-wait vectors into the joint no-wait, which every joint
-solver scores with, lives here too: the walk decides a point too close to
-the target for its matrix product to order as joint.joint_constraint_value
-does.
+solver scores with, lives here too: certified_box scores its incumbent
+candidates with it, and the walk, whose block matrix product is the only
+other joint no-wait evaluator, decides with it a point too close to the
+target for that product to order as joint.joint_constraint_value does.
 """
 from __future__ import annotations
 
@@ -71,19 +72,6 @@ def no_wait_tables(marginals, lower, top=None):
     return tables
 
 
-def _stability_threshold(marginal, eps):
-    # smallest rate r such that staffing strictly above r keeps the stable
-    # mass at 1 - eps or more, as any feasible level must: the no-wait
-    # product dies on unstable stations
-    need = 1.0 - eps
-    cum = 0.0
-    for rate, p in marginal.pairs():
-        cum += p
-        if cum >= need - 1e-12:
-            return rate
-    return marginal.rates[-1]
-
-
 def certified_box(scenarios, eps, costs):
     """(lower, tables) of a box that holds every optimal integer staffing.
 
@@ -93,18 +81,20 @@ def certified_box(scenarios, eps, costs):
     no-wait never exceeds a station's expected no-wait over its marginal,
     and each station's floor is the first level where that reaches the
     target (Luedtke & Ahmed 2008, the marginal relaxation of a joint
-    chance constraint). A feasible incumbent caps each station at its
+    chance constraint). A feasible incumbent, scored by the fold as
+    joint.joint_constraint_value scores it, caps each station at its
     floor plus what the incumbent's cost over the floors affords.
     InfeasibleError when even saturated staffing misses the target.
     """
     target = 1.0 - eps
-    probs = np.array(scenarios.probs)
-    index = [np.array(idx) for idx in scenarios.rate_index]
-    # the 1e-12 slack on the floor, far above the rounding of either sum,
-    # keeps any level the joint check below could accept; a floor never
-    # reached leaves only the top
-    lower = [int(math.floor(_stability_threshold(m, eps))) + 1
-             for m in scenarios.marginals]
+    # stability threshold: a feasible level lies above the first rate whose
+    # cumulative mass reaches the target, as the no-wait product dies on
+    # unstable stations. The 1e-12 slack here and on the floor keeps every
+    # level the fold could accept; a mass or floor never reached leaves the top
+    lower = []
+    for m in scenarios.marginals:
+        first = min(int(np.searchsorted(np.cumsum(m.probs), target - 1e-12)), len(m) - 1)
+        lower.append(int(math.floor(m.rates[first])) + 1)
     tables, reach = [], []  # reach[j]: running maximum of E[u_j] from the floor
     for j, table in enumerate(no_wait_tables(scenarios.marginals, lower)):
         running = np.maximum.accumulate(np.array(scenarios.marginals[j].probs) @ table)
@@ -114,22 +104,15 @@ def certified_box(scenarios, eps, costs):
         reach.append(running[floor:])
 
     # incumbent: each station at its first level whose marginal no-wait
-    # reaches t, for the smallest feasible t by bisection over the union
-    # of those values; t = inf puts every station at its top. A sum within
-    # _TIE of the target is decided by the fold, as the walk decides a cell
+    # reaches t, for the smallest t by bisection over the union of those
+    # values whose point the fold finds feasible; t = inf puts every
+    # station at its top
     def offsets_at(t):
         return [min(int(np.searchsorted(r, t)), r.size - 1) for r in reach]
 
     def meets_target(t):
-        offsets = offsets_at(t)
-        joint = probs
-        for table, idx, k in zip(tables, index, offsets):
-            joint = joint * table[idx, k]
-        total = joint.sum()
-        if abs(total - target) >= _TIE:
-            return total > target
         return _table_no_wait(scenarios, lower, tables,
-                              [lo + k for lo, k in zip(lower, offsets)]) >= target
+                              [lo + k for lo, k in zip(lower, offsets_at(t))]) >= target
 
     thresholds = np.unique(np.concatenate(reach)).tolist() + [math.inf]
     incumbent = bisect.bisect_left(thresholds, True, key=meets_target)

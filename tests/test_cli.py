@@ -8,9 +8,11 @@ are exercised without spawning subprocesses.
 import csv
 import io
 import json
+import math
 
 import pytest
 
+from qstaff import erlang
 from qstaff.cli import main
 from qstaff.erlang import wait_probability
 from qstaff.errors import BracketError, InfeasibleError
@@ -312,6 +314,18 @@ class TestFrontier:
 
 
 class TestSolve:
+
+    @pytest.mark.parametrize("q", [math.nan, 0.0])
+    def test_quadrature_failure_exits_3(self, capsys, tmp_path, monkeypatch, q):
+        # an unusable incomplete gamma Q stops the det solve's search; the
+        # quadrature cache is cleared so that no earlier value stands in
+        monkeypatch.setattr(erlang, "gammaincc", lambda n, lam: q)
+        erlang._alpha_bar_cached.cache_clear()
+        path = write_document(tmp_path, det_document(lam=90.0))
+        code, out, err = run(capsys, "solve", path, "--format", "json")
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "QuadratureError"
+        assert err.startswith("error: incomplete gamma Q(n, lambda) = ")
 
     def test_joint_record(self, capsys):
         code, out, _ = run(capsys, "solve", "example1", "--format", "json")

@@ -31,7 +31,7 @@ from qstaff.erlang import (
     wait_curve,
     wait_probability,
 )
-from qstaff.errors import DomainError, UnstableSystemError
+from qstaff.errors import DomainError, QuadratureError, UnstableSystemError
 from qstaff.frontier import solve_constrained
 
 from .oracles import (
@@ -213,6 +213,23 @@ class TestContinuous:
                 erlang_c_continuous(bad, 0.5)
             with pytest.raises(DomainError):
                 erlang_c_continuous(10.0, bad)
+
+    @pytest.mark.parametrize("q", [math.nan, 0.0])
+    def test_unusable_q_raises_quadrature_error(self, monkeypatch, q):
+        # a Q(n, lambda) that is not finite and positive stops every route
+        # into the continuous kernel; the cache is cleared so that no
+        # earlier value stands in for the patched Q. The dicts compare q
+        # by identity first, so nan matches itself
+        monkeypatch.setattr(erlang, "gammaincc", lambda n, lam: q)
+        erlang._alpha_bar_cached.cache_clear()
+        beta = 1.5
+        level = 90.0 + beta * math.sqrt(90.0)
+        for call, n in ((lambda: erlang_c_continuous(100.5, 90.0), 100.5),
+                        (lambda: _wait_vector(100.5, [90.0]), 100.5),
+                        (lambda: wait_curve(90.0)(beta), level)):
+            with pytest.raises(QuadratureError) as info:
+                call()
+            assert info.value.diagnostics == {"q": q, "n": n, "lambda": 90.0}
 
     def test_tiny_margin_near_one(self):
         # n barely above lambda: probability must approach 1 from below

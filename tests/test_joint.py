@@ -1,4 +1,5 @@
 """Tests for the multi-station joint solvers and the comparison table."""
+import bisect
 import dataclasses
 import importlib.util
 import itertools
@@ -1087,6 +1088,88 @@ class TestSolveJoint:
                 solve_joint(instance(), EPSILON, (bad, 3.0), key_indices=(1, 1))
 
 
+def stability_threshold_reference(marginal, eps):
+    # the first rate whose running mass, summed in rate order, reaches
+    # 1 - eps less 1e-12; the top rate when none does
+    cum = 0.0
+    for rate, p in marginal.pairs():
+        cum += p
+        if cum >= 1.0 - eps - 1e-12:
+            return rate
+    return marginal.rates[-1]
+
+
+def reference_certified_box(scenarios, eps, costs):
+    """lattice.certified_box with each station starting above
+    stability_threshold_reference and each incumbent candidate scored by
+    a numpy product over scenarios, a sum within lattice._TIE of the
+    target being left to the fold."""
+    target = 1.0 - eps
+    probs = np.array(scenarios.probs)
+    index = [np.array(idx) for idx in scenarios.rate_index]
+    lower = [int(math.floor(stability_threshold_reference(m, eps))) + 1
+             for m in scenarios.marginals]
+    tables, reach = [], []
+    for j, table in enumerate(lattice.no_wait_tables(scenarios.marginals, lower)):
+        running = np.maximum.accumulate(np.array(scenarios.marginals[j].probs) @ table)
+        floor = min(int(np.searchsorted(running, target - 1e-12)), table.shape[1] - 1)
+        lower[j] += floor
+        tables.append(table[:, floor:])
+        reach.append(running[floor:])
+
+    def offsets_at(t):
+        return [min(int(np.searchsorted(r, t)), r.size - 1) for r in reach]
+
+    def meets_target(t):
+        offsets = offsets_at(t)
+        joint = probs
+        for table, idx, k in zip(tables, index, offsets):
+            joint = joint * table[idx, k]
+        total = joint.sum()
+        if abs(total - target) >= lattice._TIE:
+            return total > target
+        return lattice._table_no_wait(scenarios, lower, tables,
+                                      [lo + k for lo, k in zip(lower, offsets)]) >= target
+
+    thresholds = np.unique(np.concatenate(reach)).tolist() + [math.inf]
+    incumbent = bisect.bisect_left(thresholds, True, key=meets_target)
+    if incumbent == len(thresholds):
+        raise InfeasibleError("unreachable")
+    budget = sum(c * k for c, k in zip(costs, offsets_at(thresholds[incumbent])))
+    return lower, [table[:, :int(budget / c + 1e-9) + 1] for table, c in zip(tables, costs)]
+
+
+@st.composite
+def box_problems(draw):
+    # general or product sets at one to four stations, rates in [0.5, 20];
+    # half the draws put the target at, or within 1e-12 of, a cumulative
+    # mass of one station's marginal, where the threshold's slack decides
+    # and the incumbent's joint no-wait can land within lattice._TIE of it
+    stations = draw(st.integers(1, 4))
+    grids = [draw(st.lists(st.floats(0.5, 20.0), min_size=1, max_size=3, unique=True))
+             for _ in range(stations)]
+
+    def normalised(size):
+        weights = draw(st.lists(st.floats(0.1, 1.0), min_size=size, max_size=size))
+        return [w / math.fsum(weights) for w in weights]
+
+    if draw(st.booleans()):
+        scenarios = JointScenarioSet.from_product(
+            [ScenarioSet(g, normalised(len(g))) for g in grids])
+    else:
+        vectors = draw(st.lists(st.tuples(*(st.sampled_from(g) for g in grids)),
+                                min_size=1, max_size=6, unique=True))
+        scenarios = JointScenarioSet(tuple(vectors), tuple(normalised(len(vectors))))
+    epsilon = draw(st.one_of(st.floats(0.02, 0.3), st.sampled_from((1e-12, 5e-13))))
+    masses = list(itertools.accumulate(
+        draw(st.sampled_from(scenarios.marginals)).probs))[:-1]
+    if masses and draw(st.booleans()):
+        epsilon = 1.0 - draw(st.sampled_from(masses)) + draw(
+            st.sampled_from((0.0, 1e-12, -1e-12, 5e-13, -5e-13, 1e-15, -1e-15)))
+    costs = tuple(draw(st.floats(1.0, 5.0)) for _ in range(stations))
+    return scenarios, epsilon, costs
+
+
 class TestSolveJointExactInteger:
     def test_call_center_certified_optimum(self):
         rep = solve_joint_exact_integer(instance(), EPSILON, PRICES)
@@ -1226,6 +1309,31 @@ class TestSolveJointExactInteger:
         rep = solve_joint_exact_integer(scenarios, epsilon, costs)
         assert (rep.cost, rep.n) == expected
         assert rep.achieved_qos == joint_constraint_value(scenarios, rep.n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(box_problems())
+    # the target within lattice._TIE of 1, where the reference's product
+    # leaves every incumbent candidate to the fold
+    @example(problem=(JointScenarioSet(((20.0, 30.0), (25.0, 10.0)), (0.5, 0.5)),
+                      1e-12, (1.0, 1.0)))
+    # a candidate whose fold is the target 0.5 exactly: rate 1 saturated,
+    # rate 40 unstable, and the incumbent there
+    @example(problem=(JointScenarioSet(((1.0,), (40.0,)), (0.5, 0.5)), 0.5, (1.0,)))
+    def test_box_matches_the_product_reference(self, problem):
+        # scoring the incumbent by the fold alone, and starting each
+        # station by searchsorted over cumulative mass, keep the box of
+        # the per-scenario product and the running-mass loop bit for bit
+        scenarios, epsilon, costs = problem
+        try:
+            lower, tables = reference_certified_box(scenarios, epsilon, costs)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                lattice.certified_box(scenarios, epsilon, costs)
+            return
+        box_lower, box_tables = lattice.certified_box(scenarios, epsilon, costs)
+        assert box_lower == lower
+        assert len(box_tables) == len(tables)
+        assert all(np.array_equal(a, b) for a, b in zip(box_tables, tables))
 
     @pytest.mark.parametrize("epsilon", (1e-13, 1e-12))
     def test_target_within_a_tie_of_one(self, epsilon):
