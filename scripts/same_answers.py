@@ -20,8 +20,10 @@ on S3, S4 and S5, on the thin-top instance (two stations: rates
 (300, 500) with p (.98, .02) and (100, 110) with p (.5, .5), costs
 (1, 100), whose optimum sits far above the decoupled solution) and on
 the first 40 lattice benchmark instances of seed 1 (two to four
-stations); solve_weighted_stoch on example1 at delta 50, 1e3 and 1e5 on
-the exact curve and the upper bound. Single station:
+stations), and lattice.certified_box on the same sets and on example1,
+kept as its lower corner and each table's shape and the sha256 of its
+bytes (the box kind); solve_weighted_stoch on example1 at delta 50, 1e3
+and 1e5 on the exact curve and the upper bound. Single station:
 solve_constrained on a lambda x epsilon grid for every bound, one
 sweep_frontier per bound, and solve_reduced (both bounds) and
 solve_exact_enumeration on each of example1's marginals at three
@@ -75,7 +77,7 @@ their name (the last part of the dotted path) into two classes:
 continuous fields, held to an absolute bound on the difference, and
 counts, reported but not gated. Every other field must be identical:
 integer staffings and costs, flags, keys, exception texts, QoS scored
-at an integer staffing, and every field of a lattice or simulate
+at an integer staffing, and every field of a lattice, box or simulate
 output, whatever its name. cli stdout is compared token by token: its
 text and every number that is integral on both sides must be
 identical, and any other number is held to a relative bound. The diff
@@ -88,6 +90,7 @@ The benchmark instances come from perfbench/gen.py, imported by path.
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import importlib.util
 import io
 import itertools
@@ -161,7 +164,7 @@ TOLERANCE = {
     "cycles": math.inf,
     "evaluations": math.inf,
 }
-EXACT_KINDS = ("lattice", "simulate")   # every field identical, whatever its name
+EXACT_KINDS = ("box", "lattice", "simulate")   # every field identical, whatever its name
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
@@ -206,6 +209,24 @@ def thin_top_instance():
     return (JointScenarioSet.from_product(
         [ScenarioSet((300.0, 500.0), (0.98, 0.02)),
          ScenarioSet((100.0, 110.0), (0.5, 0.5))]), 0.05, (1.0, 100.0))
+
+
+@dataclasses.dataclass(frozen=True)
+class Box:
+    """lattice.certified_box's lower corner, and each table's shape and
+    the sha256 of its bytes."""
+
+    lower: tuple
+    shapes: tuple
+    sha256: tuple
+
+
+def certified_box(scenarios, epsilon, costs):
+    from qstaff import lattice
+
+    lower, tables = lattice.certified_box(scenarios, epsilon, costs)
+    return Box(tuple(lower), tuple(tuple(t.shape) for t in tables),
+               tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in tables))
 
 
 def no_wait_box(lam, lower, upper):
@@ -403,16 +424,16 @@ def outputs():
             if name == "example1":
                 out[f"keyed/joint/{name}/{tag}"] = record(
                     lambda: solve_joint(*args, key_indices=key))
-    for name in ("S3", "S4", "S5"):
-        out[f"lattice/{name}"] = record(
-            lambda: solve_joint_exact_integer(*stress[name]))
-    out["lattice/thin-top"] = record(
-        lambda: solve_joint_exact_integer(*thin_top_instance()))
+    lattice_sets = {**{name: stress[name] for name in ("S3", "S4", "S5")},
+                    "thin-top": thin_top_instance()}
     for index in range(LATTICE_INSTANCES):
         inst = gen.instance(LATTICE_SEED, "lattice", index)
-        scenarios = JointScenarioSet(inst["rate_vectors"], inst["probs"])
-        out[f"lattice/{inst['id']}"] = record(
-            lambda: solve_joint_exact_integer(scenarios, inst["epsilon"], inst["costs"]))
+        lattice_sets[inst["id"]] = (JointScenarioSet(inst["rate_vectors"], inst["probs"]),
+                                    inst["epsilon"], inst["costs"])
+    for name, args in lattice_sets.items():
+        out[f"lattice/{name}"] = record(lambda: solve_joint_exact_integer(*args))
+    for name, args in {"example1": example1, **lattice_sets}.items():
+        out[f"box/{name}"] = record(lambda: certified_box(*args))
     for delta in WEIGHTED_DELTAS:
         for bound in WEIGHTED_BOUNDS:
             out[f"weighted/example1/{delta:g}/{bound}"] = record(

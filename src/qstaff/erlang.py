@@ -30,9 +30,12 @@ so the first exact value at a rate pays O(sqrt(lambda) + n - lambda)
 steps and every later one, scalar or column, O(n - lambda). The solvers
 evaluate one level against a station's whole rate vector through
 _wait_vector and _no_wait_vector: no cache, one C call of Q per rate,
-and the scalar bits rate by rate. The no-wait kernel skips Q where the
-delay exponent's lower bound (Q >= 1/e) puts alpha below 2^-54, so that
-1 - alpha rounds to exactly 1.0 whatever Q is.
+and the scalar bits rate by rate. Where the delay exponent's lower
+bound (Q >= 1/e, _exponent_head) puts alpha below 2^-54, so that
+1 - alpha rounds to exactly 1.0, the no-wait kernels write 1.0 without
+the work: _no_wait_vector calls neither Q nor, at an integer level, the
+recursion, and a column that starts above its rate's first stable level
+at such a level is [1.0], without the rate's checkpoint.
 
 The special functions are scipy's C routines called through
 scipy.special.cython_special: the ufuncs' own code, bit for bit, without
@@ -151,8 +154,8 @@ def _erlang_c_exact_cached(n, lam):
 
 def _exact_no_wait_column(lam, lower, top=None):
     """No-wait probabilities 1 - alpha(k, lam) for k = lower, lower + 1, ...
-    up to the first level where the entry rounds to 1.0 for good, or to
-    top (lower <= top) if that comes first; 1 <= lower.
+    up to the first level whose entry stays 1.0 at every level above, or
+    to top (lower <= top) if that comes first; 1 <= lower.
 
     One pass of the inverse Erlang-B recursion, resumed from the rate's
     checkpoint at floor(lam) as erlang_c_exact is, yields alpha at every
@@ -161,9 +164,20 @@ def _exact_no_wait_column(lam, lower, top=None):
     equals 1.0 - wait_probability(k, lam) bit for bit: 0.0 where lam >= k.
     Once (1 - rho) * ib reaches 2^60 the entry rounds to 1.0, and so does
     every later one, since both factors only grow with k above lam; the
-    column ends with that entry.
+    column ends with that entry. A column that starts above the rate's
+    first stable level, where the delay exponent's floor already reaches
+    SATURATED (_exponent_head), is [1.0], without the recursion: every
+    entry from lower on is 1.0 (see _no_wait_vector). Such a column may
+    end below the level where the recursion's would; a column that starts
+    at or below its rate's first stable level always ends where the
+    recursion does.
     """
-    last, ib = _recursion_at_rate(lam)  # every level up to last is unstable
+    last = math.floor(lam)              # every level up to last is unstable
+    if lower > last + 1 and _exponent_head(
+            lower, lam, 0.5 * math.log(2.0 * math.pi * lower), _stirlerr(lower),
+            SATURATED) is None:
+        return [1.0]
+    last, ib = _recursion_at_rate(lam)
     first = max(lower, last + 1)
     if top is not None and top < first:
         return [0.0] * (top - lower + 1)
@@ -228,15 +242,25 @@ def _alpha_bar_cached(n, lam):
     return _alpha_bar_from(n, lam, 0.5 * math.log(2.0 * math.pi * n), _stirlerr(n))
 
 
-def _alpha_bar_from(n, lam, half_log, stirl, saturated=math.inf):
-    # erlang_c_continuous from half_log = ln sqrt(2 pi n) and stirl =
-    # stirlerr(n), both shared by every lam at level n; 0.0, without Q,
-    # where d = ln x + ln R is at least saturated even at Q = 1/e
+def _exponent_head(n, lam, half_log, stirl, saturated):
+    """(ln x, ln R - ln Q) at a level n >= 1 above lam, with x = 1 - rho,
+    from half_log = ln sqrt(2 pi n) and stirl = stirlerr(n), both shared
+    by every lam at level n; None where the delay exponent
+    d = ln x + ln R is at least saturated even at Q = 1/e, Q's floor
+    there, so that alpha = 1/(1 + e^d) is below 1/(1 + e^saturated)."""
     x = (n - lam) / n  # 1 - rho without cancellation
     log_x = math.log(x)
     head = -n * _one_minus_rho_log_term(x, lam / n) + half_log + stirl  # ln R - ln Q
-    if log_x + head - 1.0 >= saturated:
+    return None if log_x + head - 1.0 >= saturated else (log_x, head)
+
+
+def _alpha_bar_from(n, lam, half_log, stirl, saturated=math.inf):
+    # erlang_c_continuous from _exponent_head's shared terms; 0.0, without
+    # Q, where the exponent's floor reaches saturated
+    parts = _exponent_head(n, lam, half_log, stirl, saturated)
+    if parts is None:
         return 0.0
+    log_x, head = parts
     q = gammaincc(n, lam)
     if not (math.isfinite(q) and q > 0.0):
         raise QuadratureError(
@@ -397,14 +421,19 @@ def _wait_vector(n, rates, bound="exact", saturated=math.inf):
     """[1.0 if r >= n else wait_probability(max(n, 1), r, bound) for r in rates],
     bit for bit, for positive finite float rates (left unchecked). Below a
     non-integer level each rate costs one C call of Q(n, r), and the level's
-    ln sqrt(2 pi n) and stirlerr(n) are formed once. An exact entry at a
-    non-integer level whose delay exponent is at least saturated even at
-    Q = 1/e is 0.0, without Q (see _no_wait_vector)."""
+    ln sqrt(2 pi n) and stirlerr(n) are formed once. An exact entry whose
+    delay exponent is at least saturated even at Q = 1/e (_exponent_head)
+    is 0.0, without Q or, at an integer level, the recursion (see
+    _no_wait_vector)."""
     bound = _bound_choice(bound)
     level = at_least(float(max(n, 1.0)), "staffing level", 1.0)
-    if bound != "exact" or level.is_integer():
+    if bound != "exact" or level.is_integer() and saturated == math.inf:
         return [1.0 if r >= n else _wait(level, r, bound) for r in rates]
     half_log, stirl = 0.5 * math.log(2.0 * math.pi * level), _stirlerr(level)
+    if level.is_integer():
+        return [1.0 if r >= n else 0.0 if _exponent_head(
+            level, r, half_log, stirl, saturated) is None
+            else _erlang_c_exact_cached(int(level), r) for r in rates]
     return [1.0 if r >= n else _alpha_bar_from(level, r, half_log, stirl, saturated)
             for r in rates]
 
@@ -415,8 +444,12 @@ def _no_wait_vector(n, rates):
     For n > lambda and n >= 1, Q(n, lambda) >= Q(1, 1) = 1/e, so the delay
     exponent d = ln x + ln R is at least its value at Q = 1/e. Where that
     bound reaches SATURATED, alpha < 2^-54 and 1 - alpha is exactly 1.0,
-    which the entry is, without Q: on the benchmark's two-station compare
-    instances, a third of the rates the joint solves evaluate.
+    which the entry is, without Q or the recursion: on the benchmark's
+    two-station compare instances, a third of the rates the joint solves
+    evaluate. The bound holds for Erlang C itself, so at an integer level
+    the entry is 1.0 - _erlang_c_exact_cached(n, lambda) too: the
+    recursion's rounding, a few units in the last place per step, is far
+    inside the factor e^0.57 between e^-38 and 2^-54.
     """
     return [1.0 - w for w in _wait_vector(n, rates, "exact", SATURATED)]
 

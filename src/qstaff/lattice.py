@@ -1,8 +1,9 @@
 """Integer staffing lattice: exact no-wait tables and one walk over a box.
 
 joint.solve_joint_exact_integer walks the box that certified_box reads
-off the tables; repair, every epsilon report's rounding rule, walks the
-box n - 1 .. n + 1 around a rounding n that misses the target. The fold
+off the tables, which it builds only as deep as that box needs; repair,
+every epsilon report's rounding rule, walks the box n - 1 .. n + 1
+around a rounding n that misses the target. The fold
 of per-station no-wait vectors into the joint no-wait, which every joint
 solver scores with, lives here too: certified_box scores its incumbent
 candidates with it, and the walk, whose block matrix product is the only
@@ -54,20 +55,23 @@ def _folded_no_wait(scenarios, no_waits):
 
 
 def _table_no_wait(scenarios, lower, tables, n):
-    # joint_constraint_value(scenarios, n) bit for bit, from lattice tables holding n
-    return _folded_no_wait(scenarios, [t[:, k - lo].tolist()
+    # joint_constraint_value(scenarios, n) bit for bit, from lattice tables
+    # holding n or ending below it, where every entry stays 1.0
+    return _folded_no_wait(scenarios, [t[:, min(k - lo, t.shape[1] - 1)].tolist()
                                        for t, k, lo in zip(tables, n, lower)])
 
 
 def no_wait_tables(marginals, lower, top=None):
     """tables[i][j, k - lower[i]]: 1 - wait_probability(k, rate j of station
-    i) bit for bit, from lower[i] to top[i], or without a top until every
-    entry rounds to 1.0, rows padded with 1.0 to the top or the widest;
-    one inverse Erlang-B pass per rate."""
+    i) bit for bit, from lower[i] to top[i] or, without a top (the run to
+    saturation that tests compare with), on; one inverse Erlang-B pass
+    per rate, ending where its entries stay 1.0 (_exact_no_wait_column).
+    Rows are padded with 1.0 to the widest, so a table stops short of its
+    top only where every column has ended."""
     tables = []
     for marginal, lo, hi in zip(marginals, lower, top or [None] * len(lower)):
         rows = [_exact_no_wait_column(r, lo, hi) for r in marginal.rates]
-        width = max(map(len, rows)) if hi is None else hi - lo + 1
+        width = max(map(len, rows))
         tables.append(np.array([r + [1.0] * (width - len(r)) for r in rows]))
     return tables
 
@@ -75,54 +79,88 @@ def no_wait_tables(marginals, lower, top=None):
 def certified_box(scenarios, eps, costs):
     """(lower, tables) of a box that holds every optimal integer staffing.
 
-    A station's table runs from its stability threshold to the level where
-    every entry has rounded to 1.0, above which a level costs more and
-    raises no factor. Every no-wait factor is at most one, so the joint
-    no-wait never exceeds a station's expected no-wait over its marginal,
-    and each station's floor is the first level where that reaches the
-    target (Luedtke & Ahmed 2008, the marginal relaxation of a joint
-    chance constraint). A feasible incumbent, scored by the fold as
+    Every no-wait factor is at most one, so the joint no-wait never
+    exceeds a station's expected no-wait over its marginal, and each
+    station's floor is the first level where that reaches the target
+    (Luedtke & Ahmed 2008, the marginal relaxation of a joint chance
+    constraint). A feasible incumbent, scored by the fold as
     joint.joint_constraint_value scores it, caps each station at its
-    floor plus what the incumbent's cost over the floors affords.
+    floor plus what the incumbent's cost over the floors affords, and no
+    station rises past the level where its table has rounded to 1.0 for
+    good, as a higher level costs more and raises no factor.
     InfeasibleError when even saturated staffing misses the target.
+
+    The tables run from each station's stability threshold to a top that
+    starts 3 sqrt(top rate) + 8 levels up and grows only while the floor,
+    the incumbent or its budget needs levels above it (on the benchmark's
+    large-rate instances floors lie up to about 1.7 sqrt(rate) above the
+    top rate and boxes end up to about 2.5 sqrt(rate) above it; small
+    rates need a few levels more). Each holds the first
+    levels of the table run to saturation and ends where that table does
+    (no_wait_tables), since its highest rate's column starts at or below
+    that rate's first stable level. Every factor rises with its level, so
+    the incumbent is the first threshold whose point meets the target, and
+    a table short of its end adds thresholds only above its last reach:
+    the search looks no higher than the lowest such reach.
     """
     target = 1.0 - eps
+    marginals = scenarios.marginals
     # stability threshold: a feasible level lies above the first rate whose
     # cumulative mass reaches the target, as the no-wait product dies on
     # unstable stations. The 1e-12 slack here and on the floor keeps every
     # level the fold could accept; a mass or floor never reached leaves the top
-    lower = []
-    for m in scenarios.marginals:
+    start = []
+    for m in marginals:
         first = min(int(np.searchsorted(np.cumsum(m.probs), target - 1e-12)), len(m) - 1)
-        lower.append(int(math.floor(m.rates[first])) + 1)
-    tables, reach = [], []  # reach[j]: running maximum of E[u_j] from the floor
-    for j, table in enumerate(no_wait_tables(scenarios.marginals, lower)):
-        running = np.maximum.accumulate(np.array(scenarios.marginals[j].probs) @ table)
-        floor = min(int(np.searchsorted(running, target - 1e-12)), table.shape[1] - 1)
-        lower[j] += floor
-        tables.append(table[:, floor:])
-        reach.append(running[floor:])
+        start.append(int(math.floor(m.rates[first])) + 1)
+    top = [lo + 8 + math.ceil(3.0 * math.sqrt(m.rates[-1]))
+           for lo, m in zip(start, marginals)]
+    while True:
+        full = no_wait_tables(marginals, start, top)
+        ended = [t.shape[1] <= hi - lo for t, lo, hi in zip(full, start, top)]
+        floors, reach = [], []  # reach[j]: running maximum of E[u_j] from the floor
+        for m, table in zip(marginals, full):
+            running = np.maximum.accumulate(np.array(m.probs) @ table)
+            floors.append(min(int(np.searchsorted(running, target - 1e-12)),
+                              table.shape[1] - 1))
+            reach.append(running[floors[-1]:])
+        lower = [lo + f for lo, f in zip(start, floors)]
+        tables = [t[:, f:] for t, f in zip(full, floors)]
 
-    # incumbent: each station at its first level whose marginal no-wait
-    # reaches t, for the smallest t by bisection over the union of those
-    # values whose point the fold finds feasible; t = inf puts every
-    # station at its top
-    def offsets_at(t):
-        return [min(int(np.searchsorted(r, t)), r.size - 1) for r in reach]
+        # incumbent: each station at its first level whose marginal no-wait
+        # reaches t, for the smallest t by bisection over the union of those
+        # values whose point the fold finds feasible; t = inf puts every
+        # station at its top
+        def offsets_at(t):
+            return [min(int(np.searchsorted(r, t)), r.size - 1) for r in reach]
 
-    def meets_target(t):
-        return _table_no_wait(scenarios, lower, tables,
-                              [lo + k for lo, k in zip(lower, offsets_at(t))]) >= target
+        def meets_target(t):
+            return _table_no_wait(scenarios, lower, tables,
+                                  [lo + k for lo, k in zip(lower, offsets_at(t))]) >= target
 
-    thresholds = np.unique(np.concatenate(reach)).tolist() + [math.inf]
-    incumbent = bisect.bisect_left(thresholds, True, key=meets_target)
-    if incumbent == len(thresholds):
-        raise InfeasibleError(
-            f"joint target {target:.6g} unreachable even at saturated staffing")
+        known = min((r[-1] for r, done in zip(reach, ended) if not done), default=math.inf)
+        thresholds = [t for t in np.unique(np.concatenate(reach)).tolist() if t <= known]
+        if known == math.inf:
+            thresholds.append(math.inf)
+        incumbent = bisect.bisect_left(thresholds, True, key=meets_target)
+        if incumbent < len(thresholds):
+            break
+        if known == math.inf:
+            raise InfeasibleError(
+                f"joint target {target:.6g} unreachable even at saturated staffing")
+        # twice as deep where the last reach stopped the search, as it does
+        # where a floor is not reached yet
+        top = [hi + (hi - lo + 1) if not done and r[-1] == known else hi
+               for lo, hi, r, done in zip(start, top, reach, ended)]
     # no station rises above its floor by more than the incumbent's cost
     # over the floors affords; points of exactly that cost stay
     budget = sum(c * k for c, k in zip(costs, offsets_at(thresholds[incumbent])))
-    return lower, [table[:, :int(budget / c + 1e-9) + 1] for table, c in zip(tables, costs)]
+    widths = [int(budget / c + 1e-9) + 1 for c in costs]
+    deeper = [hi if done else max(hi, lo + w - 1)
+              for lo, hi, w, done in zip(lower, top, widths, ended)]
+    if deeper != top:
+        full = no_wait_tables(marginals, start, deeper)
+    return lower, [t[:, f:f + w] for t, f, w in zip(full, floors, widths)]
 
 
 def walk(scenarios, target, costs, lower, tables):

@@ -528,6 +528,59 @@ class TestExactNoWaitColumn:
                     lower + len(full) - 1, lower + len(full) + 5):
             assert _exact_no_wait_column(lam, lower, top) == full[:top - lower + 1], top
 
+    @st.composite
+    def column_boxes(draw):
+        # lam from 0.1 to 1e5 and lower from 1 to lam + 14 sqrt(lam), often
+        # a few sqrt(lam) above lam, where the bound may saturate the first
+        # entry; no top, or one inside the column or past its end
+        lam = draw(st.floats(0.1, 1e5))
+        root = math.sqrt(lam)
+        high = max(math.floor(lam + 14.0 * root), 1)
+        lower = draw(st.one_of(
+            st.integers(1, high),
+            st.floats(-12.0, 14.0).map(lambda d: min(max(math.floor(lam + d * root), 1), high))))
+        top = draw(st.one_of(st.none(),
+                             st.integers(lower, lower + math.ceil(14.0 * root) + 60)))
+        return lam, lower, top
+
+    @given(case=column_boxes())
+    @settings(max_examples=300, deadline=None)
+    # the first levels whose bound saturates (0.1 at 11, 480.2 at 678,
+    # 6150.7 at 6828, 99999.5 at 102693) and the level below each
+    @example(case=(0.1, 11, None))
+    @example(case=(0.1, 10, 30))
+    @example(case=(480.2, 678, 700))
+    @example(case=(480.2, 677, None))
+    @example(case=(6150.7, 6828, None))
+    @example(case=(99999.5, 102692, 102800))
+    @example(case=(99999.5, 102693, 102693))
+    # columns that end long before their top
+    @example(case=(0.3, 1, 400))
+    @example(case=(7.5, 1, None))
+    def test_padded_column_matches_the_recursion_from_its_start(self, case):
+        lam, lower, top = case
+        column = _exact_no_wait_column(lam, lower, top)
+        reference = from_start_column(lam, lower, top)
+        size = max(len(column), len(reference)) if top is None else top - lower + 1
+        assert len(column) <= size and len(reference) <= size
+        if len(column) < size:
+            assert column[-1] == 1.0
+        padded = [[x.hex() for x in c + [1.0] * (size - len(c))] for c in (column, reference)]
+        assert padded[0] == padded[1]
+
+    def test_saturated_column_skips_the_recursion(self):
+        # 4891 is the first level where the bound saturates at this rate,
+        # which no other test uses: the column there is [1.0] with or
+        # without a top, and the rate's checkpoint is never computed
+        lam, level = 4321.123456, 4891
+        before = _recursion_at_rate.cache_info()
+        assert _exact_no_wait_column(lam, level) == [1.0]
+        assert _exact_no_wait_column(lam, level, level + 40) == [1.0]
+        assert _recursion_at_rate.cache_info() == before
+        below = _exact_no_wait_column(lam, level - 1, level + 40)
+        assert _recursion_at_rate.cache_info().misses == before.misses + 1
+        assert below[0] == 1.0 and below == from_start_column(lam, level - 1, level + 40)
+
 
 class TestWaitVector:
     @st.composite
@@ -607,6 +660,18 @@ class TestNoWaitVector:
         assert calls == [60.0, 90.0, 100.0]
         assert no_wait[:2] == [1.0, 1.0] and no_wait[-1] == 0.0
         assert 1.0 - erlang_c_continuous(100.5, 30.0) == 1.0
+
+    def test_saturated_integer_entries_skip_the_recursion(self, monkeypatch):
+        # at level 100 the bound crosses SATURATED between rates 30 and 60:
+        # rates 10 and 30 are 1.0 without the exact recursion
+        exact, calls = erlang._erlang_c_exact_cached, []
+        monkeypatch.setattr(erlang, "_erlang_c_exact_cached",
+                            lambda n, lam: calls.append(lam) or exact(n, lam))
+        rates = [10.0, 30.0, 60.0, 90.0, 100.0, 120.0]
+        no_wait = _no_wait_vector(100.0, rates)
+        assert calls == [60.0, 90.0]
+        assert no_wait == [1.0 - wait_probability(100, r) for r in rates]
+        assert no_wait[:2] == [1.0, 1.0] and no_wait[-2:] == [0.0, 0.0]
 
     def test_q_is_at_least_one_over_e_below_the_level(self):
         # Q(n, lambda) >= Q(n, n) >= Q(1, 1) = 1/e for 1 <= n and lambda < n,

@@ -1319,6 +1319,16 @@ class TestSolveJointExactInteger:
     # a candidate whose fold is the target 0.5 exactly: rate 1 saturated,
     # rate 40 unstable, and the incumbent there
     @example(problem=(JointScenarioSet(((1.0,), (40.0,)), (0.5, 0.5)), 0.5, (1.0,)))
+    # every column saturates below the budget's top: the box ends where the
+    # tables run to saturation end
+    @example(problem=(JointScenarioSet(((1.0, 1.0, 1.0, 1.0),), (1.0,)), 1e-12,
+                      (1.0, 1.0, 1.0, 1.0)))
+    # floors about 6 sqrt(rate) above the rates, past the tables' first top
+    @example(problem=(JointScenarioSet(((5990.5, 6010.25),), (1.0,)), 1e-9, (1.0, 2.0)))
+    # probabilities 9e-13 short of one against a target 5e-13 short of it:
+    # no staffing is feasible
+    @example(problem=(JointScenarioSet(((5.0, 8.0), (9.0, 3.0)), (0.5, 0.5 - 9e-13)),
+                      5e-13, (1.0, 1.0)))
     def test_box_matches_the_product_reference(self, problem):
         # scoring the incumbent by the fold alone, and starting each
         # station by searchsorted over cumulative mass, keep the box of
@@ -1334,6 +1344,45 @@ class TestSolveJointExactInteger:
         assert box_lower == lower
         assert len(box_tables) == len(tables)
         assert all(np.array_equal(a, b) for a, b in zip(box_tables, tables))
+
+    def test_tables_end_where_the_recursion_ends(self):
+        # at rate 1e-17 the level-1 entry is 1.0 and the bound saturates
+        # there, but (1 - rho) ib first reaches 2^60 at level 2, where the
+        # column run to saturation ends: a column that starts at its rate's
+        # first stable level runs the recursion, so the table ends there too
+        tiny = ScenarioSet((1e-17,), (1.0,))
+        for top in (None, [5]):
+            assert lattice.no_wait_tables([tiny], [1], top)[0].tolist() == [[1.0, 1.0]]
+        assert lattice.no_wait_tables([tiny], [3], [5])[0].tolist() == [[1.0]]
+
+    def test_infeasible_box_names_the_target(self):
+        # the tables grow until every column has ended, and only then is
+        # the target found unreachable
+        short = JointScenarioSet(((5.0, 8.0), (9.0, 3.0)), (0.5, 0.5 - 9e-13))
+        with pytest.raises(InfeasibleError) as raised:
+            lattice.certified_box(short, 5e-13, (1.0, 1.0))
+        assert str(raised.value) == "joint target 1 unreachable even at saturated staffing"
+
+    def test_box_is_built_about_as_deep_as_it_is_kept(self, monkeypatch):
+        # two stations shaped like the benchmark's large-rate lattice
+        # instances: the tables run about 3 sqrt(rate) levels from the
+        # stability threshold, not 9 sqrt(rate) to saturation, and build
+        # 399 entries for a box of 162 (1,133 when run to saturation)
+        column, built = lattice._exact_no_wait_column, []
+
+        def counted(*args):
+            out = column(*args)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(lattice, "_exact_no_wait_column", counted)
+        scenarios = JointScenarioSet(
+            tuple((a, b) for a in (2710.5, 4020.25) for b in (3005.75, 3890.5)),
+            (0.31, 0.18, 0.22, 0.29))
+        lower, tables = lattice.certified_box(scenarios, 0.05, (3.1, 2.7))
+        kept = sum(t.size for t in tables)
+        assert (lower, kept) == ([4112, 3978], 162)
+        assert sum(built) <= 3 * kept
 
     @pytest.mark.parametrize("epsilon", (1e-13, 1e-12))
     def test_target_within_a_tie_of_one(self, epsilon):
