@@ -32,7 +32,7 @@ from qstaff.joint import (
 )
 from qstaff.lattice import FEASIBILITY_TOL
 from qstaff.scenarios import JointScenarioSet, ScenarioSet
-from qstaff.search import _N_GRID, BETA_CAP, SLICE_XTOL
+from qstaff.search import _GRID_STEP, _N_GRID, BETA_CAP, SLICE_XTOL
 from qstaff.stochastic import solve_exact_enumeration, solve_reduced
 
 from .oracles import mp_erlang_c
@@ -992,23 +992,21 @@ class TestSolveJoint:
         # within the same-answers bound of 1e-4, wherever the reference's
         # grid saw one basin, as it did on every compare-2st search
         # measured. On a slice with two, the walk may settle in the other
-        # one. Only the walk sees a slice that is infinite on the whole
-        # grid [0, BETA_HI] and finite above it (rates (5, 21) and 5 at
-        # key (0, 0), epsilon 0.25, needs beta 8.73): where the reference
+        # one. Basins are counted on the first grid's spacing across all of
+        # [0, BETA_CAP], where the walk may go: a grid whose best point lies
+        # inside [0, BETA_HI] looks no further, and misses a basin above it.
+        # Only the walk sees a slice that is infinite on the whole grid
+        # [0, BETA_HI] and finite above it (rates (5, 21) and 5 at key
+        # (0, 0), epsilon 0.25, needs beta 8.73): where the reference
         # raises, the walk may solve
         scenarios, epsilon, costs, keys = problem
         search = joint.grid_then_golden
         basins = []
 
         def grid_search(fn, start=None, xtol=None):
-            values = []
-
-            def recorded(b):
-                values.append(fn(b))
-                return values[-1]
-
-            found = search(recorded)
-            basins.append(grid_basins(values[:_N_GRID]))
+            found = search(fn)
+            basins.append(grid_basins([fn(k * _GRID_STEP)
+                                       for k in range(round(BETA_CAP / _GRID_STEP) + 1)]))
             return found
 
         def solve_both(solve):
@@ -1056,6 +1054,26 @@ class TestSolveJoint:
         grid = solve_joint(two, 0.25, (1.0, 1.0), (0, 0))
         assert grid.decision.betas[0] == pytest.approx(1.804419625, abs=1e-6)
         assert grid.beta_cost == pytest.approx(4.872801229, abs=1e-8)
+
+    def test_two_station_walk_finds_a_basin_past_the_first_grid(self, monkeypatch):
+        # this slice is infinite below beta_1 = 7, has a basin at 7.65 and a
+        # lower one at 8.44, above BETA_HI. The grid's best point lies
+        # inside [0, BETA_HI], so it never looks above it; the walk from
+        # beta = 1 climbs past the infinite prefix into the lower basin
+        two = JointScenarioSet(((5.0, 5.0), (5.0, 38.0), (5.0, 50.0),
+                                (18.0, 5.0), (18.0, 38.0), (18.0, 50.0)),
+                               (4 / 19, 4 / 19, 1 / 19, 4 / 19, 4 / 19, 2 / 19))
+        rep = solve_joint(two, 0.25, (2.0, 1.0), (0, 0))
+        assert rep.decision.betas[0] == pytest.approx(8.443909386, abs=1e-6)
+        assert rep.beta_cost == pytest.approx(35.948004535, abs=1e-8)
+        assert (rep.decision.n_integer, rep.integer_cost) == ((24, 48), 96.0)
+        search = joint.grid_then_golden
+        monkeypatch.setattr(joint, "grid_then_golden",
+                            lambda fn, start=None, xtol=None: search(fn))
+        grid = solve_joint(two, 0.25, (2.0, 1.0), (0, 0))
+        assert grid.decision.betas[0] == pytest.approx(7.651527827, abs=1e-6)
+        assert grid.beta_cost == pytest.approx(36.079662868, abs=1e-8)
+        assert grid.decision.n_integer == (22, 52)
 
     def test_certified_optimum_bounds_the_rounded_solve(self):
         certified = solve_joint_exact_integer(instance(), EPSILON, PRICES)
