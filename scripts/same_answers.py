@@ -214,7 +214,10 @@ def thin_top_instance():
 @dataclasses.dataclass(frozen=True)
 class Box:
     """lattice.certified_box's lower corner, and each table's shape and
-    the sha256 of its bytes."""
+    the sha256 of its bytes. A running marginal no-wait's last bit can
+    depend on how deep certified_box built its table, so a tie within an
+    ulp between a station's reach and the target or another station's
+    reach can move the box between trees that build to other depths."""
 
     lower: tuple
     shapes: tuple

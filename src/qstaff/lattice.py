@@ -61,6 +61,13 @@ def _table_no_wait(scenarios, lower, tables, n):
                                        for t, k, lo in zip(tables, n, lower)])
 
 
+def _no_wait_table(marginal, lower, top=None):
+    # one station's table, rows padded with 1.0 to the widest
+    rows = [_exact_no_wait_column(r, lower, top) for r in marginal.rates]
+    width = max(map(len, rows))
+    return np.array([r + [1.0] * (width - len(r)) for r in rows])
+
+
 def no_wait_tables(marginals, lower, top=None):
     """tables[i][j, k - lower[i]]: 1 - wait_probability(k, rate j of station
     i) bit for bit, from lower[i] to top[i] or, without a top (the run to
@@ -68,12 +75,8 @@ def no_wait_tables(marginals, lower, top=None):
     per rate, ending where its entries stay 1.0 (_exact_no_wait_column).
     Rows are padded with 1.0 to the widest, so a table stops short of its
     top only where every column has ended."""
-    tables = []
-    for marginal, lo, hi in zip(marginals, lower, top or [None] * len(lower)):
-        rows = [_exact_no_wait_column(r, lo, hi) for r in marginal.rates]
-        width = max(map(len, rows))
-        tables.append(np.array([r + [1.0] * (width - len(r)) for r in rows]))
-    return tables
+    return [_no_wait_table(m, lo, hi)
+            for m, lo, hi in zip(marginals, lower, top or [None] * len(lower))]
 
 
 def certified_box(scenarios, eps, costs):
@@ -90,18 +93,26 @@ def certified_box(scenarios, eps, costs):
     good, as a higher level costs more and raises no factor.
     InfeasibleError when even saturated staffing misses the target.
 
-    The tables run from each station's stability threshold to a top that
-    starts 3 sqrt(top rate) + 8 levels up and grows only while the floor,
-    the incumbent or its budget needs levels above it (on the benchmark's
-    large-rate instances floors lie up to about 1.7 sqrt(rate) above the
-    top rate and boxes end up to about 2.5 sqrt(rate) above it; small
-    rates need a few levels more). Each holds the first
-    levels of the table run to saturation and ends where that table does
-    (no_wait_tables), since its highest rate's column starts at or below
-    that rate's first stable level. Every factor rises with its level, so
-    the incumbent is the first threshold whose point meets the target, and
-    a table short of its end adds thresholds only above its last reach:
-    the search looks no higher than the lowest such reach.
+    The tables run from each station's stability threshold to a top
+    3 sqrt(top rate) + 8 levels up (on the benchmark's large-rate
+    instances floors lie up to about 1.7 sqrt(rate) above the top rate
+    and boxes end up to about 2.5 sqrt(rate) above it; small rates need a
+    few levels more). Each holds the first levels of the table run to
+    saturation and ends where that table does (no_wait_tables), since its
+    highest rate's column starts at or below that rate's first stable
+    level. Every factor rises with its level, so the incumbent is the
+    first threshold whose point meets the target, and a table short of
+    its end adds thresholds only above its last reach: the search looks
+    no higher than the lowest such reach. Where that finds no floor or no
+    incumbent, every table short of its end is run to saturation, as the
+    reference does, and searched once more; a table short of the
+    incumbent's budget is rebuilt to it. Only the tables whose top moves
+    are rebuilt.
+
+    A running marginal no-wait is a numpy product whose last bit can
+    depend on the table's width, so a floor, or the order of two
+    stations' reach values, that ties within an ulp could differ from the
+    run to saturation's (scripts/same_answers.py's box kind would show it).
     """
     target = 1.0 - eps
     marginals = scenarios.marginals
@@ -115,9 +126,10 @@ def certified_box(scenarios, eps, costs):
         start.append(int(math.floor(m.rates[first])) + 1)
     top = [lo + 8 + math.ceil(3.0 * math.sqrt(m.rates[-1]))
            for lo, m in zip(start, marginals)]
-    while True:
-        full = no_wait_tables(marginals, start, top)
-        ended = [t.shape[1] <= hi - lo for t, lo, hi in zip(full, start, top)]
+    full = no_wait_tables(marginals, start, top)
+    while True:     # twice at most: the second pass runs every table to its end
+        ended = [hi is None or t.shape[1] <= hi - lo
+                 for t, lo, hi in zip(full, start, top)]
         floors, reach = [], []  # reach[j]: running maximum of E[u_j] from the floor
         for m, table in zip(marginals, full):
             running = np.maximum.accumulate(np.array(m.probs) @ table)
@@ -148,18 +160,16 @@ def certified_box(scenarios, eps, costs):
         if known == math.inf:
             raise InfeasibleError(
                 f"joint target {target:.6g} unreachable even at saturated staffing")
-        # twice as deep where the last reach stopped the search, as it does
-        # where a floor is not reached yet
-        top = [hi + (hi - lo + 1) if not done and r[-1] == known else hi
-               for lo, hi, r, done in zip(start, top, reach, ended)]
+        top = [hi if done else None for hi, done in zip(top, ended)]
+        full = [t if done else _no_wait_table(m, lo)
+                for t, m, lo, done in zip(full, marginals, start, ended)]
     # no station rises above its floor by more than the incumbent's cost
     # over the floors affords; points of exactly that cost stay
     budget = sum(c * k for c, k in zip(costs, offsets_at(thresholds[incumbent])))
     widths = [int(budget / c + 1e-9) + 1 for c in costs]
-    deeper = [hi if done else max(hi, lo + w - 1)
-              for lo, hi, w, done in zip(lower, top, widths, ended)]
-    if deeper != top:
-        full = no_wait_tables(marginals, start, deeper)
+    for i, (lo, w) in enumerate(zip(lower, widths)):
+        if not ended[i] and lo + w - 1 > top[i]:
+            full[i] = _no_wait_table(marginals[i], start[i], lo + w - 1)
     return lower, [t[:, f:f + w] for t, f, w in zip(full, floors, widths)]
 
 

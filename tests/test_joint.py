@@ -32,7 +32,7 @@ from qstaff.joint import (
 )
 from qstaff.lattice import FEASIBILITY_TOL
 from qstaff.scenarios import JointScenarioSet, ScenarioSet
-from qstaff.search import _GRID_STEP, _N_GRID, BETA_CAP, SLICE_XTOL
+from qstaff.search import _N_GRID, BETA_CAP, SLICE_XTOL
 from qstaff.stochastic import solve_exact_enumeration, solve_reduced
 
 from .oracles import mp_erlang_c
@@ -992,21 +992,23 @@ class TestSolveJoint:
         # within the same-answers bound of 1e-4, wherever the reference's
         # grid saw one basin, as it did on every compare-2st search
         # measured. On a slice with two, the walk may settle in the other
-        # one. Basins are counted on the first grid's spacing across all of
-        # [0, BETA_CAP], where the walk may go: a grid whose best point lies
-        # inside [0, BETA_HI] looks no further, and misses a basin above it.
-        # Only the walk sees a slice that is infinite on the whole grid
-        # [0, BETA_HI] and finite above it (rates (5, 21) and 5 at key
-        # (0, 0), epsilon 0.25, needs beta 8.73): where the reference
+        # one. Only the walk sees a slice that is infinite on the whole
+        # grid [0, BETA_HI] and finite above it (rates (5, 21) and 5 at
+        # key (0, 0), epsilon 0.25, needs beta 8.73): where the reference
         # raises, the walk may solve
         scenarios, epsilon, costs, keys = problem
         search = joint.grid_then_golden
         basins = []
 
         def grid_search(fn, start=None, xtol=None):
-            found = search(fn)
-            basins.append(grid_basins([fn(k * _GRID_STEP)
-                                       for k in range(round(BETA_CAP / _GRID_STEP) + 1)]))
+            values = []
+
+            def recorded(b):
+                values.append(fn(b))
+                return values[-1]
+
+            found = search(recorded)
+            basins.append(grid_basins(values[:_N_GRID]))
             return found
 
         def solve_both(solve):
