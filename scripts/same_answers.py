@@ -176,29 +176,40 @@ def _gen():
     return module
 
 
-def stress_instances():
-    """name -> (scenarios, epsilon, costs) for the ROADMAP stress set."""
+S4_MARGINALS = (((300.0, 400.0), (0.7, 0.3)),
+                ((100.0, 200.0), (0.7, 0.3)),
+                ((50.0, 80.0), (0.8, 0.2)),
+                ((150.0, 180.0), (0.6, 0.4)))
+S5_MARGINALS = S4_MARGINALS + (((60.0, 90.0), (0.5, 0.5)),)
+
+
+def _product(*marginals):
     from qstaff import JointScenarioSet, ScenarioSet
 
-    def product(*marginals):
-        return JointScenarioSet.from_product(
-            [ScenarioSet(rates, probs) for rates, probs in marginals])
+    return JointScenarioSet.from_product(
+        [ScenarioSet(rates, probs) for rates, probs in marginals])
 
-    s4 = (((300.0, 400.0), (0.7, 0.3)),
-          ((100.0, 200.0), (0.7, 0.3)),
-          ((50.0, 80.0), (0.8, 0.2)),
-          ((150.0, 180.0), (0.6, 0.4)))
+
+def stress_instances():
+    """name -> (scenarios, epsilon, costs) for the ROADMAP stress set."""
     return {
-        "S64": (product((tuple(300.0 + 25.0 * k for k in range(8)), (0.125,) * 8),
-                        (tuple(100.0 + 20.0 * k for k in range(8)), (0.125,) * 8)),
+        "S64": (_product((tuple(300.0 + 25.0 * k for k in range(8)), (0.125,) * 8),
+                         (tuple(100.0 + 20.0 * k for k in range(8)), (0.125,) * 8)),
                 0.05, (5.0, 3.0)),
-        "S3": (product(((300.0, 400.0, 500.0), (0.5, 0.3, 0.2)),
-                       ((100.0, 200.0), (0.7, 0.3)),
-                       ((50.0, 80.0, 120.0), (0.6, 0.3, 0.1))),
+        "S3": (_product(((300.0, 400.0, 500.0), (0.5, 0.3, 0.2)),
+                        ((100.0, 200.0), (0.7, 0.3)),
+                        ((50.0, 80.0, 120.0), (0.6, 0.3, 0.1))),
                0.05, (1.0, 1.0, 1.0)),
-        "S4": (product(*s4), 0.05, (1.0, 1.0, 1.0, 1.0)),
-        "S5": (product(*s4, ((60.0, 90.0), (0.5, 0.5))), 0.05, (1.0,) * 5),
+        "S4": (_product(*S4_MARGINALS), 0.05, (1.0, 1.0, 1.0, 1.0)),
+        "S5": (_product(*S5_MARGINALS), 0.05, (1.0,) * 5),
     }
+
+
+def s6_instance():
+    """(scenarios, epsilon, costs) of the ROADMAP's S6: S5 plus rates
+    (40, 70) at p (.6, .4). Its lattice takes seconds, so the dump leaves
+    it out; scripts/lattice_stress.py solves it."""
+    return _product(*S5_MARGINALS, ((40.0, 70.0), (0.6, 0.4))), 0.05, (1.0,) * 6
 
 
 def thin_top_instance():

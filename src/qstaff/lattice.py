@@ -3,12 +3,15 @@
 joint.solve_joint_exact_integer walks the box that certified_box reads
 off the tables, which it builds only as deep as that box needs; repair,
 every epsilon report's rounding rule, walks the box n - 1 .. n + 1
-around a rounding n that misses the target. The fold
-of per-station no-wait vectors into the joint no-wait, which every joint
-solver scores with, lives here too: certified_box scores its incumbent
-candidates with it, and the walk, whose block matrix product is the only
-other joint no-wait evaluator, decides with it a point too close to the
-target for that product to order as joint.joint_constraint_value does.
+around a rounding n that misses the target. The walk takes the levels
+of station L-3 together, one batched matrix product per prefix of the
+stations before it, and settles the cheapest candidate of a batch first.
+The fold of per-station no-wait vectors into the joint no-wait, which
+every joint solver scores with, lives here too: certified_box scores its
+incumbent candidates with it, and the walk, whose batched product is the
+only other joint no-wait evaluator, decides with it a point too close to
+the target for that product to order as joint.joint_constraint_value
+does.
 """
 from __future__ import annotations
 
@@ -22,8 +25,8 @@ from .errors import InfeasibleError
 
 # an integer staffing is feasible when its joint no-wait reaches the target less this
 FEASIBILITY_TOL = 1e-9
-# the walk forms its joint no-wait matrix in row blocks of at most this
-# many cells (8 bytes each), whatever the width of the box
+# the walk forms its joint no-wait in batches of at most this many cells
+# (8 bytes each), levels x rows x columns, whatever the size of the box
 LATTICE_BLOCK_CELLS = 1 << 16
 # a joint no-wait this close to the target, far above the rounding of
 # either sum, is decided by the fold rather than the matrix product
@@ -179,41 +182,47 @@ def walk(scenarios, target, costs, lower, tables):
     lexicographically smallest point. tables[i][j, k - lower[i]] is
     station i's no-wait at level k against its j-th marginal rate.
 
-    The first L-2 stations are enumerated in lexicographic order, each
+    The first L-3 stations are enumerated in lexicographic order, each
     station's range ending once even the cheapest completion costs as
-    much as the best point so far; for each such outer point one matrix
-    product gives the joint no-wait probability over the part of the last
-    two stations' box that could still beat that point, and the cheapest
-    feasible level of the last station is the first column of each row to
-    reach the target. A cell within _TIE of the target, where the
-    product's rounding could decide otherwise than the fold, is decided
-    by _table_no_wait when it would be the best point so far, so the walk
-    returns the point joint.joint_constraint_value finds cheapest.
+    much as the best point so far. For each such prefix the levels of
+    station L-3 that could still beat that point are taken together (at
+    L <= 2, virtual stations with one level of no cost and no-wait 1 fill
+    the first places): one bincount and one stacked matrix product give
+    the joint no-wait over the part of the last two stations' box that
+    could still beat it, split over levels first and then over rows into
+    batches of at most LATTICE_BLOCK_CELLS cells (levels x rows x
+    columns). Each (level, row) pair's candidate is its first column to
+    come within _TIE of the target, and the cheapest candidate, the
+    lexicographically first on ties, is settled until one that is no
+    cheaper than the best point remains: a cell within _TIE of the
+    target, where the product's rounding could decide otherwise than the
+    fold, is decided by _table_no_wait, and a refused candidate moves to
+    the row's next column the fold accepts. So the walk returns the point
+    joint.joint_constraint_value finds cheapest.
     """
-    L = len(tables)
-    dep = L - 1
-    row = L - 2             # station indexing the rows; -1 when L == 1
-    outer_stations = max(row, 0)
     probs = np.array(scenarios.probs)
-    index = [np.array(idx) for idx in scenarios.rate_index]
-    # factors[i][k - lower_i, w]: outer station i's no-wait at level k in scenario w
+    # fewer than three stations are put behind virtual ones: one level, of
+    # no cost, whose no-wait is 1 at every rate
+    pad = max(3 - len(tables), 0)
+    index = [0] * pad + [np.array(idx) for idx in scenarios.rate_index]
+    box_lower, box_tables = lower, tables
+    lower = [0] * pad + list(lower)
+    tables = [np.array([[1.0]])] * pad + list(tables)
+    costs = (0.0,) * pad + tuple(costs)
+    inner, row, dep = len(tables) - 3, len(tables) - 2, len(tables) - 1
+    # factors[i][k - lower_i, w]: station i's no-wait at level k in scenario w
     factors = [np.ascontiguousarray(table[idx].T)
-               for table, idx in zip(tables[:outer_stations], index)]
+               for table, idx in zip(tables[:row], index)]
     upper = [lo + table.shape[1] - 1 for lo, table in zip(lower, tables)]
+    row_table = np.ascontiguousarray(tables[row].T)
+    row_lo, row_hi, row_cost = lower[row], upper[row], costs[row]
     dep_table = tables[dep]
-    dep_rates = dep_table.shape[0]
-    if row >= 0:
-        row_table = np.ascontiguousarray(tables[row].T)
-        cell = index[row] * dep_rates + index[dep]
-        row_lo, row_hi, row_cost = lower[row], upper[row], costs[row]
-    else:
-        # one station: a single virtual row level with no cost and no-wait 1
-        row_table = np.ones((1, 1))
-        cell = index[dep]
-        row_lo, row_hi, row_cost = 0, 0, 0.0
-    row_rates = row_table.shape[1]
-    block = max(1, LATTICE_BLOCK_CELLS // max(dep_table.shape[1], 1))
     dep_lo, dep_cost = lower[dep], costs[dep]
+    dep_rates = dep_table.shape[0]
+    span = row_table.shape[1] * dep_rates
+    # bins[k, w]: scenario w's (row rate, last rate) bin at a batch's k-th level
+    bins = (np.arange(0, span * tables[inner].shape[1], span)[:, None]
+            + (index[row] * dep_rates + index[dep]))
 
     best_cost, best_n = math.inf, None
 
@@ -224,60 +233,97 @@ def walk(scenarios, target, costs, lower, tables):
         # order, is decided by the fold; None when no column meets it
         for col in range(k, cells.size):
             if cells[col] >= target + _TIE or _table_no_wait(
-                    scenarios, lower, tables, head + (dep_lo + col,)) >= target:
+                    scenarios, box_lower, box_tables, (head + (dep_lo + col,))[pad:]) >= target:
                 return col
         return None
 
     def outer_points(i, head, prefix, weights):
-        # outer points from station i on, in lexicographic order, with
-        # their cost prefix and scenario weights; a level whose cheapest
-        # completion (every later station at its lower level) cannot beat
-        # the best point so far ends station i's range, as every later level
-        # costs at least as much
-        if i == outer_stations:
+        # levels of the stations before station L-3 in lexicographic
+        # order, with their cost prefix and scenario weights; a level whose
+        # cheapest completion (every later station at its lower level)
+        # cannot beat the best point so far ends station i's range, as
+        # every later level costs at least as much
+        if i == inner:
             yield head, prefix, weights
             return
         for n in range(lower[i], upper[i] + 1):
             fixed = prefix + costs[i] * n
             cheapest = fixed
-            for c, lo in zip(costs[i + 1:outer_stations], lower[i + 1:]):
+            for c, lo in zip(costs[i + 1:row], lower[i + 1:]):
                 cheapest = cheapest + c * lo
             if cheapest + row_cost * row_lo + dep_cost * dep_lo >= best_cost:
                 return
             yield from outer_points(i + 1, head + (n,), fixed,
                                     weights * factors[i][n - lower[i]])
 
-    for outer, prefix, weights in outer_points(0, (), 0, probs):
-        # no row or column past what the best point so far leaves room
-        # for above the cheapest completion can beat that point
-        room = best_cost - prefix - row_cost * row_lo - dep_cost * dep_lo
-        row_top = (int(min(row_hi, row_lo + room / row_cost + 1e-9)) if row_cost
-                   else row_hi)
-        cols = int(min(dep_table.shape[1] - 1, room / dep_cost + 1e-9)) + 1
-        mass = np.bincount(cell, weights, minlength=row_rates * dep_rates)
-        partial = mass.reshape(row_rates, dep_rates) @ dep_table[:, :cols]
-        for start in range(row_lo, row_top + 1, block):
-            if prefix + row_cost * start + dep_cost * dep_lo >= best_cost:
+    def settle(head, n, prefixes, weights, start, stop, cols):
+        # the cheapest point, if it beats the best so far, of station L-3's
+        # levels from n after head (their cost prefixes and scenario
+        # weights), rows start .. stop - 1 and the first cols columns
+        nonlocal best_cost, best_n
+        size = prefixes.size
+        mass = np.bincount(bins[:size].ravel(), weights.ravel(), minlength=size * span)
+        values = row_table[start - row_lo:stop - row_lo] @ (
+            mass.reshape(size, -1, dep_rates) @ dep_table[:, :cols])
+        # every cell the fold could find feasible, and some it cannot
+        feasible = values >= target - _TIE
+        first = feasible.argmax(axis=2)
+        # a row's joint no-wait rises with its column, to within a rounding
+        # far below _TIE, so a row whose last cell falls short has no cell
+        # the fold could find feasible
+        cost = np.where(feasible[:, :, -1],
+                        (prefixes[:, None] + row_cost * np.arange(start, stop))
+                        + dep_cost * (dep_lo + first), math.inf)
+        settled = set()     # candidates whose column the fold has moved and accepted
+        while True:
+            j = int(cost.argmin())
+            k, i = divmod(j, stop - start)
+            if not cost[k, i] < best_cost:
+                return
+            point = head + (n + k, start + i)
+            col = int(first[k, i]) if j in settled else clear_column(
+                point, values[k, i], first[k, i])
+            if col == first[k, i]:
+                best_cost, best_n = float(cost[k, i]), (point + (dep_lo + col,))[pad:]
+                return
+            # refused by the fold: the candidate moves to the next column of
+            # its row the fold accepts, and the cheapest is picked again
+            settled.add(j)
+            if col is None:
+                cost[k, i] = math.inf
+            else:
+                first[k, i] = col
+                cost[k, i] = (prefixes[k] + row_cost * (start + i)) + dep_cost * (dep_lo + col)
+
+    def top(low, high, unit, room):
+        # the last level from low up to high whose cost over low's, at unit
+        # per level, stays within room
+        return int(min(high, low + room / unit + 1e-9)) if unit else high
+
+    lo, c = lower[inner], costs[inner]
+    for head, prefix, weights in outer_points(0, (), 0, probs):
+        n = lo
+        while n <= upper[inner]:
+            fixed = prefix + c * n
+            if fixed + row_cost * row_lo + dep_cost * dep_lo >= best_cost:
                 break
-            stop = min(start + block, row_top + 1)
-            values = row_table[start - row_lo:stop - row_lo] @ partial
-            # every cell the fold could find feasible, and some it cannot
-            feasible = values >= target - _TIE
-            first = feasible.argmax(axis=1).tolist()
-            for i in np.flatnonzero(feasible.any(axis=1)).tolist():
-                n, k = start + i, first[i]
-                fixed = prefix + row_cost * n
-                if fixed + dep_cost * dep_lo >= best_cost:
-                    # every later row costs at least as much
+            # no level, row or column past what the best point so far leaves
+            # room for above level n's cheapest completion can beat that point
+            room = best_cost - fixed - row_cost * row_lo - dep_cost * dep_lo
+            row_top = top(row_lo, row_hi, row_cost, room)
+            cols = top(0, dep_table.shape[1] - 1, dep_cost, room) + 1
+            # a batch holds whole levels while they fit, else one level's rows
+            group = max(1, LATTICE_BLOCK_CELLS // ((row_top - row_lo + 1) * cols))
+            block = max(1, LATTICE_BLOCK_CELLS // cols)
+            stop = min(top(n, upper[inner], c, room), n + group - 1) + 1
+            level_costs = np.array([prefix + c * m for m in range(n, stop)])
+            level_weights = weights * factors[inner][n - lo:stop - lo]
+            for first_row in range(row_lo, row_top + 1, block):
+                if fixed + row_cost * first_row + dep_cost * dep_lo >= best_cost:
                     break
-                cost = fixed + dep_cost * (dep_lo + k)
-                if cost >= best_cost:
-                    continue
-                head = (outer + (n,))[:dep]
-                k = clear_column(head, values[i], k)
-                cost = math.inf if k is None else fixed + dep_cost * (dep_lo + k)
-                if cost < best_cost:
-                    best_cost, best_n = cost, head + (dep_lo + k,)
+                settle(head, n, level_costs, level_weights, first_row,
+                       min(first_row + block, row_top + 1), cols)
+            n = stop
     return None if best_n is None else (best_n, best_cost)
 
 

@@ -270,6 +270,14 @@ def coupled(marginals, t):
     return JointScenarioSet(tuple(cells), tuple(float(m) for m in cells.values()))
 
 
+# the lattice walk's matrix product puts (69, 69) at 138 exactly on the
+# target 0.75, where joint_constraint_value folds it to 0.7499999999999998;
+# the optimum is (28, 111) at 139
+TIE_ON_TARGET = (coupled([([20.0, 21.0], [1 / 2, 1 / 2]),
+                          ([20.0, 21.0, 108.0], [1 / 6, 7 / 12, 1 / 4])], 0),
+                 0.25, (1.0, 1.0))
+
+
 def mp_joint_qos(scenarios, n):
     # independent route: integer Erlang-C waits at 40 digits
     total = 0.0
@@ -1312,13 +1320,8 @@ class TestSolveJointExactInteger:
     # above the decoupled solution plus three sigma
     @example(problem=(JointScenarioSet(((20.0, 1.0), (20.0, 16.4), (54.4, 1.0)),
                                        (0.195, 0.698, 0.107)), 0.25, (1.25, 45.0)))
-    # the lattice walk's matrix product puts (69, 69) at 138 exactly on the
-    # target 0.75, where joint_constraint_value folds it to
-    # 0.7499999999999998; the fold decides such a cell, and the optimum is
-    # (28, 111) at 139
-    @example(problem=(coupled([([20.0, 21.0], [1 / 2, 1 / 2]),
-                               ([20.0, 21.0, 108.0], [1 / 6, 7 / 12, 1 / 4])], 0),
-                      0.25, (1.0, 1.0)))
+    # the fold decides a cell the walk's product puts on the target
+    @example(problem=TIE_ON_TARGET)
     def test_matches_brute_force_scan(self, problem):
         scenarios, epsilon, costs = problem
         expected = brute_force_lattice(scenarios, epsilon, costs)
@@ -1329,6 +1332,65 @@ class TestSolveJointExactInteger:
         rep = solve_joint_exact_integer(scenarios, epsilon, costs)
         assert (rep.cost, rep.n) == expected
         assert rep.achieved_qos == joint_constraint_value(scenarios, rep.n)
+
+    @pytest.mark.parametrize("block", (1, 7, None))
+    @settings(max_examples=40, deadline=None)
+    @given(small_joint_problems())
+    @example(problem=TIE_ON_TARGET)
+    # three stations at one price: (7, 7, 6) and (8, 7, 5) both meet the
+    # target at the least cost, 20, and the first in lexicographic order wins
+    @example(problem=(JointScenarioSet(((2.0, 3.0, 1.0), (4.0, 1.0, 2.5)), (0.6, 0.4)),
+                      0.1, (1.0, 1.0, 1.0)))
+    def test_walk_matches_brute_force_in_any_batches(self, block, problem):
+        # LATTICE_BLOCK_CELLS at 1 puts every (level, row) pair in a batch
+        # of its own, at 7 it splits batches across levels and across rows,
+        # and at its default a batch holds every level of station L-3
+        scenarios, epsilon, costs = problem
+        expected = brute_force_lattice(scenarios, epsilon, costs)
+        try:
+            lower, tables = lattice.certified_box(scenarios, epsilon, costs)
+        except InfeasibleError:
+            assert expected is None
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(lattice, "LATTICE_BLOCK_CELLS", block)
+            found = lattice.walk(scenarios, 1.0 - epsilon, costs, lower, tables)
+        if expected is None:
+            assert found is None
+            return
+        point, cost = found
+        assert (cost, point) == expected
+        assert type(cost) is float
+
+    @pytest.mark.parametrize("costs, point, cost", (((1.0, 1.0), (28, 111), 139.0),
+                                                    ((1.0, 1.5), (70, 70), 175.0)))
+    def test_walk_picks_again_after_the_fold_refuses(self, monkeypatch, costs, point, cost):
+        # TIE_ON_TARGET: the product puts whole rows within lattice._TIE of
+        # the target, and the fold refuses their cells, (69, 69) among
+        # them; each refused candidate moves on along its row. At costs
+        # (1, 1) the walk settles on (28, 111); at (1, 1.5) on (70, 70),
+        # which the fold accepts after refusing (70, 61) .. (70, 69), and
+        # which the walk then picks again. A pick that did not move on would
+        # fold without end, so no point may be folded twice
+        scenarios, epsilon, _ = TIE_ON_TARGET
+        lower, tables = lattice.certified_box(scenarios, epsilon, costs)
+        fold, folded = lattice._table_no_wait, {}
+
+        def counted(scenarios, lower, tables, n):
+            assert n not in folded, f"the walk folded {n} twice"
+            folded[n] = fold(scenarios, lower, tables, n)
+            return folded[n]
+
+        monkeypatch.setattr(lattice, "_table_no_wait", counted)
+        found = lattice.walk(scenarios, 1.0 - epsilon, costs, lower, tables)
+        assert found == (point, cost)
+        assert [type(x) for x in found[0]] == [int, int] and type(found[1]) is float
+        assert folded[(69, 69)] < 1.0 - epsilon
+        # the product clears (28, 111) by more than lattice._TIE; the fold accepts (70, 70)
+        assert folded.get(point, 1.0) >= 1.0 - epsilon
+        # every point of rows 61 .. 73 from its first cell near the target
+        assert len(folded) <= 471
 
     @settings(max_examples=100, deadline=None)
     @given(box_problems())
