@@ -5,7 +5,10 @@
 Runs solve_joint_exact_integer on S64, S3, S4, S5, S6 and thin top (the
 instances of scripts/same_answers.py) and prints each optimum, its cost
 and the wall time of the solve. Exits 1 when an optimum or its cost
-differs from the ROADMAP's stress table. S6 takes several seconds.
+differs from the ROADMAP's stress table, or when its achieved QoS is not
+joint_constraint_value's at the optimum or falls short of 1 - epsilon:
+S6 is the only six-station check of the walk's fold rule. S6 takes
+several seconds.
 """
 
 import sys
@@ -24,18 +27,24 @@ EXPECTED = {   # name -> (optimum, cost), the ROADMAP's stress table
 
 
 def main():
-    from qstaff import solve_joint_exact_integer
+    from qstaff import joint_constraint_value, solve_joint_exact_integer
 
     instances = {**stress_instances(), "S6": s6_instance(), "thin top": thin_top_instance()}
     wrong = 0
     for name, (n, cost) in EXPECTED.items():
+        scenarios, epsilon, costs = instances[name]
         start = time.perf_counter()
-        rep = solve_joint_exact_integer(*instances[name])
+        rep = solve_joint_exact_integer(scenarios, epsilon, costs)
         wall = time.perf_counter() - start
-        ok = (rep.n, rep.cost) == (n, cost)
-        wrong += not ok
+        qos = joint_constraint_value(scenarios, rep.n)
+        faults = [] if (rep.n, rep.cost) == (n, cost) else [f"expected {n} at {cost:g}"]
+        if rep.achieved_qos != qos:
+            faults.append(f"achieved QoS {rep.achieved_qos!r}, joint no-wait {qos!r}")
+        if not qos >= 1.0 - epsilon:
+            faults.append(f"joint no-wait {qos!r} short of {1.0 - epsilon!r}")
+        wrong += bool(faults)
         print(f"{name:9} {str(rep.n):32} {rep.cost:>8g} {wall:9.3f} s"
-              + ("" if ok else f"  expected {n} at {cost:g}"))
+              + "".join(f"  {f}" for f in faults))
     return 1 if wrong else 0
 
 

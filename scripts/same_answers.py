@@ -39,8 +39,7 @@ solve_joint_exact_integer on each as a one-station joint set with cost
 in the dump. Delay curve: erlang_c_exact at n = ceil(lambda) +
 j*ceil(sqrt(lambda)), j = 0..6, for four rates up to 2e5, and
 _exact_no_wait_column over two boxes that saturate at 1.0, padded with
-1.0 to the box (a tree whose column still takes the box top is called
-with it). Sub-unit rates, where the integer staffing rounds up to one
+1.0 to the box. Sub-unit rates, where the integer staffing rounds up to one
 server: solve_reduced (both bounds) and solve_exact_enumeration on
 rates (0.1, 0.3) with p (.5, .5) at 0.6, and each frontier_csv_rows row
 of a sweep at lambda 0.2 on the frontier grid.
@@ -225,10 +224,7 @@ def thin_top_instance():
 @dataclasses.dataclass(frozen=True)
 class Box:
     """lattice.certified_box's lower corner, and each table's shape and
-    the sha256 of its bytes. A running marginal no-wait's last bit can
-    depend on how deep certified_box built its table, so a tie within an
-    ulp between a station's reach and the target or another station's
-    reach can move the box between trees that build to other depths."""
+    the sha256 of its bytes."""
 
     lower: tuple
     shapes: tuple
@@ -249,11 +245,7 @@ def no_wait_box(lam, lower, upper):
     from qstaff import erlang
 
     size = upper - lower + 1
-    try:
-        column = erlang._exact_no_wait_column(lam, lower)
-    except TypeError:       # older trees take the box top as well
-        column = erlang._exact_no_wait_column(lam, lower, upper)
-    return (column + [1.0] * size)[:size]
+    return (erlang._exact_no_wait_column(lam, lower) + [1.0] * size)[:size]
 
 
 def write_cli_file(path, rate_vectors, probs, epsilon, costs):

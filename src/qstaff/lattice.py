@@ -5,13 +5,13 @@ off the tables, which it builds only as deep as that box needs; repair,
 every epsilon report's rounding rule, walks the box n - 1 .. n + 1
 around a rounding n that misses the target. The walk takes the levels
 of station L-3 together, one batched matrix product per prefix of the
-stations before it, and settles the cheapest candidate of a batch first.
+stations before it, and picks the cheapest candidate of a batch once.
 The fold of per-station no-wait vectors into the joint no-wait, which
 every joint solver scores with, lives here too: certified_box scores its
 incumbent candidates with it, and the walk, whose batched product is the
-only other joint no-wait evaluator, decides with it a point too close to
-the target for that product to order as joint.joint_constraint_value
-does.
+only other joint no-wait evaluator, decides with it, before its pick,
+the points too close to the target for that product to order as
+joint.joint_constraint_value does.
 """
 from __future__ import annotations
 
@@ -82,6 +82,13 @@ def no_wait_tables(marginals, lower, top=None):
             for m, lo, hi in zip(marginals, lower, top or [None] * len(lower))]
 
 
+def _marginal_no_wait(probs, table):
+    # a station's expected no-wait at each level of its table, summed over
+    # its rates in order, column by column, so that no entry depends on
+    # how wide the table is
+    return sum(p * row for p, row in zip(probs, table))
+
+
 def certified_box(scenarios, eps, costs):
     """(lower, tables) of a box that holds every optimal integer staffing.
 
@@ -111,11 +118,6 @@ def certified_box(scenarios, eps, costs):
     reference does, and searched once more; a table short of the
     incumbent's budget is rebuilt to it. Only the tables whose top moves
     are rebuilt.
-
-    A running marginal no-wait is a numpy product whose last bit can
-    depend on the table's width, so a floor, or the order of two
-    stations' reach values, that ties within an ulp could differ from the
-    run to saturation's (scripts/same_answers.py's box kind would show it).
     """
     target = 1.0 - eps
     marginals = scenarios.marginals
@@ -135,7 +137,7 @@ def certified_box(scenarios, eps, costs):
                  for t, lo, hi in zip(full, start, top)]
         floors, reach = [], []  # reach[j]: running maximum of E[u_j] from the floor
         for m, table in zip(marginals, full):
-            running = np.maximum.accumulate(np.array(m.probs) @ table)
+            running = np.maximum.accumulate(_marginal_no_wait(m.probs, table))
             floors.append(min(int(np.searchsorted(running, target - 1e-12)),
                               table.shape[1] - 1))
             reach.append(running[floors[-1]:])
@@ -192,13 +194,13 @@ def walk(scenarios, target, costs, lower, tables):
     could still beat it, split over levels first and then over rows into
     batches of at most LATTICE_BLOCK_CELLS cells (levels x rows x
     columns). Each (level, row) pair's candidate is its first column to
-    come within _TIE of the target, and the cheapest candidate, the
-    lexicographically first on ties, is settled until one that is no
-    cheaper than the best point remains: a cell within _TIE of the
-    target, where the product's rounding could decide otherwise than the
-    fold, is decided by _table_no_wait, and a refused candidate moves to
-    the row's next column the fold accepts. So the walk returns the point
-    joint.joint_constraint_value finds cheapest.
+    come within _TIE of the target, and a batch picks once, its cheapest
+    candidate (the lexicographically first on ties) if that beats the
+    best point. A cell within _TIE of the target, where the product's
+    rounding could decide otherwise than the fold, is decided by
+    _table_no_wait before the pick whenever the cheapest candidate is one.
+    So the walk returns the point joint.joint_constraint_value finds
+    cheapest.
     """
     probs = np.array(scenarios.probs)
     # fewer than three stations are put behind virtual ones: one level, of
@@ -225,17 +227,6 @@ def walk(scenarios, target, costs, lower, tables):
             + (index[row] * dep_rates + index[dep]))
 
     best_cost, best_n = math.inf, None
-
-    def clear_column(head, cells, k):
-        # the first column from k whose point head + (level,) meets the
-        # target, cells holding the row's joint no-wait per column; a cell
-        # within _TIE of the target, which the product's rounding cannot
-        # order, is decided by the fold; None when no column meets it
-        for col in range(k, cells.size):
-            if cells[col] >= target + _TIE or _table_no_wait(
-                    scenarios, box_lower, box_tables, (head + (dep_lo + col,))[pad:]) >= target:
-                return col
-        return None
 
     def outer_points(i, head, prefix, weights):
         # levels of the stations before station L-3 in lexicographic
@@ -267,33 +258,36 @@ def walk(scenarios, target, costs, lower, tables):
             mass.reshape(size, -1, dep_rates) @ dep_table[:, :cols])
         # every cell the fold could find feasible, and some it cannot
         feasible = values >= target - _TIE
-        first = feasible.argmax(axis=2)
-        # a row's joint no-wait rises with its column, to within a rounding
-        # far below _TIE, so a row whose last cell falls short has no cell
-        # the fold could find feasible
-        cost = np.where(feasible[:, :, -1],
-                        (prefixes[:, None] + row_cost * np.arange(start, stop))
-                        + dep_cost * (dep_lo + first), math.inf)
-        settled = set()     # candidates whose column the fold has moved and accepted
-        while True:
-            j = int(cost.argmin())
-            k, i = divmod(j, stop - start)
-            if not cost[k, i] < best_cost:
-                return
-            point = head + (n + k, start + i)
-            col = int(first[k, i]) if j in settled else clear_column(
-                point, values[k, i], first[k, i])
-            if col == first[k, i]:
-                best_cost, best_n = float(cost[k, i]), (point + (dep_lo + col,))[pad:]
-                return
-            # refused by the fold: the candidate moves to the next column of
-            # its row the fold accepts, and the cheapest is picked again
-            settled.add(j)
-            if col is None:
-                cost[k, i] = math.inf
-            else:
-                first[k, i] = col
-                cost[k, i] = (prefixes[k] + row_cost * (start + i)) + dep_cost * (dep_lo + col)
+        row_costs = prefixes[:, None] + row_cost * np.arange(start, stop)
+
+        def pick():
+            # (level, row, column, cost) of the cheapest candidate; a row's
+            # joint no-wait rises with its column, to within a rounding far
+            # below _TIE, so a row whose last cell falls short has none
+            first = feasible.argmax(axis=2)
+            cost = np.where(feasible[:, :, -1], row_costs + dep_cost * (dep_lo + first),
+                            math.inf)
+            k, i = divmod(int(cost.argmin()), stop - start)
+            return k, i, int(first[k, i]), cost[k, i]
+
+        k, i, col, cost = pick()
+        if cost < best_cost and values[k, i, col] < target + _TIE:
+            # the fold decides every cell this close to the target that
+            # could beat the best point, each row up to the first cell it
+            # accepts; one too dear to win stays a candidate
+            open_cells = feasible & (row_costs[:, :, None]
+                                     + dep_cost * (dep_lo + np.arange(cols)) < best_cost)
+            near = open_cells & (values < target + _TIE)
+            for k, i in np.argwhere(near.any(axis=2)).tolist():
+                for col in np.flatnonzero(open_cells[k, i]).tolist():
+                    if values[k, i, col] >= target + _TIE or _table_no_wait(
+                            scenarios, box_lower, box_tables,
+                            (head + (n + k, start + i, dep_lo + col))[pad:]) >= target:
+                        break
+                    feasible[k, i, col] = False
+            k, i, col, cost = pick()
+        if cost < best_cost:
+            best_cost, best_n = float(cost), (head + (n + k, start + i, dep_lo + col))[pad:]
 
     def top(low, high, unit, room):
         # the last level from low up to high whose cost over low's, at unit

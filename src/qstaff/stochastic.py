@@ -26,7 +26,7 @@ from .erlang import wait_probability  # noqa: F401 (perfbench/tracing.py wraps i
 from .errors import (BracketError, DomainError, InfeasibleError, KeyScenarioTieError,
                      integer, of_type, positive)
 from .frontier import check_bound, check_epsilon, integer_staffing
-from .lattice import FEASIBILITY_TOL, repair
+from .lattice import FEASIBILITY_TOL, _dot, repair
 from .scenarios import JointScenarioSet, ScenarioSet
 from .search import bisect_decreasing
 
@@ -50,10 +50,7 @@ def constraint_value(scenarios, n):
     """
     scenarios = of_type(scenarios, "scenarios", ScenarioSet)
     n = positive(n, "staffing level")
-    total = 0.0
-    for p, w in zip(scenarios.probs, _wait_vector(n, scenarios.rates)):
-        total += p * w
-    return total
+    return _dot(scenarios.probs, _wait_vector(n, scenarios.rates))
 
 
 def select_key_scenario(scenarios, epsilon):

@@ -211,6 +211,23 @@ def small_joint_problems(draw):
 
 
 @st.composite
+def near_tie_problems(draw):
+    # small_joint_problems, their sets taken as drawn or as the product of
+    # their marginals, with 1 - epsilon set to the joint no-wait of a point
+    # above every rate: the walk's product puts that point, and any point
+    # of equal no-wait, within lattice._TIE of the target, so that the fold
+    # decides the cells there
+    scenarios, _, costs = draw(small_joint_problems())
+    if draw(st.booleans()):
+        scenarios = JointScenarioSet.from_product(scenarios.marginals)
+    point = tuple(math.floor(m.rates[-1]) + 1 + draw(st.integers(0, 3))
+                  for m in scenarios.marginals)
+    epsilon = 1.0 - joint_constraint_value(scenarios, point)
+    assume(0.0 < epsilon < 1.0)
+    return scenarios, epsilon, costs
+
+
+@st.composite
 def small_product_problems(draw):
     # product sets at two to four stations, each with one to three rates
     # in [2, 40], and per-server costs in [1, 5]
@@ -1139,7 +1156,8 @@ def reference_certified_box(scenarios, eps, costs):
              for m in scenarios.marginals]
     tables, reach = [], []
     for j, table in enumerate(lattice.no_wait_tables(scenarios.marginals, lower)):
-        running = np.maximum.accumulate(np.array(scenarios.marginals[j].probs) @ table)
+        running = np.maximum.accumulate(
+            lattice._marginal_no_wait(scenarios.marginals[j].probs, table))
         floor = min(int(np.searchsorted(running, target - 1e-12)), table.shape[1] - 1)
         lower[j] += floor
         tables.append(table[:, floor:])
@@ -1363,6 +1381,30 @@ class TestSolveJointExactInteger:
         assert (cost, point) == expected
         assert type(cost) is float
 
+    @pytest.mark.parametrize("block", (1, 7, None))
+    @settings(max_examples=40, deadline=None)
+    @given(near_tie_problems())
+    def test_walk_decides_near_ties_like_brute_force(self, block, problem):
+        # the target on a point's joint no-wait, at one to four stations and
+        # in any batches: the fold decides each cell near it at most once,
+        # and the walk still returns the brute-force optimum
+        scenarios, epsilon, costs = problem
+        expected = brute_force_lattice(scenarios, epsilon, costs)
+        lower, tables = lattice.certified_box(scenarios, epsilon, costs)
+        fold, folded = lattice._table_no_wait, set()
+
+        def counted(scenarios, lower, tables, n):
+            assert n not in folded, f"the walk folded {n} twice"
+            folded.add(n)
+            return fold(scenarios, lower, tables, n)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lattice, "_table_no_wait", counted)
+            if block is not None:
+                patch.setattr(lattice, "LATTICE_BLOCK_CELLS", block)
+            point, cost = lattice.walk(scenarios, 1.0 - epsilon, costs, lower, tables)
+        assert (cost, point) == expected
+
     @pytest.mark.parametrize("costs, point, cost", (((1.0, 1.0), (28, 111), 139.0),
                                                     ((1.0, 1.5), (70, 70), 175.0)))
     def test_walk_picks_again_after_the_fold_refuses(self, monkeypatch, costs, point, cost):
@@ -1426,6 +1468,22 @@ class TestSolveJointExactInteger:
         assert box_lower == lower
         assert len(box_tables) == len(tables)
         assert all(np.array_equal(a, b) for a, b in zip(box_tables, tables))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=9).flatmap(
+        lambda probs: st.tuples(st.just(probs), st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=37, max_size=37),
+            min_size=len(probs), max_size=len(probs)))))
+    def test_marginal_no_wait_is_width_free(self, problem):
+        # a table cut to its first w columns gives the first w entries of
+        # the whole table's marginal no-wait bit for bit, so a floor does
+        # not depend on how deep certified_box built the table
+        probs, rows = problem
+        table = np.array(rows)
+        whole = lattice._marginal_no_wait(probs, table)
+        for width in (1, 3, 5, 6, 11, 23, 37):
+            cut = lattice._marginal_no_wait(probs, table[:, :width])
+            assert cut.tobytes() == whole[:width].tobytes()
 
     def test_tables_end_where_the_recursion_ends(self):
         # at rate 1e-17 the level-1 entry is 1.0 and the bound saturates
