@@ -426,7 +426,10 @@ def _build_parser():
                        help="wait-probability curve; defaults to problem.bound")
 
     p = sub.add_parser(
-        "frontier", help="sweep the single-station cost/QoS frontier")
+        "frontier", help="sweep the single-station cost/QoS frontier",
+        description="Sweep the single-station cost/QoS frontier. n_integer is the "
+                    "plain nearest rounding of n_continuous: not repaired, and no "
+                    "claim that it is feasible.")
     p.add_argument("--lam", type=float, required=True, help="offered load")
     p.add_argument("--grid", type=float, nargs=3,
                    default=(0.05, 0.95, 0.05),

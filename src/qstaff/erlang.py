@@ -28,14 +28,14 @@ state at floor(lambda), which every stable level of a rate walks
 through, is a checkpoint cached per rate (2^12 entries of two numbers),
 so the first exact value at a rate pays O(sqrt(lambda) + n - lambda)
 steps and every later one, scalar or column, O(n - lambda). The solvers
-evaluate one level against a station's whole rate vector through
-_wait_vector and _no_wait_vector: no cache, one C call of Q per rate,
-and the scalar bits rate by rate. Where the delay exponent's lower
-bound (Q >= 1/e, _exponent_head) puts alpha below 2^-54, so that
-1 - alpha rounds to exactly 1.0, the no-wait kernels write 1.0 without
-the work: _no_wait_vector calls neither Q nor, at an integer level, the
-recursion, and a column that starts above its rate's first stable level
-at such a level is [1.0], without the rate's checkpoint.
+evaluate one level against a station's whole rate vector, uncached and
+with the scalar bits rate by rate: _wait_vector returns true waits, and
+_no_wait_vector its own entries, at an integer level from
+_exact_no_wait_column, the lattice tables' kernel, at a real level from
+one C call of Q per rate. Where the delay exponent's lower bound
+(Q >= 1/e, _exponent_head) puts alpha below 2^-54, so that 1 - alpha is
+exactly 1.0, the no-wait kernels write 1.0 without Q or, in a column
+starting above its rate's first stable level, the rate's checkpoint.
 
 The special functions are scipy's C routines called through
 scipy.special.cython_special: the ufuncs' own code, bit for bit, without
@@ -166,11 +166,11 @@ def _exact_no_wait_column(lam, lower, top=None):
     every later one, since both factors only grow with k above lam; the
     column ends with that entry. A column that starts above the rate's
     first stable level, where the delay exponent's floor already reaches
-    SATURATED (_exponent_head), is [1.0], without the recursion: every
-    entry from lower on is 1.0 (see _no_wait_vector). Such a column may
-    end below the level where the recursion's would; a column that starts
-    at or below its rate's first stable level always ends where the
-    recursion does.
+    SATURATED (_exponent_head), is [1.0], without the recursion, whose
+    rounding, a few units in the last place per step, is far inside the
+    factor e^0.57 between e^-38 and 2^-54 (see _no_wait_vector). Such a
+    column may end below the level where the recursion's would; one that
+    starts at or below its rate's first stable level ends where it does.
     """
     last = math.floor(lam)              # every level up to last is unstable
     if lower > last + 1 and _exponent_head(
@@ -417,41 +417,37 @@ def _wait(n, lam, bound):
     return getattr(jvlz_bounds_at(n, lam), bound)   # "upper" or "lower", a BoundPair field
 
 
-def _wait_vector(n, rates, bound="exact", saturated=math.inf):
+def _wait_vector(n, rates, bound="exact"):
     """[1.0 if r >= n else wait_probability(max(n, 1), r, bound) for r in rates],
     bit for bit, for positive finite float rates (left unchecked). Below a
-    non-integer level each rate costs one C call of Q(n, r), and the level's
-    ln sqrt(2 pi n) and stirlerr(n) are formed once. An exact entry whose
-    delay exponent is at least saturated even at Q = 1/e (_exponent_head)
-    is 0.0, without Q or, at an integer level, the recursion (see
-    _no_wait_vector)."""
+    non-integer level each exact entry costs one C call of Q(n, r), and the
+    level's ln sqrt(2 pi n) and stirlerr(n) are formed once."""
     bound = _bound_choice(bound)
     level = at_least(float(max(n, 1.0)), "staffing level", 1.0)
-    if bound != "exact" or level.is_integer() and saturated == math.inf:
+    if bound != "exact" or level.is_integer():
         return [1.0 if r >= n else _wait(level, r, bound) for r in rates]
     half_log, stirl = 0.5 * math.log(2.0 * math.pi * level), _stirlerr(level)
-    if level.is_integer():
-        return [1.0 if r >= n else 0.0 if _exponent_head(
-            level, r, half_log, stirl, saturated) is None
-            else _erlang_c_exact_cached(int(level), r) for r in rates]
-    return [1.0 if r >= n else _alpha_bar_from(level, r, half_log, stirl, saturated)
-            for r in rates]
+    return [1.0 if r >= n else _alpha_bar_from(level, r, half_log, stirl) for r in rates]
 
 
 def _no_wait_vector(n, rates):
     """[1.0 - w for w in _wait_vector(n, rates)], bit for bit, on the exact curve.
 
-    For n > lambda and n >= 1, Q(n, lambda) >= Q(1, 1) = 1/e, so the delay
-    exponent d = ln x + ln R is at least its value at Q = 1/e. Where that
-    bound reaches SATURATED, alpha < 2^-54 and 1 - alpha is exactly 1.0,
-    which the entry is, without Q or the recursion: on the benchmark's
-    two-station compare instances, a third of the rates the joint solves
-    evaluate. The bound holds for Erlang C itself, so at an integer level
-    the entry is 1.0 - _erlang_c_exact_cached(n, lambda) too: the
-    recursion's rounding, a few units in the last place per step, is far
-    inside the factor e^0.57 between e^-38 and 2^-54.
+    An integer level k's entries are the lattice's, each the first of
+    _exact_no_wait_column(r, k, k). For n > lambda and n >= 1,
+    Q(n, lambda) >= Q(1, 1) = 1/e, so the delay exponent d = ln x + ln R
+    is at least its value at Q = 1/e. Where that bound reaches SATURATED,
+    alpha < 2^-54 and 1 - alpha is exactly 1.0, which a real level's entry
+    is, without Q: on the benchmark's two-station compare instances, a
+    third of the rates the joint solves evaluate.
     """
-    return [1.0 - w for w in _wait_vector(n, rates, "exact", SATURATED)]
+    level = at_least(float(max(n, 1.0)), "staffing level", 1.0)
+    if level.is_integer():
+        k = int(level)
+        return [0.0 if r >= n else _exact_no_wait_column(r, k, k)[0] for r in rates]
+    half_log, stirl = 0.5 * math.log(2.0 * math.pi * level), _stirlerr(level)
+    return [0.0 if r >= n else 1.0 - _alpha_bar_from(level, r, half_log, stirl, SATURATED)
+            for r in rates]
 
 
 def wait_curve(lam, bound="exact"):

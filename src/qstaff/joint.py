@@ -102,6 +102,13 @@ def _cost_function(cost, what):
     return CostFunction("linear-servers", positive(cost, what))
 
 
+def _checked_problem(scenarios, epsilon, costs):
+    # an epsilon problem's (scenarios, eps, costs), checked in this order
+    scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
+    return (scenarios, check_epsilon(epsilon),
+            per_station(costs, scenarios.stations, positive, "per-server cost"))
+
+
 def _joint_no_wait(scenarios, levels):
     return _folded_no_wait(scenarios, [_no_wait_vector(n, m.rates) for m, n in
                                        zip(scenarios.marginals, levels)])
@@ -292,9 +299,7 @@ def solve_decoupled(scenarios, epsilon, costs):
     joint model because the split ignores how slack at one station could
     cover risk at another.
     """
-    scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
-    eps = check_epsilon(epsilon)
-    costs = per_station(costs, scenarios.stations, positive, "per-server cost")
+    scenarios, eps, costs = _checked_problem(scenarios, epsilon, costs)
     return _reduced_report(scenarios, _decoupled_decision(scenarios, eps),
                            costs, eps, "decoupled")
 
@@ -345,10 +350,8 @@ def solve_reduced_joint(scenarios, epsilon, costs, key_indices):
     coordinate_descent), which settles in the basin nearest that start:
     on a slice with two basins it can return the costlier local minimum.
     """
-    scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
-    eps = check_epsilon(epsilon)
+    scenarios, eps, costs = _checked_problem(scenarios, epsilon, costs)
     L = scenarios.stations
-    costs = per_station(costs, L, positive, "per-server cost")
     keys, key_rates = _key_rates(scenarios, key_indices)
     target = 1.0 - eps
     dep = L - 1
@@ -492,9 +495,7 @@ def enumerate_key_scenarios(scenarios, epsilon, costs):
     test and InfeasibleError, without solving it; every other key is
     solved, so the report is the one solving every key gives.
     """
-    scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
-    eps = check_epsilon(epsilon)
-    costs = per_station(costs, scenarios.stations, positive, "per-server cost")
+    scenarios, eps, costs = _checked_problem(scenarios, epsilon, costs)
     keys = _key_lattice(scenarios)
     masses = {}  # free keys -> their surviving masses
     target = 1.0 - eps
@@ -537,10 +538,8 @@ def solve_joint(scenarios, epsilon, costs, key_indices=None, warm_betas=None):
     it can stop in the costlier one, where a grid scan would find the
     cheaper, and nothing in the report tells them apart.
     """
-    scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
-    eps = check_epsilon(epsilon)
+    scenarios, eps, costs = _checked_problem(scenarios, epsilon, costs)
     L = scenarios.stations
-    costs = per_station(costs, L, positive, "per-server cost")
     if key_indices is None:
         if warm_betas is not None:
             raise DomainError("warm_betas needs key_indices")
@@ -584,9 +583,7 @@ def solve_joint_exact_integer(scenarios, epsilon, costs):
     lexicographically smallest vector. The QoS is folded from the same
     tables, joint_constraint_value at the optimum bit for bit.
     """
-    scenarios = of_type(scenarios, "scenarios", JointScenarioSet)
-    eps = check_epsilon(epsilon)
-    costs = per_station(costs, scenarios.stations, positive, "per-server cost")
+    scenarios, eps, costs = _checked_problem(scenarios, epsilon, costs)
     lower, tables = certified_box(scenarios, eps, costs)
     found = walk(scenarios, 1.0 - eps, costs, lower, tables)
     if found is None:

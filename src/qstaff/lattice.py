@@ -28,8 +28,9 @@ FEASIBILITY_TOL = 1e-9
 # the walk forms its joint no-wait in batches of at most this many cells
 # (8 bytes each), levels x rows x columns, whatever the size of the box
 LATTICE_BLOCK_CELLS = 1 << 16
-# a joint no-wait this close to the target, far above the rounding of
-# either sum, is decided by the fold rather than the matrix product
+# a joint no-wait this close to the target, far above the rounding of either
+# sum, is decided by the fold rather than the walk's matrix product, and
+# certified_box searches its masses and floors this far below the target
 _TIE = 1e-12
 
 
@@ -123,11 +124,11 @@ def certified_box(scenarios, eps, costs):
     marginals = scenarios.marginals
     # stability threshold: a feasible level lies above the first rate whose
     # cumulative mass reaches the target, as the no-wait product dies on
-    # unstable stations. The 1e-12 slack here and on the floor keeps every
+    # unstable stations. The _TIE slack here and on the floor keeps every
     # level the fold could accept; a mass or floor never reached leaves the top
     start = []
     for m in marginals:
-        first = min(int(np.searchsorted(np.cumsum(m.probs), target - 1e-12)), len(m) - 1)
+        first = min(int(np.searchsorted(np.cumsum(m.probs), target - _TIE)), len(m) - 1)
         start.append(int(math.floor(m.rates[first])) + 1)
     top = [lo + 8 + math.ceil(3.0 * math.sqrt(m.rates[-1]))
            for lo, m in zip(start, marginals)]
@@ -138,7 +139,7 @@ def certified_box(scenarios, eps, costs):
         floors, reach = [], []  # reach[j]: running maximum of E[u_j] from the floor
         for m, table in zip(marginals, full):
             running = np.maximum.accumulate(_marginal_no_wait(m.probs, table))
-            floors.append(min(int(np.searchsorted(running, target - 1e-12)),
+            floors.append(min(int(np.searchsorted(running, target - _TIE)),
                               table.shape[1] - 1))
             reach.append(running[floors[-1]:])
         lower = [lo + f for lo, f in zip(start, floors)]

@@ -646,6 +646,10 @@ class TestNoWaitVector:
     @given(case=levels_and_rates())
     @settings(max_examples=200, deadline=None)
     @example(case=(100.5, [10.0, 30.0, 60.0, 100.5, 120.0]))
+    @example(case=(481.0, [480.2]))     # the first stable level: no column shortcut
+    @example(case=(677.0, [480.2]))     # the last unsaturated level
+    @example(case=(678.0, [480.2]))     # the first saturated level
+    @example(case=(1.0, [0.3, 1.0]))
     def test_bit_identical_to_one_minus_wait_vector(self, case):
         n, rates = case
         assert _no_wait_vector(n, rates) == [1.0 - w for w in _wait_vector(n, rates)]
@@ -664,9 +668,9 @@ class TestNoWaitVector:
     def test_saturated_integer_entries_skip_the_recursion(self, monkeypatch):
         # at level 100 the bound crosses SATURATED between rates 30 and 60:
         # rates 10 and 30 are 1.0 without the exact recursion
-        exact, calls = erlang._erlang_c_exact_cached, []
-        monkeypatch.setattr(erlang, "_erlang_c_exact_cached",
-                            lambda n, lam: calls.append(lam) or exact(n, lam))
+        recursion, calls = erlang._recursion_at_rate, []
+        monkeypatch.setattr(erlang, "_recursion_at_rate",
+                            lambda lam: calls.append(lam) or recursion(lam))
         rates = [10.0, 30.0, 60.0, 90.0, 100.0, 120.0]
         no_wait = _no_wait_vector(100.0, rates)
         assert calls == [60.0, 90.0]

@@ -462,6 +462,24 @@ def test_joint_solvers_refuse_a_single_station_set(call):
         call(ScenarioSet((200.0, 300.0), (0.6, 0.4)))
 
 
+@pytest.mark.parametrize("problem", [
+    (JOINT_RATES, EPSILON, PRICES),
+    (instance(), 1.5, PRICES),
+    (instance(), EPSILON, (5.0, 3.0, 1.0)),
+], ids=("not-a-set", "epsilon", "cost-length"))
+def test_epsilon_solvers_check_a_problem_alike(problem):
+    # every epsilon solver checks the set, epsilon and the costs in one
+    # order, with one text for each
+    texts = set()
+    for solve in (solve_decoupled, enumerate_key_scenarios, solve_joint,
+                  solve_joint_exact_integer, compare_solutions,
+                  lambda *p: solve_reduced_joint(*p, key_indices=(0, 0))):
+        with pytest.raises(DomainError) as raised:
+            solve(*problem)
+        texts.add(str(raised.value))
+    assert len(texts) == 1
+
+
 # one station at sub-unit rates: key 0 writes off half the mass, and key 1
 # needs a safety factor past the bracket cap to wait with probability <= 1e-9
 TINY_RATES = JointScenarioSet(((0.001,), (0.002,)), (0.5, 0.5))
