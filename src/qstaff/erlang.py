@@ -39,7 +39,10 @@ starting above its rate's first stable level, the rate's checkpoint.
 
 The special functions are scipy's C routines called through
 scipy.special.cython_special: the ufuncs' own code, bit for bit, without
-the ufunc machinery (about 1 us) around each scalar call.
+the ufunc machinery (about 1 us) around each scalar call. That module
+loads at the first call of any of them, not at import (about 0.25 s),
+and the call binds the names erfcx, gammaincc and ndtr to the routines
+themselves, so every later call reaches them directly.
 """
 from __future__ import annotations
 
@@ -47,8 +50,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-from scipy.special.cython_special import erfcx, gammaincc, ndtr
 
 from .errors import (DomainError, QuadratureError, UnstableSystemError, at_least, integer,
                      positive, real)
@@ -74,6 +75,23 @@ BOUND_CHOICES = ("exact", "upper", "lower", "hw")
 # a delay exponent d >= SATURATED gives alpha = 1/(1 + e^d) < e^-38 < 2^-54,
 # so 1 - alpha rounds to exactly 1.0
 SATURATED = 38.0
+
+
+def _stand_in(name):
+    # scipy.special.cython_special.<name> until the first call of any stand-in,
+    # which imports that module and binds each name still standing in to the
+    # C routine itself, so that import qstaff leaves scipy unloaded
+    def first_call(*args):
+        from scipy.special import cython_special
+        for key, stub in _STAND_INS.items():
+            if globals()[key] is stub:
+                globals()[key] = getattr(cython_special, key)
+        return getattr(cython_special, name)(*args)
+    return first_call
+
+
+_STAND_INS = {name: _stand_in(name) for name in ("erfcx", "gammaincc", "ndtr")}
+erfcx, gammaincc, ndtr = _STAND_INS.values()
 
 
 @dataclass(frozen=True)
@@ -171,16 +189,18 @@ def _exact_no_wait_column(lam, lower, top=None):
     factor e^0.57 between e^-38 and 2^-54 (see _no_wait_vector). Such a
     column may end below the level where the recursion's would; one that
     starts at or below its rate's first stable level ends where it does.
+    A column whose top is at or below floor(lam) is all 0.0, and skips the
+    recursion too.
     """
     last = math.floor(lam)              # every level up to last is unstable
     if lower > last + 1 and _exponent_head(
             lower, lam, 0.5 * math.log(2.0 * math.pi * lower), _stirlerr(lower),
             SATURATED) is None:
         return [1.0]
-    last, ib = _recursion_at_rate(lam)
     first = max(lower, last + 1)
     if top is not None and top < first:
         return [0.0] * (top - lower + 1)
+    last, ib = _recursion_at_rate(lam)
     out = [0.0] * (first - lower)
     for k in range(last + 1, first):
         ib = 1.0 + (k / lam) * ib

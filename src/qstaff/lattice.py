@@ -11,14 +11,13 @@ every joint solver scores with, lives here too: certified_box scores its
 incumbent candidates with it, and the walk, whose batched product is the
 only other joint no-wait evaluator, decides with it, before its pick,
 the points too close to the target for that product to order as
-joint.joint_constraint_value does.
+joint.joint_constraint_value does. The fold is pure Python; numpy loads
+at the first table, certified box or walk.
 """
 from __future__ import annotations
 
 import bisect
 import math
-
-import numpy as np
 
 from .erlang import _exact_no_wait_column
 from .errors import InfeasibleError
@@ -67,6 +66,7 @@ def _table_no_wait(scenarios, lower, tables, n):
 
 def _no_wait_table(marginal, lower, top=None):
     # one station's table, rows padded with 1.0 to the widest
+    import numpy as np
     rows = [_exact_no_wait_column(r, lower, top) for r in marginal.rates]
     width = max(map(len, rows))
     return np.array([r + [1.0] * (width - len(r)) for r in rows])
@@ -120,6 +120,7 @@ def certified_box(scenarios, eps, costs):
     incumbent's budget is rebuilt to it. Only the tables whose top moves
     are rebuilt.
     """
+    import numpy as np
     target = 1.0 - eps
     marginals = scenarios.marginals
     # stability threshold: a feasible level lies above the first rate whose
@@ -203,6 +204,7 @@ def walk(scenarios, target, costs, lower, tables):
     So the walk returns the point joint.joint_constraint_value finds
     cheapest.
     """
+    import numpy as np
     probs = np.array(scenarios.probs)
     # fewer than three stations are put behind virtual ones: one level, of
     # no cost, whose no-wait is 1 at every rate

@@ -8,7 +8,8 @@ the time of the next arrival and a heap of the departure times of the
 customers in service; the waiting line is a count. Replications use
 independent counter-based streams and aggregate through their sufficient
 statistics, which keeps every estimate bit-identical for a given seed
-regardless of scheduling.
+regardless of scheduling. numpy (the streams) and scipy's t quantile
+load at the first simulation and the first estimate, not at import.
 """
 from __future__ import annotations
 
@@ -16,9 +17,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from numbers import Real
-
-import numpy as np
-from scipy.special.cython_special import stdtrit
 
 from .errors import (DomainError, UnstableSystemError, integer, of_type, per_station, positive,
                      real)
@@ -77,6 +75,7 @@ def _unit_exponentials(seed, index, size=8192):
     """Unit-rate exponential draws -log1p(-u) in a fixed order, from seed's
     counter-based generator jumped index times; each replication has its
     own index, so their streams are independent."""
+    import numpy as np
     gen = np.random.Generator(np.random.Philox(seed).jumped(index))
     while True:
         for u in gen.random(size).tolist():
@@ -130,6 +129,7 @@ def _replicate(n, lam, warmup, measured, draw):
 
 
 def _estimate(values):
+    from scipy.special.cython_special import stdtrit
     reps = len(values)
     mean = math.fsum(values) / reps
     var = math.fsum((v - mean) ** 2 for v in values) / (reps - 1)

@@ -581,6 +581,19 @@ class TestExactNoWaitColumn:
         assert _recursion_at_rate.cache_info().misses == before.misses + 1
         assert below[0] == 1.0 and below == from_start_column(lam, level - 1, level + 40)
 
+    def test_unstable_column_skips_the_recursion(self):
+        # a top at or below floor(lam) leaves only unstable levels, whose
+        # entries are 0.0 without the rate's checkpoint; no other test uses
+        # this rate, and the first stable level still computes it
+        lam = 3579.246813
+        before = _recursion_at_rate.cache_info()
+        assert _exact_no_wait_column(lam, 3500, 3579) == [0.0] * 80
+        assert _exact_no_wait_column(lam, 3579, 3579) == [0.0]
+        assert _recursion_at_rate.cache_info() == before
+        column = _exact_no_wait_column(lam, 3579, 3580)
+        assert _recursion_at_rate.cache_info().misses == before.misses + 1
+        assert column[0] == 0.0 and column == from_start_column(lam, 3579, 3580)
+
 
 class TestWaitVector:
     @st.composite
@@ -658,8 +671,9 @@ class TestNoWaitVector:
         # at level 100.5 the bound crosses SATURATED near rate 38: rates 10
         # and 30 are 1.0 without Q, and rate 30's entry is the Q route's bits
         assert 37.0 < saturation_rate(100.5) < 39.0
-        q, calls = erlang.gammaincc, []
-        monkeypatch.setattr(erlang, "gammaincc", lambda n, lam: calls.append(lam) or q(n, lam))
+        calls = []
+        monkeypatch.setattr(erlang, "gammaincc",
+                            lambda n, lam: calls.append(lam) or cs.gammaincc(n, lam))
         no_wait = _no_wait_vector(100.5, [10.0, 30.0, 60.0, 90.0, 100.0, 120.0])
         assert calls == [60.0, 90.0, 100.0]
         assert no_wait[:2] == [1.0, 1.0] and no_wait[-1] == 0.0

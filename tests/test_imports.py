@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import qstaff
 
 PUBLIC_MODULES = ("erlang", "errors", "files", "frontier", "joint", "multistation",
@@ -34,16 +36,65 @@ JOINED_LATER = ("wait_curve", "hw_quantities", "jvlz_bounds_at", "BoundPair", "H
                 "StationSpec", "ProblemSpec", "SOLVER_MODES", "objective_gap")
 
 
-def test_import_loads_no_quadrature_or_stats():
-    # the delay curves and the simulator need only scipy.special
+def fresh_python(*args):
+    """(stdout, stderr) of a fresh interpreter run with args, on this
+    checkout's package; it must exit 0."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qstaff.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, qstaff; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, *args], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout, out.stderr
+
+
+def imported_by(*args):
+    """Every module a fresh interpreter imports running args, read from -X importtime."""
+    _, err = fresh_python("-X", "importtime", *args)
+    return {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_import_loads_no_quadrature_or_stats():
+    # the delay curves and the simulator need only scipy.special
+    assert not imported_by("-c", "import qstaff") & {"scipy.integrate", "scipy.stats"}
+
+
+@pytest.mark.parametrize("args", [("-c", "import qstaff"), ("-c", "import qstaff.cli"),
+                                  ("-m", "qstaff.cli", "validate", "example1")])
+def test_import_and_validate_load_neither_numpy_nor_scipy(args):
+    # numpy and scipy.special load at the first call that needs them
+    assert not {m.split(".")[0] for m in imported_by(*args)} & {"numpy", "scipy"}
+
+
+def test_lattice_loads_numpy_but_not_scipy_special():
+    # the certified optimum reads exact tables and never evaluates a curve
+    modules = imported_by("-c", "from qstaff import *\n"
+                          "f = load_scenario_file(resolve_scenario_path('example1'))\n"
+                          "solve_joint_exact_integer(f.joint_set(), f.problem.epsilon, "
+                          "f.problem.costs)")
+    assert "numpy" in modules and "scipy.special" not in modules
+
+
+def test_first_curve_binds_the_c_routines_themselves():
+    # after the first continuous value no stand-in stays on the hot path,
+    # including the two routines that value did not call
+    out, _ = fresh_python("-c", "from scipy.special import cython_special as cs\n"
+                          "from qstaff import erlang\n"
+                          "names = ('erfcx', 'gammaincc', 'ndtr')\n"
+                          "before = [getattr(erlang, f) is getattr(cs, f) for f in names]\n"
+                          "erlang.erlang_c_continuous(100.5, 90.0)\n"
+                          "print(before, [getattr(erlang, f) is getattr(cs, f) for f in names])")
+    assert out.split() == ["[False,", "False,", "False]", "[True,", "True,", "True]"]
+
+
+def test_first_load_keeps_a_name_bound_elsewhere():
+    # a routine replaced before the first load (as a test's monkeypatch
+    # does) stays replaced when another routine's first call loads scipy
+    out, _ = fresh_python("-c", "from qstaff import erlang\n"
+                          "erlang.gammaincc = len\n"
+                          "erlang.halfin_whitt(1.0)\n"
+                          "print(erlang.gammaincc is len, erlang.ndtr.__module__)")
+    assert out.split() == ["True", "scipy.special.cython_special"]
 
 
 def test_benchmark_trace_points_resolve():

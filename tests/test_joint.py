@@ -1120,6 +1120,28 @@ class TestSolveJoint:
         assert grid.beta_cost == pytest.approx(36.079662868, abs=1e-8)
         assert grid.decision.n_integer == (22, 52)
 
+    def test_two_station_walk_finds_a_basin_the_grid_misses(self, monkeypatch):
+        # a second slice with a lower basin above BETA_HI, from the
+        # Hypothesis draws of test_two_station_walk_answers_as_the_grid: the
+        # walk from beta = 1 reaches 8.55, the grid stops at 7.69, and both
+        # roundings are feasible
+        two = JointScenarioSet(((83.0, 165.0), (120.0, 165.0), (158.0, 165.0)),
+                               (0.4890829694323144, 0.45414847161572053,
+                                0.056768558951965066))
+        rep = solve_joint(two, 0.05859375, (1.0, 1.0), (0, 0))
+        assert rep.decision.betas[0] == pytest.approx(8.550105998, abs=1e-6)
+        assert rep.beta_cost == pytest.approx(10.814050547, abs=1e-8)
+        assert (rep.decision.n_integer, rep.integer_cost) == ((161, 194), 355.0)
+        assert rep.feasible and rep.converged
+        search = joint.grid_then_golden
+        monkeypatch.setattr(joint, "grid_then_golden",
+                            lambda fn, start=None, xtol=None: search(fn))
+        grid = solve_joint(two, 0.05859375, (1.0, 1.0), (0, 0))
+        assert grid.decision.betas[0] == pytest.approx(7.688523914, abs=1e-6)
+        assert grid.beta_cost == pytest.approx(11.005283674, abs=1e-8)
+        assert (grid.decision.n_integer, grid.integer_cost) == ((153, 208), 361.0)
+        assert grid.feasible
+
     def test_certified_optimum_bounds_the_rounded_solve(self):
         certified = solve_joint_exact_integer(instance(), EPSILON, PRICES)
         rounded = solve_joint(instance(), EPSILON, PRICES)
