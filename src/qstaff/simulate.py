@@ -5,16 +5,21 @@ formula and its continuous extension; this module estimates the same
 quantities from first principles. It runs an FCFS many-server queue
 with unit service rate, so the arrival rate is the offered load, from
 the time of the next arrival and a heap of the departure times of the
-customers in service; the waiting line is a count. Replications use
-independent counter-based streams and aggregate through their sufficient
-statistics, which keeps every estimate bit-identical for a given seed
-regardless of scheduling. numpy (the streams) and scipy's t quantile
-load at the first simulation and the first estimate, not at import.
+customers in service; the waiting line is a count. Each run, one
+replication of one (rate, station), draws from its own counter-based
+stream; the runs fan out over forked workers, one per available CPU,
+and replications aggregate through their sufficient statistics in a
+fixed order, which keeps every estimate bit-identical for a given seed
+whatever the worker count. numpy (the streams), the process pool and
+scipy's t quantile load at the first simulation and the first
+estimate, not at import.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+import os
 from dataclasses import dataclass
 from numbers import Real
 
@@ -72,21 +77,26 @@ class SimEstimate:
 
 
 def _unit_exponentials(seed, index, size=8192):
-    """Unit-rate exponential draws -log1p(-u) in a fixed order, from seed's
-    counter-based generator jumped index times; each replication has its
-    own index, so their streams are independent."""
+    """Blocks of unit-rate exponential draws -log1p(-u), in a fixed order,
+    from seed's counter-based generator jumped index times; each run has
+    its own index, so the runs' streams are independent. math.log1p, not
+    numpy's, whose last bit may differ."""
     import numpy as np
     gen = np.random.Generator(np.random.Philox(seed).jumped(index))
+    log1p = math.log1p
     while True:
-        for u in gen.random(size).tolist():
-            yield -math.log1p(-u)
+        yield [-log1p(-u) for u in gen.random(size).tolist()]
 
 
 def _replicate(n, lam, warmup, measured, draw):
     """One replication on the draws draw() returns; (arrival-seen wait
-    fraction, all-busy time fraction over the measurement window)."""
+    fraction, all-busy time fraction over the measurement window). The
+    draws go, in event order, to the first arrival, each service start and
+    each next arrival."""
+    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
     arrival = draw() / lam
     departures = []     # heap of departure times, one per busy server
+    busy = 0            # len(departures)
     queued = 0
     arrivals = 0
     waited = 0
@@ -98,26 +108,28 @@ def _replicate(n, lam, warmup, measured, draw):
 
     while True:
         # an arrival and a departure at the same time: the arrival goes first
-        departing = bool(departures) and departures[0] < arrival
+        departing = busy and departures[0] < arrival
         t = departures[0] if departing else arrival
         if window_open:
-            if len(departures) == n:
+            if busy == n:
                 busy_time += t - t_prev
             t_prev = t
         if departing:
             if queued:
                 queued -= 1
-                heapq.heapreplace(departures, t + draw())
+                heapreplace(departures, t + draw())
             else:
-                heapq.heappop(departures)
+                heappop(departures)
+                busy -= 1
             continue
         arrivals += 1
-        if arrivals > warmup and len(departures) == n:
-            waited += 1
-        if len(departures) < n:
-            heapq.heappush(departures, t + draw())
-        else:
+        if busy == n:
+            if arrivals > warmup:
+                waited += 1
             queued += 1
+        else:
+            heappush(departures, t + draw())
+            busy += 1
         if arrivals == warmup:
             window_open = True
             window_start = t
@@ -126,6 +138,35 @@ def _replicate(n, lam, warmup, measured, draw):
             span = max(t - window_start, 1e-300)
             return waited / measured, busy_time / span
         arrival = t + draw() / lam
+
+
+def _run(task):
+    """_replicate for one (n, lam, warmup, measured, seed, stream index)."""
+    n, lam, warmup, measured, seed, index = task
+    draw = itertools.chain.from_iterable(_unit_exponentials(seed, index)).__next__
+    return _replicate(n, lam, warmup, measured, draw)
+
+
+def _cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_all(tasks):
+    """[_run(task) for task in tasks], in task order, spread over forked
+    workers, one per available CPU and at most one per task. Each run
+    reads only its own stream, so the results do not depend on the worker
+    count. A single worker, or a platform without fork, runs them here."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    import numpy  # noqa: F401 -- loaded before the fork, so no worker imports it
+    workers = min(_cpus(), len(tasks))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(_run, tasks))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_run, tasks))
 
 
 def _estimate(values):
@@ -142,15 +183,14 @@ def _estimate(values):
     )
 
 
-def _run_fractions(n, lam, config, stream_base):
+def _tasks(n, lam, config, stream_base):
+    """The config's replications of (n, lam) as _run tasks, on the streams
+    stream_base, stream_base + 1, ..."""
     warmup = config.warmup_customers
     if warmup is None:
         warmup = 10 * n
-    pairs = []
-    for rep in range(config.replications):
-        draw = _unit_exponentials(config.seed, stream_base + rep).__next__
-        pairs.append(_replicate(n, lam, warmup, config.measured_customers, draw))
-    return pairs
+    return [(n, lam, warmup, config.measured_customers, config.seed, stream_base + rep)
+            for rep in range(config.replications)]
 
 
 def simulate_wait_probability(config):
@@ -161,7 +201,7 @@ def simulate_wait_probability(config):
     computes exactly.
     """
     config = of_type(config, "config", SimConfig)
-    pairs = _run_fractions(config.n, config.lam, config, 0)
+    pairs = _run_all(_tasks(config.n, config.lam, config, 0))
     return _estimate([seen for seen, _ in pairs])
 
 
@@ -172,7 +212,7 @@ def simulate_busy_fraction(config):
     config, so the two estimates form a paired PASTA check.
     """
     config = of_type(config, "config", SimConfig)
-    pairs = _run_fractions(config.n, config.lam, config, 0)
+    pairs = _run_all(_tasks(config.n, config.lam, config, 0))
     return _estimate([frac for _, frac in pairs])
 
 
@@ -213,19 +253,21 @@ def simulate_scenario_qos(scenarios, decision, config):
     pairs = scenarios.pairs()
 
     reps = config.replications
-    fractions = {}
-    run_index = 0
+    fractions = {}      # (rate, station) -> wait fraction per replication
+    stable, tasks = [], []
     for rates, _ in pairs:
         for i, rate in enumerate(rates):
             key = (rate, i)
             if key in fractions:
                 continue
-            if rate >= levels[i]:
-                fractions[key] = [1.0] * reps
-            else:
-                runs = _run_fractions(levels[i], rate, config, run_index * reps)
-                fractions[key] = [seen for seen, _ in runs]
-            run_index += 1
+            if rate < levels[i]:
+                # the k-th distinct pair runs on streams k * reps onwards
+                stable.append(key)
+                tasks += _tasks(levels[i], rate, config, len(fractions) * reps)
+            fractions[key] = [1.0] * reps
+    seen = [seen for seen, _ in _run_all(tasks)]
+    for j, key in enumerate(stable):
+        fractions[key] = seen[j * reps:(j + 1) * reps]
 
     union = []
     for rep in range(reps):

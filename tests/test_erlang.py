@@ -710,6 +710,32 @@ class TestNoWaitVector:
             assert cs.gammaincc(n, lam) == pytest.approx(float(want), rel=1e-13), (n, lam)
 
 
+class TestNoWaitOrder:
+    """At a fixed level every no-wait factor falls as its rate rises
+    (Erlang C rises with the load): the order a rate grid's bracket rests
+    on, here on the bits _no_wait_vector returns."""
+
+    @st.composite
+    def level_and_sorted_rates(draw):
+        # an integer or real level in [1, 3000] against rates anywhere below
+        # it, at it and above it, each perhaps beside a neighbour one ulp to
+        # a thousandth above it
+        n = draw(st.one_of(st.integers(1, 3000).map(float), st.floats(1.0, 3000.0)))
+        rates = [n * x for x in draw(st.lists(st.floats(1e-3, 1.6), min_size=1, max_size=9))]
+        rates.append(n)
+        for r in draw(st.lists(st.sampled_from(rates), max_size=4)):
+            step = draw(st.one_of(st.just(None), st.floats(1e-15, 1e-3)))
+            rates.append(math.nextafter(r, math.inf) if step is None else r * (1.0 + step))
+        return n, sorted(rates)
+
+    @given(case=level_and_sorted_rates())
+    @settings(max_examples=300, deadline=None)
+    def test_non_increasing_in_the_rate(self, case):
+        n, rates = case
+        no_wait = _no_wait_vector(n, rates)
+        assert all(a >= b for a, b in zip(no_wait, no_wait[1:])), (n, rates, no_wait)
+
+
 class TestCythonSpecial:
     """The package calls scipy's special functions through cython_special:
     the ufuncs' C routines, bit for bit, without the ufunc machinery."""

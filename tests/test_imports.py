@@ -62,8 +62,10 @@ def test_import_loads_no_quadrature_or_stats():
 @pytest.mark.parametrize("args", [("-c", "import qstaff"), ("-c", "import qstaff.cli"),
                                   ("-m", "qstaff.cli", "validate", "example1")])
 def test_import_and_validate_load_neither_numpy_nor_scipy(args):
-    # numpy and scipy.special load at the first call that needs them
-    assert not {m.split(".")[0] for m in imported_by(*args)} & {"numpy", "scipy"}
+    # numpy and scipy.special load at the first call that needs them, and
+    # the simulator's process pool at the first simulation
+    assert not ({m.split(".")[0] for m in imported_by(*args)}
+                & {"numpy", "scipy", "multiprocessing", "concurrent"})
 
 
 def test_lattice_loads_numpy_but_not_scipy_special():

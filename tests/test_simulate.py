@@ -1,13 +1,18 @@
 """Tests for the event-driven M/M/n simulator."""
 import math
+import multiprocessing
 
+import numpy as np
 import pytest
 
+from qstaff import simulate
 from qstaff.erlang import wait_probability
 from qstaff.errors import DomainError, UnstableSystemError
 from qstaff.scenarios import JointScenarioSet, ScenarioSet
 from qstaff.simulate import (
     SimConfig,
+    _estimate,
+    _replicate,
     simulate_busy_fraction,
     simulate_scenario_qos,
     simulate_wait_probability,
@@ -163,3 +168,75 @@ class TestSimulateScenarioQos:
         for staffing in (level, (level,)):
             with pytest.raises(DomainError):
                 simulate_scenario_qos(one, staffing, SimConfig(n=2, lam=1.0))
+
+
+def stream(seed, index):
+    """draw() for run index of seed, one draw at a time: -log1p(-u) over
+    the uniforms of seed's Philox generator jumped index times."""
+    gen = np.random.Generator(np.random.Philox(seed).jumped(index))
+
+    def draws():
+        while True:
+            for u in gen.random(8192).tolist():
+                yield -math.log1p(-u)
+    return draws().__next__
+
+
+def serial_runs(n, lam, config, stream_base):
+    warmup = 10 * n if config.warmup_customers is None else config.warmup_customers
+    return [_replicate(n, lam, warmup, config.measured_customers,
+                       stream(config.seed, stream_base + rep))
+            for rep in range(config.replications)]
+
+
+def serial_scenario_qos(scenarios, levels, config):
+    """simulate_scenario_qos run by run in this process: every new
+    (rate, station) pair takes the next block of replication streams."""
+    reps = config.replications
+    fractions = {}
+    for rates, _ in scenarios.pairs():
+        for i, rate in enumerate(rates):
+            if (rate, i) not in fractions:
+                fractions[(rate, i)] = (
+                    [1.0] * reps if rate >= levels[i] else
+                    [seen for seen, _ in serial_runs(levels[i], rate, config,
+                                                     len(fractions) * reps)])
+    union = []
+    for rep in range(reps):
+        waited = 0.0
+        for rates, p in scenarios.pairs():
+            waited += p * (1.0 - math.prod(1.0 - fractions[(rate, i)][rep]
+                                           for i, rate in enumerate(rates)))
+        union.append(waited)
+    return _estimate(union)
+
+
+class TestFanOut:
+    # station 1's rate 10 meets its level in the first scenario, so the
+    # stable runs after it start one block of streams later; the third
+    # scenario repeats rates of the first two
+    SCENARIOS = JointScenarioSet(((5.0, 10.0, 3.0), (6.0, 8.0, 3.5), (5.0, 8.0, 3.0)),
+                                 (0.2, 0.3, 0.5))
+    LEVELS = (8, 10, 6)
+
+    @pytest.fixture(params=[1, 3], ids=("in-process", "three-workers"))
+    def cpus(self, request, monkeypatch):
+        # in this process, or on three workers whatever the host's CPU count
+        monkeypatch.setattr(simulate, "_cpus", lambda: request.param)
+        return request.param
+
+    def test_scenario_qos_matches_the_serial_runs(self, cpus):
+        config = SimConfig(n=2, lam=1.0, replications=3, seed=5)
+        est = simulate_scenario_qos(self.SCENARIOS, self.LEVELS, config)
+        assert multiprocessing.active_children() == []
+        assert est == serial_scenario_qos(self.SCENARIOS, self.LEVELS, config)
+
+    def test_plain_estimators_match_the_serial_runs(self, cpus):
+        config = SimConfig(n=4, lam=3.0, warmup_customers=7, replications=4, seed=9)
+        runs = serial_runs(4, 3.0, config, 0)
+        wait = simulate_wait_probability(config)
+        assert multiprocessing.active_children() == []
+        busy = simulate_busy_fraction(config)
+        assert multiprocessing.active_children() == []
+        assert wait == _estimate([seen for seen, _ in runs])
+        assert busy == _estimate([frac for _, frac in runs])
