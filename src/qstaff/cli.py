@@ -51,8 +51,6 @@ from .frontier import (
     check_delta,
     check_epsilon,
     frontier_csv_rows,
-    integer_staffing,
-    solve_constrained,
     sweep_frontier,
 )
 from .joint import (
@@ -66,7 +64,7 @@ from .joint import (
 )
 from .lattice import FEASIBILITY_TOL, repair
 from .simulate import SimConfig, simulate_scenario_qos
-from .stochastic import solve_reduced
+from .stochastic import _reduced_decision, solve_reduced
 
 __all__ = ["main"]
 
@@ -209,12 +207,10 @@ def _solve_mode(scenario_file, mode, eps, delta, bound):
         wait = _expected_joint_wait(joint, staffing)
         return staffing, _server_cost(costs, staffing) + delta * wait, detail
 
-    if mode == "det" and stations == 1:
-        lam = joint.rate_vectors[0][0]
-        beta = solve_constrained(lam, eps, bound=bound).beta
-        n_continuous = lam + beta * math.sqrt(lam)
-        staffing, _ = repair(joint, (integer_staffing(n_continuous),), 1.0 - eps, costs)
-        detail = {"beta": beta, "n_continuous": n_continuous}
+    if mode == "det" and stations == 1:   # the reduced model on its one scenario
+        decision, _ = _reduced_decision(joint.marginal(0), eps, bound)
+        staffing, _ = repair(joint, (decision.n_integer,), 1.0 - eps, costs)
+        detail = {"beta": decision.beta, "n_continuous": decision.n_continuous}
     elif mode == "stoch-single":
         report = solve_reduced(joint.marginal(0), eps, cost=costs[0], bound=bound)
         staffing = (report.decision.n_integer,)

@@ -198,11 +198,11 @@ def simulate_wait_probability(config):
 
     By PASTA this estimates the stationary probability that the system
     holds at least n customers, the quantity the Erlang-C formula
-    computes exactly.
+    computes exactly. This is simulate_scenario_qos on the one scenario
+    lam at staffing n.
     """
     config = of_type(config, "config", SimConfig)
-    pairs = _run_all(_tasks(config.n, config.lam, config, 0))
-    return _estimate([seen for seen, _ in pairs])
+    return simulate_scenario_qos(ScenarioSet((config.lam,), (1.0,)), config.n, config)
 
 
 def simulate_busy_fraction(config):
@@ -241,9 +241,6 @@ def simulate_scenario_qos(scenarios, decision, config):
     the returned wait_prob_mean is one minus the across-replication mean,
     directly comparable to 1 - constraint value. The control fields of
     config apply to every run; its n and lam do not.
-
-    With a single scenario and station this reduces to
-    simulate_wait_probability on the same streams, estimate for estimate.
     """
     if isinstance(scenarios, ScenarioSet):
         scenarios = JointScenarioSet.from_product((scenarios,))
@@ -274,8 +271,8 @@ def simulate_scenario_qos(scenarios, decision, config):
         waited = 0.0
         for rates, p in pairs:
             if len(rates) == 1:
-                # single factor taken directly, so the degenerate case
-                # reproduces the plain estimator bit for bit
+                # single factor taken directly, so that one station's
+                # estimate is its runs' plain wait fraction bit for bit
                 scenario_wait = fractions[(rates[0], 0)][rep]
             else:
                 scenario_wait = 1.0 - math.prod(

@@ -61,12 +61,14 @@ def select_key_scenario(scenarios, epsilon):
     above it falls short. If the largest rate alone carries mass >=
     epsilon, that scenario is the key. A tail sum equal to epsilon makes
     the reduced model ill-posed (the asymptotic analysis needs strict
-    inequalities on both sides) and raises KeyScenarioTieError.
+    inequalities on both sides) and raises KeyScenarioTieError; the empty
+    tail past the last rate, 0.0 < epsilon, never ties. An epsilon not
+    below the set's total, which rounding can leave under one, has no key.
     """
     scenarios = of_type(scenarios, "scenarios", ScenarioSet)
     eps = check_epsilon(epsilon)
     tails = scenarios.tail_sums()
-    for i in range(1, len(scenarios) + 1):
+    for i in range(1, len(scenarios)):
         if abs(tails[i] - eps) <= TAIL_TIE_TOL:
             raise KeyScenarioTieError(
                 f"probability tail from scenario {i} equals epsilon={eps!r} "
@@ -75,7 +77,8 @@ def select_key_scenario(scenarios, epsilon):
     for i in range(len(scenarios) - 1, -1, -1):
         if tails[i] > eps:
             return i
-    raise DomainError("unreachable: total probability is one and epsilon < 1")
+    raise DomainError(f"epsilon={eps!r} is not below the scenario set's total "
+                      f"probability {tails[0]!r}, so no scenario is the key")
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,16 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qstaff import erlang
+from qstaff import cli, erlang
 from qstaff.cli import main
-from qstaff.erlang import wait_probability
+from qstaff.erlang import BOUND_CHOICES, wait_probability
 from qstaff.errors import BracketError, InfeasibleError
-from qstaff.files import load_scenario_file, resolve_scenario_path
-from qstaff.frontier import CostFunction, solve_constrained
+from qstaff.files import load_scenario_file, parse_scenario_data, resolve_scenario_path
+from qstaff.frontier import CostFunction, integer_staffing, solve_constrained
 from qstaff.joint import joint_constraint_value, solve_weighted_stoch
+from qstaff.lattice import repair
 from qstaff.stochastic import FEASIBILITY_TOL
 
 EXAMPLE_SOLUTION = [496, 235]
@@ -406,6 +408,35 @@ class TestSolve:
         fields = dict(line.split(None, 1) for line in out.splitlines())
         assert fields["solution"] == f"({solution})"
         assert fields["feasible"] == ("true" if feasible else "false")
+
+    @settings(max_examples=100, deadline=None)
+    @given(bound=st.sampled_from(BOUND_CHOICES), lam=st.floats(0.05, 5000.0),
+           exponent=st.floats(-15.0, math.log10(0.5)), upper=st.booleans())
+    def test_det_is_the_reduced_model_on_its_one_scenario(self, bound, lam, exponent, upper):
+        # epsilon log-uniform from 1e-15 to 1/2, and mirrored up to 1 - 1e-15
+        epsilon = 1.0 - 10.0 ** exponent if upper else 10.0 ** exponent
+        scenario_file = parse_scenario_data(det_document(lam=lam, epsilon=epsilon))
+
+        def one_curve_root():
+            # the single-rate formula: the root of the bound's curve at
+            # epsilon, its level, the nearest integer, then the repair
+            beta = solve_constrained(lam, epsilon, bound=bound).beta
+            n_continuous = lam + beta * math.sqrt(lam)
+            staffing, _ = repair(scenario_file.joint_set(), (integer_staffing(n_continuous),),
+                                 1.0 - epsilon, scenario_file.problem.costs)
+            return staffing, {"beta": beta, "n_continuous": n_continuous}
+
+        def routed():
+            staffing, _, detail = cli._solve_mode(scenario_file, "det", epsilon, None, bound)
+            return staffing, detail
+
+        def outcome(call):
+            try:
+                return call()
+            except Exception as exc:    # both sides must raise alike
+                return type(exc)
+
+        assert outcome(routed) == outcome(one_curve_root)
 
     def test_det_delta_minimizes_weighted_cost(self, capsys, tmp_path):
         path = write_document(tmp_path, det_document(delta=50.0))

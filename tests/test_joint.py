@@ -32,8 +32,8 @@ from qstaff.joint import (
 )
 from qstaff.lattice import FEASIBILITY_TOL
 from qstaff.scenarios import JointScenarioSet, ScenarioSet
-from qstaff.search import _N_GRID, BETA_CAP, SLICE_XTOL
-from qstaff.stochastic import solve_exact_enumeration, solve_reduced
+from qstaff.search import _N_GRID, _XTOL, BETA_CAP, SLICE_XTOL
+from qstaff.stochastic import select_key_scenario, solve_exact_enumeration, solve_reduced
 
 from .oracles import mp_erlang_c
 
@@ -1651,6 +1651,40 @@ class TestOneStationReports:
         optimum = solve_joint_exact_integer(self.one_station(scenarios), epsilon, (1.0,))
         assert rep.decision.n_integer == optimum.n[0]
 
+    @staticmethod
+    def assert_reduced_is_reduced_joint(scenarios, epsilon):
+        key = select_key_scenario(scenarios, epsilon)
+        single = solve_reduced(scenarios, epsilon).decision
+        joint_rep = solve_reduced_joint(JointScenarioSet.from_product((scenarios,)),
+                                        epsilon, (1.0,), (key,))
+        assert joint_rep.decision.n_integer == (single.n_integer,)
+        assert abs(joint_rep.decision.betas[0] - single.beta) <= 2 * _XTOL
+
+    @settings(max_examples=80, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.floats(1.0, 3000.0), st.integers(1, 20)),
+                          min_size=1, max_size=5, unique_by=lambda pair: pair[0]),
+           epsilon=st.floats(0.001, 0.6))
+    def test_reduced_is_the_one_station_reduced_joint(self, pairs, epsilon):
+        # the premise of folding the one-station reduced model into the
+        # joint one: at the tail-sum key both find one root, to the
+        # bisections' tolerance, and staff the same level
+        total = sum(w for _, w in pairs)
+        scenarios = ScenarioSet([r for r, _ in pairs], [w / total for _, w in pairs])
+        assume(all(abs(t - epsilon) > 1e-12 for t in scenarios.tail_sums()[1:-1]))
+        self.assert_reduced_is_reduced_joint(scenarios, epsilon)
+
+    def test_reduced_joint_root_differs_within_tolerance(self):
+        # the two roots differ here, 0.7435539880727295 against
+        # 0.7435539881309372, by 5.8e-11
+        scenarios = ScenarioSet((505.029439, 766.824981, 1419.568995),
+                                (0.10163422909880275, 0.11848214381078258, 0.7798836270904146))
+        epsilon = 0.27214863485370633
+        beta = solve_reduced(scenarios, epsilon).decision.beta
+        joint_beta, = solve_reduced_joint(JointScenarioSet.from_product((scenarios,)),
+                                          epsilon, (1.0,), (2,)).decision.betas
+        assert (beta, joint_beta) == (0.7435539880727295, 0.7435539881309372)
+        self.assert_reduced_is_reduced_joint(scenarios, epsilon)
+
 
 class TestSolveWeightedStoch:
     @pytest.mark.parametrize("cost, price", [
@@ -1849,6 +1883,14 @@ class TestCompareSolutions:
                 repaired += rounded != column.n
                 kept += rounded == column.n
         assert repaired >= 1 and kept >= 1
+
+    def test_tiny_epsilon_keys_every_top_rate(self):
+        # the decoupled column's per-station budget, about 5e-13, lies
+        # within the tie tolerance of the empty tail past each marginal's
+        # top rate, which is no scenario's tail and does not tie
+        table = compare_solutions(instance(), 1e-12, PRICES)
+        assert (table.joint.n, table.joint.cost) == ((606, 424), 4302.0)
+        assert (table.decoupled.n, table.decoupled.cost) == ((606, 423), 4299.0)
 
     def test_call_center_table(self):
         table = compare_solutions(instance(), EPSILON, PRICES)

@@ -84,17 +84,35 @@ class TestSelectKeyScenario:
         with pytest.raises(KeyScenarioTieError):
             select_key_scenario(s, 0.5)
 
+    @pytest.mark.parametrize("eps", [1e-12, 5e-13, 1e-15])
+    @pytest.mark.parametrize("s", [ScenarioSet((100.0,), (1.0,)), QUEUE1, QUEUE2],
+                             ids=["one", "two", "three"])
+    def test_empty_tail_never_ties(self, s, eps):
+        # the tail past the last rate is 0.0, within the tie tolerance of
+        # these epsilons, but it is no scenario's tail
+        assert select_key_scenario(s, eps) == len(s) - 1
+
+    def test_epsilon_above_the_total_has_no_key(self):
+        # the probabilities sum to 1 - 5e-13, which the set accepts, so
+        # epsilon = 1 - 1e-13 passes the epsilon check and tops every tail
+        s = ScenarioSet((1.0, 2.0), (0.5, 0.5 - 5e-13))
+        assert s.tail_sums()[0] == 0.9999999999995
+        with pytest.raises(DomainError, match="not below the scenario set's total"):
+            select_key_scenario(s, 1.0 - 1e-13)
+
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, float("nan")])
     def test_epsilon_domain(self, eps):
         with pytest.raises(DomainError):
             select_key_scenario(QUEUE1, eps)
 
+    # epsilon >= 0.01 never comes near the empty tail's 0.0, the case
+    # test_empty_tail_never_ties covers
     @given(st.integers(min_value=1, max_value=5), st.floats(min_value=0.01, max_value=0.99))
     def test_rule_inequalities(self, k, eps):
         probs = tuple(1.0 / k for _ in range(k))
         s = ScenarioSet(tuple(100.0 * (i + 1) for i in range(k)), probs)
         tails = s.tail_sums()
-        if any(abs(t - eps) <= 1e-12 for t in tails[1:]):
+        if any(abs(t - eps) <= 1e-12 for t in tails[1:-1]):
             with pytest.raises(KeyScenarioTieError):
                 select_key_scenario(s, eps)
             return
