@@ -31,11 +31,13 @@ steps and every later one, scalar or column, O(n - lambda). The solvers
 evaluate one level against a station's whole rate vector, uncached and
 with the scalar bits rate by rate: _wait_vector returns true waits, and
 _no_wait_vector its own entries, at an integer level from
-_exact_no_wait_column, the lattice tables' kernel, at a real level from
-one C call of Q per rate. Where the delay exponent's lower bound
-(Q >= 1/e, _exponent_head) puts alpha below 2^-54, so that 1 - alpha is
-exactly 1.0, the no-wait kernels write 1.0 without Q or, in a column
-starting above its rate's first stable level, the rate's checkpoint.
+_exact_no_wait_column, the lattice tables' kernel. At a real level one
+loop, _real_level, serves the scalar curve and both vectors: it forms
+the level's terms once and makes one C call of Q per rate. Where the
+delay exponent's lower bound (Q >= 1/e, _exponent_head) puts alpha
+below 2^-54, so that 1 - alpha is exactly 1.0, the no-wait kernels write
+1.0 without Q or, in a column starting above its rate's first stable
+level, the rate's checkpoint.
 
 The special functions are scipy's C routines called through
 scipy.special.cython_special: the ufuncs' own code, bit for bit, without
@@ -259,7 +261,7 @@ def _stirlerr(n):
 
 @lru_cache(maxsize=1 << 13)
 def _alpha_bar_cached(n, lam):
-    return _alpha_bar_from(n, lam, 0.5 * math.log(2.0 * math.pi * n), _stirlerr(n))
+    return _real_level(n, (lam,))[0]
 
 
 def _exponent_head(n, lam, half_log, stirl, saturated):
@@ -267,26 +269,63 @@ def _exponent_head(n, lam, half_log, stirl, saturated):
     from half_log = ln sqrt(2 pi n) and stirl = stirlerr(n), both shared
     by every lam at level n; None where the delay exponent
     d = ln x + ln R is at least saturated even at Q = 1/e, Q's floor
-    there, so that alpha = 1/(1 + e^d) is below 1/(1 + e^saturated)."""
+    there, so that alpha = 1/(1 + e^d) is below 1/(1 + e^saturated).
+    _exact_no_wait_column's shortcut calls it; _real_level forms the same
+    terms inline, and the tests pin the two against each other."""
     x = (n - lam) / n  # 1 - rho without cancellation
     log_x = math.log(x)
     head = -n * _one_minus_rho_log_term(x, lam / n) + half_log + stirl  # ln R - ln Q
     return None if log_x + head - 1.0 >= saturated else (log_x, head)
 
 
-def _alpha_bar_from(n, lam, half_log, stirl, saturated=math.inf):
-    # erlang_c_continuous from _exponent_head's shared terms; 0.0, without
-    # Q, where the exponent's floor reaches saturated
-    parts = _exponent_head(n, lam, half_log, stirl, saturated)
-    if parts is None:
-        return 0.0
-    log_x, head = parts
-    q = gammaincc(n, lam)
-    if not (math.isfinite(q) and q > 0.0):
-        raise QuadratureError(
-            f"incomplete gamma Q(n, lambda) = {q!r} for n={n:g}, lambda={lam:g}",
-            diagnostics={"q": q, "n": n, "lambda": lam})
-    return _inv_one_plus_exp(log_x + (head + math.log(q)))
+def _real_level(n, rates, no_wait=False):
+    """[1.0 if r >= n else erlang_c_continuous(n, r) for r in rates] at a
+    real level n >= 1, bit for bit, for positive finite float rates (left
+    unchecked); with no_wait, [1.0 - w for w in that list], except that an
+    entry whose delay exponent's floor reaches SATURATED is 1.0 without Q.
+
+    The one loop of the continuous curve: the level's ln sqrt(2 pi n) and
+    stirlerr(n) are formed once, and each rate below n takes the
+    floating-point operations of _exponent_head, _one_minus_rho_log_term
+    and _inv_one_plus_exp, in their order, inline, with one C call of
+    Q(n, r) unless the exponent's floor saturates.
+    """
+    half_log = 0.5 * math.log(2.0 * math.pi * n)
+    stirl = _stirlerr(n)
+    saturated = SATURATED if no_wait else math.inf
+    q_of = gammaincc    # read here, so that the loader and a test's stand-in both apply
+    log, log1p, exp, inf = math.log, math.log1p, math.exp, math.inf
+    out = []
+    for lam in rates:
+        if lam >= n:
+            out.append(0.0 if no_wait else 1.0)
+            continue
+        x = (n - lam) / n   # 1 - rho without cancellation, in (0, 1]
+        log_x = log(x)
+        if x < 1e-4:
+            term = -x * x * (0.5 + x * (1.0 / 3.0 + x * (0.25 + x * 0.2)))
+        elif x < 0.5:
+            term = x + log1p(-x)
+        else:
+            rho = lam / n
+            term = x + (log(rho) if rho > 0.0 else -inf)
+        head = -n * term + half_log + stirl     # ln R - ln Q
+        if log_x + head - 1.0 >= saturated:
+            out.append(1.0 if no_wait else 0.0)
+            continue
+        q = q_of(n, lam)
+        if not 0.0 < q < inf:
+            raise QuadratureError(
+                f"incomplete gamma Q(n, lambda) = {q!r} for n={n:g}, lambda={lam:g}",
+                diagnostics={"q": q, "n": n, "lambda": lam})
+        d = log_x + (head + log(q))
+        if d >= 0.0:
+            e = exp(-d)
+            alpha = e / (1.0 + e)
+        else:
+            alpha = 1.0 / (1.0 + exp(d))
+        out.append(1.0 - alpha if no_wait else alpha)
+    return out
 
 
 def erlang_c_sqrt(beta, lam):
@@ -439,15 +478,14 @@ def _wait(n, lam, bound):
 
 def _wait_vector(n, rates, bound="exact"):
     """[1.0 if r >= n else wait_probability(max(n, 1), r, bound) for r in rates],
-    bit for bit, for positive finite float rates (left unchecked). Below a
-    non-integer level each exact entry costs one C call of Q(n, r), and the
-    level's ln sqrt(2 pi n) and stirlerr(n) are formed once."""
+    bit for bit, for positive finite float rates (left unchecked). A
+    non-integer level's exact entries come from _real_level, one C call of
+    Q(n, r) each."""
     bound = _bound_choice(bound)
     level = at_least(float(max(n, 1.0)), "staffing level", 1.0)
     if bound != "exact" or level.is_integer():
         return [1.0 if r >= n else _wait(level, r, bound) for r in rates]
-    half_log, stirl = 0.5 * math.log(2.0 * math.pi * level), _stirlerr(level)
-    return [1.0 if r >= n else _alpha_bar_from(level, r, half_log, stirl) for r in rates]
+    return _real_level(level, rates)
 
 
 def _no_wait_vector(n, rates):
@@ -465,9 +503,7 @@ def _no_wait_vector(n, rates):
     if level.is_integer():
         k = int(level)
         return [0.0 if r >= n else _exact_no_wait_column(r, k, k)[0] for r in rates]
-    half_log, stirl = 0.5 * math.log(2.0 * math.pi * level), _stirlerr(level)
-    return [0.0 if r >= n else 1.0 - _alpha_bar_from(level, r, half_log, stirl, SATURATED)
-            for r in rates]
+    return _real_level(level, rates, no_wait=True)
 
 
 def wait_curve(lam, bound="exact"):
@@ -482,5 +518,19 @@ def wait_curve(lam, bound="exact"):
     lam = positive(lam, "arrival rate")
     bound = _bound_choice(bound)
     root = math.sqrt(lam)
-    return lambda beta: _wait(
-        at_least(max(lam + beta * root, 1.0), "staffing level", 1.0), lam, bound)
+    if bound != "exact":
+        return lambda beta: _wait(
+            at_least(max(lam + beta * root, 1.0), "staffing level", 1.0), lam, bound)
+
+    def exact(beta):
+        # _wait's exact branch, with at_least's clamp and check paid only
+        # off the common case of a finite float level of at least one
+        n = lam + beta * root
+        if type(n) is not float or not 1.0 <= n < math.inf:
+            n = at_least(max(n, 1.0), "staffing level", 1.0)
+        if lam >= n:
+            return 1.0
+        return (_erlang_c_exact_cached(int(n), lam) if n.is_integer()
+                else _alpha_bar_cached(n, lam))
+
+    return exact

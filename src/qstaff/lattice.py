@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 
 from .erlang import _exact_no_wait_column
 from .errors import InfeasibleError
@@ -37,19 +38,26 @@ def _fold(scenarios, no_waits):
     # weights over the last station's rates, given the no-wait vectors u_i
     # of stations i < L-1: weights[j] sums p^w prod_i u_i[idx_i(w)] over the
     # scenarios w at the last station's j-th rate; the joint no-wait is
-    # their dot product with the last station's vector
+    # their dot product with the last station's vector. Station L-2's
+    # factor is taken as the weights accumulate, so only stations 0 .. L-3
+    # build a list of per-scenario terms, the same products in the same order
     index = scenarios.rate_index
     terms = scenarios.probs
-    for no_wait, idx in zip(no_waits, index[:-1]):
+    for no_wait, idx in zip(no_waits[:-1], index):
         terms = [t * no_wait[k] for t, k in zip(terms, idx)]
     weights = [0.0] * len(scenarios.marginals[-1])
-    for t, j in zip(terms, index[-1]):
-        weights[j] += t
+    if no_waits:
+        no_wait = no_waits[-1]
+        for t, k, j in zip(terms, index[len(no_waits) - 1], index[-1]):
+            weights[j] += t * no_wait[k]
+    else:
+        for t, j in zip(terms, index[-1]):
+            weights[j] += t
     return weights
 
 
 def _dot(weights, no_wait):
-    return sum(x * u for x, u in zip(weights, no_wait))
+    return sum(map(operator.mul, weights, no_wait))
 
 
 def _folded_no_wait(scenarios, no_waits):

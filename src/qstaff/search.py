@@ -97,20 +97,15 @@ def bisect_decreasing(fn, target, guess=None):
     13 calls instead of 40, and a dependent root seeded by the previous one
     about 8.
     """
-    evals = 0
-
-    def f(x):
-        nonlocal evals
-        evals += 1
-        return fn(x)
-
+    evals = 0           # calls of fn, each counted where it is made
     # (a, fa), (b, fb): the tightest evaluated points with fn(a) > target
     # >= fn(b); a = 0.0 and b = inf stand for none yet
     a, fa, b, fb = 0.0, None, math.inf, None
     credit = _SLACK     # calls skipped + _SLACK - calls plain bisection would not make
     if guess is not None and _LO < guess < BETA_CAP:
         credit -= 1
-        fx = f(guess)
+        fx = fn(guess)
+        evals += 1
         if fx > target:
             a, fa = guess, fx
         else:
@@ -119,7 +114,8 @@ def bisect_decreasing(fn, target, guess=None):
     if a > lo:
         credit += 1
     else:
-        flo = f(lo)
+        flo = fn(lo)
+        evals += 1
         if flo <= target:
             return RootResult(lo, flo - target, evals, True)
         a, fa = lo, flo
@@ -127,7 +123,8 @@ def bisect_decreasing(fn, target, guess=None):
         if hi <= a:
             credit += 1
         else:
-            fhi = f(hi)
+            fhi = fn(hi)
+            evals += 1
             if fhi <= target:
                 b, fb = hi, fhi
                 break
@@ -141,16 +138,29 @@ def bisect_decreasing(fn, target, guess=None):
     gap = _gap_scale(target)
     ga, gb = gap(fa), gap(fb)
     kept = None         # the end the last Illinois step left in place
-    for _ in range(_MAX_ITER):
-        if hi - lo <= _XTOL:
-            break
+    # each pass halves hi - lo <= BETA_CAP, so about 40 passes reach _XTOL
+    while hi - lo > _XTOL:
         mid = 0.5 * (lo + hi)
+        if not a < mid < b:
+            # a run of midpoints that a and b decide, each without a call,
+            # up to the first inside (a, b), which the next pass takes
+            while True:
+                if mid <= a:
+                    lo = mid
+                else:
+                    hi = mid
+                credit += 1
+                mid = 0.5 * (lo + hi)
+                if hi - lo <= _XTOL or a < mid < b:
+                    break
+            continue
         while credit > 0 and a < mid < b and ga > gb:
             x = b - gb * (b - a) / (gb - ga)
             if not a < x < b:
                 break
             credit -= 1
-            fx = f(x)
+            fx = fn(x)
+            evals += 1
             if fx > target:
                 a, ga = x, gap(fx)
                 if kept == "b":
@@ -161,12 +171,9 @@ def bisect_decreasing(fn, target, guess=None):
                 if kept == "a":
                     ga *= 0.5
                 kept = "a"
-        if mid <= a:
-            lo, credit = mid, credit + 1
-        elif mid >= b:
-            hi, credit = mid, credit + 1
-        else:
-            fmid = f(mid)
+        if a < mid < b:     # else the next pass decides mid
+            fmid = fn(mid)
+            evals += 1
             kept = None
             if fmid > target:
                 lo = a = mid
@@ -175,7 +182,8 @@ def bisect_decreasing(fn, target, guess=None):
                 hi = b = mid
                 gb = gap(fmid)
     root = 0.5 * (lo + hi)
-    residual = f(root) - target
+    residual = fn(root) - target
+    evals += 1
     return RootResult(root, residual, evals, abs(residual) <= _RTOL)
 
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+import types
 
 import mpmath as mp
 import pytest
@@ -226,6 +227,7 @@ class TestContinuous:
         level = 90.0 + beta * math.sqrt(90.0)
         for call, n in ((lambda: erlang_c_continuous(100.5, 90.0), 100.5),
                         (lambda: _wait_vector(100.5, [90.0]), 100.5),
+                        (lambda: _no_wait_vector(100.5, [90.0]), 100.5),
                         (lambda: wait_curve(90.0)(beta), level)):
             with pytest.raises(QuadratureError) as info:
                 call()
@@ -734,6 +736,145 @@ class TestNoWaitOrder:
         n, rates = case
         no_wait = _no_wait_vector(n, rates)
         assert all(a >= b for a, b in zip(no_wait, no_wait[1:])), (n, rates, no_wait)
+
+
+def frozen_one_minus_rho_log_term(x, rho):
+    # the kernel's per-rate chain as it stood before one loop took it in,
+    # kept here as an oracle that does not move with the kernel
+    if abs(x) < 1e-4:
+        return -x * x * (0.5 + x * (1.0 / 3.0 + x * (0.25 + x * 0.2)))
+    if x < 0.5:
+        return x + math.log1p(-x)
+    return x + (math.log(rho) if rho > 0.0 else -math.inf)
+
+
+def frozen_inv_one_plus_exp(d):
+    if d >= 0.0:
+        e = math.exp(-d)
+        return e / (1.0 + e)
+    return 1.0 / (1.0 + math.exp(d))
+
+
+def frozen_exponent_head(n, lam, half_log, stirl, saturated):
+    x = (n - lam) / n
+    log_x = math.log(x)
+    head = -n * frozen_one_minus_rho_log_term(x, lam / n) + half_log + stirl
+    return None if log_x + head - 1.0 >= saturated else (log_x, head)
+
+
+def frozen_alpha_bar_from(n, lam, half_log, stirl, saturated=math.inf):
+    parts = frozen_exponent_head(n, lam, half_log, stirl, saturated)
+    if parts is None:
+        return 0.0
+    log_x, head = parts
+    q = cs.gammaincc(n, lam)
+    assert math.isfinite(q) and q > 0.0
+    return frozen_inv_one_plus_exp(log_x + (head + math.log(q)))
+
+
+def frozen_vectors(n, rates):
+    """(_wait_vector(n, rates), _no_wait_vector(n, rates)) from the frozen
+    chain at a real level, from the scalar exact route at an integer one."""
+    level = float(max(n, 1.0))
+    if level.is_integer():
+        waits = [1.0 if r >= n else wait_probability(level, r) for r in rates]
+        return waits, [1.0 - w for w in waits]
+    half_log, stirl = 0.5 * math.log(2.0 * math.pi * level), _stirlerr(level)
+    waits = [1.0 if r >= n else frozen_alpha_bar_from(level, r, half_log, stirl)
+             for r in rates]
+    no_waits = [0.0 if r >= n else 1.0 - frozen_alpha_bar_from(level, r, half_log, stirl,
+                                                               SATURATED)
+                for r in rates]
+    return waits, no_waits
+
+
+class TestRealLevelKernel:
+    """The one per-level loop, _real_level, that serves erlang_c_continuous,
+    _wait_vector and _no_wait_vector, against the frozen chain above: bit
+    for bit, where the scalar-against-vector tests compare the loop with
+    itself."""
+
+    @st.composite
+    def levels_and_rates(draw):
+        # a real level from 1 to 20,000, an integer one, or one below 1,
+        # against rates at the saturation edge, at the level and above it,
+        # about the series switch at x = 1e-4 and the ln rho switch at
+        # x = 1/2, and anywhere below the level
+        n = draw(st.one_of(st.floats(1.0, 20000.0), st.integers(1, 20000).map(float),
+                           st.floats(0.05, 1.0, exclude_max=True)))
+        level = max(n, 1.0)
+        edge = saturation_rate(level)
+        near = st.floats(-1e-6, 1e-6)
+        rates = st.one_of(
+            near.map(lambda d: edge * (1.0 + d)),
+            st.just(n),
+            st.floats(1.0, 1.6).map(lambda x: n * x),
+            near.map(lambda d: level * (1.0 - 1e-4 * (1.0 + d))),
+            near.map(lambda d: level * (0.5 + d)),
+            st.floats(1e-3, 1.0, exclude_max=True).map(lambda x: n * x))
+        return n, draw(st.lists(rates, min_size=1, max_size=9))
+
+    @given(case=levels_and_rates())
+    @settings(max_examples=200, deadline=None)
+    @example(case=(1.0, [0.3, 1.0 - 1e-4, 0.5]))
+    @example(case=(100.5, [10.0, 30.0, 60.0, 100.5 * (1.0 - 1e-4), 50.25, 120.0]))
+    @example(case=(1e4 + 0.5, [5000.25, 9999.5, 1e4 + 0.5 - 1e-12]))
+    def test_bit_identical_to_frozen_chain(self, case):
+        n, rates = case
+        waits, no_waits = frozen_vectors(n, rates)
+        assert _wait_vector(n, rates) == waits
+        assert _no_wait_vector(n, rates) == no_waits
+        if n >= 1.0:
+            half_log, stirl = 0.5 * math.log(2.0 * math.pi * n), _stirlerr(n)
+            for r in rates:
+                if r < n:
+                    want = frozen_alpha_bar_from(n, r, half_log, stirl)
+                    assert erlang._alpha_bar_cached.__wrapped__(n, r) == want, (n, r)
+                    assert erlang_c_continuous(n, r) == want, (n, r)
+
+    @given(n=st.floats(1.0, 20000.0),
+           x=st.one_of(st.floats(1e-12, 1.0, exclude_max=True),
+                       st.floats(1e-4 * (1.0 - 1e-6), 1e-4 * (1.0 + 1e-6)),
+                       st.floats(0.5 - 1e-6, 0.5 + 1e-6)),
+           q=st.floats(math.exp(-1.0), 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_saturation_and_exponent_are_exponent_heads(self, n, x, q):
+        # the kernel's copy of _exponent_head: with Q patched to a drawn
+        # value and math.exp recording its argument, the kernel calls Q
+        # exactly when _exponent_head finds the exponent unsaturated, and
+        # exponentiates that exponent, +-d, bit for bit
+        lam = n * (1.0 - x)
+        if not 0.0 < lam < n:
+            return
+        half_log, stirl = 0.5 * math.log(2.0 * math.pi * n), _stirlerr(n)
+        for no_wait in (False, True):
+            parts = erlang._exponent_head(n, lam, half_log, stirl,
+                                          SATURATED if no_wait else math.inf)
+            calls, args = [], []
+            fake_math = types.SimpleNamespace(**{
+                k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
+            fake_math.exp = lambda d: args.append(d) or math.exp(d)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(erlang, "gammaincc", lambda *a: calls.append(a) or q)
+                patch.setattr(erlang, "math", fake_math)
+                got = erlang._real_level(n, [lam], no_wait)
+            if parts is None:
+                assert (calls, args, got) == ([], [], [1.0 if no_wait else 0.0])
+                continue
+            d = parts[0] + (parts[1] + math.log(q))
+            assert calls == [(n, lam)]
+            assert args == [-d if d >= 0.0 else d]
+            alpha = erlang._inv_one_plus_exp(d)
+            assert got == [1.0 - alpha if no_wait else alpha]
+
+    def test_wait_curve_keeps_the_level_checks(self):
+        curve = wait_curve(90.0)
+        for beta in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="staffing level must be a finite real >= 1"):
+                curve(beta)
+        # a level below one server is clamped to one
+        assert wait_curve(0.7)(-math.inf) == wait_probability(1, 0.7) == erlang_c_exact(1, 0.7)
+        assert wait_curve(0.7)(-1.0) == wait_probability(1, 0.7)
 
 
 class TestCythonSpecial:

@@ -1363,7 +1363,7 @@ class TestSolveJointExactInteger:
 
         monkeypatch.setattr(joint, "_decoupled_decision", forbidden)
         monkeypatch.setattr(erlang, "_alpha_bar_cached", forbidden)
-        monkeypatch.setattr(erlang, "_alpha_bar_from", forbidden)
+        monkeypatch.setattr(erlang, "_real_level", forbidden)
         rep = solve_joint_exact_integer(S3, EPSILON, (1.0, 1.0, 1.0))
         assert rep.n == (529, 226, 136)
         assert rep.cost == 891.0

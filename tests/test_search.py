@@ -154,6 +154,59 @@ def test_adversarial_functions_with_any_guess(name, fn, target, guess):
     assert_same_answer(fn, target, extra=4, guess=guess)
 
 
+# bisect_decreasing's evaluation counts, frozen: without a guess, then
+# with each of GUESSES in turn; a change to how midpoints are decided,
+# credited or evaluated that moves one call shows here
+ADVERSARIAL_EVALUATIONS = {
+    "step@0.3": (44, 44, 44, 44, 33, 44, 44, 44, 44, 44, 44),
+    "step@1.0": (44, 44, 44, 44, 44, 44, 44, 44, 44, 44, 44),
+    "step@2.9": (44, 44, 44, 44, 44, 42, 44, 44, 44, 44, 44),
+    "step@7.5": (44, 44, 44, 44, 44, 44, 44, 44, 44, 44, 44),
+    "step@13.0": (46, 46, 46, 46, 46, 46, 46, 46, 46, 46, 46),
+    "step@40.0": (50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50),
+    "step@2e-08": (37, 37, 37, 35, 44, 44, 37, 38, 38, 37, 37),
+    "step@7.999999999": (44, 44, 44, 44, 44, 44, 44, 44, 44, 44, 44),
+    "step@8.000000001": (46, 46, 46, 46, 46, 46, 46, 41, 46, 46, 46),
+    "step@63.999999999": (50, 50, 50, 50, 50, 50, 50, 50, 50, 50, 50),
+    "step-positive@0.3": (44, 44, 44, 44, 15, 44, 44, 44, 44, 44, 44),
+    "step-positive@2.9": (44, 44, 44, 44, 44, 16, 44, 44, 44, 44, 44),
+    "step-positive@13": (46, 46, 46, 46, 46, 46, 33, 17, 46, 46, 46),
+    "cliff@1.7": (44, 44, 44, 44, 44, 44, 44, 44, 44, 44, 44),
+    "cliff@21": (48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48),
+    "plateau@0.2": (44, 44, 44, 44, 36, 44, 44, 44, 44, 44, 44),
+    "plateau@3.3": (44, 44, 44, 44, 44, 43, 44, 44, 44, 44, 44),
+    "plateau@9": (46, 46, 46, 46, 46, 46, 46, 46, 46, 46, 46),
+    "staircase/0.7": (40, 40, 40, 39, 41, 39, 40, 39, 39, 40, 40),
+    "staircase/3": (44, 44, 44, 44, 42, 44, 44, 44, 44, 44, 44),
+    "staircase/9": (44, 44, 44, 42, 44, 34, 44, 44, 44, 44, 44),
+    "knee/1e-06": (44, 44, 44, 44, 44, 15, 44, 44, 44, 44, 44),
+    "knee/0.0002": (44, 44, 44, 44, 44, 26, 44, 44, 44, 44, 44),
+    "knee/0.01": (16, 16, 16, 16, 20, 16, 16, 44, 44, 16, 16),
+}
+# wait_curve(lam) roots at the targets WAIT_TARGETS, each without a guess
+# and then with each of WAIT_GUESSES
+WAIT_TARGETS = (0.2, 0.05, 1e-6)
+WAIT_GUESSES = (0.4, 1.3, 3.0)
+WAIT_EVALUATIONS = {
+    0.7: (12, 12, 11, 11, 11, 11, 12, 11, 13, 13, 13, 13),
+    12.0: (12, 11, 9, 11, 14, 11, 11, 11, 15, 16, 15, 13),
+    100.0: (14, 12, 12, 11, 12, 12, 11, 12, 13, 12, 11, 11),
+    2500.5: (12, 12, 14, 11, 12, 12, 13, 11, 13, 13, 12, 11),
+}
+
+
+def test_adversarial_evaluation_counts_are_pinned():
+    assert {name: tuple(bisect_decreasing(fn, target, guess).evaluations
+                        for guess in (None, *GUESSES))
+            for name, fn, target in ADVERSARIAL} == ADVERSARIAL_EVALUATIONS
+
+
+def test_wait_curve_evaluation_counts_are_pinned():
+    assert {lam: tuple(bisect_decreasing(wait_curve(lam), target, guess).evaluations
+                       for target in WAIT_TARGETS for guess in (None, *WAIT_GUESSES))
+            for lam in WAIT_EVALUATIONS} == WAIT_EVALUATIONS
+
+
 @settings(max_examples=150, deadline=None)
 @given(log_lam=st.floats(math.log(0.5), math.log(1e5)),
        bound=st.sampled_from(BOUND_CHOICES),
