@@ -105,9 +105,17 @@ def _emit(fmt, data, rows=(), csv_rows=None, path=None):
         text = "".join("  ".join([*map(str.ljust, row[:-1], widths), row[-1]]) + "\n"
                        for row in table)
     if path:
-        Path(path).write_text(text)
+        _write_out(lambda: Path(path).write_text(text, encoding="utf-8"), path)
     else:
         sys.stdout.write(text)
+
+
+def _write_out(write, path):
+    """write(), which writes the --out file path; an OSError there is invalid input."""
+    try:
+        write()
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}", pointer="--out")
 
 
 def _print_flat(payload, fmt, pairs=None):
@@ -281,7 +289,7 @@ def cmd_solve(args):
         # every epsilon report's rule: the integer staffing, on the exact curve
         detail["feasible"] = record.achieved_qos + FEASIBILITY_TOL >= 1.0 - eps
     if args.out:
-        write_run_record(record, args.out)
+        _write_out(lambda: write_run_record(record, args.out), args.out)
     pairs = [
         ("mode", mode),
         ("solution", staffing),

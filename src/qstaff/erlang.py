@@ -464,6 +464,14 @@ def _bound_choice(bound):
     return bound
 
 
+def _level(n):
+    """n as a checked float staffing level: n itself on the common path, a float
+    1 <= n < inf; else float(max(n, 1)), clamped to one server, NaN and +inf raising."""
+    if type(n) is float and 1.0 <= n < math.inf:
+        return n
+    return at_least(float(max(n, 1.0)), "staffing level", 1.0)
+
+
 def _wait(n, lam, bound):
     """wait_probability(n, lam, bound) for a checked float level, rate and bound."""
     if lam >= n:
@@ -482,7 +490,7 @@ def _wait_vector(n, rates, bound="exact"):
     non-integer level's exact entries come from _real_level, one C call of
     Q(n, r) each."""
     bound = _bound_choice(bound)
-    level = at_least(float(max(n, 1.0)), "staffing level", 1.0)
+    level = _level(n)
     if bound != "exact" or level.is_integer():
         return [1.0 if r >= n else _wait(level, r, bound) for r in rates]
     return _real_level(level, rates)
@@ -499,7 +507,7 @@ def _no_wait_vector(n, rates):
     is, without Q: on the benchmark's two-station compare instances, a
     third of the rates the joint solves evaluate.
     """
-    level = at_least(float(max(n, 1.0)), "staffing level", 1.0)
+    level = _level(n)
     if level.is_integer():
         k = int(level)
         return [0.0 if r >= n else _exact_no_wait_column(r, k, k)[0] for r in rates]
@@ -518,19 +526,4 @@ def wait_curve(lam, bound="exact"):
     lam = positive(lam, "arrival rate")
     bound = _bound_choice(bound)
     root = math.sqrt(lam)
-    if bound != "exact":
-        return lambda beta: _wait(
-            at_least(max(lam + beta * root, 1.0), "staffing level", 1.0), lam, bound)
-
-    def exact(beta):
-        # _wait's exact branch, with at_least's clamp and check paid only
-        # off the common case of a finite float level of at least one
-        n = lam + beta * root
-        if type(n) is not float or not 1.0 <= n < math.inf:
-            n = at_least(max(n, 1.0), "staffing level", 1.0)
-        if lam >= n:
-            return 1.0
-        return (_erlang_c_exact_cached(int(n), lam) if n.is_integer()
-                else _alpha_bar_cached(n, lam))
-
-    return exact
+    return lambda beta: _wait(_level(lam + beta * root), lam, bound)

@@ -251,18 +251,16 @@ def parse_scenario_data(data):
 def load_scenario_file(path):
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}", pointer="file")
-    try:
-        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not valid JSON: {exc}", pointer="file")
     return parse_scenario_data(data)
 
 
 def write_scenario_file(scenario_file, path):
-    Path(path).write_text(json.dumps(scenario_file.to_data(), indent=2) + "\n")
+    Path(path).write_text(json.dumps(scenario_file.to_data(), indent=2) + "\n", encoding="utf-8")
 
 
 def resolve_scenario_path(name):
@@ -307,4 +305,4 @@ def make_run_record(scenario_file, solver, solution, objective, wall_time_s):
 
 
 def write_run_record(record, path):
-    Path(path).write_text(json.dumps(record.to_data(), indent=2) + "\n")
+    Path(path).write_text(json.dumps(record.to_data(), indent=2) + "\n", encoding="utf-8")

@@ -719,6 +719,41 @@ def test_csv_row_matches_json(capsys, tmp_path, command):
         key: cell(value) for key, value in payload.items()}
 
 
+class TestFileErrors:
+    # an --out path that cannot be written and a scenario file that is not
+    # UTF-8 are invalid input: exit 2 with an error line, never a traceback
+    # (here, in process, an exception main lets through fails the test)
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("command", ["frontier", "solve", "compare", "simulate"])
+    def test_out_under_a_missing_directory_exits_2(self, capsys, tmp_path, command, fmt):
+        out_path = tmp_path / "missing" / "out.json"
+        args = {
+            "frontier": ("frontier", "--lam", "50"),
+            "solve": ("solve", "example1"),
+            "compare": ("compare", "example1"),
+            "simulate": ("simulate", write_document(tmp_path, det_document()),
+                         "--seed", "1", "--replications", "2"),
+        }[command]
+        code, out, err = run(capsys, *args, "--format", fmt, "--out", str(out_path))
+        assert code == 2
+        assert err.startswith("error: --out: cannot write ")
+        assert not out_path.parent.exists()
+        if fmt == "json":
+            assert json.loads(out)["error"]["pointer"] == "--out"
+        else:
+            assert out == ""
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(det_document()).encode("utf-16-le"))
+        code, out, err = run(capsys, command, str(path), "--format", "json")
+        assert code == 2
+        assert err.startswith(f"error: file: cannot read {path}: 'utf-8' codec")
+        assert json.loads(out)["error"]["pointer"] == "file"
+
+
 class TestRoundTrip:
 
     def test_write_read_identity(self, tmp_path):

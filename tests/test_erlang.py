@@ -867,14 +867,40 @@ class TestRealLevelKernel:
             alpha = erlang._inv_one_plus_exp(d)
             assert got == [1.0 - alpha if no_wait else alpha]
 
-    def test_wait_curve_keeps_the_level_checks(self):
-        curve = wait_curve(90.0)
+    @pytest.mark.parametrize("bound", BOUND_CHOICES)
+    def test_wait_curve_keeps_the_level_checks(self, bound):
+        curve = wait_curve(90.0, bound)
         for beta in (math.nan, math.inf):
             with pytest.raises(DomainError, match="staffing level must be a finite real >= 1"):
                 curve(beta)
         # a level below one server is clamped to one
-        assert wait_curve(0.7)(-math.inf) == wait_probability(1, 0.7) == erlang_c_exact(1, 0.7)
-        assert wait_curve(0.7)(-1.0) == wait_probability(1, 0.7)
+        assert wait_curve(0.7, bound)(-math.inf) == wait_probability(1, 0.7, bound)
+        assert wait_curve(0.7, bound)(-1.0) == wait_probability(1, 0.7, bound)
+        if bound == "exact":
+            assert wait_curve(0.7)(-math.inf) == erlang_c_exact(1, 0.7)
+
+
+class TestWaitCurve:
+    """wait_curve's one closure, for every bound, against the scalar curve."""
+
+    @pytest.mark.parametrize("bound", BOUND_CHOICES)
+    @given(lam=st.floats(0.05, 5000.0), beta=st.floats(-2.0, 12.0))
+    @example(lam=100.0, beta=2.0)       # an integral level, n = 120.0
+    @example(lam=0.7, beta=-1.0)        # a level below one server, clamped to one
+    @example(lam=100.0, beta=1e-8)      # the ends of the solvers' beta bracket
+    @example(lam=100.0, beta=64.0)
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_wait_probability(self, bound, lam, beta):
+        level = max(lam + beta * math.sqrt(lam), 1.0)
+        assert wait_curve(lam, bound)(beta) == wait_probability(level, lam, bound)
+
+    def test_integer_levels_match_their_floats(self):
+        # an int level takes _level's slow path to the float level's lists
+        for k in (1, 2, 120, 4000):
+            rates = [0.3 * k, k - 0.5, float(k), 1.7 * k]
+            for bound in BOUND_CHOICES:
+                assert _wait_vector(k, rates, bound) == _wait_vector(float(k), rates, bound)
+            assert _no_wait_vector(k, rates) == _no_wait_vector(float(k), rates)
 
 
 class TestCythonSpecial:
