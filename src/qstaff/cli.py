@@ -37,6 +37,8 @@ from .errors import (
     KeyScenarioTieError,
     StaffingError,
     ValidationError,
+    check_delta,
+    check_epsilon,
     positive,
 )
 from .files import (
@@ -47,12 +49,7 @@ from .files import (
     resolve_scenario_path,
     write_run_record,
 )
-from .frontier import (
-    check_delta,
-    check_epsilon,
-    frontier_csv_rows,
-    sweep_frontier,
-)
+from .frontier import frontier_csv_rows, sweep_frontier
 from .joint import (
     _expected_joint_wait,
     compare_solutions,
@@ -256,8 +253,8 @@ def cmd_frontier(args):
         )
     grid = []
     value = start
-    while value <= stop + 1e-12:
-        grid.append(round(value, 12))
+    while value <= stop + min(1e-12, 1e-9 * step):
+        grid.append(float(f"{value:.12g}"))
         value += step
     if not grid:
         raise ValidationError("the epsilon grid is empty", pointer="--grid")

@@ -464,6 +464,13 @@ def _bound_choice(bound):
     return bound
 
 
+def check_bound(bound):
+    """bound if a solve may optimize on it (exact or upper); DomainError otherwise."""
+    if bound not in ("exact", "upper"):
+        raise DomainError(f"bound must be exact or upper, got {bound!r}")
+    return bound
+
+
 def _level(n):
     """n as a checked float staffing level: n itself on the common path, a float
     1 <= n < inf; else float(max(n, 1)), clamped to one server, NaN and +inf raising."""

@@ -2,19 +2,19 @@
 input from outside the package into floats, ints and per-station tuples.
 
 Every public entry point passes the numbers it is given (rates, prices,
-budgets, staffing levels) through real(), positive() or at_least(), its
-integers (key and station indices, server and replication counts)
-through integer(), its per-station vectors (prices, safety factors,
-staffing levels, key indices) through per_station(), the vectors that
-set a count (scenario rates and probabilities, arrival rates) through
-sequence(), and the objects it reads attributes from (scenario sets,
-cost functions, simulator configs) through of_type(). A bool, a string,
-a fractional index, an int beyond float range, a value out of range, a
-vector of the wrong length, a vector that is no sequence and an object
-of the wrong class raise DomainError there, so no OverflowError,
-TypeError, AttributeError or silently accepted True escapes a solver.
-The file reader maps that DomainError to a ValidationError at the
-field's pointer.
+budgets, staffing levels) through real(), positive() or at_least(),
+epsilon through check_epsilon(), delta through check_delta(), its integers
+(key and station indices, server and replication counts) through
+integer(), its per-station vectors (prices, safety factors, staffing
+levels, key indices) through per_station(), the vectors that set a count
+(scenario rates and probabilities, arrival rates) through sequence(), and
+the objects it reads attributes from (scenario sets, cost functions,
+simulator configs) through of_type(). A bool, a string, a fractional
+index, an int beyond float range, a value out of range, a vector of the
+wrong length, a vector that is no sequence and an object of the wrong
+class raise DomainError there, so no OverflowError, TypeError,
+AttributeError or silently accepted True escapes a solver. The file reader
+maps that DomainError to a ValidationError at the field's pointer.
 """
 import math
 from numbers import Integral, Real
@@ -100,6 +100,19 @@ def positive(value, what):
     if not 0.0 < x < math.inf:
         raise DomainError(f"{what} must be a positive real, got {value!r}")
     return x
+
+
+def check_epsilon(epsilon):
+    """epsilon as a float strictly inside (0, 1); DomainError otherwise."""
+    eps = real(epsilon, "epsilon")
+    if not 0.0 < eps < 1.0:
+        raise DomainError(f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
+    return eps
+
+
+def check_delta(delta):
+    """QoS weight delta as a positive finite float; DomainError otherwise."""
+    return positive(delta, "delta")
 
 
 def at_least(value, what, minimum):

@@ -25,9 +25,9 @@ from importlib import resources
 from pathlib import Path
 
 from ._version import __version__
-from .errors import DomainError, ValidationError, integer, positive, real
+from .errors import (DomainError, ValidationError, check_delta, check_epsilon, integer,
+                     positive, real)
 from .erlang import BOUND_CHOICES
-from .frontier import check_delta, check_epsilon
 from .joint import joint_constraint_value
 from .scenarios import JointScenarioSet
 
@@ -264,14 +264,14 @@ def write_scenario_file(scenario_file, path):
 
 
 def resolve_scenario_path(name):
-    """Resolve a CLI file argument: an existing path, or the name of a
-    bundled fixture such as example1."""
+    """Resolve a CLI file argument: an existing path, or the bare name, with
+    no directory part, of a bundled fixture such as example1."""
     path = Path(name)
     if path.exists():
         return path
     stem = path.name.removesuffix(".json")
     bundled = resources.files("qstaff") / "data" / f"{stem}.json"
-    if bundled.is_file():
+    if path.name == name and bundled.is_file():
         return Path(str(bundled))
     raise ValidationError(f"no such file or bundled fixture: {name}",
                           pointer="file")

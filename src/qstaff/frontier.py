@@ -4,8 +4,8 @@ and weighted solves, plus efficient-frontier sweeps.
 The decision variable throughout is the square-root safety factor beta,
 with staffing n = lambda + beta*sqrt(lambda). Three model flavors:
 
-* constrained: find the smallest beta with wait probability <= epsilon,
-  against the exact curve or one of its sandwich bounds;
+* constrained: the smallest beta with wait probability <= epsilon on the
+  exact curve or a bound, stochastic's reduced root on one scenario;
 * weighted: minimize cost(beta) + delta * wait(beta) for a QoS weight
   delta, trading staffing cost against service level;
 * frontier: sweep epsilon over a grid to trace the cost/QoS Pareto set.
@@ -13,11 +13,14 @@ with staffing n = lambda + beta*sqrt(lambda). Three model flavors:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .erlang import wait_curve
-from .errors import DomainError, of_type, positive, real
-from .search import bisect_decreasing, grid_then_golden
+from .erlang import check_bound, wait_curve
+from .errors import DomainError, check_delta, check_epsilon, of_type, positive, real
+from .lattice import integer_staffing
+from .scenarios import ScenarioSet
+from .search import grid_then_golden
+from .stochastic import _reduced_decision
 
 __all__ = [
     "CostFunction",
@@ -32,43 +35,10 @@ __all__ = [
 ]
 
 
-def check_epsilon(epsilon):
-    """epsilon as a float strictly inside (0, 1); DomainError otherwise."""
-    eps = real(epsilon, "epsilon")
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"epsilon must lie strictly inside (0, 1), got {epsilon!r}")
-    return eps
-
-
-def check_delta(delta):
-    """QoS weight delta as a positive finite float; DomainError otherwise."""
-    return positive(delta, "delta")
-
-
-def check_bound(bound):
-    """bound if a solve may optimize on it (exact or upper); DomainError otherwise."""
-    if bound not in ("exact", "upper"):
-        raise DomainError(f"bound must be exact or upper, got {bound!r}")
-    return bound
-
-
 def check_cost(cost):
     """cost, or the default CostFunction() for None; DomainError for
     anything else that is not a CostFunction."""
     return CostFunction() if cost is None else of_type(cost, "cost", CostFunction)
-
-
-def integer_staffing(n_continuous):
-    """Integer server count for a continuous staffing level.
-
-    Nearest-integer rounding. With half-integer safety staffing the
-    continuous optimum sits within half a server of the intended integer
-    decision, and rounding to nearest reproduces the reference integer
-    solutions; always rounding up would systematically overshoot. A
-    level below half a server still rounds to one: the wait curves
-    treat any staffing below one server as one server.
-    """
-    return max(int(round(n_continuous)), 1)
 
 
 @dataclass(frozen=True)
@@ -159,20 +129,21 @@ class FrontierSweep:
 
 
 def solve_constrained(lam, epsilon, cost=None, bound="exact"):
-    """Smallest safety factor whose wait probability is at most epsilon.
+    """Smallest safety factor whose wait probability is at most epsilon:
+    the reduced model's root (stochastic.solve_reduced) on the one
+    scenario lam, with probability one, whose target is epsilon itself.
 
-    The selected wait curve is strictly decreasing in beta with range
-    (0, 1], so the constraint holds with equality at the optimum and
-    bracketing bisection finds the unique root. With bound='upper' the
-    returned beta is conservative: the exact wait probability at the
-    solution is guaranteed below epsilon.
+    The wait curve falls strictly in beta, so the root is unique. With
+    bound='upper' the returned beta is conservative: the exact wait
+    probability at the solution is guaranteed below epsilon.
     """
     epsilon = check_epsilon(epsilon)
     cost = check_cost(cost)
-    res = bisect_decreasing(wait_curve(lam, bound), epsilon)
+    decision, res = _reduced_decision(
+        ScenarioSet((positive(lam, "arrival rate"),), (1.0,)), epsilon, bound)
     return SolveReport(
-        beta=res.root,
-        objective=cost.beta_cost(res.root, lam),
+        beta=decision.beta,
+        objective=cost.beta_cost(decision.beta, lam),
         bound_used=bound,
         evaluations=res.evaluations,
         converged=res.converged,

@@ -42,7 +42,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-from .erlang import _no_wait_vector, _wait_vector, wait_curve
+from .erlang import _no_wait_vector, _wait_vector, check_bound, wait_curve
 from .erlang import wait_probability  # noqa: F401 (perfbench/tracing.py wraps it here)
 from .errors import (
     BracketError,
@@ -50,20 +50,16 @@ from .errors import (
     EnumerationCapError,
     InfeasibleError,
     at_least,
+    check_delta,
+    check_epsilon,
     integer,
     of_type,
     per_station,
     positive,
 )
-from .frontier import (
-    CostFunction,
-    check_bound,
-    check_delta,
-    check_epsilon,
-    integer_staffing,
-)
+from .frontier import CostFunction
 from .lattice import _dot, _fold, _folded_no_wait, _table_no_wait
-from .lattice import FEASIBILITY_TOL, certified_box, repair, walk
+from .lattice import FEASIBILITY_TOL, certified_box, integer_staffing, repair, walk
 from .scenarios import JointScenarioSet
 from .search import BETA_CAP, SLICE_XTOL, bisect_decreasing, grid_then_golden
 from .stochastic import _reduced_decision

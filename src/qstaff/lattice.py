@@ -1,11 +1,12 @@
 """Integer staffing lattice: exact no-wait tables and one walk over a box.
 
 joint.solve_joint_exact_integer walks the box that certified_box reads
-off the tables, which it builds only as deep as that box needs; repair,
-every epsilon report's rounding rule, walks the box n - 1 .. n + 1
-around a rounding n that misses the target. The walk takes the levels
-of station L-3 together, one batched matrix product per prefix of the
-stations before it, and picks the cheapest candidate of a batch once.
+off the tables, which it builds only as deep as that box needs. Every
+epsilon report rounds by integer_staffing, and repair walks the box
+n - 1 .. n + 1 around a rounding n that misses the target. The walk
+takes the levels of station L-3 together, one batched matrix product
+per prefix of the stations before it, and picks the cheapest candidate
+of a batch once.
 The fold of per-station no-wait vectors into the joint no-wait, which
 every joint solver scores with, lives here too: certified_box scores its
 incumbent candidates with it, and the walk, whose batched product is the
@@ -330,6 +331,19 @@ def walk(scenarios, target, costs, lower, tables):
                        min(first_row + block, row_top + 1), cols)
             n = stop
     return None if best_n is None else (best_n, best_cost)
+
+
+def integer_staffing(n_continuous):
+    """Integer server count for a continuous staffing level.
+
+    Nearest-integer rounding. With half-integer safety staffing the
+    continuous optimum sits within half a server of the intended integer
+    decision, and rounding to nearest reproduces the reference integer
+    solutions; always rounding up would systematically overshoot. A
+    level below half a server still rounds to one: the wait curves
+    treat any staffing below one server as one server.
+    """
+    return max(int(round(n_continuous)), 1)
 
 
 def repair(scenarios, n, target, costs):

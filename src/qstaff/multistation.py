@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass
 
 from .erlang import wait_curve
-from .errors import DomainError, at_least, of_type, per_station, positive, sequence
-from .frontier import CostFunction, check_delta
+from .errors import (DomainError, at_least, check_delta, of_type, per_station, positive,
+                     sequence)
+from .frontier import CostFunction
 from .joint import _cost_function, _joint_wait, solve_weighted_stoch
 from .scenarios import JointScenarioSet
 

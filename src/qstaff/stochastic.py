@@ -21,12 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .erlang import _wait_vector, wait_curve
+from .erlang import _wait_vector, check_bound, wait_curve
 from .erlang import wait_probability  # noqa: F401 (perfbench/tracing.py wraps it here)
 from .errors import (BracketError, DomainError, InfeasibleError, KeyScenarioTieError,
-                     integer, of_type, positive)
-from .frontier import check_bound, check_epsilon, integer_staffing
-from .lattice import FEASIBILITY_TOL, _dot, repair
+                     check_epsilon, integer, of_type, positive)
+from .lattice import FEASIBILITY_TOL, _dot, integer_staffing, repair
 from .scenarios import JointScenarioSet, ScenarioSet
 from .search import bisect_decreasing
 

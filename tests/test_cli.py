@@ -144,6 +144,23 @@ class TestValidate:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize("where", ["absolute", "tmp_path"])
+    def test_missing_path_named_like_a_fixture_exits_2(self, capsys, tmp_path, command,
+                                                        where):
+        # only a bare name falls back to a bundled fixture; a path with a
+        # directory part names that file or nothing
+        path = ("/nonexistent/dir/example1.json" if where == "absolute"
+                else str(tmp_path / "example1.json"))
+        code, out, err = run(capsys, command, path)
+        assert code == 2
+        assert err == f"error: file: no such file or bundled fixture: {path}\n"
+        assert "Traceback" not in err and "data/example1.json" not in out
+
+    @pytest.mark.parametrize("name", ["example1", "example1.json"])
+    def test_bare_fixture_name_resolves(self, name):
+        assert resolve_scenario_path(name).name == "example1.json"
+
     def test_json_error_payload(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not valid json")
@@ -293,6 +310,19 @@ class TestFrontier:
         assert err.startswith("warning: epsilon 1e-12: BracketError")
         _, rows = frontier_rows(out)
         assert [round(float(row["epsilon"]), 6) for row in rows] == [0.25, 0.5]
+
+    @pytest.mark.parametrize("grid, epsilons", [
+        (("3.3e-12", "3.3e-12", "1"), ["3.3e-12"]),
+        (("4e-13", "4e-13", "1"), ["4e-13"]),
+        (("2e-12", "5e-12", "1e-12"), ["2e-12", "3e-12", "4e-12", "5e-12"]),
+    ])
+    def test_tiny_epsilon_grid_keeps_its_points(self, capsys, grid, epsilons):
+        # grid points keep 12 significant digits, not 12 decimal places, and
+        # the stop slack shrinks with the step, so no point lands past STOP
+        code, out, err = run(capsys, "frontier", "--lam", "100", "--grid", *grid)
+        assert (code, err) == (0, "")
+        _, rows = frontier_rows(out)
+        assert [row["epsilon"] for row in rows] == epsilons
 
     def test_every_epsilon_failing_exits_3(self, capsys):
         code, out, err = run(capsys, "frontier", "--lam", "0.001",

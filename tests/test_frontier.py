@@ -1,9 +1,11 @@
 """Tests for single-station constrained/weighted solves and frontier sweeps."""
 import math
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qstaff.erlang import erlang_c_sqrt, jvlz_bounds
+from qstaff.erlang import BOUND_CHOICES, erlang_c_sqrt, jvlz_bounds, wait_curve
 from qstaff.errors import BracketError, DomainError
 from qstaff.frontier import (
     CostFunction,
@@ -16,6 +18,7 @@ from qstaff.frontier import (
 from qstaff.joint import solve_weighted_stoch
 from qstaff.multistation import MultiStationInstance
 from qstaff.scenarios import JointScenarioSet
+from qstaff.search import bisect_decreasing
 
 # a bool, an int beyond float range, nan and a string: none is an input number
 BAD_NUMBERS = (True, 10**400, math.nan, "3")
@@ -116,6 +119,40 @@ class TestConstrained:
         approx = solve_constrained(1e4, 0.1, bound="hw")
         exact = solve_constrained(1e4, 0.1)
         assert approx.beta == pytest.approx(exact.beta, abs=1e-2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lam=st.floats(math.log(1e-3), math.log(1e6)).map(math.exp),
+           eps=st.floats(1e-12, 0.999))
+    @example(lam=100.0, eps=0.05)
+    @example(lam=0.5, eps=0.65)      # the curve starts below epsilon: the _LO return
+    @example(lam=1e12, eps=0.05)
+    @example(lam=1e300, eps=0.5)     # lam + beta*sqrt(lam) == lam: no bracket
+    def test_same_root_as_bisecting_the_curve(self, lam, eps):
+        # the reduced model on one scenario is the direct bisection of the
+        # curve at epsilon, bit for bit, evaluation count included
+        for bound in BOUND_CHOICES:
+            try:
+                ref = bisect_decreasing(wait_curve(lam, bound), eps)
+            except BracketError as exc:
+                with pytest.raises(BracketError, match=f"^{re.escape(str(exc))}$"):
+                    solve_constrained(lam, eps, bound=bound)
+                continue
+            rep = solve_constrained(lam, eps, bound=bound)
+            assert (rep.beta, rep.evaluations, rep.converged, rep.residual) == (
+                ref.root, ref.evaluations, ref.converged, ref.residual)
+
+    def test_pinned_roots(self):
+        rep = solve_constrained(100.0, 0.05)
+        assert (rep.beta, rep.evaluations, rep.converged) == (1.8145278690692512, 12, True)
+        low = solve_constrained(0.5, 0.65)
+        assert (low.beta, low.evaluations) == (1e-8, 1)
+        with pytest.raises(BracketError, match="no root below"):
+            solve_constrained(1e300, 0.5)
+
+    @pytest.mark.parametrize("lam", [0, -1, math.nan, math.inf, True, "100"])
+    def test_bad_arrival_rate(self, lam):
+        with pytest.raises(DomainError, match="arrival rate"):
+            solve_constrained(lam, 0.1)
 
     def test_bracket_exhaustion_reported(self):
         # at lam=10 the wait curve bottoms out near 1e-193 at the beta cap

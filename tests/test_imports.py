@@ -113,6 +113,37 @@ def test_benchmark_trace_points_resolve():
     assert missing == []
 
 
+def package_imports(module):
+    """The qstaff modules that qstaff.<module>'s source imports, at module
+    level or inside a function."""
+    with open(os.path.join(os.path.dirname(qstaff.__file__), f"{module}.py")) as handle:
+        tree = ast.parse(handle.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["qstaff" if node.level else "", node.module]))
+            names.update([base, *(f"{base}.{alias.name}" for alias in node.names)])
+    return {name.split(".")[1] for name in names if name.startswith("qstaff.")}
+
+
+@pytest.mark.parametrize("module", ["errors", "erlang", "search", "scenarios", "lattice",
+                                    "stochastic", "frontier"])
+def test_lower_modules_import_no_higher_one(module):
+    # frontier is the reduced model on one scenario, so stochastic and
+    # everything below it import nothing from frontier or the modules above
+    forbidden = {"joint", "multistation", "files", "cli"}
+    if module != "frontier":
+        forbidden.add("frontier")
+    assert package_imports(module) & forbidden == set()
+
+
+def test_package_imports_sees_every_form():
+    assert {"stochastic", "scenarios", "lattice"} <= package_imports("frontier")
+    assert set(PUBLIC_MODULES) <= package_imports("__init__")
+
+
 def test_package_exports_each_module_list_once():
     modules = [importlib.import_module(f"qstaff.{name}") for name in PUBLIC_MODULES]
     exported = qstaff.__all__
