@@ -243,12 +243,23 @@ def _solve_mode(scenario_file, mode, eps, delta, bound):
 # ---------------------------------------------------------------------------
 # subcommands
 
+# a frontier grid takes at most this many steps from START to STOP; a step
+# below START's float spacing would never advance, and a tiny one would
+# build an enormous grid before the sweep
+GRID_CAP = 10 ** 5
+
+
 def cmd_frontier(args):
     lam = checked(lambda v: positive(v, "lam"), args.lam, "--lam")
     start, stop, step = args.grid
     if not all(math.isfinite(v) for v in args.grid) or step <= 0:
         raise ValidationError(
             "grid must be START STOP STEP with a positive step",
+            pointer="--grid",
+        )
+    if (stop - start) / step > GRID_CAP:
+        raise ValidationError(
+            f"the grid would take more than {GRID_CAP} steps; use a larger STEP",
             pointer="--grid",
         )
     grid = []

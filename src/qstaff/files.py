@@ -17,7 +17,6 @@ it regardless of which bound the solver used.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -146,6 +145,7 @@ class ScenarioFile:
         }
 
     def digest(self):
+        import hashlib  # here, not at import: only a digest needs it
         canonical = json.dumps(self.to_data(), sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()

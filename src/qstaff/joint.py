@@ -399,19 +399,27 @@ def _solve_keyed(scenarios, eps, costs, keys, key_rates, betas, vector, dep_root
     # SLICE_XTOL, as finely as a slice of dependent roots is known. With
     # two or more, the first descent is warm if the caller's betas are (see
     # coordinate_descent), and an infinite descent reruns cold from common
-    # free starts doubling from the largest given one (>= 1 first) to the cap
+    # free starts doubling from the largest given one (>= 1 first) to the cap.
+    # A dependent root is a function of the free betas alone, whatever its
+    # guess, so each free-beta vector is solved once
     dep = len(betas) - 1
     guess = betas[dep]
+    roots = {}
 
     def dep_beta(bs):
         nonlocal guess
-        weights = _fold(scenarios, [vector(i, b) for i, b in enumerate(bs[:dep])])
+        free = tuple(bs[:dep])
+        root = roots.get(free)
+        if root is not None:
+            return root
+        weights = _fold(scenarios, [vector(i, b) for i, b in enumerate(free)])
         try:
             root = dep_root(weights, guess)
         except BracketError:
-            return math.inf
+            root = math.inf
         if 0.0 < root < math.inf:
             guess = root
+        roots[free] = root
         return root
 
     def completed(bs):

@@ -18,6 +18,7 @@ at the first table, certified box or walk.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 
@@ -129,6 +130,9 @@ def certified_box(scenarios, eps, costs):
     incumbent's budget is rebuilt to it. Only the tables whose top moves
     are rebuilt.
     """
+    # every search runs on Python lists with bisect, as a numpy call per
+    # scalar costs more than the search; numpy does only the vector math:
+    # the tables, the marginal no-wait and its running maximum
     import numpy as np
     target = 1.0 - eps
     marginals = scenarios.marginals
@@ -138,7 +142,8 @@ def certified_box(scenarios, eps, costs):
     # level the fold could accept; a mass or floor never reached leaves the top
     start = []
     for m in marginals:
-        first = min(int(np.searchsorted(np.cumsum(m.probs), target - _TIE)), len(m) - 1)
+        first = min(bisect.bisect_left(list(itertools.accumulate(m.probs)), target - _TIE),
+                    len(m) - 1)
         start.append(int(math.floor(m.rates[first])) + 1)
     top = [lo + 8 + math.ceil(3.0 * math.sqrt(m.rates[-1]))
            for lo, m in zip(start, marginals)]
@@ -148,9 +153,8 @@ def certified_box(scenarios, eps, costs):
                  for t, lo, hi in zip(full, start, top)]
         floors, reach = [], []  # reach[j]: running maximum of E[u_j] from the floor
         for m, table in zip(marginals, full):
-            running = np.maximum.accumulate(_marginal_no_wait(m.probs, table))
-            floors.append(min(int(np.searchsorted(running, target - _TIE)),
-                              table.shape[1] - 1))
+            running = np.maximum.accumulate(_marginal_no_wait(m.probs, table)).tolist()
+            floors.append(min(bisect.bisect_left(running, target - _TIE), len(running) - 1))
             reach.append(running[floors[-1]:])
         lower = [lo + f for lo, f in zip(start, floors)]
         tables = [t[:, f:] for t, f in zip(full, floors)]
@@ -160,14 +164,14 @@ def certified_box(scenarios, eps, costs):
         # values whose point the fold finds feasible; t = inf puts every
         # station at its top
         def offsets_at(t):
-            return [min(int(np.searchsorted(r, t)), r.size - 1) for r in reach]
+            return [min(bisect.bisect_left(r, t), len(r) - 1) for r in reach]
 
         def meets_target(t):
             return _table_no_wait(scenarios, lower, tables,
                                   [lo + k for lo, k in zip(lower, offsets_at(t))]) >= target
 
         known = min((r[-1] for r, done in zip(reach, ended) if not done), default=math.inf)
-        thresholds = [t for t in np.unique(np.concatenate(reach)).tolist() if t <= known]
+        thresholds = sorted({t for r in reach for t in r if t <= known})
         if known == math.inf:
             thresholds.append(math.inf)
         incumbent = bisect.bisect_left(thresholds, True, key=meets_target)

@@ -259,6 +259,33 @@ class TestFrontier:
                          "--grid", "0.5", "1.5", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("step", ["1e-300", "1e-12"])
+    def test_grid_past_the_cap_exits_2(self, capsys, fmt, step):
+        # a step below 0.1's float spacing never advances the grid, and
+        # 1e-12 would take 1e11 steps: both are refused before any is taken
+        code, out, err = run(capsys, "frontier", "--lam", "100", "--format", fmt,
+                             "--grid", "0.1", "0.2", step)
+        assert code == 2
+        assert err.startswith(f"error: --grid: the grid would take more than {cli.GRID_CAP}")
+        assert "Traceback" not in err
+        if fmt == "json":
+            assert json.loads(out)["error"]["pointer"] == "--grid"
+        else:
+            assert out == ""
+
+    def test_grid_at_the_cap_keeps_its_points(self, capsys, monkeypatch):
+        # a grid of exactly GRID_CAP steps is swept; only a longer one is refused
+        monkeypatch.setattr(cli, "GRID_CAP", 4)
+        code, out, _ = run(capsys, "frontier", "--lam", "100",
+                           "--grid", "0.125", "0.625", "0.125")
+        assert code == 0
+        assert [row["epsilon"] for row in frontier_rows(out)[1]] == [
+            "0.125", "0.25", "0.375", "0.5", "0.625"]
+        code, _, err = run(capsys, "frontier", "--lam", "100",
+                           "--grid", "0.125", "0.75", "0.125")
+        assert code == 2 and err.startswith("error: --grid:")
+
     @pytest.mark.parametrize("lam", ["0", "-5"])
     def test_bad_lam_exits_2(self, capsys, lam):
         code, _, err = run(capsys, "frontier", "--lam", lam)

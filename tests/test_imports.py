@@ -68,6 +68,12 @@ def test_import_and_validate_load_neither_numpy_nor_scipy(args):
                 & {"numpy", "scipy", "multiprocessing", "concurrent"})
 
 
+@pytest.mark.parametrize("args", [("-c", "import qstaff"), ("-c", "import qstaff.cli")])
+def test_import_loads_no_hashlib(args):
+    # only a scenario file's digest (which validate prints) needs hashlib
+    assert "hashlib" not in imported_by(*args)
+
+
 def test_lattice_loads_numpy_but_not_scipy_special():
     # the certified optimum reads exact tables and never evaluates a curve
     modules = imported_by("-c", "from qstaff import *\n"

@@ -1493,10 +1493,23 @@ class TestSolveJointExactInteger:
     # no staffing is feasible
     @example(problem=(JointScenarioSet(((5.0, 8.0), (9.0, 3.0)), (0.5, 0.5 - 9e-13)),
                       5e-13, (1.0, 1.0)))
+    # two stations with one marginal: their reach values, and so the
+    # thresholds, tie across stations
+    @example(problem=(JointScenarioSet.from_product(
+        [ScenarioSet((4.0, 9.0), (0.6, 0.4))] * 2), 0.1, (1.0, 1.0)))
+    # epsilon is 1 less a cumulative mass, so the start's search sits on
+    # that mass within a rounding of the target less lattice._TIE
+    @example(problem=(JointScenarioSet(((3.0, 5.0), (7.0, 2.0), (12.0, 5.0)),
+                                       (0.3, 0.5, 0.2)), 1.0 - (0.3 + 0.5), (1.0, 2.0)))
+    # four stations of a product set
+    @example(problem=(JointScenarioSet.from_product(
+        [ScenarioSet((2.0, 6.0), (0.7, 0.3)), ScenarioSet((1.5, 4.0), (0.5, 0.5)),
+         ScenarioSet((3.0,), (1.0,)), ScenarioSet((0.5, 8.0, 11.0), (0.2, 0.5, 0.3))]),
+        0.05, (1.0, 2.0, 1.5, 3.0)))
     def test_box_matches_the_product_reference(self, problem):
         # scoring the incumbent by the fold alone, and starting each
-        # station by searchsorted over cumulative mass, keep the box of
-        # the per-scenario product and the running-mass loop bit for bit
+        # station by a search over cumulative mass, keep the box of the
+        # per-scenario product and the running-mass loop bit for bit
         scenarios, epsilon, costs = problem
         try:
             lower, tables = reference_certified_box(scenarios, epsilon, costs)
